@@ -2,8 +2,8 @@
 """Census of finite residuated chains by size and property flags.
 
 Counts are exact and isomorph-free (on a chain the only order automorphism
-is the identity).  Sizes beyond 6 or 7 get slow; the integral commutative
-column reproduces 1, 1, 2, 6, 22, 95, ...
+is the identity).  Sizes beyond 6 or 7 get slow; the commutative integral
+column reproduces 1, 1, 2, 6, 22, 94, 451, ...
 """
 
 import argparse

@@ -390,22 +390,18 @@ def _pins_for(vf: VFormation, hpos, kpos):
     product_pins = {}
     ldiv_pins = {}
     rdiv_pins = {}
-
-    def add(pins, key, value):
-        old = pins.get(key)
-        if old is not None and old != value:
-            return False
-        pins[key] = value
-        return True
-
     for alg, pos in ((vf.B, hpos), (vf.C, kpos)):
-        for x in range(alg.size):
-            for y in range(alg.size):
-                if not add(product_pins, (pos[x], pos[y]), pos[alg.product[x][y]]):
+        for px, prod_row, ldiv_row, rdiv_row in zip(pos, alg.product, alg.ldiv, alg.rdiv):
+            for y, py in enumerate(pos):
+                key = (px, py)
+                v = pos[prod_row[y]]
+                if product_pins.setdefault(key, v) != v:
                     return None
-                if not add(ldiv_pins, (pos[x], pos[y]), pos[alg.ldiv[x][y]]):
+                v = pos[ldiv_row[y]]
+                if ldiv_pins.setdefault(key, v) != v:
                     return None
-                if not add(rdiv_pins, (pos[x], pos[y]), pos[alg.rdiv[x][y]]):
+                v = pos[rdiv_row[y]]
+                if rdiv_pins.setdefault(key, v) != v:
                     return None
     return product_pins, ldiv_pins, rdiv_pins
 

@@ -12,6 +12,18 @@ rules (monotonicity against fixed cells, associativity instances whose two
 inner products are fixed, residual-pin consistency, unit laws); every
 complete assignment is re-verified before it is reported, so the pruning
 rules only ever need to be sound, not complete.
+
+Propagation is incremental.  A cell whose candidate set shrinks to a
+singleton is queued as it shrinks; ``propagate`` fixes the queued cells in
+passes, each pass in ascending cell order, and the singletons a pass creates
+wait for the next pass.  Fixing ``x*y = v`` bounds only the cells in its
+monotonicity cones (``a*b >= v`` for ``a >= x, b >= y`` and ``a*b <= v``
+for ``a <= x, b <= y``), and a division pin bounds only the cells on its
+ray; cells already inside a bound are skipped.  The associativity rule is
+applied once per fixed cell against the cells fixed before it, so its
+outcome depends on the order in which cells are fixed, and that order is
+part of the engine's contract: node counts and the order of solutions
+depend on it.
 """
 
 from __future__ import annotations
@@ -77,9 +89,6 @@ class _Conflict(Exception):
     pass
 
 
-_FULL_CACHE: dict[int, int] = {}
-
-
 def _low_mask(v):
     # candidates <= v
     return (1 << (v + 1)) - 1
@@ -98,6 +107,9 @@ class _Engine:
         self.value = [-1] * (m * m)
         self.unfixed = m * m
         self.trail: list[tuple[int, int]] = []
+        # cells that became singletons and were not processed yet; on a
+        # one-element chain every cell starts out as one
+        self.queue: list[int] = [0] if m == 1 else []
 
     # -- basic cell operations ------------------------------------------------
 
@@ -110,44 +122,48 @@ class _Engine:
             raise _Conflict
         self.trail.append((cell, old))
         self.cand[cell] = new
+        if new & (new - 1) == 0:
+            self.queue.append(cell)
         if self.p.commutative:
             x, y = divmod(cell, self.m)
             mirror = y * self.m + x
             if mirror != cell:
                 self._set_mask(mirror, new)
 
-    def _fix_queue(self):
-        # cells that became singletons and were not processed yet
-        return [
-            c
-            for c in range(self.m * self.m)
-            if self.cand[c].bit_count() == 1 and self.value[c] == -1
-        ]
-
     # -- initial constraints ---------------------------------------------------
 
     def init_constraints(self):
         m, u = self.m, self.p.unit
+        cand, set_mask = self.cand, self._set_mask
         for y in range(m):
-            self._set_mask(u * m + y, 1 << y)
-            self._set_mask(y * m + u, 1 << y)
+            set_mask(u * m + y, 1 << y)
+            set_mask(y * m + u, 1 << y)
         if m > 1:
             for x in range(m):
-                self._set_mask(x * m + 0, 1)
-                self._set_mask(0 * m + x, 1)
+                set_mask(x * m + 0, 1)
+                set_mask(0 * m + x, 1)
+        # each bound is applied only where it would narrow the candidates
         for (x, y), v in self.p.product_pins.items():
-            self._set_mask(x * m + y, 1 << v)
+            if cand[x * m + y] != 1 << v:
+                set_mask(x * m + y, 1 << v)
         full = (1 << m) - 1
+        # x \ z = d: x*d <= z < x*s for every s above d (likewise z / y = d)
         for (x, z), d in self.p.ldiv_pins.items():
-            self._set_mask(x * m + d, _low_mask(z))
-            above = full & ~_low_mask(z)
-            for s in range(d + 1, m):
-                self._set_mask(x * m + s, above)
+            low = _low_mask(z)
+            if cand[x * m + d] > low:
+                set_mask(x * m + d, low)
+            above = full & ~low
+            for c in range(x * m + d + 1, x * m + m):
+                if cand[c] & low:
+                    set_mask(c, above)
         for (y, z), d in self.p.rdiv_pins.items():
-            self._set_mask(d * m + y, _low_mask(z))
-            above = full & ~_low_mask(z)
-            for s in range(d + 1, m):
-                self._set_mask(s * m + y, above)
+            low = _low_mask(z)
+            if cand[d * m + y] > low:
+                set_mask(d * m + y, low)
+            above = full & ~low
+            for c in range((d + 1) * m + y, m * m, m):
+                if cand[c] & low:
+                    set_mask(c, above)
 
     # -- propagation ------------------------------------------------------------
 
@@ -156,43 +172,53 @@ class _Engine:
         self.trail.append((-cell - 1, self.value[cell]))
         self.value[cell] = v
         self.unfixed -= 1
-        m = self.m
+        m, cand, value, set_mask = self.m, self.cand, self.value, self._set_mask
         x, y = divmod(cell, m)
-        full = (1 << m) - 1
-        # monotonicity against the newly fixed cell
-        ge_mask = full & ~((1 << v) - 1)
-        le_mask = _low_mask(v)
-        for a in range(m):
-            for b in range(m):
-                if a >= x and b >= y:
-                    self._set_mask(a * m + b, ge_mask)
-                if a <= x and b <= y:
-                    self._set_mask(a * m + b, le_mask)
+        # monotonicity against the newly fixed cell: only the cones, and only
+        # cells that still hold a candidate on the wrong side of v
+        below = (1 << v) - 1
+        if v > 0:
+            ge_mask = ((1 << m) - 1) & ~below
+            for a in range(x, m):
+                for c in range(a * m + y, a * m + m):
+                    if cand[c] & below:
+                        set_mask(c, ge_mask)
+        if v < m - 1:
+            le_mask = _low_mask(v)
+            for a in range(x + 1):
+                for c in range(a * m, a * m + y + 1):
+                    if cand[c] > le_mask:
+                        set_mask(c, le_mask)
         # associativity instances whose two inner products are fixed
         for z in range(m):
-            w = self.value[y * m + z]
+            w = value[y * m + z]
             if w != -1:  # (x*y)*z = x*(y*z) with x*y, y*z fixed
                 self._link(v * m + z, x * m + w)
         for w in range(m):
-            t = self.value[w * m + x]
+            t = value[w * m + x]
             if t != -1:  # (w*x)*y = w*(x*y) with w*x, x*y fixed
                 self._link(t * m + y, w * m + v)
 
     def _link(self, cell_a, cell_b):
         if cell_a == cell_b:
             return
-        common = self.cand[cell_a] & self.cand[cell_b]
-        self._set_mask(cell_a, common)
-        self._set_mask(cell_b, common)
+        cand = self.cand
+        mask_a, mask_b = cand[cell_a], cand[cell_b]
+        if mask_a != mask_b:
+            common = mask_a & mask_b
+            self._set_mask(cell_a, common)
+            self._set_mask(cell_b, common)
 
     def propagate(self):
-        while True:
-            pending = self._fix_queue()
-            if not pending:
-                return
+        """Fix every pending singleton, in passes of ascending cell order;
+        singletons a pass creates wait for the next pass."""
+        value, cand = self.value, self.cand
+        while self.queue:
+            pending = sorted(self.queue)
+            self.queue = []
             for cell in pending:
-                if self.value[cell] == -1:
-                    self._fix(cell, self.cand[cell].bit_length() - 1)
+                if value[cell] == -1:
+                    self._fix(cell, cand[cell].bit_length() - 1)
 
     # -- backtracking -----------------------------------------------------------
 
@@ -200,6 +226,7 @@ class _Engine:
         return len(self.trail)
 
     def _undo(self, mark):
+        self.queue = []  # left over from a conflict
         while len(self.trail) > mark:
             key, old = self.trail.pop()
             if key < 0:

@@ -47,3 +47,16 @@ def naive_ci4():
 @pytest.fixture(scope="session")
 def naive_i4():
     return set(naive_chains(4, integral=True, commutative=False))
+
+
+@pytest.fixture(scope="session")
+def naive_tables(naive_ci4, naive_i4):
+    """``naive_chains`` output for every size <= 4 and every combination of
+    the integral and commutative flags, keyed ``(n, integral, commutative)``."""
+    out = {(4, True, True): naive_ci4, (4, True, False): naive_i4}
+    for n in (1, 2, 3, 4):
+        for integral in (False, True):
+            for commutative in (False, True):
+                if (n, integral, commutative) not in out:
+                    out[n, integral, commutative] = set(naive_chains(n, integral=integral, commutative=commutative))
+    return out

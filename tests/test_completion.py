@@ -1,5 +1,8 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from reslat import (
@@ -8,6 +11,7 @@ from reslat import (
     ChainFlags,
     CompletionProblem,
     FormatError,
+    bounded_amalgam_search,
     check_identity,
     complete_table,
     count_chains,
@@ -17,6 +21,7 @@ from reslat import (
     validate,
     vs_b,
 )
+from reslat.completion import SearchStats
 
 
 def test_trivial_completion():
@@ -169,3 +174,157 @@ def test_size_validation():
         CompletionProblem(3, 5, {}, {}, {}).check_well_formed()
     with pytest.raises(FormatError):
         CompletionProblem(3, 1, {}, {}, {}, integral=True).check_well_formed()
+
+
+# ---------------------------------------------------------------------------
+# the census of scripts/chain_census.py
+
+
+def _census_columns():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "chain_census.py"
+    spec = importlib.util.spec_from_file_location("chain_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COLUMNS
+
+
+# rows n = 1..6; columns in the order of the script's COLUMNS
+CENSUS_COUNTS = (
+    (1, 1, 1, 1, 1, 1),
+    (1, 1, 1, 1, 1, 1),
+    (3, 2, 2, 2, 2, 1),
+    (15, 8, 6, 4, 5, 1),
+    (84, 44, 22, 8, 15, 1),
+    (575, 308, 94, 16, 53, 1),
+)
+
+
+def test_census_columns_are_pinned():
+    columns = _census_columns()
+    assert [name for name, _ in columns] == [
+        "all", "integral", "comm. integral", "divisible CI", "2-potent CI", "idempotent CI",
+    ]
+    got = tuple(tuple(count_chains(n, flags) for _, flags in columns) for n in range(1, 7))
+    assert got == CENSUS_COUNTS
+
+
+def test_census_columns_match_naive_oracle_n_le_4(naive_tables):
+    # the all, integral and commutative integral columns
+    for column, (_, flags) in enumerate(_census_columns()[:3]):
+        for n in (1, 2, 3, 4):
+            want = naive_tables[n, flags.integral, flags.commutative]
+            assert {alg.product for alg in enumerate_chains(n, flags)} == want
+            assert count_chains(n, flags) == len(want) == CENSUS_COUNTS[n - 1][column]
+
+
+# ---------------------------------------------------------------------------
+# exactness pins: the engine's search order and work counts, which depend on
+# the order of propagation; a faster engine must reproduce them exactly
+
+
+# enumerate_chains(5, integral) in stream order, each table row-major
+INTEGRAL_5_CHAINS = (
+    "0000000001000020000301234", "0000000001000020001301234", "0000000001000020002301234",
+    "0000000001000020003301234", "0000000001000020011301234", "0000000001000020023301234",
+    "0000000001000120001301234", "0000000001000120011301234", "0000000001000120012301234",
+    "0000000001000220003301234", "0000000001000220023301234", "0000000001001120011301234",
+    "0000000001002220022301234", "0000000001002220023301234", "0000000001000020113301234",
+    "0000000001000020123301234", "0000000001000220123301234", "0000000001002220123301234",
+    "0000000001012220122301234", "0000000001012220123301234", "0000000011000120003301234",
+    "0000000011000120113301234", "0000000011000120123301234", "0000000011000220003301234",
+    "0000000011000220023301234", "0000000011002220023301234", "0000000011000220113301234",
+    "0000000011000220123301234", "0000000011001220123301234", "0000000011002220123301234",
+    "0000000011012220123301234", "0000000111002220022301234", "0000000111002220023301234",
+    "0000000111002220123301234", "0000000111012220122301234", "0000000111012220123301234",
+    "0000001111011120111301234", "0000001111011120112301234", "0000001111011120113301234",
+    "0000001111011120123301234", "0000001111011220113301234", "0000001111011220123301234",
+    "0000001111012220122301234", "0000001111012220123301234",
+)
+
+
+def test_integral_5_chain_stream_is_pinned():
+    got = tuple("".join(map(str, sum(alg.product, ()))) for alg in enumerate_chains(5, ChainFlags(integral=True)))
+    assert got == INTEGRAL_5_CHAINS
+
+
+# (nodes, solutions) summed over every unit, for n = 1..6, in the first
+# three census columns
+UNPINNED_SEARCH_TOTALS = (
+    ((0, 1), (0, 1), (2, 3), (38, 15), (378, 84), (3780, 575)),  # all
+    ((0, 1), (0, 1), (2, 2), (19, 8), (154, 44), (1719, 308)),  # integral
+    ((0, 1), (0, 1), (2, 2), (11, 6), (55, 22), (314, 94)),  # comm. integral
+)
+
+
+@pytest.mark.parametrize("column", range(3))
+def test_unpinned_search_totals_are_pinned(column):
+    _, flags = _census_columns()[column]
+    got = []
+    for n in range(1, 7):
+        stats = SearchStats()
+        for unit in [n - 1] if flags.integral else range(n):
+            problem = CompletionProblem(n, unit, {}, {}, {}, commutative=flags.commutative, integral=flags.integral)
+            for _ in iter_completions(problem, stats=stats):
+                pass
+        got.append((stats.nodes, stats.solutions))
+    assert tuple(got) == UNPINNED_SEARCH_TOTALS[column]
+
+
+def test_vs_search_work_per_size_is_pinned(vs):
+    report = bounded_amalgam_search(vs, 10)
+    assert report.verdict == "UNSAT"
+    got = [(s.size, s.placements, s.nodes) for s in report.sizes]
+    assert got == [(5, 2, 0), (6, 15, 0), (7, 63, 0), (8, 196, 0), (9, 504, 0), (10, 1134, 0)]
+
+
+# ---------------------------------------------------------------------------
+# the engine against the naive oracle, under random pins
+
+
+def _naive_residual(row_or_column, z):
+    # the greatest s with (product at s) <= z; s = 0 always qualifies
+    return max(s for s, p in enumerate(row_or_column) if p <= z)
+
+
+def _meets_pins(t, product_pins, ldiv_pins, rdiv_pins):
+    m = len(t)
+    return (
+        all(t[x][y] == v for (x, y), v in product_pins.items())
+        and all(_naive_residual(t[x], z) == d for (x, z), d in ldiv_pins.items())
+        and all(_naive_residual([t[s][y] for s in range(m)], z) == d for (y, z), d in rdiv_pins.items())
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_pinned_completions_match_naive_oracle(naive_tables, data):
+    m = data.draw(st.integers(1, 4), label="m")
+    integral = data.draw(st.booleans(), label="integral")
+    commutative = data.draw(st.booleans(), label="commutative")
+    unit = m - 1 if integral else data.draw(st.integers(0, m - 1), label="unit")
+    chains = sorted(t for t in naive_tables[m, integral, commutative] if t[unit] == tuple(range(m)))
+    # pins read off a chain with this unit, each replaced by a random value
+    # with probability 1/10 (mostly satisfiable), or all drawn at random
+    # (mostly contradictory)
+    source = data.draw(st.sampled_from(chains), label="source") if chains and data.draw(st.booleans()) else None
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    pins = []
+    for kind in ("product", "ldiv", "rdiv"):
+        keys = data.draw(st.lists(cell, max_size=m * m, unique=True), label=f"{kind} cells")
+        table = {}
+        for x, y in keys:
+            if source is not None and data.draw(st.integers(0, 9), label="keep") > 0:
+                if kind == "product":
+                    table[x, y] = source[x][y]
+                elif kind == "ldiv":
+                    table[x, y] = _naive_residual(source[x], y)
+                else:
+                    table[x, y] = _naive_residual([source[s][x] for s in range(m)], y)
+            else:
+                table[x, y] = data.draw(st.integers(0, m - 1), label="value")
+        pins.append(table)
+    problem = CompletionProblem(m, unit, *pins, commutative=commutative, integral=integral)
+    got = [tuple(map(tuple, t)) for t in iter_completions(problem)]
+    event("satisfiable" if got else "unsatisfiable")
+    assert len(got) == len(set(got))
+    assert set(got) == {t for t in chains if _meets_pins(t, *pins)}
