@@ -20,7 +20,6 @@ from .algebra import (
     Morphism,
     NotCongruenceError,
     NotResiduatedError,
-    PartialIRL,
     PreconditionError,
     ReslatError,
     UnsupportedError,
@@ -30,8 +29,6 @@ from .algebra import (
     congruence_to_filter,
     filter_to_congruence,
     make_algebra,
-    make_partial,
-    partial_from_total,
     quotient,
     relabel,
     residuals_from_product,

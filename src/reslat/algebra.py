@@ -74,7 +74,9 @@ class FiniteRL:
 
     ``leq`` is ``None`` for chains in index order, otherwise an ``n x n``
     boolean table.  ``ldiv[x][z] = x\\z`` and ``rdiv[x][z] = z/x``.  ``zero``
-    is the optional pointed constant.
+    is the optional pointed constant.  ``masks`` is ``None`` for a total
+    algebra; a partial one carries the (product, ldiv, rdiv) definedness
+    tables, read through :func:`definedness`.
     """
 
     size: int
@@ -86,6 +88,7 @@ class FiniteRL:
     rdiv: tuple[tuple[int, ...], ...]
     zero: int | None = None
     name: str = ""
+    masks: tuple[tuple[tuple[bool, ...], ...], ...] | None = None
 
     @property
     def is_chain_order(self) -> bool:
@@ -95,51 +98,9 @@ class FiniteRL:
         if self.leq is None:
             return x <= y
         return self.leq[x][y]
-
-    def mul(self, x: int, y: int) -> int:
-        return self.product[x][y]
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def label_of(self, x: int) -> str:
-        return self.labels[x]
 
     def __repr__(self):  # keep pytest output short
         return f"FiniteRL({self.name or 'unnamed'}, size={self.size})"
-
-
-@dataclass(frozen=True)
-class PartialIRL:
-    """Operation tables with definedness masks for product and divisions."""
-
-    size: int
-    labels: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...] | None
-    unit: int
-    product: tuple[tuple[int, ...], ...]
-    ldiv: tuple[tuple[int, ...], ...]
-    rdiv: tuple[tuple[int, ...], ...]
-    product_mask: tuple[tuple[bool, ...], ...]
-    ldiv_mask: tuple[tuple[bool, ...], ...]
-    rdiv_mask: tuple[tuple[bool, ...], ...]
-    zero: int | None = None
-    name: str = ""
-
-    @property
-    def is_chain_order(self) -> bool:
-        return self.leq is None
-
-    def le(self, x: int, y: int) -> bool:
-        if self.leq is None:
-            return x <= y
-        return self.leq[x][y]
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def __repr__(self):
-        return f"PartialIRL({self.name or 'unnamed'}, size={self.size})"
 
 
 @dataclass(frozen=True)
@@ -253,10 +214,13 @@ def make_algebra(
     rdiv=None,
     zero=None,
     name="",
+    masks=None,
 ) -> FiniteRL:
     """Build a :class:`FiniteRL`, deriving divisions when not supplied.
 
-    Raises :class:`FormatError` for malformed shapes and
+    ``masks``, when given, is the (product, ldiv, rdiv) triple of
+    definedness tables of a partial algebra, which must carry explicit
+    divisions.  Raises :class:`FormatError` for malformed shapes and
     :class:`NotResiduatedError` when divisions must be derived but do not
     exist.
     """
@@ -277,12 +241,18 @@ def make_algebra(
         raise FormatError("unit index out of range")
     if zero is not None and not 0 <= zero < n:
         raise FormatError("zero index out of range")
+    if masks is not None and (ldiv is None or rdiv is None):
+        raise FormatError("partial algebras must carry explicit divisions")
     if (ldiv is None) != (rdiv is None):
         raise FormatError("supply both divisions or neither")
     if ldiv is None:
         ldiv, rdiv = residuals_from_product(order if leq is None else leq, product, unit)
     ldiv = _as_int_table(ldiv, n, "ldiv")
     rdiv = _as_int_table(rdiv, n, "rdiv")
+    if masks is not None:
+        if len(masks) != 3:
+            raise FormatError("masks must be the product, ldiv and rdiv tables")
+        masks = tuple(_as_bool_table(t, n, f"{op} mask") for op, t in zip(("product", "ldiv", "rdiv"), masks))
     return FiniteRL(
         size=n,
         labels=labels,
@@ -293,78 +263,21 @@ def make_algebra(
         rdiv=rdiv,
         zero=zero,
         name=name,
+        masks=masks,
     )
 
 
-def make_partial(
-    *,
-    product,
-    unit,
-    product_mask,
-    ldiv,
-    ldiv_mask,
-    rdiv,
-    rdiv_mask,
-    order=CHAIN,
-    labels=None,
-    zero=None,
-    name="",
-) -> PartialIRL:
-    n = len(product)
-    if n == 0:
-        raise FormatError("algebras must have at least one element")
-    product = _as_int_table(product, n, "product")
-    ldiv = _as_int_table(ldiv, n, "ldiv")
-    rdiv = _as_int_table(rdiv, n, "rdiv")
-    masks = [
-        _as_bool_table(product_mask, n, "product mask"),
-        _as_bool_table(ldiv_mask, n, "ldiv mask"),
-        _as_bool_table(rdiv_mask, n, "rdiv mask"),
-    ]
-    leq = None if order == CHAIN else _as_bool_table(order, n, "order")
-    labels = tuple(labels) if labels is not None else _default_labels(n)
-    if len(labels) != n or len(set(labels)) != n:
-        raise FormatError("labels must be distinct and match size")
-    if not 0 <= unit < n:
-        raise FormatError("unit index out of range")
-    return PartialIRL(
-        size=n,
-        labels=labels,
-        leq=leq,
-        unit=unit,
-        product=product,
-        ldiv=ldiv,
-        rdiv=rdiv,
-        product_mask=masks[0],
-        ldiv_mask=masks[1],
-        rdiv_mask=masks[2],
-        zero=zero,
-        name=name,
-    )
+def definedness(alg: FiniteRL):
+    """The (product, ldiv, rdiv) definedness tables; all true when total."""
+    if alg.masks is not None:
+        return alg.masks
+    full = ((True,) * alg.size,) * alg.size
+    return full, full, full
 
 
-def partial_from_total(alg: FiniteRL, name: str = "") -> PartialIRL:
-    """View a total algebra as a partial one with all-true masks."""
-    full = tuple(tuple(True for _ in range(alg.size)) for _ in range(alg.size))
-    return PartialIRL(
-        size=alg.size,
-        labels=alg.labels,
-        leq=alg.leq,
-        unit=alg.unit,
-        product=alg.product,
-        ldiv=alg.ldiv,
-        rdiv=alg.rdiv,
-        product_mask=full,
-        ldiv_mask=full,
-        rdiv_mask=full,
-        zero=alg.zero,
-        name=name or alg.name,
-    )
-
-
-def with_zero(alg: FiniteRL, zero: int) -> FiniteRL:
-    """Designate an element as the pointed constant 0."""
-    if not 0 <= zero < alg.size:
+def with_zero(alg: FiniteRL, zero: int | None) -> FiniteRL:
+    """Designate an element as the pointed constant 0, or drop it with ``None``."""
+    if zero is not None and not 0 <= zero < alg.size:
         raise FormatError("zero index out of range")
     return replace(alg, zero=zero)
 
@@ -590,19 +503,15 @@ def validate(alg: FiniteRL, required=RL_FLAGS) -> ValidationReport:
     return ValidationReport(alg.name or "algebra", tuple(checks))
 
 
-def is_valid_rl(alg: FiniteRL) -> bool:
-    return validate(alg, RL_FLAGS).ok
-
-
 # ---------------------------------------------------------------------------
 # partial validation
 
 
-def validate_partial(p: PartialIRL) -> ValidationReport:
+def validate_partial(p: FiniteRL) -> ValidationReport:
     """Check the partial-IRL axioms; stops at the first violated clause."""
     n = p.size
     le = p.le
-    pm, lm, rm = p.product_mask, p.ldiv_mask, p.rdiv_mask
+    pm, lm, rm = definedness(p)
     prod, ld, rd = p.product, p.ldiv, p.rdiv
 
     def report(*checks):
@@ -941,7 +850,9 @@ def compose(outer: Morphism, inner: Morphism) -> tuple[int, ...]:
 
 
 def tables_equal(a: FiniteRL, b: FiniteRL) -> bool:
-    """Structural equality: everything except names and labels."""
+    """Structural equality: everything except names and labels, masks
+    included.  Compare unpointed reducts by dropping the constant first
+    with ``with_zero(alg, None)``."""
     return (
         a.size == b.size
         and a.leq == b.leq
@@ -950,16 +861,5 @@ def tables_equal(a: FiniteRL, b: FiniteRL) -> bool:
         and a.ldiv == b.ldiv
         and a.rdiv == b.rdiv
         and a.zero == b.zero
-    )
-
-
-def reduct_tables_equal(a: FiniteRL, b: FiniteRL) -> bool:
-    """Like :func:`tables_equal` but ignoring the pointed constant."""
-    return (
-        a.size == b.size
-        and a.leq == b.leq
-        and a.unit == b.unit
-        and a.product == b.product
-        and a.ldiv == b.ldiv
-        and a.rdiv == b.rdiv
+        and a.masks == b.masks
     )

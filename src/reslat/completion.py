@@ -39,7 +39,6 @@ from .algebra import (
     residuals_from_product,
     NotResiduatedError,
 )
-from .identities import check_identity, parse_identity
 
 
 @dataclass(frozen=True)
@@ -357,9 +356,6 @@ class ChainFlags:
     pointed: bool = False
 
 
-_DIV_IDENTITY = parse_identity("div")
-
-
 def _is_k_potent(table, k):
     n = len(table)
     for x in range(n):
@@ -401,13 +397,10 @@ def enumerate_chains(n: int, flags: ChainFlags = ChainFlags(), budget: Budget = 
         raise FormatError("size must be positive")
     count = 0
     for unit, table in _raw_stream(n, flags, budget):
-        alg = _algebra_from_table(
-            table, unit, 0 if flags.pointed else None, name=f"chain{n}_{count}"
-        )
-        if flags.divisible and not check_identity(alg, _DIV_IDENTITY).holds:
+        if flags.divisible and not _divisible_raw(table, unit):
             continue
+        yield _algebra_from_table(table, unit, 0 if flags.pointed else None, name=f"chain{n}_{count}")
         count += 1
-        yield alg
 
 
 def count_chains(n: int, flags: ChainFlags = ChainFlags(), budget: Budget = Budget()) -> int:

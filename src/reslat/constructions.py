@@ -19,15 +19,13 @@ from .algebra import (
     CheckOutcome,
     FiniteRL,
     FormatError,
-    PartialIRL,
     PreconditionError,
     UnsupportedError,
     ValidationReport,
+    definedness,
     join_table,
     meet_table,
     make_algebra,
-    make_partial,
-    partial_from_total,
     relabel,
     validate,
     validate_partial,
@@ -38,7 +36,7 @@ from .algebra import (
 class LowerCompatibleTriple:
     """A partial IRL together with its conucleus/closure pair."""
 
-    K: PartialIRL
+    K: FiniteRL
     sigma: tuple[int, ...]
     gamma: tuple[int, ...]
 
@@ -153,6 +151,7 @@ def validate_triple(t: LowerCompatibleTriple) -> ValidationReport:
     if any(not 0 <= v < n for v in itertools.chain(sigma, gamma)):
         raise FormatError("sigma/gamma entry out of range")
     le = K.le
+    product_mask, ldiv_mask, rdiv_mask = definedness(K)
     checks = []
 
     def fail(clause, witness, detail=""):
@@ -167,16 +166,16 @@ def validate_triple(t: LowerCompatibleTriple) -> ValidationReport:
 
     for x in range(n):
         for y in range(n):
-            if not K.product_mask[x][y]:
+            if not product_mask[x][y]:
                 return fail("total-product", (x, y), "K must have a total product")
     checks.append(CheckOutcome("total-product", True))
 
     for x in range(n):
         for y in range(n):
             undefined = le(sigma[x], y) and not le(x, y)
-            if K.ldiv_mask[x][y] == undefined:
+            if ldiv_mask[x][y] == undefined:
                 return fail("undefinedness-pattern", (x, y), "x\\y defined iff not (sigma(x) <= y and x !<= y)")
-            if K.rdiv_mask[x][y] == undefined:
+            if rdiv_mask[x][y] == undefined:
                 return fail("undefinedness-pattern", (x, y), "y/x defined iff not (sigma(x) <= y and x !<= y)")
     checks.append(CheckOutcome("undefinedness-pattern", True))
 
@@ -230,10 +229,10 @@ def validate_triple(t: LowerCompatibleTriple) -> ValidationReport:
     return ValidationReport("triple", tuple(checks))
 
 
-def identity_triple(alg: FiniteRL, name: str = "") -> LowerCompatibleTriple:
+def identity_triple(alg: FiniteRL) -> LowerCompatibleTriple:
     """Total algebra viewed as a triple with identity maps (ordinal-sum case)."""
     ident = tuple(range(alg.size))
-    return LowerCompatibleTriple(partial_from_total(alg, name=name), ident, ident)
+    return LowerCompatibleTriple(alg, ident, ident)
 
 
 def _splitting_coatom(L: FiniteRL) -> int:
@@ -266,6 +265,7 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
         raise PreconditionError("gluing takes unpointed inputs")
     coatom = _splitting_coatom(L)
     jt_K = join_table(K)
+    _, ldiv_mask, rdiv_mask = definedness(K)
 
     join_one_pairs = [
         (x, y)
@@ -323,8 +323,8 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
             if x_in_K and y_in_K:
                 x, y = in_K[a], in_K[b]
                 product[a][b] = embed_K(K.product[x][y])
-                ldiv[a][b] = embed_K(K.ldiv[x][y]) if K.ldiv_mask[x][y] else ux(coatom)
-                rdiv[a][b] = embed_K(K.rdiv[x][y]) if K.rdiv_mask[x][y] else ux(coatom)
+                ldiv[a][b] = embed_K(K.ldiv[x][y]) if ldiv_mask[x][y] else ux(coatom)
+                rdiv[a][b] = embed_K(K.rdiv[x][y]) if rdiv_mask[x][y] else ux(coatom)
             elif not x_in_K and not y_in_K:
                 x, y = a - nk, b - nk
                 product[a][b] = ux(L.product[x][y])
@@ -641,17 +641,15 @@ def vs_k_triple() -> LowerCompatibleTriple:
         [0, 1, 2, 3],
     ]
     true_row = [True, True, True, True]
-    div_mask = [true_row[:], true_row[:], [True, False, True, True], true_row[:]]
-    K = make_partial(
+    div_mask = [true_row, true_row, [True, False, True, True], true_row]
+    K = make_algebra(
         product=product,
         unit=3,
-        product_mask=[true_row[:] for _ in range(4)],
         ldiv=ldiv,
-        ldiv_mask=div_mask,
         rdiv=ldiv,
-        rdiv_mask=div_mask,
         labels=("c2", "d", "c", "1"),
         name="VS.K",
+        masks=([true_row] * 4, div_mask, div_mask),
     )
     sigma = (0, 1, 1, 3)
     gamma = (0, 2, 2, 3)
@@ -689,14 +687,3 @@ def builtin(name: str):
             return fn(k)
     raise FormatError(f"unknown builtin {name!r}")
 
-
-BUILTIN_NAMES = (
-    "trivial",
-    "two",
-    "lukasiewicz(n)",
-    "godel(n)",
-    "VS.A",
-    "VS.B",
-    "VS.C",
-    "VS.K_triple",
-)

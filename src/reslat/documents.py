@@ -19,9 +19,7 @@ from .algebra import (
     CHAIN,
     FiniteRL,
     FormatError,
-    PartialIRL,
     make_algebra,
-    make_partial,
 )
 from .constructions import builtin
 from . import amalgamation as _am
@@ -39,7 +37,7 @@ def _mask_out(mask):
     return [[1 if v else 0 for v in row] for row in mask]
 
 
-def algebra_to_document(alg: FiniteRL | PartialIRL) -> dict:
+def algebra_to_document(alg: FiniteRL) -> dict:
     doc = {
         "name": alg.name,
         "size": alg.size,
@@ -52,16 +50,12 @@ def algebra_to_document(alg: FiniteRL | PartialIRL) -> dict:
     }
     if alg.zero is not None:
         doc["zero"] = alg.zero
-    if isinstance(alg, PartialIRL):
-        doc["masks"] = {
-            "product": _mask_out(alg.product_mask),
-            "ldiv": _mask_out(alg.ldiv_mask),
-            "rdiv": _mask_out(alg.rdiv_mask),
-        }
+    if alg.masks is not None:
+        doc["masks"] = {key: _mask_out(mask) for key, mask in zip(_MASK_KEYS, alg.masks)}
     return doc
 
 
-def document_to_algebra(doc: dict) -> FiniteRL | PartialIRL:
+def document_to_algebra(doc: dict) -> FiniteRL:
     if not isinstance(doc, dict):
         raise FormatError("algebra document must be a JSON object")
     unknown = set(doc) - set(_ALGEBRA_KEYS)
@@ -74,30 +68,22 @@ def document_to_algebra(doc: dict) -> FiniteRL | PartialIRL:
     order = doc["order"]
     if order != CHAIN and not isinstance(order, list):
         raise FormatError("order must be \"chain\" or a 0/1 array")
-    common = dict(
+    masks = doc.get("masks")
+    if "masks" in doc:
+        if not isinstance(masks, dict) or set(masks) != set(_MASK_KEYS):
+            raise FormatError("masks must contain exactly product, ldiv, rdiv")
+        masks = [masks[key] for key in _MASK_KEYS]
+    alg = make_algebra(
         product=doc["product"],
         unit=doc["unit"],
         order=order,
         labels=doc["labels"],
+        ldiv=doc.get("ldiv"),
+        rdiv=doc.get("rdiv"),
         zero=doc.get("zero"),
         name=doc.get("name", ""),
+        masks=masks,
     )
-    if "masks" in doc:
-        masks = doc["masks"]
-        if set(masks) != set(_MASK_KEYS):
-            raise FormatError("masks must contain exactly product, ldiv, rdiv")
-        if "ldiv" not in doc or "rdiv" not in doc:
-            raise FormatError("partial algebras must carry explicit divisions")
-        alg = make_partial(
-            ldiv=doc["ldiv"],
-            rdiv=doc["rdiv"],
-            product_mask=masks["product"],
-            ldiv_mask=masks["ldiv"],
-            rdiv_mask=masks["rdiv"],
-            **common,
-        )
-    else:
-        alg = make_algebra(ldiv=doc.get("ldiv"), rdiv=doc.get("rdiv"), **common)
     if alg.size != size:
         raise FormatError("size field disagrees with the tables")
     return alg
@@ -115,12 +101,12 @@ def vformation_to_document(vf) -> dict:
 
 
 def _component(value):
-    if isinstance(value, str):
-        alg = builtin(value)
-        if not isinstance(alg, FiniteRL):
-            raise FormatError(f"builtin {value!r} is not an algebra")
-        return alg
-    return document_to_algebra(value)
+    alg = builtin(value) if isinstance(value, str) else document_to_algebra(value)
+    if not isinstance(alg, FiniteRL):
+        raise FormatError(f"builtin {value!r} is not an algebra")
+    if alg.masks is not None:
+        raise FormatError(f"V-formation component {alg.name or 'unnamed'!r} is a partial algebra")
+    return alg
 
 
 def document_to_vformation(doc: dict):
@@ -132,8 +118,15 @@ def document_to_vformation(doc: dict):
     for key in ("A", "B", "C", "i", "j"):
         if key not in doc:
             raise FormatError(f"missing V-formation field {key!r}")
+    for key in ("i", "j"):
+        if not isinstance(doc[key], list) or not all(type(v) is int for v in doc[key]):
+            raise FormatError(f"V-formation map {key!r} must be a list of integers")
     A, B, C = _component(doc["A"]), _component(doc["B"]), _component(doc["C"])
-    return _am.make_vformation(A, B, C, doc["i"], doc["j"], name=doc.get("name", ""))
+    vf = _am.make_vformation(A, B, C, doc["i"], doc["j"], name=doc.get("name", ""))
+    report = _am.check_vformation(vf)
+    if not report.ok:
+        raise FormatError(f"invalid V-formation: {report.first_failure()}")
+    return vf
 
 
 def dumps_canonical(doc) -> str:
@@ -142,8 +135,8 @@ def dumps_canonical(doc) -> str:
 
 
 def canonical_tables_json(alg: FiniteRL) -> str:
-    """Canonical serialization of the structural fields only (no name or
-    labels); byte-equality of these strings is table identity."""
+    """Compact text of the structural fields only (no name or labels), used
+    to print a found amalgam; compare tables with ``tables_equal``."""
     doc = {
         "size": alg.size,
         "order": CHAIN if alg.leq is None else _mask_out(alg.leq),
@@ -156,7 +149,7 @@ def canonical_tables_json(alg: FiniteRL) -> str:
     return dumps_canonical(doc)
 
 
-def load_algebra(path: str) -> FiniteRL | PartialIRL:
+def load_algebra(path: str) -> FiniteRL:
     with open(path, encoding="utf-8") as fh:
         return document_to_algebra(json.load(fh))
 

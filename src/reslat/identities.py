@@ -297,9 +297,6 @@ def _shortcut(name: str) -> str | None:
     return None
 
 
-NAMED_IDENTITIES = ("prel", "sem", "div", "inv", "idem", "stone", "potent:n")
-
-
 def parse_identity(text: str) -> Identity:
     """Parse an identity, expanding named shortcuts first."""
     stripped = text.strip()

@@ -14,7 +14,6 @@ from reslat import (
     filter_to_congruence,
     lukasiewicz,
     make_algebra,
-    partial_from_total,
     quotient,
     residuals_from_product,
     subalgebra_generated,
@@ -232,25 +231,23 @@ def test_k_is_a_partial_irl():
 
 def test_total_algebra_as_partial_reduces_to_validate(small_chain_pool):
     for alg in small_chain_pool[:8]:
-        assert validate_partial(partial_from_total(alg)).ok == validate(
+        assert validate_partial(alg).ok == validate(
             alg, ("lattice", "monoid", "residuation", "integral")
         ).ok
 
 
 def test_asymmetric_product_mask_fails_partial_monoid():
     K = vs_k_triple().K
-    mask = [list(row) for row in K.product_mask]
+    product_mask, ldiv_mask, rdiv_mask = K.masks
+    mask = [list(row) for row in product_mask]
     mask[2][1] = False  # clear c*d but keep d*c
-    from reslat import make_partial
 
-    broken = make_partial(
+    broken = make_algebra(
         product=K.product,
         unit=K.unit,
-        product_mask=mask,
         ldiv=K.ldiv,
-        ldiv_mask=K.ldiv_mask,
         rdiv=K.rdiv,
-        rdiv_mask=K.rdiv_mask,
+        masks=(mask, ldiv_mask, rdiv_mask),
     )
     rep = validate_partial(broken)
     assert not rep.ok

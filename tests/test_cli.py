@@ -98,10 +98,10 @@ def test_amalgam_rejects_bad_bounds(capsys):
 
 
 def test_amalgam_commands(capsys):
-    code, report = run_json(capsys, "amalgam", "--vf", "VS", "--max-size", "6")
-    assert code == 1 and report["search"]["verdict"] == "UNSAT"
-    code, report = run_json(capsys, "one-amalgam", "--vf", "VS", "--max-size", "6")
-    assert code == 1 and report["search"]["verdict"] == "UNSAT"
+    for command in ("amalgam", "one-amalgam"):
+        code, out = run(capsys, command, "--vf", "VS", "--max-size", "6", "--format", "json")
+        assert code == 1 and json.loads(out)["search"]["verdict"] == "UNSAT"
+        assert run(capsys, command, "--vf", "VS", "--max-size", "6", "--format", "json") == (code, out)
 
 
 def test_amalgam_with_rotation(capsys):
@@ -120,13 +120,26 @@ def test_obstruct_command(capsys):
 
 
 def test_vformation_from_file(tmp_path, capsys):
-    from reslat import vs_formation
+    from reslat import vs_formation, vs_k_triple
     from reslat.documents import vformation_to_document
 
+    doc = vformation_to_document(vs_formation())
     path = tmp_path / "vf.json"
-    path.write_text(dumps_canonical(vformation_to_document(vs_formation())))
+    path.write_text(dumps_canonical(doc))
     code, report = run_json(capsys, "amalgam", "--vf", str(path), "--max-size", "5")
     assert code == 1
+
+    # j = [0, 2, 4] sends v to c, which does not preserve the product
+    not_embedding = dict(doc, j=[0, 2, 4])
+    # the masked K of the triple is a partial algebra, not a chain to amalgamate
+    masked_c = dict(doc, C=algebra_to_document(vs_k_triple().K), j=[0, 2, 3])
+    not_a_map = dict(doc, j=[0, 3, "1"])
+    for name, bad in (("not_embedding", not_embedding), ("masked_c", masked_c), ("not_a_map", not_a_map)):
+        bad_path = tmp_path / f"{name}.json"
+        bad_path.write_text(dumps_canonical(bad))
+        assert main(["amalgam", "--vf", str(bad_path), "--max-size", "7"]) == 2
+        assert main(["one-amalgam", "--vf", str(bad_path), "--max-size", "6"]) == 2
+        assert main(["obstruct", "--vf", str(bad_path)]) == 2
 
 
 def test_builtin_option_spelling(capsys):
@@ -150,6 +163,7 @@ def test_usage_and_format_errors(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["identity", "VS.B", "--id", "inv"]) == 2  # unpointed
+    assert main(["verify", "VS.K_triple"]) == 2  # a triple, not an algebra
 
 
 def test_budget_exit_code(capsys):
@@ -171,8 +185,10 @@ def test_output_file_is_atomic(tmp_path, capsys):
 
 
 def test_paper_command_small_bound(capsys):
-    code, report = run_json(capsys, "paper", "--max-size", "6")
+    code, out = run(capsys, "paper", "--max-size", "6", "--format", "json")
+    report = json.loads(out)
     assert code == 0 and report["ok"]
+    assert run(capsys, "paper", "--max-size", "6", "--format", "json") == (code, out)
     names = [s["step"] for s in report["steps"]]
     assert any("obstruction witness" in s for s in names)
     code = main(["paper", "--max-size", "5"])

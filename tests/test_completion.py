@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -100,14 +101,15 @@ def test_every_streamed_algebra_validates_with_its_flags():
 
 def test_divisible_flag_matches_div_identity():
     div = parse_identity("div")
-    with_flag = {a.product for a in enumerate_chains(4, ChainFlags(integral=True, commutative=True, divisible=True))}
-    by_filter = {
-        a.product
-        for a in enumerate_chains(4, ChainFlags(integral=True, commutative=True))
-        if check_identity(a, div).holds
-    }
-    assert with_flag == by_filter
-    assert len(with_flag) == 4  # L4, G4, and the two mixed ordinal sums
+    for n in range(1, 6):
+        for base in (ChainFlags(), ChainFlags(integral=True, commutative=True)):
+            flagged = replace(base, divisible=True)
+            with_flag = [a.product for a in enumerate_chains(n, flagged)]
+            by_filter = [a.product for a in enumerate_chains(n, base) if check_identity(a, div).holds]
+            assert with_flag == by_filter
+            assert count_chains(n, flagged) == len(by_filter)
+            if n == 4 and base.integral:
+                assert len(with_flag) == 4  # L4, G4, and the two mixed ordinal sums
 
 
 def test_potent_flag():
