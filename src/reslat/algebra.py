@@ -9,7 +9,7 @@ construction and every operation in this module is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from typing import NamedTuple
 
 CHAIN = "chain"
 
@@ -320,32 +320,39 @@ def glb(alg, x: int, y: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
+def _bound_table(alg, bound, what) -> tuple[tuple[int, ...], ...]:
+    rows = []
+    for x in range(alg.size):
+        row = []
+        for y in range(alg.size):
+            m = bound(alg, x, y)
+            if m is None:
+                raise FormatError(f"order has no {what} for pair ({x}, {y})")
+            row.append(m)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def meet_table(alg) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for x in range(alg.size):
-        row = []
-        for y in range(alg.size):
-            m = glb(alg, x, y)
-            if m is None:
-                raise FormatError(f"order has no meet for pair ({x}, {y})")
-            row.append(m)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _bound_table(alg, glb, "meet")
 
 
-@lru_cache(maxsize=None)
 def join_table(alg) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for x in range(alg.size):
-        row = []
-        for y in range(alg.size):
-            m = lub(alg, x, y)
-            if m is None:
-                raise FormatError(f"order has no join for pair ({x}, {y})")
-            row.append(m)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _bound_table(alg, lub, "join")
+
+
+class OperationTables(NamedTuple):
+    product: tuple[tuple[int, ...], ...]
+    meet: tuple[tuple[int, ...], ...]
+    join: tuple[tuple[int, ...], ...]
+    ldiv: tuple[tuple[int, ...], ...]
+    rdiv: tuple[tuple[int, ...], ...]
+
+
+def operation_tables(alg) -> OperationTables:
+    """The five binary operation tables.  The lattice tables are built on
+    each call and nothing is kept, so fetch them once per computation."""
+    return OperationTables(alg.product, meet_table(alg), join_table(alg), alg.ldiv, alg.rdiv)
 
 
 # ---------------------------------------------------------------------------
@@ -708,14 +715,7 @@ def congruence_to_filter(alg: FiniteRL, partition) -> CongruenceFilter:
         for x in b:
             block_of[x] = i
 
-    tables = {
-        "product": alg.product,
-        "meet": meet_table(alg),
-        "join": join_table(alg),
-        "ldiv": alg.ldiv,
-        "rdiv": alg.rdiv,
-    }
-    for opname, table in tables.items():
+    for opname, table in operation_tables(alg)._asdict().items():
         for b1 in blocks:
             for b2 in blocks:
                 images = {block_of[table[x][y]] for x in b1 for y in b2}
@@ -764,16 +764,14 @@ def subalgebra_generated(alg: FiniteRL, seed) -> tuple[FiniteRL, Morphism]:
     members = set(seed) | {alg.unit}
     if alg.zero is not None:
         members.add(alg.zero)
-    mt, jt = meet_table(alg), join_table(alg)
+    tables = operation_tables(alg)
     changed = True
     while changed:
         changed = False
         new = set()
         for x in members:
             for y in members:
-                new.update(
-                    (alg.product[x][y], mt[x][y], jt[x][y], alg.ldiv[x][y], alg.rdiv[x][y])
-                )
+                new.update(t[x][y] for t in tables)
         if not new <= members:
             members |= new
             changed = True
@@ -820,14 +818,7 @@ def validate_morphism(m: Morphism) -> ValidationReport:
     if dom.zero is not None and cod.zero is not None:
         checks.append(CheckOutcome("zero", f[dom.zero] == cod.zero))
 
-    pairs = [
-        ("product", dom.product, cod.product),
-        ("meet", meet_table(dom), meet_table(cod)),
-        ("join", join_table(dom), join_table(cod)),
-        ("ldiv", dom.ldiv, cod.ldiv),
-        ("rdiv", dom.rdiv, cod.rdiv),
-    ]
-    for opname, dt, ct in pairs:
+    for opname, dt, ct in zip(OperationTables._fields, operation_tables(dom), operation_tables(cod)):
         witness = None
         for x in range(dom.size):
             for y in range(dom.size):

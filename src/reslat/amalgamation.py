@@ -28,9 +28,8 @@ from .algebra import (
     compose,
     congruence_filters,
     filter_to_congruence,
-    join_table,
     make_algebra,
-    meet_table,
+    operation_tables,
     quotient,
     validate,
     validate_morphism,
@@ -157,8 +156,7 @@ def _find_maps(x: FiniteRL, y: FiniteRL, pin, injective: bool):
             raise FormatError("pin must map distinct elements to distinct elements")
     pin = dict(pin or {})
     n = x.size
-    ops_x = (x.product, meet_table(x), join_table(x), x.ldiv, x.rdiv)
-    ops_y = (y.product, meet_table(y), join_table(y), y.ldiv, y.rdiv)
+    ops_x, ops_y = operation_tables(x), operation_tables(y)
     both_zero = x.zero is not None and y.zero is not None
     image = [-1] * n
     out = []

@@ -23,6 +23,7 @@ from .algebra import (
     FiniteRL,
     FormatError,
     PreconditionError,
+    RL_FLAGS,
     ReslatError,
     VALIDATE_FLAGS,
     congruence_filters,
@@ -159,13 +160,13 @@ def _cmd_verify(args):
         if alg.masks is not None:
             raise FormatError("--zero applies to total algebras")
         alg = with_zero(alg, args.zero)
+    flags = _parse_flag_list(args.flags, VALIDATE_FLAGS, "validate")
     if alg.masks is not None:
+        if flags:
+            raise FormatError("--flags applies to total algebras")
         rep = validate_partial(alg)
     else:
-        flags = _parse_flag_list(args.flags, VALIDATE_FLAGS, "validate") or list(
-            ("lattice", "monoid", "residuation")
-        )
-        rep = validate(alg, flags)
+        rep = validate(alg, flags or RL_FLAGS)
     report = {
         "command": "verify",
         "algebra": alg.name or spec,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import (
     FiniteRL,
@@ -345,48 +346,56 @@ def format_identity(ident: Identity) -> str:
 # evaluation
 
 
-def eval_term(alg: FiniteRL, t: Term, env: dict[str, int], commutative: bool | None = None) -> int:
-    """Tree-walking evaluator.  Raises UnsupportedSymbolError where needed."""
+def compile_term(alg: FiniteRL, t: Term, variables: tuple[str, ...]):
+    """Compile ``t`` over ``alg`` to a function of an assignment tuple that
+    gives ``variables`` their values in order.
+
+    Tables, constants and errors are resolved here, once: a negation
+    checks for the zero before compiling its argument, and a binary node
+    compiles both operands before it rejects ``->`` on a non-commutative
+    algebra or builds a meet or join table (only a term that uses one
+    needs the order to have it).
+    """
     if isinstance(t, Var):
-        return env[t.name]
+        return itemgetter(variables.index(t.name))
     if isinstance(t, Const):
         if t.symbol == "1":
-            return alg.unit
-        if alg.zero is None:
+            value = alg.unit
+        elif alg.zero is None:
             raise UnsupportedSymbolError("constant 0 on an unpointed algebra")
-        return alg.zero
+        else:
+            value = alg.zero
+        return lambda env: value
     if isinstance(t, Neg):
         if alg.zero is None:
             raise UnsupportedSymbolError("negation on an unpointed algebra")
-        return alg.ldiv[eval_term(alg, t.arg, env, commutative)][alg.zero]
-    a = eval_term(alg, t.left, env, commutative)
-    b = eval_term(alg, t.right, env, commutative)
-    if t.op == "*":
-        return alg.product[a][b]
+        to_zero = tuple(row[alg.zero] for row in alg.ldiv)
+        arg = compile_term(alg, t.arg, variables)
+        return lambda env: to_zero[arg(env)]
+    left = compile_term(alg, t.left, variables)
+    right = compile_term(alg, t.right, variables)
+    if t.op == "->" and not validate(alg, ["commutative"]).ok:
+        raise UnsupportedSymbolError("arrow on a non-commutative algebra")
+    if t.op == "/":  # a / b: numerator a, denominator b
+        rdiv = alg.rdiv
+        return lambda env: rdiv[right(env)][left(env)]
     if t.op == "/\\":
-        return meet_table(alg)[a][b]
-    if t.op == "\\/":
-        return join_table(alg)[a][b]
-    if t.op == "\\":
-        return alg.ldiv[a][b]
-    if t.op == "/":
-        return alg.rdiv[b][a]  # a / b: numerator a, denominator b
-    if t.op == "->":
-        if commutative is None:
-            commutative = validate(alg, ["commutative"]).ok
-        if not commutative:
-            raise UnsupportedSymbolError("arrow on a non-commutative algebra")
-        return alg.ldiv[a][b]
-    raise FormatError(f"unknown operator {t.op!r}")
+        table = meet_table(alg)
+    elif t.op == "\\/":
+        table = join_table(alg)
+    elif t.op in ("*", "\\", "->"):
+        table = alg.product if t.op == "*" else alg.ldiv
+    else:
+        raise FormatError(f"unknown operator {t.op!r}")
+    return lambda env: table[left(env)][right(env)]
 
 
 def check_identity(alg: FiniteRL, ident: Identity) -> IdentityResult:
     """Evaluate over every assignment; report the least failing one."""
     variables = ident.variables()
-    commutative = validate(alg, ["commutative"]).ok
+    compiled = [compile_term(alg, t, variables) for t in ident.terms]
     for assignment in itertools.product(range(alg.size), repeat=len(variables)):
-        env = dict(zip(variables, assignment))
-        values = [eval_term(alg, t, env, commutative) for t in ident.terms]
+        values = [term(assignment) for term in compiled]
         if ident.relation == GEQ:
             ok = alg.le(values[1], values[0])
         else:

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,16 @@ from hypothesis import strategies as st
 from reslat import (
     CHAIN,
     FormatError,
+    Morphism,
     NotCongruenceError,
     NotResiduatedError,
+    check_identity,
     congruence_filters,
     congruence_to_filter,
     filter_to_congruence,
     lukasiewicz,
     make_algebra,
+    parse_identity,
     quotient,
     residuals_from_product,
     subalgebra_generated,
@@ -266,3 +271,13 @@ def test_meet_join_tables_on_diamond():
     alg = diamond()
     assert meet_table(alg)[1][2] == 0
     assert join_table(alg)[1][2] == 3
+
+
+def test_lattice_operations_keep_no_algebra_alive():
+    alg = diamond()
+    ref = weakref.ref(alg)
+    assert check_identity(alg, parse_identity("x /\\ y \\/ x = x")).holds
+    assert validate_morphism(Morphism(alg, alg, tuple(range(alg.size)))).ok
+    del alg
+    gc.collect()
+    assert ref() is None

@@ -157,13 +157,20 @@ def test_construct_nucleus_image(capsys):
     assert document_to_algebra(report["algebra"]).size == 1
 
 
-def test_usage_and_format_errors(capsys):
+def test_usage_and_format_errors(tmp_path, capsys):
+    from reslat import vs_k_triple
+
     assert main(["verify", "no-such-algebra"]) == 2
     assert main(["identity", "VS.B", "--id", "x +* y = x"]) == 2
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["identity", "VS.B", "--id", "inv"]) == 2  # unpointed
     assert main(["verify", "VS.K_triple"]) == 2  # a triple, not an algebra
+    k = tmp_path / "k.json"
+    k.write_text(dumps_canonical(algebra_to_document(vs_k_triple().K)))
+    assert main(["verify", str(k)]) == 0
+    assert main(["verify", str(k), "--flags", "zero-bounded"]) == 2  # flags are for total algebras
+    assert main(["verify", str(k), "--flags", "bogus"]) == 2
 
 
 def test_budget_exit_code(capsys):

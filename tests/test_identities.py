@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reslat import (
+    ChainFlags,
     UnsupportedSymbolError,
     check_identity,
+    enumerate_chains,
     format_identity,
     godel,
     lukasiewicz,
@@ -18,7 +21,7 @@ from reslat import (
     vs_c,
     with_zero,
 )
-from reslat.identities import BinOp, Const, Identity, Neg, ParseError, Var, eval_term
+from reslat.identities import BinOp, Const, Identity, Neg, ParseError, Var, compile_term
 
 from oracles import rpn_eval
 
@@ -99,30 +102,49 @@ def test_pretty_print_round_trip(ident):
 
 
 def test_tree_walk_agrees_with_stack_machine_on_100_random_identities():
+    # compile_term against the oracle's postfix machine on every assignment.
+    # The non-commutative chains tell x / y from y \ x, so reading one
+    # division as the other cannot pass; -> is drawn on commutative ones only.
     rng = random.Random(20240817)
+    noncomm = [a for a in enumerate_chains(4, ChainFlags()) if not validate(a, ("commutative",)).ok]
     pool = [
         with_zero(lukasiewicz(3), 0),
         with_zero(lukasiewicz(4), 0),
         with_zero(godel(3), 0),
         with_zero(godel(4), 0),
         with_zero(vs_b(), 0),
-    ]
-    ops = ["*", "/\\", "\\/", "\\", "/", "->"]
+    ] + [with_zero(a, 0) for a in noncomm]
+    variables = ("x", "y", "z")
 
-    def random_term(depth):
+    def random_term(ops, depth):
         if depth == 0 or rng.random() < 0.3:
             return rng.choice([Var("x"), Var("y"), Var("z"), Const("1"), Const("0")])
         if rng.random() < 0.15:
-            return Neg(random_term(depth - 1))
-        return BinOp(rng.choice(ops), random_term(depth - 1), random_term(depth - 1))
+            return Neg(random_term(ops, depth - 1))
+        return BinOp(rng.choice(ops), random_term(ops, depth - 1), random_term(ops, depth - 1))
 
-    checked = 0
-    while checked < 100:
+    def swap_divisions(t):  # x / y read as y \ x
+        if isinstance(t, Neg):
+            return Neg(swap_divisions(t.arg))
+        if not isinstance(t, BinOp):
+            return t
+        left, right = swap_divisions(t.left), swap_divisions(t.right)
+        return BinOp("\\", right, left) if t.op == "/" else BinOp(t.op, left, right)
+
+    sided = 0  # draws whose value changes when x / y is read as y \ x
+    for _ in range(100):
         alg = rng.choice(pool)
-        term = random_term(3)
-        env = {v: rng.randrange(alg.size) for v in ("x", "y", "z")}
-        assert eval_term(alg, term, env) == rpn_eval(alg, term, env)
-        checked += 1
+        commutative = validate(alg, ("commutative",)).ok
+        term = random_term(["*", "/\\", "\\/", "\\", "/"] + (["->"] if commutative else []), 3)
+        compiled, swapped = compile_term(alg, term, variables), swap_divisions(term)
+        changed = False
+        for assignment in itertools.product(range(alg.size), repeat=3):
+            env = dict(zip(variables, assignment))
+            expected = rpn_eval(alg, term, env)
+            assert compiled(assignment) == expected
+            changed |= rpn_eval(alg, swapped, env) != expected
+        sided += changed
+    assert len(noncomm) == 4 and sided > 0
 
 
 def test_check_identity_examples():
@@ -154,8 +176,6 @@ def test_unsupported_symbols():
     with pytest.raises(UnsupportedSymbolError):
         check_identity(vs_b(), parse_identity("inv"))  # unpointed
     noncomm = None
-    from reslat import ChainFlags, enumerate_chains
-
     for alg in enumerate_chains(4, ChainFlags(integral=True)):
         if not validate(alg, ("commutative",)).ok:
             noncomm = alg
@@ -164,6 +184,15 @@ def test_unsupported_symbols():
     with pytest.raises(UnsupportedSymbolError):
         check_identity(noncomm, parse_identity("prel"))  # arrow needs commutativity
     assert check_identity(noncomm, parse_identity("sem")).holds
+    # the messages, on an unpointed and on a non-commutative algebra
+    for alg, text, message in (
+        (vs_b(), "neg 0 = 1", "negation on an unpointed algebra"),
+        (vs_b(), "x = 0", "constant 0 on an unpointed algebra"),
+        (noncomm, "x -> y = 1", "arrow on a non-commutative algebra"),
+        (noncomm, "x -> 0 = 1", "constant 0 on an unpointed algebra"),  # operands first
+    ):
+        with pytest.raises(UnsupportedSymbolError, match=f"^{message}$"):
+            check_identity(alg, parse_identity(text))
 
 
 def test_geq_is_evaluated_as_stated():
