@@ -64,6 +64,26 @@ def _quick_plausible(t, n):
     return True
 
 
+def naive_ordinal_sum(lower: FiniteRL, upper: FiniteRL) -> FiniteRL:
+    """Ordinal sum of two integral chains from the definition: the non-units
+    of ``lower`` sit below all of ``upper``, and a product with one factor
+    from each part is the lower factor.  Only the product is built; the
+    divisions are derived by ``make_algebra``."""
+    elems = [("lo", x) for x in range(lower.size) if x != lower.unit]
+    elems += [("up", y) for y in range(upper.size)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(p, q):
+        if p[0] == q[0] == "lo":
+            return ("lo", lower.product[p[1]][q[1]])
+        if p[0] == q[0] == "up":
+            return ("up", upper.product[p[1]][q[1]])
+        return p if p[0] == "lo" else q
+
+    product = [[index[mul(p, q)] for q in elems] for p in elems]
+    return make_algebra(product=product, unit=index["up", upper.unit])
+
+
 def brute_force_congruences(alg: FiniteRL):
     """All congruence partitions, found by scanning every set partition."""
     mt, jt = meet_table(alg), join_table(alg)

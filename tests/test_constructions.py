@@ -37,6 +37,8 @@ from reslat import (
 )
 from reslat.constructions import nucleus_by_name
 
+from oracles import naive_ordinal_sum
+
 
 def test_ordinal_sum_reproduces_b():
     assert tables_equal(ordinal_sum(lukasiewicz(3), two()), vs_b())
@@ -122,13 +124,11 @@ def test_gluing_reproduces_c():
     assert c.ldiv[2][1] == 3  # c\d = v
 
 
-def test_gluing_with_identity_triple_is_ordinal_sum():
-    for lower in (two(), lukasiewicz(3), godel(3), lukasiewicz(4)):
-        for upper in (two(), lukasiewicz(3)):
-            assert tables_equal(
-                partial_gluing(identity_triple(lower), upper),
-                ordinal_sum(lower, upper),
-            )
+def test_gluing_with_identity_triple_is_ordinal_sum(builtin_chains):
+    for lower, upper in itertools.product(builtin_chains, repeat=2):
+        expected = naive_ordinal_sum(lower, upper)
+        assert tables_equal(ordinal_sum(lower, upper), expected)
+        assert tables_equal(partial_gluing(identity_triple(lower), upper), expected)
 
 
 def test_gluing_upper_is_subalgebra_and_lower_a_subreduct():
@@ -147,9 +147,8 @@ def test_gluing_upper_is_subalgebra_and_lower_a_subreduct():
             assert gj[pos[x]][pos[y]] == pos[max(x, y)]
 
 
-def test_gluing_with_square_lower_component():
-    # the 2x2 Goedel square has incomparable a, b with a \/ b = 1; gluing on 2
-    # re-routes that join to the upper bottom
+def _square():
+    """The 2x2 Goedel square 0 < a, b < 1 with a, b incomparable."""
     leq = [
         [1, 1, 1, 1],
         [0, 1, 0, 1],
@@ -157,8 +156,13 @@ def test_gluing_with_square_lower_component():
         [0, 0, 0, 1],
     ]
     meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
-    square = make_algebra(product=meet, unit=3, order=leq)
-    glued = partial_gluing(identity_triple(square), two())
+    return make_algebra(product=meet, unit=3, order=leq)
+
+
+def test_gluing_with_square_lower_component():
+    # the square has a \/ b = 1; gluing on 2 re-routes that join to the
+    # upper bottom
+    glued = partial_gluing(identity_triple(_square()), two())
     assert validate(glued, ("lattice", "monoid", "residuation", "integral")).ok
     from reslat.algebra import join_table
 
@@ -169,6 +173,15 @@ def test_gluing_with_square_lower_component():
 def test_gluing_rejects_trivial_upper():
     with pytest.raises(PreconditionError):
         partial_gluing(vs_k_triple(), trivial())  # no splitting coatom
+
+
+def test_gluing_total_lower_needs_no_splitting_coatom():
+    # only undefined divisions of K are sent to the coatom, so a total K
+    # glues below an upper algebra that has none
+    square = _square()
+    glued = partial_gluing(identity_triple(square), square)
+    assert glued.size == 7
+    assert validate(glued, ("lattice", "monoid", "residuation", "integral")).ok
 
 
 def test_gluing_rejects_pointed_inputs():
@@ -258,6 +271,17 @@ def test_rotation_size_formula_and_validity(builtin_chains):
                 image = len(set(d.map))
                 assert r.size == alg.size + image + (n - 2)
                 assert validate(r, ("lattice", "monoid", "residuation", "integral", "chain", "zero-bounded")).ok
+
+
+def test_rotations_of_square():
+    square = _square()
+    for name in ("identity", "const-1"):
+        for n in (2, 3):
+            r = generalized_rotation(square, nucleus_by_name(square, name), n)
+            assert not r.is_chain_order
+            assert validate(r, ("lattice", "monoid", "residuation", "integral", "zero-bounded")).ok
+            if name == "identity":
+                assert check_identity(r, parse_identity("inv")).holds
 
 
 def test_rotation_on_trivial_gives_lukasiewicz_chains():
