@@ -609,28 +609,6 @@ def validate_partial(p: FiniteRL) -> ValidationReport:
 # congruence filters, congruences, quotients
 
 
-def is_congruence_filter(alg: FiniteRL, members) -> tuple[bool, str]:
-    members = frozenset(members)
-    if alg.unit not in members:
-        return False, "unit missing"
-    for x in members:
-        for y in range(alg.size):
-            if alg.le(x, y) and y not in members:
-                return False, f"not upward closed at ({x}, {y})"
-    for x in members:
-        for y in members:
-            if alg.product[x][y] not in members:
-                return False, f"not closed under product at ({x}, {y})"
-    for x in members:
-        for y in range(alg.size):
-            # conjugates y\(xy) and (yx)/y
-            if alg.ldiv[y][alg.product[x][y]] not in members:
-                return False, f"not closed under left conjugate at ({x}, {y})"
-            if alg.rdiv[y][alg.product[y][x]] not in members:
-                return False, f"not closed under right conjugate at ({x}, {y})"
-    return True, ""
-
-
 def filter_closure(alg: FiniteRL, seed) -> frozenset[int]:
     """Least congruence filter containing ``seed``."""
     members = set(seed) | {alg.unit}

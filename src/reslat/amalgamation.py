@@ -39,6 +39,7 @@ from .completion import Budget, CompletionProblem, SearchStats, iter_completions
 from .constructions import (
     generalized_rotation,
     nucleus_by_name,
+    rotation_map,
     vs_a,
     vs_b,
     vs_c,
@@ -575,28 +576,6 @@ def pointed_vformation(vf: VFormation, a_zero: int, name="") -> VFormation:
     )
 
 
-def _rotation_index_map(dm_src, src_size, dm_tgt, tgt_size, n, base_map):
-    """Index map between rotations induced by a map of the base algebras.
-
-    The base map must carry closed elements to closed elements, which holds
-    for the identity and constant-one nuclei used here.
-    """
-    closed_src = sorted({dm_src[x] for x in range(src_size)})
-    closed_tgt = sorted({dm_tgt[x] for x in range(tgt_size)})
-    rank_src = {x: r for r, x in enumerate(closed_src)}
-    rank_tgt = {x: r for r, x in enumerate(closed_tgt)}
-    k_src, k_tgt = len(closed_src), len(closed_tgt)
-    mid = n - 2
-    out = [0] * (k_src + mid + src_size)
-    for b in closed_src:  # primed block, dual order
-        out[k_src - 1 - rank_src[b]] = k_tgt - 1 - rank_tgt[base_map[b]]
-    for t in range(1, n - 1):  # interior Lukasiewicz levels
-        out[k_src + t - 1] = k_tgt + t - 1
-    for x in range(src_size):  # the base block on top
-        out[k_src + mid + x] = k_tgt + mid + base_map[x]
-    return tuple(out)
-
-
 def rotated_vformation(vf: VFormation, delta_name: str, n: int) -> VFormation:
     """Apply the generalized n-rotation to every component of a V-formation."""
     A, B, C = vf.A, vf.B, vf.C
@@ -604,8 +583,8 @@ def rotated_vformation(vf: VFormation, delta_name: str, n: int) -> VFormation:
     RA = generalized_rotation(A, dA, n, name=f"{A.name}^{delta_name}:{n}")
     RB = generalized_rotation(B, dB, n, name=f"{B.name}^{delta_name}:{n}")
     RC = generalized_rotation(C, dC, n, name=f"{C.name}^{delta_name}:{n}")
-    i_map = _rotation_index_map(dA.map, A.size, dB.map, B.size, n, vf.i.map)
-    j_map = _rotation_index_map(dA.map, A.size, dC.map, C.size, n, vf.j.map)
+    i_map = rotation_map(dA, dB, n, vf.i.map)
+    j_map = rotation_map(dA, dC, n, vf.j.map)
     out = VFormation(
         RA,
         RB,

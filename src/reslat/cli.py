@@ -96,6 +96,9 @@ def _load_total_algebra(spec: str) -> FiniteRL:
     alg = _load_algebra_arg(spec)
     if alg.masks is not None:
         raise FormatError(f"{spec!r} is a partial algebra where a total one is needed")
+    rep = validate(alg, RL_FLAGS)
+    if not rep.ok:
+        raise FormatError(f"{spec!r} is not a residuated lattice: {rep.first_failure()}")
     return alg
 
 

@@ -368,6 +368,10 @@ def _is_k_potent(table, k):
 
 
 def _raw_stream(n: int, flags: ChainFlags, budget: Budget):
+    """The (unit, product table) pairs of the chains that ``flags`` select,
+    in canonical order."""
+    if n < 1:
+        raise FormatError("size must be positive")
     units = [n - 1] if flags.integral else range(n)
     for unit in units:
         problem = CompletionProblem(
@@ -383,6 +387,8 @@ def _raw_stream(n: int, flags: ChainFlags, budget: Budget):
         for table in iter_completions(problem, budget):
             if flags.k_potent is not None and not _is_k_potent(table, flags.k_potent):
                 continue
+            if flags.divisible and not _divisible_raw(table, unit):
+                continue
             yield unit, table
 
 
@@ -393,27 +399,14 @@ def enumerate_chains(n: int, flags: ChainFlags = ChainFlags(), budget: Budget = 
     tables are pairwise non-isomorphic and the stream is a transversal of
     isomorphism classes.  The order is canonical and deterministic.
     """
-    if n < 1:
-        raise FormatError("size must be positive")
-    count = 0
-    for unit, table in _raw_stream(n, flags, budget):
-        if flags.divisible and not _divisible_raw(table, unit):
-            continue
+    for count, (unit, table) in enumerate(_raw_stream(n, flags, budget)):
         yield _algebra_from_table(table, unit, 0 if flags.pointed else None, name=f"chain{n}_{count}")
-        count += 1
 
 
 def count_chains(n: int, flags: ChainFlags = ChainFlags(), budget: Budget = Budget()) -> int:
     """Number of chains :func:`enumerate_chains` would yield, without
     materializing algebra objects."""
-    if n < 1:
-        raise FormatError("size must be positive")
-    total = 0
-    for unit, table in _raw_stream(n, flags, budget):
-        if flags.divisible and not _divisible_raw(table, unit):
-            continue
-        total += 1
-    return total
+    return sum(1 for _ in _raw_stream(n, flags, budget))
 
 
 def _divisible_raw(table, unit):

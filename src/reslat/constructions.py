@@ -23,8 +23,6 @@ from .algebra import (
     UnsupportedError,
     ValidationReport,
     definedness,
-    join_table,
-    meet_table,
     make_algebra,
     relabel,
     validate,
@@ -76,7 +74,8 @@ def ordinal_sum(lower: FiniteRL, upper: FiniteRL, name: str = "") -> FiniteRL:
 
     Elements of ``lower`` minus its unit sit below all of ``upper``; cross
     products absorb downwards (b*c = c*b = b) and cross divisions are
-    c\\b = b/c = b and b\\c = c/b = 1.
+    c\\b = b/c = b and b\\c = c/b = 1.  This is the partial gluing of
+    the identity triple of ``lower``.
     """
     for alg, side in ((lower, "lower"), (upper, "upper")):
         if not alg.is_chain_order:
@@ -86,56 +85,7 @@ def ordinal_sum(lower: FiniteRL, upper: FiniteRL, name: str = "") -> FiniteRL:
             raise UnsupportedError(f"{side} summand is not an integral residuated chain: {rep.first_failure()}")
         if alg.zero is not None:
             raise PreconditionError("ordinal sum takes unpointed summands")
-    nl = lower.size - 1  # lower block, unit removed
-    n = nl + upper.size
-    unit = n - 1
-
-    def lo(x):  # lower index -> sum index (for x below lower's unit)
-        return x
-
-    def up(x):  # upper index -> sum index
-        return nl + x
-
-    size = n
-    product = [[0] * size for _ in range(size)]
-    ldiv = [[0] * size for _ in range(size)]
-    rdiv = [[0] * size for _ in range(size)]
-
-    def embed_lower(v):
-        return unit if v == lower.unit else lo(v)
-
-    for x in range(size):
-        for y in range(size):
-            if x < nl and y < nl:
-                product[x][y] = embed_lower(lower.product[x][y])
-                ldiv[x][y] = embed_lower(lower.ldiv[x][y])
-                rdiv[x][y] = embed_lower(lower.rdiv[x][y])
-            elif x >= nl and y >= nl:
-                product[x][y] = up(upper.product[x - nl][y - nl])
-                ldiv[x][y] = up(upper.ldiv[x - nl][y - nl])
-                rdiv[x][y] = up(upper.rdiv[x - nl][y - nl])
-            elif x < nl:  # x in lower-{1}, y in upper
-                product[x][y] = x
-                ldiv[x][y] = unit  # b \ c = 1
-                rdiv[x][y] = unit  # c / b = 1
-            else:  # x in upper, y in lower-{1}
-                product[x][y] = y
-                ldiv[x][y] = y  # c \ b = b
-                rdiv[x][y] = y  # b / c = b
-
-    labels = _uniquify(
-        [lower.labels[x] for x in range(lower.size) if x != lower.unit]
-        + list(upper.labels)
-    )
-    return make_algebra(
-        product=product,
-        unit=unit,
-        order=CHAIN,
-        labels=labels,
-        ldiv=ldiv,
-        rdiv=rdiv,
-        name=name or f"({lower.name}+{upper.name})",
-    )
+    return partial_gluing(identity_triple(lower), upper, name=name or f"({lower.name}+{upper.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +197,30 @@ def _splitting_coatom(L: FiniteRL) -> int:
     return candidates[0]
 
 
+def _stacked_order(blocks) -> list[list[bool]]:
+    """Explicit order of a carrier made of blocks stacked bottom to top.
+
+    Each block is a pair ``(members, le)``: a dict from carrier index to
+    element and the order on those elements.  Every element of a block lies
+    below every element of the blocks above it.
+    """
+    place = {i: (height, x, le) for height, (members, le) in enumerate(blocks) for i, x in members.items()}
+    leq = [[False] * len(place) for _ in place]
+    for i, (hi, x, le) in place.items():
+        for j, (hj, y, _) in place.items():
+            leq[i][j] = hi < hj or (hi == hj and le(x, y))
+    return leq
+
+
 def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> FiniteRL:
     """Glue a lower-compatible triple below an integral algebra at the unit.
 
     Products across the two parts go through sigma, divisions from the upper
     part into the lower one through gamma, and divisions that are undefined
-    in the lower part are sent to the upper part's splitting coatom.
+    in the lower part are sent to the upper part's splitting coatom, which
+    is therefore required only when some division of K is undefined.  A
+    join of two non-units of K that reaches the unit becomes the bottom of
+    the upper part, as the stacked order dictates.
     """
     report = validate_triple(t)
     if not report.ok:
@@ -263,22 +231,6 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
     K = t.K
     if K.zero is not None or L.zero is not None:
         raise PreconditionError("gluing takes unpointed inputs")
-    coatom = _splitting_coatom(L)
-    jt_K = join_table(K)
-    _, ldiv_mask, rdiv_mask = definedness(K)
-
-    join_one_pairs = [
-        (x, y)
-        for x in range(K.size)
-        for y in range(K.size)
-        if x != K.unit and y != K.unit and jt_K[x][y] == K.unit
-    ]
-    bottom_L = None
-    bottoms = [b for b in range(L.size) if all(L.le(b, x) for x in range(L.size))]
-    if bottoms:
-        bottom_L = bottoms[0]
-    if join_one_pairs and bottom_L is None:
-        raise PreconditionError("non-unit joins reach the unit but the upper algebra has no bottom")
 
     nk = K.size - 1  # lower block without the shared unit
     n = nk + L.size
@@ -290,25 +242,15 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
     def ux(x):  # L index -> glued index
         return nk + x
 
+    _, ldiv_mask, rdiv_mask = definedness(K)
+    coatom = None if all(map(all, ldiv_mask + rdiv_mask)) else ux(_splitting_coatom(L))
     k_elems = [x for x in range(K.size) if x != K.unit]
     in_K = {kx(x): x for x in k_elems}
 
-    # order: K-{1} keeps its order below all of L
     if K.is_chain_order and L.is_chain_order and K.unit == K.size - 1 and L.unit == L.size - 1:
         order = CHAIN
     else:
-        leq = [[False] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                if a in in_K and b in in_K:
-                    leq[a][b] = K.le(in_K[a], in_K[b])
-                elif a in in_K:
-                    leq[a][b] = True
-                elif b in in_K:
-                    leq[a][b] = False
-                else:
-                    leq[a][b] = L.le(a - nk, b - nk)
-        order = leq
+        order = _stacked_order([(in_K, K.le), ({ux(x): x for x in range(L.size)}, L.le)])
 
     product = [[0] * n for _ in range(n)]
     ldiv = [[0] * n for _ in range(n)]
@@ -323,8 +265,8 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
             if x_in_K and y_in_K:
                 x, y = in_K[a], in_K[b]
                 product[a][b] = embed_K(K.product[x][y])
-                ldiv[a][b] = embed_K(K.ldiv[x][y]) if ldiv_mask[x][y] else ux(coatom)
-                rdiv[a][b] = embed_K(K.rdiv[x][y]) if rdiv_mask[x][y] else ux(coatom)
+                ldiv[a][b] = embed_K(K.ldiv[x][y]) if ldiv_mask[x][y] else coatom
+                rdiv[a][b] = embed_K(K.rdiv[x][y]) if rdiv_mask[x][y] else coatom
             elif not x_in_K and not y_in_K:
                 x, y = a - nk, b - nk
                 product[a][b] = ux(L.product[x][y])
@@ -342,7 +284,7 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
                 rdiv[a][b] = b if x == L.unit else embed_K(t.gamma[y])
 
     labels = _uniquify([K.labels[x] for x in k_elems] + list(L.labels))
-    glued = make_algebra(
+    return make_algebra(
         product=product,
         unit=unit,
         order=order,
@@ -351,9 +293,6 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
         rdiv=rdiv,
         name=name or f"({K.name}&{L.name})",
     )
-    # the x \/ y = 1 redefinition to the upper bottom is forced by the new
-    # order, which join_table derives; nothing further to do here
-    return glued
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +352,6 @@ def nucleus_image(n: Nucleus, name: str = "") -> tuple[FiniteRL, tuple[int, ...]
     elems = sorted({d[x] for x in range(alg.size)})
     index = {x: i for i, x in enumerate(elems)}
     m = len(elems)
-    jt = join_table(alg)
     product = [[index[d[alg.product[x][y]]] for y in elems] for x in elems]
     ldiv = [[index[alg.ldiv[x][y]] for y in elems] for x in elems]
     rdiv = [[index[alg.rdiv[x][y]] for y in elems] for x in elems]
@@ -432,6 +370,42 @@ def nucleus_image(n: Nucleus, name: str = "") -> tuple[FiniteRL, tuple[int, ...]
     )
     surjection = tuple(index[d[x]] for x in range(alg.size))
     return image, surjection
+
+
+def _rotation_layout(d: Nucleus, n: int):
+    """The carrier of the n-rotation by ``d``, bottom to top: primed closed
+    elements in dual order, then the n-2 interior Lukasiewicz levels, then
+    the base algebra.
+
+    Returns the closed elements in ascending index order and three index
+    maps: closed element -> its primed copy, level 1..n-2 -> its index, and
+    base element -> its index.
+    """
+    closed = sorted(set(d.map))
+    k = len(closed)
+    primed = {b: k - 1 - r for r, b in enumerate(closed)}
+    levels = {t: k + t - 1 for t in range(1, n - 1)}
+    base = {x: k + n - 2 + x for x in range(d.parent.size)}
+    return closed, primed, levels, base
+
+
+def rotation_map(src: Nucleus, tgt: Nucleus, n: int, base_map) -> tuple[int, ...]:
+    """Index map between the n-rotations by ``src`` and ``tgt`` induced by a
+    map of their base algebras.
+
+    The base map must carry closed elements to closed elements, which holds
+    for the identity and constant-one nuclei.
+    """
+    closed, s_primed, s_levels, s_base = _rotation_layout(src, n)
+    _, t_primed, t_levels, t_base = _rotation_layout(tgt, n)
+    out = [0] * (len(s_primed) + len(s_levels) + len(s_base))
+    for b in closed:
+        out[s_primed[b]] = t_primed[base_map[b]]
+    for t, i in s_levels.items():
+        out[i] = t_levels[t]
+    for x, i in s_base.items():
+        out[i] = t_base[base_map[x]]
+    return tuple(out)
 
 
 def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> FiniteRL:
@@ -456,56 +430,29 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
         raise PreconditionError(f"not a nucleus: {nrep.first_failure()}")
 
     dm = d.map
-    closed = sorted({dm[x] for x in range(a.size)})  # ascending in a's index order
-    rank = {x: r for r, x in enumerate(closed)}
-    k = len(closed)
-    mid = n - 2
-    size = k + mid + a.size
+    closed, primed, levels, base = _rotation_layout(d, n)
+    size = len(primed) + len(levels) + len(base)
     unit = size - 1
-
-    def pa(x):  # element of a -> rotated index
-        return k + mid + x
-
-    def pp(b):  # closed element of a -> index of its primed copy
-        return k - 1 - rank[b]
 
     def pl(i):  # Lukasiewicz level, 0 <= i <= n-1, reusing bottom and unit
         if i <= 0:
             return 0
         if i >= n - 1:
             return unit
-        return k + i - 1
+        return levels[i]
 
-    in_a = {pa(x): x for x in range(a.size)}
-    in_p = {pp(b): b for b in closed}
-    in_l = {pl(i): i for i in range(1, n - 1)}
+    in_a = {i: x for x, i in base.items()}
+    in_p = {i: b for b, i in primed.items()}
+    in_l = {i: t for t, i in levels.items()}
 
     if a.is_chain_order:
         order = CHAIN
     else:
-        leq = [[False] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                if i in in_p and j in in_p:
-                    leq[i][j] = a.le(in_p[j], in_p[i])  # dual order
-                elif i in in_p:
-                    leq[i][j] = True
-                elif j in in_p:
-                    leq[i][j] = False
-                elif i in in_l and j in in_l:
-                    leq[i][j] = in_l[i] <= in_l[j]
-                elif i in in_l:
-                    leq[i][j] = True
-                elif j in in_l:
-                    leq[i][j] = False
-                else:
-                    leq[i][j] = a.le(in_a[i], in_a[j])
-        order = leq
+        order = _stacked_order([(in_p, lambda b, c: a.le(c, b)), (in_l, lambda s, t: s <= t), (in_a, a.le)])
 
     product = [[0] * size for _ in range(size)]
     ldiv = [[0] * size for _ in range(size)]
     rdiv = [[0] * size for _ in range(size)]
-    mt = meet_table(a)
 
     def luk_mul(i, j):
         return max(0, i + j - (n - 1))
@@ -517,24 +464,24 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
         for j in range(size):
             if i in in_a and j in in_a:
                 x, y = in_a[i], in_a[j]
-                product[i][j] = pa(a.product[x][y])
-                ldiv[i][j] = pa(a.ldiv[x][y])
-                rdiv[i][j] = pa(a.rdiv[x][y])
+                product[i][j] = base[a.product[x][y]]
+                ldiv[i][j] = base[a.ldiv[x][y]]
+                rdiv[i][j] = base[a.rdiv[x][y]]
             elif i in in_a and j in in_p:
                 x, b = in_a[i], in_p[j]
-                product[i][j] = pp(dm[a.rdiv[x][b]])  # x * b' = (b/x)'
-                ldiv[i][j] = pp(dm[a.product[b][x]])  # x \ b' = (delta(b*x))'
-                rdiv[i][j] = pp(dm[a.product[x][b]])  # b' / x = (delta(x*b))'
+                product[i][j] = primed[dm[a.rdiv[x][b]]]  # x * b' = (b/x)'
+                ldiv[i][j] = primed[dm[a.product[b][x]]]  # x \ b' = (delta(b*x))'
+                rdiv[i][j] = primed[dm[a.product[x][b]]]  # b' / x = (delta(x*b))'
             elif i in in_p and j in in_a:
                 b, x = in_p[i], in_a[j]
-                product[i][j] = pp(dm[a.ldiv[x][b]])  # b' * x = (x\b)'
+                product[i][j] = primed[dm[a.ldiv[x][b]]]  # b' * x = (x\b)'
                 ldiv[i][j] = unit  # b' \ x = 1
                 rdiv[i][j] = unit  # x / b' = 1
             elif i in in_p and j in in_p:
                 b, c = in_p[i], in_p[j]
                 product[i][j] = 0
-                ldiv[i][j] = pa(a.rdiv[c][b])  # b' \ c' = b/c
-                rdiv[i][j] = pa(a.ldiv[c][b])  # c' / b' = c\b
+                ldiv[i][j] = base[a.rdiv[c][b]]  # b' \ c' = b/c
+                rdiv[i][j] = base[a.ldiv[c][b]]  # c' / b' = c\b
             elif i in in_a and j in in_l:
                 x, t = in_a[i], in_l[j]
                 product[i][j] = pl(t)  # x * l_t = l_t

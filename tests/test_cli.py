@@ -171,6 +171,16 @@ def test_usage_and_format_errors(tmp_path, capsys):
     assert main(["verify", str(k)]) == 0
     assert main(["verify", str(k), "--flags", "zero-bounded"]) == 2  # flags are for total algebras
     assert main(["verify", str(k), "--flags", "bogus"]) == 2
+    # a 3-element order whose two atoms have no join
+    v = tmp_path / "v.json"
+    v.write_text(
+        '{"labels":["e0","e1","e2"],"ldiv":[[1,1,1],[1,1,1],[1,1,1]],"name":"V",'
+        '"order":[[1,1,1],[0,1,0],[0,0,1]],"product":[[0,0,0],[0,1,2],[0,2,2]],'
+        '"rdiv":[[1,1,1],[1,1,1],[1,1,1]],"size":3,"unit":1}'
+    )
+    assert main(["identity", str(v), "--id", "x /\\ y = y /\\ x"]) == 2
+    assert main(["filters", str(v)]) == 2
+    assert main(["verify", str(v)]) == 1  # verify reports the failure itself
 
 
 def test_budget_exit_code(capsys):
