@@ -396,11 +396,11 @@ def rotation_map(src: Nucleus, tgt: Nucleus, n: int, base_map) -> tuple[int, ...
     The base map must carry closed elements to closed elements, which holds
     for the identity and constant-one nuclei.
     """
-    closed, s_primed, s_levels, s_base = _rotation_layout(src, n)
+    _, s_primed, s_levels, s_base = _rotation_layout(src, n)
     _, t_primed, t_levels, t_base = _rotation_layout(tgt, n)
     out = [0] * (len(s_primed) + len(s_levels) + len(s_base))
-    for b in closed:
-        out[s_primed[b]] = t_primed[base_map[b]]
+    for b, i in s_primed.items():
+        out[i] = t_primed[base_map[b]]
     for t, i in s_levels.items():
         out[i] = t_levels[t]
     for x, i in s_base.items():
