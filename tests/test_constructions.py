@@ -3,15 +3,20 @@ import itertools
 import pytest
 
 from reslat import (
+    EMBEDDING,
+    HOM,
     FormatError,
     LowerCompatibleTriple,
+    Morphism,
     Nucleus,
     PreconditionError,
     UnsupportedError,
     builtin,
     check_identity,
+    congruence_filters,
     constant_one_nucleus,
     disconnected_rotation,
+    filter_to_congruence,
     find_embeddings,
     generalized_rotation,
     godel,
@@ -23,10 +28,13 @@ from reslat import (
     ordinal_sum,
     parse_identity,
     partial_gluing,
+    quotient,
+    subalgebra_generated,
     tables_equal,
     trivial,
     two,
     validate,
+    validate_morphism,
     validate_nucleus,
     validate_triple,
     vs_a,
@@ -208,6 +216,50 @@ def test_nucleus_image_examples():
     img2, surj2 = nucleus_image(collapse)
     assert tables_equal(img2, two())
     assert surj2 == (0, 1, 1)
+
+
+def _closure_operators(alg):
+    """Every closure operator on ``alg``, one per closed set that contains
+    the top and has a least member above each element."""
+    top = next(t for t in range(alg.size) if all(alg.le(x, t) for x in range(alg.size)))
+    rest = [x for x in range(alg.size) if x != top]
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            closed = (top,) + extra
+            d = []
+            for x in range(alg.size):
+                above = [c for c in closed if alg.le(x, c)]
+                least = [c for c in above if all(alg.le(c, o) for o in above)]
+                if not least:
+                    break
+                d.append(least[0])
+            else:
+                yield tuple(d)
+
+
+def test_induced_algebras_keep_the_parent_operations(small_chain_pool):
+    """Quotients, generated subalgebras and nucleus images carry the
+    parent's five operations: the quotient map and the inclusion are
+    homomorphisms, and an image divides closed elements as the parent does."""
+    for alg in small_chain_pool + [_square()]:
+        for F in congruence_filters(alg):
+            q = quotient(alg, F)
+            block_of = {x: bi for bi, block in enumerate(filter_to_congruence(F)) for x in block}
+            qmap = Morphism(alg, q, tuple(block_of[x] for x in range(alg.size)), HOM)
+            assert validate_morphism(qmap).ok, (alg, F)
+        for x in range(alg.size):
+            sub, inclusion = subalgebra_generated(alg, [x])
+            assert inclusion.kind == EMBEDDING and validate_morphism(inclusion).ok, (alg, x)
+        for dmap in _closure_operators(alg):
+            d = Nucleus(alg, dmap)
+            if not validate_nucleus(d).ok:
+                continue
+            img, surj = nucleus_image(d)
+            closed = sorted(set(dmap))
+            for i, x in enumerate(closed):
+                for j, y in enumerate(closed):
+                    assert closed[img.ldiv[i][j]] == alg.ldiv[x][y], (alg, dmap, x, y)
+                    assert closed[img.rdiv[i][j]] == alg.rdiv[x][y], (alg, dmap, x, y)
 
 
 def test_invalid_nucleus_is_rejected():
