@@ -714,8 +714,6 @@ def quotient(alg: FiniteRL, F: CongruenceFilter) -> FiniteRL:
     reps = [b[0] for b in blocks]
     m = len(blocks)
     product = [[block_of[alg.product[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    ldiv = [[block_of[alg.ldiv[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    rdiv = [[block_of[alg.rdiv[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
     if alg.leq is None:
         order = CHAIN
     else:
@@ -730,8 +728,6 @@ def quotient(alg: FiniteRL, F: CongruenceFilter) -> FiniteRL:
         unit=block_of[alg.unit],
         order=order,
         labels=labels,
-        ldiv=ldiv,
-        rdiv=rdiv,
         zero=None if alg.zero is None else block_of[alg.zero],
         name=f"{alg.name}/{sorted(F.members)}" if alg.name else "",
     )
@@ -755,22 +751,15 @@ def subalgebra_generated(alg: FiniteRL, seed) -> tuple[FiniteRL, Morphism]:
             changed = True
     elems = sorted(members)
     index = {x: i for i, x in enumerate(elems)}
-    m = len(elems)
-
-    def restrict(table):
-        return [[index[table[x][y]] for y in elems] for x in elems]
-
     if alg.leq is None:
         order = CHAIN
     else:
         order = [[alg.leq[x][y] for y in elems] for x in elems]
     sub = make_algebra(
-        product=restrict(alg.product),
+        product=[[index[alg.product[x][y]] for y in elems] for x in elems],
         unit=index[alg.unit],
         order=order,
         labels=tuple(alg.labels[x] for x in elems),
-        ldiv=restrict(alg.ldiv),
-        rdiv=restrict(alg.rdiv),
         zero=None if alg.zero is None else index[alg.zero],
         name=f"{alg.name}<{sorted(seed)}>" if alg.name else "",
     )

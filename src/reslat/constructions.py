@@ -6,7 +6,8 @@ images, disconnected and generalized n-rotations, plus the built-in algebras
 
 Carrier convention: constructed algebras list the lower block first, so
 every constructed chain satisfies the index-order CHAIN convention and
-table equality is meaningful.
+table equality is meaningful.  Total constructions state only the product
+and the order; ``make_algebra`` derives the divisions, which are unique.
 """
 
 from __future__ import annotations
@@ -215,12 +216,12 @@ def _stacked_order(blocks) -> list[list[bool]]:
 def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> FiniteRL:
     """Glue a lower-compatible triple below an integral algebra at the unit.
 
-    Products across the two parts go through sigma, divisions from the upper
-    part into the lower one through gamma, and divisions that are undefined
-    in the lower part are sent to the upper part's splitting coatom, which
-    is therefore required only when some division of K is undefined.  A
-    join of two non-units of K that reaches the unit becomes the bottom of
-    the upper part, as the stacked order dictates.
+    Products across the two parts go through sigma, and the divisions follow
+    from the product.  A division that is undefined in K lands on the upper
+    part's splitting coatom, which is therefore required only when some
+    division of K is undefined.  A join of two non-units of K that reaches
+    the unit becomes the bottom of the upper part, as the stacked order
+    dictates.
     """
     report = validate_triple(t)
     if not report.ok:
@@ -231,66 +232,38 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
     K = t.K
     if K.zero is not None or L.zero is not None:
         raise PreconditionError("gluing takes unpointed inputs")
+    _, ldiv_mask, rdiv_mask = definedness(K)
+    if not all(map(all, ldiv_mask + rdiv_mask)):
+        _splitting_coatom(L)
 
     nk = K.size - 1  # lower block without the shared unit
     n = nk + L.size
     unit = nk + L.unit
-
-    def kx(x):  # K index (non-unit) -> glued index
-        return x if x < K.unit else x - 1
-
-    def ux(x):  # L index -> glued index
-        return nk + x
-
-    _, ldiv_mask, rdiv_mask = definedness(K)
-    coatom = None if all(map(all, ldiv_mask + rdiv_mask)) else ux(_splitting_coatom(L))
     k_elems = [x for x in range(K.size) if x != K.unit]
-    in_K = {kx(x): x for x in k_elems}
+    in_K = {x if x < K.unit else x - 1: x for x in k_elems}  # glued index -> K index
+    glued = {x: i for i, x in in_K.items()}
+    glued[K.unit] = unit
 
     if K.is_chain_order and L.is_chain_order and K.unit == K.size - 1 and L.unit == L.size - 1:
         order = CHAIN
     else:
-        order = _stacked_order([(in_K, K.le), ({ux(x): x for x in range(L.size)}, L.le)])
+        order = _stacked_order([(in_K, K.le), ({nk + x: x for x in range(L.size)}, L.le)])
 
-    product = [[0] * n for _ in range(n)]
-    ldiv = [[0] * n for _ in range(n)]
-    rdiv = [[0] * n for _ in range(n)]
-
-    def embed_K(v):
-        return unit if v == K.unit else kx(v)
-
-    for a in range(n):
-        for b in range(n):
-            x_in_K, y_in_K = a in in_K, b in in_K
-            if x_in_K and y_in_K:
-                x, y = in_K[a], in_K[b]
-                product[a][b] = embed_K(K.product[x][y])
-                ldiv[a][b] = embed_K(K.ldiv[x][y]) if ldiv_mask[x][y] else coatom
-                rdiv[a][b] = embed_K(K.rdiv[x][y]) if rdiv_mask[x][y] else coatom
-            elif not x_in_K and not y_in_K:
-                x, y = a - nk, b - nk
-                product[a][b] = ux(L.product[x][y])
-                ldiv[a][b] = ux(L.ldiv[x][y])
-                rdiv[a][b] = ux(L.rdiv[x][y])
-            elif x_in_K:  # a = x in K-{1}, b in L
-                x, y = in_K[a], b - nk
-                product[a][b] = a if y == L.unit else embed_K(t.sigma[x])
-                ldiv[a][b] = unit  # x \ (L element) = 1
-                rdiv[a][b] = unit  # (L element) / x = 1
-            else:  # a in L, b = y in K-{1}
-                x, y = a - nk, in_K[b]
-                product[a][b] = b if x == L.unit else embed_K(t.sigma[y])
-                ldiv[a][b] = b if x == L.unit else embed_K(t.gamma[y])
-                rdiv[a][b] = b if x == L.unit else embed_K(t.gamma[y])
+    def mul(a, b):
+        if a in in_K and b in in_K:
+            return glued[K.product[in_K[a]][in_K[b]]]
+        if a in in_K:  # x * y = sigma(x) for y in L below its unit
+            return a if b == unit else glued[t.sigma[in_K[a]]]
+        if b in in_K:
+            return b if a == unit else glued[t.sigma[in_K[b]]]
+        return nk + L.product[a - nk][b - nk]
 
     labels = _uniquify([K.labels[x] for x in k_elems] + list(L.labels))
     return make_algebra(
-        product=product,
+        product=[[mul(a, b) for b in range(n)] for a in range(n)],
         unit=unit,
         order=order,
         labels=labels,
-        ldiv=ldiv,
-        rdiv=rdiv,
         name=name or f"({K.name}&{L.name})",
     )
 
@@ -351,10 +324,7 @@ def nucleus_image(n: Nucleus, name: str = "") -> tuple[FiniteRL, tuple[int, ...]
     alg, d = n.parent, n.map
     elems = sorted({d[x] for x in range(alg.size)})
     index = {x: i for i, x in enumerate(elems)}
-    m = len(elems)
     product = [[index[d[alg.product[x][y]]] for y in elems] for x in elems]
-    ldiv = [[index[alg.ldiv[x][y]] for y in elems] for x in elems]
-    rdiv = [[index[alg.rdiv[x][y]] for y in elems] for x in elems]
     if alg.leq is None:
         order = CHAIN
     else:
@@ -364,8 +334,6 @@ def nucleus_image(n: Nucleus, name: str = "") -> tuple[FiniteRL, tuple[int, ...]
         unit=index[d[alg.unit]],
         order=order,
         labels=tuple(alg.labels[x] for x in elems),
-        ldiv=ldiv,
-        rdiv=rdiv,
         name=name or (f"{alg.name}_img" if alg.name else ""),
     )
     surjection = tuple(index[d[x]] for x in range(alg.size))
@@ -450,63 +418,18 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
     else:
         order = _stacked_order([(in_p, lambda b, c: a.le(c, b)), (in_l, lambda s, t: s <= t), (in_a, a.le)])
 
-    product = [[0] * size for _ in range(size)]
-    ldiv = [[0] * size for _ in range(size)]
-    rdiv = [[0] * size for _ in range(size)]
-
-    def luk_mul(i, j):
-        return max(0, i + j - (n - 1))
-
-    def luk_div(i, j):
-        return min(n - 1, n - 1 - i + j)
-
-    for i in range(size):
-        for j in range(size):
-            if i in in_a and j in in_a:
-                x, y = in_a[i], in_a[j]
-                product[i][j] = base[a.product[x][y]]
-                ldiv[i][j] = base[a.ldiv[x][y]]
-                rdiv[i][j] = base[a.rdiv[x][y]]
-            elif i in in_a and j in in_p:
-                x, b = in_a[i], in_p[j]
-                product[i][j] = primed[dm[a.rdiv[x][b]]]  # x * b' = (b/x)'
-                ldiv[i][j] = primed[dm[a.product[b][x]]]  # x \ b' = (delta(b*x))'
-                rdiv[i][j] = primed[dm[a.product[x][b]]]  # b' / x = (delta(x*b))'
-            elif i in in_p and j in in_a:
-                b, x = in_p[i], in_a[j]
-                product[i][j] = primed[dm[a.ldiv[x][b]]]  # b' * x = (x\b)'
-                ldiv[i][j] = unit  # b' \ x = 1
-                rdiv[i][j] = unit  # x / b' = 1
-            elif i in in_p and j in in_p:
-                b, c = in_p[i], in_p[j]
-                product[i][j] = 0
-                ldiv[i][j] = base[a.rdiv[c][b]]  # b' \ c' = b/c
-                rdiv[i][j] = base[a.ldiv[c][b]]  # c' / b' = c\b
-            elif i in in_a and j in in_l:
-                x, t = in_a[i], in_l[j]
-                product[i][j] = pl(t)  # x * l_t = l_t
-                ldiv[i][j] = pl(t)  # x \ l_t = l_t
-                rdiv[i][j] = pl(t)  # l_t / x = l_t
-            elif i in in_l and j in in_a:
-                t, x = in_l[i], in_a[j]
-                product[i][j] = pl(t)  # l_t * x = l_t
-                ldiv[i][j] = unit  # l_t \ x = 1
-                rdiv[i][j] = unit  # x / l_t = 1
-            elif i in in_l and j in in_l:
-                t, s = in_l[i], in_l[j]
-                product[i][j] = pl(luk_mul(t, s))
-                ldiv[i][j] = pl(luk_div(t, s))
-                rdiv[i][j] = pl(luk_div(t, s))  # the block is commutative
-            elif i in in_l and j in in_p:
-                t, _b = in_l[i], in_p[j]
-                product[i][j] = 0
-                ldiv[i][j] = pl(n - 1 - t)  # l_t \ b' = l_{n-1-t}
-                rdiv[i][j] = pl(n - 1 - t)  # b' / l_t = l_{n-1-t}
-            else:  # i in in_p, j in in_l
-                _b, t = in_p[i], in_l[j]
-                product[i][j] = 0
-                ldiv[i][j] = unit  # b' \ l_t = 1
-                rdiv[i][j] = unit  # l_t / b' = 1
+    def mul(i, j):
+        if i in in_a and j in in_a:
+            return base[a.product[in_a[i]][in_a[j]]]
+        if i in in_a and j in in_p:  # x * b' = (delta(b/x))'
+            return primed[dm[a.rdiv[in_a[i]][in_p[j]]]]
+        if i in in_p and j in in_a:  # b' * x = (delta(x\b))'
+            return primed[dm[a.ldiv[in_a[j]][in_p[i]]]]
+        if i in in_l and j in in_l:  # the Lukasiewicz product of the levels
+            return pl(in_l[i] + in_l[j] - (n - 1))
+        if i in in_a or j in in_a:  # x * l_t = l_t * x = l_t
+            return j if i in in_a else i
+        return 0  # products of two primed elements or of a primed element and a level
 
     labels = _uniquify(
         [f"{a.labels[b]}'" for b in reversed(closed)]
@@ -514,12 +437,10 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
         + list(a.labels)
     )
     return make_algebra(
-        product=product,
+        product=[[mul(i, j) for j in range(size)] for i in range(size)],
         unit=unit,
         order=order,
         labels=labels,
-        ldiv=ldiv,
-        rdiv=rdiv,
         zero=0,
         name=name or (f"{a.name}^rot{n}" if a.name else ""),
     )
