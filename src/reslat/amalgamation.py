@@ -418,14 +418,18 @@ def bounded_amalgam_search(
     with ``|D| <= max_size`` admits embeddings h, k with h.i = k.j.  The
     bound is the only blind spot: extra elements outside the images may be
     needed at larger sizes, so UNSAT-at-bound is corroboration, not proof.
+    Raises :class:`PreconditionError` when the sizes to search, from
+    ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none.
     """
     for alg, tag in ((vf.A, "A"), (vf.B, "B"), (vf.C, "C")):
         if not alg.is_chain_order:
             raise UnsupportedError(f"{tag} must use the index-order chain convention")
     if flags.pointed and (vf.B.zero is None or vf.C.zero is None):
         raise PreconditionError("pointed search needs pointed B and C")
-    start = time.monotonic()
     lo = max(vf.B.size, vf.C.size) if min_size is None else min_size
+    if lo > max_size:
+        raise PreconditionError(f"nothing to search: sizes start at {lo}, above the bound {max_size}")
+    start = time.monotonic()
     per_size = []
     for m in range(lo, max_size + 1):
         stats = SearchStats()
@@ -498,10 +502,12 @@ def bounded_one_amalgam_search(
     Every homomorphism factors as a quotient by its kernel filter followed
     by an embedding, so it suffices to run the amalgam search on (A, B/F, C)
     for each congruence filter F of B that does not identify distinct
-    elements of i(A)."""
+    elements of i(A).  A filter whose quotient or C exceeds the bound is
+    skipped; :class:`PreconditionError` is raised when no filter is left."""
     start = time.monotonic()
     all_sizes: list[SizeStats] = []
     details = []
+    searched = 0
     i_img = vf.i.map
     for F in congruence_filters(vf.B):
         blocks = filter_to_congruence(F)
@@ -512,6 +518,10 @@ def bounded_one_amalgam_search(
         if len({block_of[i_img[a]] for a in range(vf.A.size)}) != vf.A.size:
             details.append(f"filter {sorted(F.members)}: identifies elements of A, skipped")
             continue
+        if max(len(blocks), vf.C.size) > max_size:
+            details.append(f"filter {sorted(F.members)}: needs more than {max_size} elements, skipped")
+            continue
+        searched += 1
         Bq = quotient(vf.B, F)
         iq = tuple(block_of[i_img[a]] for a in range(vf.A.size))
         sub_vf = make_vformation(vf.A, Bq, vf.C, iq, vf.j.map, name=f"{vf.name}/F")
@@ -539,6 +549,8 @@ def bounded_one_amalgam_search(
                 wall_time=time.monotonic() - start,
                 detail="; ".join(details),
             )
+    if not searched:
+        raise PreconditionError(f"nothing to search within the bound {max_size}: {'; '.join(details)}")
     return SearchReport(
         "UNSAT",
         max_size,

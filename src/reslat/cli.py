@@ -411,7 +411,7 @@ def _fact(steps, lines, name, ok, detail=""):
     return ok
 
 
-def paper_report(max_size: int = 9, rotations=(("identity", 2), ("const-1", 2)), budget: Budget = Budget()):
+def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2)), budget: Budget = Budget()):
     """Run the full reproduction pipeline and aggregate a composite report.
 
     Builds the VS chains, re-validates every finite fact (tables, triple,
@@ -698,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_obstruct)
 
     p = sub.add_parser("paper", help="one-shot reproduction of the headline results")
-    p.add_argument("--max-size", type=int, default=9)
+    p.add_argument("--max-size", type=int, default=10)
     p.add_argument("--rotations", help="comma list like identity:2,const-1:2")
     p.add_argument("--budget", type=int, default=10**8)
     common(p)

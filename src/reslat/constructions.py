@@ -400,11 +400,11 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
     dm = d.map
     closed, primed, levels, base = _rotation_layout(d, n)
     size = len(primed) + len(levels) + len(base)
-    unit = size - 1
+    unit, zero = base[a.unit], primed[a.unit]
 
-    def pl(i):  # Lukasiewicz level, 0 <= i <= n-1, reusing bottom and unit
+    def pl(i):  # Lukasiewicz level, 0 <= i <= n-1, reusing zero and unit
         if i <= 0:
-            return 0
+            return zero
         if i >= n - 1:
             return unit
         return levels[i]
@@ -429,7 +429,7 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
             return pl(in_l[i] + in_l[j] - (n - 1))
         if i in in_a or j in in_a:  # x * l_t = l_t * x = l_t
             return j if i in in_a else i
-        return 0  # products of two primed elements or of a primed element and a level
+        return zero  # products of two primed elements or of a primed element and a level
 
     labels = _uniquify(
         [f"{a.labels[b]}'" for b in reversed(closed)]
@@ -441,7 +441,7 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
         unit=unit,
         order=order,
         labels=labels,
-        zero=0,
+        zero=zero,
         name=name or (f"{a.name}^rot{n}" if a.name else ""),
     )
 

@@ -160,8 +160,8 @@ def test_criterion_07_rotation_corollaries():
     rid = rotated_vformation(vs, "identity", 2)
     for alg in (rid.A, rid.B, rid.C):
         assert check_identity(alg, inv).holds
-    assert bounded_amalgam_search(rid, 8).verdict == "UNSAT"
-    assert bounded_one_amalgam_search(rid, 8).verdict == "UNSAT"
+    assert bounded_amalgam_search(rid, 10).verdict == "UNSAT"  # |rid.C| = 10
+    assert bounded_one_amalgam_search(rid, 10).verdict == "UNSAT"
 
     rc1 = rotated_vformation(vs, "const-1", 2)
     for alg in (rc1.A, rc1.B, rc1.C):
@@ -173,7 +173,7 @@ def test_criterion_07_rotation_corollaries():
     assert tables_equal(with_zero(lift, None), ordinal_sum(two(), vs.A))
     elapsed = time.monotonic() - start
     assert elapsed < 900.0
-    _report(7, f"rotations: involutive/Stone families UNSAT at 8, lifting = 2+A ({elapsed:.2f}s)")
+    _report(7, f"rotations: involutive family UNSAT at 10, Stone family at 8, lifting = 2+A ({elapsed:.2f}s)")
 
 
 def test_criterion_08_two_potency():

@@ -7,6 +7,7 @@ from reslat import (
     EMBEDDING,
     Morphism,
     ObstructionWitness,
+    PreconditionError,
     SearchFlags,
     UnsupportedError,
     VFormation,
@@ -172,8 +173,6 @@ def test_amalgam_found_implies_one_amalgam_found():
 
 
 def test_pointed_search_requires_pointed_components(vs):
-    from reslat import PreconditionError
-
     with pytest.raises(PreconditionError):
         bounded_amalgam_search(vs, 6, SearchFlags(pointed=True))
 
@@ -294,8 +293,13 @@ def test_rotated_formations_obstructed(vs):
 
 
 def test_rotated_identity_formation_one_amalgam_unsat_at_9(vs):
+    # |C| = 10, so bound 9 leaves nothing to search and must not read UNSAT
     rvf = rotated_vformation(vs, "identity", 2)
-    assert bounded_one_amalgam_search(rvf, 9).verdict == "UNSAT"
+    with pytest.raises(PreconditionError):
+        bounded_one_amalgam_search(rvf, 9)
+    with pytest.raises(PreconditionError):
+        bounded_amalgam_search(rvf, 9)
+    assert bounded_one_amalgam_search(rvf, 10).verdict == "UNSAT"
 
 
 def test_no_witness_over_the_two_element_base():

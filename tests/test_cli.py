@@ -202,11 +202,13 @@ def test_output_file_is_atomic(tmp_path, capsys):
 
 
 def test_paper_command_small_bound(capsys):
-    code, out = run(capsys, "paper", "--max-size", "6", "--format", "json")
+    small = ("paper", "--max-size", "6", "--rotations", "const-1:2", "--format", "json")
+    code, out = run(capsys, *small)
     report = json.loads(out)
     assert code == 0 and report["ok"]
-    assert run(capsys, "paper", "--max-size", "6", "--format", "json") == (code, out)
+    assert run(capsys, *small) == (code, out)
     names = [s["step"] for s in report["steps"]]
     assert any("obstruction witness" in s for s in names)
     code = main(["paper", "--max-size", "5"])
     assert code == 2  # pipeline needs max-size >= 6
+    assert main(["paper", "--max-size", "6"]) == 2  # the identity:2 rotation's C has 10 elements

@@ -325,15 +325,26 @@ def test_rotation_size_formula_and_validity(builtin_chains):
                 assert validate(r, ("lattice", "monoid", "residuation", "integral", "chain", "zero-bounded")).ok
 
 
-def test_rotations_of_square():
+def _square_unit_first():
+    """The square re-indexed with its unit at index 0 and its bottom at 3."""
     square = _square()
-    for name in ("identity", "const-1"):
-        for n in (2, 3):
-            r = generalized_rotation(square, nucleus_by_name(square, name), n)
-            assert not r.is_chain_order
-            assert validate(r, ("lattice", "monoid", "residuation", "integral", "zero-bounded")).ok
-            if name == "identity":
-                assert check_identity(r, parse_identity("inv")).holds
+    swap = (3, 1, 2, 0)
+    return make_algebra(
+        product=[[swap[square.product[swap[x]][swap[y]]] for y in range(4)] for x in range(4)],
+        unit=0,
+        order=[[square.le(swap[x], swap[y]) for y in range(4)] for x in range(4)],
+    )
+
+
+def test_rotations_of_square():
+    for square in (_square(), _square_unit_first()):
+        for name in ("identity", "const-1"):
+            for n in (2, 3):
+                r = generalized_rotation(square, nucleus_by_name(square, name), n)
+                assert not r.is_chain_order
+                assert validate(r, ("lattice", "monoid", "residuation", "integral", "zero-bounded")).ok
+                if name == "identity":
+                    assert check_identity(r, parse_identity("inv")).holds
 
 
 def test_rotation_on_trivial_gives_lukasiewicz_chains():
