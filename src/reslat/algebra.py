@@ -178,26 +178,33 @@ class CongruenceFilter:
 # table construction helpers
 
 
-def _as_bool_table(table, n, what):
-    if table is None:
-        return None
-    if len(table) != n or any(len(row) != n for row in table):
+def _as_index(v, n, what):
+    if type(v) is not int or not 0 <= v < n:  # bool is no index
+        raise FormatError(f"{what} {v!r} out of range 0..{n - 1}")
+    return v
+
+
+def _check_square(table, n, what):
+    if not isinstance(table, (list, tuple)) or len(table) != n or any(
+        not isinstance(row, (list, tuple)) or len(row) != n for row in table
+    ):
         raise FormatError(f"{what} must be {n}x{n}")
+
+
+def _as_bool_table(table, n, what):
+    _check_square(table, n, what)
+    if any(not isinstance(v, int) or v not in (0, 1) for row in table for v in row):
+        raise FormatError(f"{what} entries must be 0 or 1")
     return tuple(tuple(bool(v) for v in row) for row in table)
 
 
 def _as_int_table(table, n, what):
-    if len(table) != n or any(len(row) != n for row in table):
-        raise FormatError(f"{what} must be {n}x{n}")
-    out = []
+    _check_square(table, n, what)
     for row in table:
-        r = []
         for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise FormatError(f"{what} entry {v!r} out of range 0..{n - 1}")
-            r.append(v)
-        out.append(tuple(r))
-    return tuple(out)
+    return tuple(map(tuple, table))
 
 
 def _default_labels(n):
@@ -224,23 +231,28 @@ def make_algebra(
     :class:`NotResiduatedError` when divisions must be derived but do not
     exist.
     """
-    n = len(product)
-    if n == 0:
+    if not isinstance(product, (list, tuple)) or not product:
         raise FormatError("algebras must have at least one element")
+    n = len(product)
     product = _as_int_table(product, n, "product")
     if order == CHAIN:
         leq = None
     else:
         leq = _as_bool_table(order, n, "order")
-    labels = tuple(labels) if labels is not None else _default_labels(n)
+    if labels is None:
+        labels = _default_labels(n)
+    elif not isinstance(labels, (list, tuple)) or not all(isinstance(lab, str) for lab in labels):
+        raise FormatError("labels must be a list of strings")
+    labels = tuple(labels)
     if len(labels) != n:
         raise FormatError("labels length must equal size")
     if len(set(labels)) != n:
         raise FormatError("labels must be distinct")
-    if not 0 <= unit < n:
-        raise FormatError("unit index out of range")
-    if zero is not None and not 0 <= zero < n:
-        raise FormatError("zero index out of range")
+    if not isinstance(name, str):
+        raise FormatError("name must be a string")
+    unit = _as_index(unit, n, "unit index")
+    if zero is not None:
+        zero = _as_index(zero, n, "zero index")
     if masks is not None and (ldiv is None or rdiv is None):
         raise FormatError("partial algebras must carry explicit divisions")
     if (ldiv is None) != (rdiv is None):
@@ -250,7 +262,7 @@ def make_algebra(
     ldiv = _as_int_table(ldiv, n, "ldiv")
     rdiv = _as_int_table(rdiv, n, "rdiv")
     if masks is not None:
-        if len(masks) != 3:
+        if not isinstance(masks, (list, tuple)) or len(masks) != 3:
             raise FormatError("masks must be the product, ldiv and rdiv tables")
         masks = tuple(_as_bool_table(t, n, f"{op} mask") for op, t in zip(("product", "ldiv", "rdiv"), masks))
     return FiniteRL(
@@ -277,8 +289,8 @@ def definedness(alg: FiniteRL):
 
 def with_zero(alg: FiniteRL, zero: int | None) -> FiniteRL:
     """Designate an element as the pointed constant 0, or drop it with ``None``."""
-    if zero is not None and not 0 <= zero < alg.size:
-        raise FormatError("zero index out of range")
+    if zero is not None:
+        _as_index(zero, alg.size, "zero index")
     return replace(alg, zero=zero)
 
 

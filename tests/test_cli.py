@@ -1,8 +1,13 @@
 import json
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reslat.cli import main
 from reslat.documents import document_to_algebra, dumps_canonical, algebra_to_document
-from reslat import lukasiewicz, vs_b, vs_c
+from reslat import ReslatError, lukasiewicz, vs_b, vs_c, vs_k_triple, with_zero
 
 
 def run(capsys, *argv):
@@ -212,3 +217,39 @@ def test_paper_command_small_bound(capsys):
     code = main(["paper", "--max-size", "5"])
     assert code == 2  # pipeline needs max-size >= 6
     assert main(["paper", "--max-size", "6"]) == 2  # the identity:2 rotation's C has 10 elements
+
+
+_DOCUMENTS = (algebra_to_document(with_zero(vs_b(), 0)), algebra_to_document(vs_k_triple().K))
+_FIELDS = ("name", "size", "labels", "order", "unit", "product", "ldiv", "rdiv", "zero", "masks")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 5) | st.sampled_from(["", "0", "1", "chain"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["product", "ldiv", "rdiv", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from(range(len(_DOCUMENTS))), field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+@example(base=0, field="product", value=[0, 1, 2, 3])
+@example(base=0, field="labels", value=5)
+@example(base=0, field="unit", value="1")
+@example(base=0, field="zero", value="0")
+@example(base=0, field="unit", value=True)
+@example(base=1, field="masks", value={"product": 1, "ldiv": 2, "rdiv": 3})
+@example(base=1, field="masks", value={"product": [1, 1, 1, 1], "ldiv": 2, "rdiv": 3})
+def test_malformed_documents_exit_2_without_a_traceback(base, field, value):
+    doc = dict(_DOCUMENTS[base], **{field: value})
+    try:
+        document_to_algebra(doc)
+        loads = True
+    except ReslatError:
+        loads = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        codes = (main(["verify", path]), main(["identity", path, "--id", "x = x"]))
+    assert all(code in (0, 1, 2) for code in codes)
+    if not loads:
+        assert codes == (2, 2)
