@@ -232,7 +232,7 @@ def make_algebra(
     exist.
     """
     if not isinstance(product, (list, tuple)) or not product:
-        raise FormatError("algebras must have at least one element")
+        raise FormatError("product must be a non-empty table: algebras have at least one element")
     n = len(product)
     product = _as_int_table(product, n, "product")
     if order == CHAIN:

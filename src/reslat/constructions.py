@@ -401,14 +401,6 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
     closed, primed, levels, base = _rotation_layout(d, n)
     size = len(primed) + len(levels) + len(base)
     unit, zero = base[a.unit], primed[a.unit]
-
-    def pl(i):  # Lukasiewicz level, 0 <= i <= n-1, reusing zero and unit
-        if i <= 0:
-            return zero
-        if i >= n - 1:
-            return unit
-        return levels[i]
-
     in_a = {i: x for x, i in base.items()}
     in_p = {i: b for b, i in primed.items()}
     in_l = {i: t for t, i in levels.items()}
@@ -426,7 +418,8 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
         if i in in_p and j in in_a:  # b' * x = (delta(x\b))'
             return primed[dm[a.ldiv[in_a[j]][in_p[i]]]]
         if i in in_l and j in in_l:  # the Lukasiewicz product of the levels
-            return pl(in_l[i] + in_l[j] - (n - 1))
+            t = in_l[i] + in_l[j] - (n - 1)
+            return levels[t] if t > 0 else zero
         if i in in_a or j in in_a:  # x * l_t = l_t * x = l_t
             return j if i in in_a else i
         return zero  # products of two primed elements or of a primed element and a level
