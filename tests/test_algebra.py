@@ -259,6 +259,36 @@ def test_asymmetric_product_mask_fails_partial_monoid():
     assert rep.first_failure().flag == "partial-monoid"
 
 
+def test_partial_validation_of_k_mutants():
+    # how many one- and two-cell mutants of VS.K pass as partial IRLs; the
+    # double flips also pin the monotonicity clauses (without them 437 pass)
+    K = vs_k_triple().K
+    n = K.size
+    tables = (K.product, K.ldiv, K.rdiv)
+    cells = [(t, x, y) for t in range(3) for x in range(n) for y in range(n)]
+
+    def passes(masks, tabs=tables):
+        alg = make_algebra(product=tabs[0], unit=K.unit, ldiv=tabs[1], rdiv=tabs[2], masks=masks)
+        return validate_partial(alg).ok
+
+    def flipped(flips):
+        masks = [[list(row) for row in m] for m in K.masks]
+        for t, x, y in flips:
+            masks[t][x][y] = not masks[t][x][y]
+        return masks
+
+    def changed(t, x, y, v):
+        tabs = [[list(row) for row in tab] for tab in tables]
+        tabs[t][x][y] = v
+        return tabs
+
+    assert sum(passes(flipped([c])) for c in cells) == 30
+    assert sum(
+        passes(K.masks, changed(t, x, y, v)) for t, x, y in cells for v in range(n) if v != tables[t][x][y]
+    ) == 8
+    assert sum(passes(flipped(pair)) for pair in itertools.combinations(cells, 2)) == 435
+
+
 def test_zero_bounded_flag():
     b = with_zero(vs_b(), 0)
     assert validate(b, ("zero-bounded",)).ok
