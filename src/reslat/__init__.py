@@ -11,6 +11,7 @@ from .algebra import (
     CHAIN,
     EMBEDDING,
     HOM,
+    PARTIAL_IRL_FLAGS,
     RL_FLAGS,
     VALIDATE_FLAGS,
     BudgetExceededError,
@@ -36,7 +37,6 @@ from .algebra import (
     tables_equal,
     validate,
     validate_morphism,
-    validate_partial,
     with_zero,
 )
 from .amalgamation import (

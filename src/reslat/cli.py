@@ -22,6 +22,7 @@ from .algebra import (
     BudgetExceededError,
     FiniteRL,
     FormatError,
+    PARTIAL_IRL_FLAGS,
     PreconditionError,
     RL_FLAGS,
     ReslatError,
@@ -30,7 +31,6 @@ from .algebra import (
     quotient,
     tables_equal,
     validate,
-    validate_partial,
     with_zero,
 )
 from .amalgamation import (
@@ -164,12 +164,9 @@ def _cmd_verify(args):
             raise FormatError("--zero applies to total algebras")
         alg = with_zero(alg, args.zero)
     flags = _parse_flag_list(args.flags, VALIDATE_FLAGS, "validate")
-    if alg.masks is not None:
-        if flags:
-            raise FormatError("--flags applies to total algebras")
-        rep = validate_partial(alg)
-    else:
-        rep = validate(alg, flags or RL_FLAGS)
+    if flags and alg.masks is not None:
+        raise FormatError("--flags applies to total algebras")
+    rep = validate(alg, flags or (RL_FLAGS if alg.masks is None else PARTIAL_IRL_FLAGS))
     report = {
         "command": "verify",
         "algebra": alg.name or spec,

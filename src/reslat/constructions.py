@@ -20,6 +20,7 @@ from .algebra import (
     CheckOutcome,
     FiniteRL,
     FormatError,
+    PARTIAL_IRL_FLAGS,
     PreconditionError,
     UnsupportedError,
     ValidationReport,
@@ -27,7 +28,6 @@ from .algebra import (
     make_algebra,
     relabel,
     validate,
-    validate_partial,
 )
 
 
@@ -109,7 +109,7 @@ def validate_triple(t: LowerCompatibleTriple) -> ValidationReport:
         checks.append(CheckOutcome(clause, False, witness, detail))
         return ValidationReport("triple", tuple(checks))
 
-    sub = validate_partial(K)
+    sub = validate(K, PARTIAL_IRL_FLAGS)
     if not sub.ok:
         bad = sub.first_failure()
         return fail("partial-irl", bad.witness, f"K: {bad.flag}")

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from reslat import (
     CHAIN,
+    PARTIAL_IRL_FLAGS,
     FormatError,
     Morphism,
     NotCongruenceError,
@@ -26,14 +28,13 @@ from reslat import (
     trivial,
     validate,
     validate_morphism,
-    validate_partial,
     vs_a,
     vs_b,
     vs_c,
     vs_k_triple,
     with_zero,
 )
-from reslat.algebra import CongruenceFilter, meet_table, join_table
+from reslat.algebra import CongruenceFilter, definedness, meet_table, join_table
 
 from oracles import brute_force_congruences, brute_force_filters
 
@@ -231,12 +232,13 @@ def test_subalgebra_generated():
 
 
 def test_k_is_a_partial_irl():
-    assert validate_partial(vs_k_triple().K).ok
+    assert validate(vs_k_triple().K, PARTIAL_IRL_FLAGS).ok
 
 
 def test_total_algebra_as_partial_reduces_to_validate(small_chain_pool):
+    # all-true masks add only the clauses that residuation already implies
     for alg in small_chain_pool[:8]:
-        assert validate_partial(alg).ok == validate(
+        assert validate(replace(alg, masks=definedness(alg)), PARTIAL_IRL_FLAGS).ok == validate(
             alg, ("lattice", "monoid", "residuation", "integral")
         ).ok
 
@@ -254,9 +256,9 @@ def test_asymmetric_product_mask_fails_partial_monoid():
         rdiv=K.rdiv,
         masks=(mask, ldiv_mask, rdiv_mask),
     )
-    rep = validate_partial(broken)
+    rep = validate(broken, PARTIAL_IRL_FLAGS)
     assert not rep.ok
-    assert rep.first_failure().flag == "partial-monoid"
+    assert rep.first_failure().flag == "monoid"
 
 
 def test_partial_validation_of_k_mutants():
@@ -269,7 +271,7 @@ def test_partial_validation_of_k_mutants():
 
     def passes(masks, tabs=tables):
         alg = make_algebra(product=tabs[0], unit=K.unit, ldiv=tabs[1], rdiv=tabs[2], masks=masks)
-        return validate_partial(alg).ok
+        return validate(alg, PARTIAL_IRL_FLAGS).ok
 
     def flipped(flips):
         masks = [[list(row) for row in m] for m in K.masks]
