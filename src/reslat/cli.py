@@ -208,11 +208,26 @@ def _algebra_payload(args, alg, extra=None):
     return report, lines
 
 
+# the options each kind of construction reads and has no default for
+_CONSTRUCT_NEEDS = {
+    "builtin": ("name",),
+    "ordinal-sum": ("lower", "upper"),
+    "gluing": ("upper",),
+    "rotation": ("base",),
+    "nucleus-image": ("base",),
+}
+
+
 def _cmd_construct(args):
     kind = args.kind
+    for option in _CONSTRUCT_NEEDS[kind]:
+        if getattr(args, option) is None:
+            raise FormatError(f"construct {kind} needs --{option}")
     if kind == "builtin":
         obj = builtin(args.name)
         if isinstance(obj, LowerCompatibleTriple):
+            if args.zero is not None:
+                raise FormatError("--zero applies to algebras, not to triples")
             doc = {
                 "K": algebra_to_document(obj.K),
                 "sigma": list(obj.sigma),
@@ -237,7 +252,7 @@ def _cmd_construct(args):
         alg, _ = nucleus_image(nucleus_by_name(base, args.nucleus))
     else:  # pragma: no cover - argparse restricts choices
         raise FormatError(f"unknown construction {kind!r}")
-    if getattr(args, "zero", None) is not None:
+    if args.zero is not None:
         alg = with_zero(alg, args.zero)
     report, lines = _algebra_payload(args, alg, {"command": "construct"})
     return 0, report, lines
@@ -285,6 +300,8 @@ def _cmd_quotient(args):
 
 
 def _cmd_enumerate(args):
+    if args.limit is not None and args.limit < 0:
+        raise FormatError("--limit must be non-negative")
     k_potent = None
     names = []
     if args.flags:

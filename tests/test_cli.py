@@ -171,6 +171,16 @@ def test_usage_and_format_errors(tmp_path, capsys):
     assert main([]) == 2
     assert main(["identity", "VS.B", "--id", "inv"]) == 2  # unpointed
     assert main(["verify", "VS.K_triple"]) == 2  # a triple, not an algebra
+    for argv in (
+        ["construct", "builtin"],  # no --name
+        ["construct", "ordinal-sum", "--lower", "two"],  # no --upper
+        ["construct", "gluing"],  # no --upper
+        ["construct", "rotation"],  # no --base
+        ["construct", "nucleus-image"],  # no --base
+        ["construct", "builtin", "--name", "VS.K_triple", "--zero", "0"],  # --zero names an algebra element
+        ["enumerate", "--size", "3", "--limit", "-1"],
+    ):
+        assert main(argv) == 2, argv
     k = tmp_path / "k.json"
     k.write_text(dumps_canonical(algebra_to_document(vs_k_triple().K)))
     assert main(["verify", str(k)]) == 0
