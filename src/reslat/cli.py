@@ -71,7 +71,7 @@ from .documents import (
     load_vformation,
     write_atomic,
 )
-from .identities import check_identity, format_identity, parse_identity
+from .identities import check_identity, compile_term, format_identity, parse_identity
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +425,18 @@ def _fact(steps, lines, name, ok, detail=""):
     return ok
 
 
+def _table_facts_hold(alg, facts: str) -> bool:
+    """Whether each equation chain of ``facts`` (after the ``"X: "`` prefix,
+    chains separated by ``", "`` or ``" and "``) holds in ``alg`` when every
+    label names its own element."""
+    own = tuple(range(alg.size))
+    chains = facts.split(": ", 1)[1].replace(" and ", ", ").split(", ")
+    return all(
+        len({compile_term(alg, t, alg.labels)(own) for t in parse_identity(chain).terms}) == 1
+        for chain in chains
+    )
+
+
 def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2)), budget: Budget = Budget()):
     """Run the full reproduction pipeline and aggregate a composite report.
 
@@ -448,27 +460,11 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     for alg in (A, B, C):
         ok &= _fact(steps, lines, f"2-potency x*x = x*x*x on {alg.name}", check_identity(alg, two_potent).holds)
 
-    lab_b = {name: idx for idx, name in enumerate(B.labels)}
-    lab_c = {name: idx for idx, name in enumerate(C.labels)}
-    b_facts = (
-        B.product[lab_b["v"]][lab_b["b"]] == lab_b["b"]
-        and B.ldiv[lab_b["b"]][lab_b["u"]] == lab_b["b"]
-        and B.ldiv[lab_b["v"]][lab_b["b"]] == lab_b["b"]
-        and B.product[lab_b["b"]][lab_b["b"]] == lab_b["u"]
-        and B.ldiv[lab_b["v"]][lab_b["u"]] == lab_b["u"]
-    )
-    ok &= _fact(steps, lines, "B: b = v*b = b\\u = v\\b and u = b*b = v\\u", b_facts)
-    c_facts = (
-        C.ldiv[lab_c["c"]][lab_c["u"]] == lab_c["c"]
-        and C.ldiv[lab_c["v"]][lab_c["c"]] == lab_c["c"]
-        and C.ldiv[lab_c["v"]][lab_c["d"]] == lab_c["c"]
-        and C.product[lab_c["v"]][lab_c["c"]] == lab_c["d"]
-        and C.product[lab_c["v"]][lab_c["d"]] == lab_c["d"]
-        and C.product[lab_c["c"]][lab_c["c"]] == lab_c["u"]
-        and C.ldiv[lab_c["v"]][lab_c["u"]] == lab_c["u"]
-        and C.ldiv[lab_c["c"]][lab_c["d"]] == lab_c["v"]
-    )
-    ok &= _fact(steps, lines, "C: c = c\\u = v\\c = v\\d, d = v*c = v*d, u = c*c, c\\d = v", c_facts)
+    for alg, facts in (
+        (B, "B: b = v*b = b\\u = v\\b and u = b*b = v\\u"),
+        (C, "C: c = c\\u = v\\c = v\\d, d = v*c = v*d, u = c*c, c\\d = v"),
+    ):
+        ok &= _fact(steps, lines, facts, _table_facts_hold(alg, facts))
 
     triple = vs_k_triple()
     ok &= _fact(steps, lines, "(K, sigma, gamma) is a lower-compatible triple", validate_triple(triple).ok)
@@ -494,11 +490,12 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
         steps,
         lines,
         "divisibility fails on C at x=v, y=c",
-        (not div_c.holds) and div_c.assignment == (lab_c["v"], lab_c["c"]),
+        (not div_c.holds) and div_c.assignment == (C.labels.index("v"), C.labels.index("c")),
     )
 
     witness = find_obstruction(vs)
-    expected = (1, lab_b["b"], lab_c["c"], 0, 0, "LEFT")
+    a_u = A.labels.index("u")
+    expected = (A.labels.index("v"), B.labels.index("b"), C.labels.index("c"), a_u, a_u, "LEFT")
     ok &= _fact(
         steps,
         lines,

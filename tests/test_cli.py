@@ -1,11 +1,13 @@
+import itertools
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reslat.cli import main
+from reslat.cli import _table_facts_hold, main
 from reslat.documents import document_to_algebra, dumps_canonical, algebra_to_document
 from reslat import ReslatError, lukasiewicz, vs_b, vs_c, vs_k_triple, with_zero
 
@@ -227,6 +229,21 @@ def test_paper_command_small_bound(capsys):
     code = main(["paper", "--max-size", "5"])
     assert code == 2  # pipeline needs max-size >= 6
     assert main(["paper", "--max-size", "6"]) == 2  # the identity:2 rotation's C has 10 elements
+
+
+def test_paper_table_facts_read_the_cells_they_name():
+    b = vs_b()  # u, b, v, 1
+    facts = "B: b = v*b = b\\u = v\\b and u = b*b = v\\u"
+    assert _table_facts_hold(b, facts)
+    caught = set()
+    for table in ("product", "ldiv"):
+        for x, y in itertools.product(range(b.size), repeat=2):
+            cells = [list(row) for row in getattr(b, table)]
+            cells[x][y] = (cells[x][y] + 1) % b.size
+            if not _table_facts_hold(replace(b, **{table: tuple(map(tuple, cells))}), facts):
+                caught.add((table, x, y))
+    # v*b, b*b, b\u, v\b, v\u
+    assert caught == {("product", 2, 1), ("product", 1, 1), ("ldiv", 1, 0), ("ldiv", 2, 1), ("ldiv", 2, 0)}
 
 
 _DOCUMENTS = (algebra_to_document(with_zero(vs_b(), 0)), algebra_to_document(vs_k_triple().K))
