@@ -388,13 +388,12 @@ def residuals_from_product(order, product, unit):
     def greatest(candidates, pair):
         if not candidates:
             raise NotResiduatedError(pair)
-        if chain:
-            top = max(candidates)
-        else:
-            top = candidates[0]
-            for c in candidates[1:]:
-                if le(top, c):
-                    top = c
+        if chain:  # the candidates ascend, and the last is the greatest
+            return candidates[-1]
+        top = candidates[0]
+        for c in candidates[1:]:
+            if le(top, c):
+                top = c
         if all(le(c, top) for c in candidates):
             return top
         raise NotResiduatedError(pair)
