@@ -4,10 +4,11 @@ import os
 import tempfile
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reslat.cli import _table_facts_hold, main
+from reslat.cli import _TABLE_FACTS, _table_facts_hold, main
 from reslat.documents import document_to_algebra, dumps_canonical, algebra_to_document
 from reslat import ReslatError, lukasiewicz, vs_b, vs_c, vs_k_triple, with_zero
 
@@ -231,19 +232,31 @@ def test_paper_command_small_bound(capsys):
     assert main(["paper", "--max-size", "6"]) == 2  # the identity:2 rotation's C has 10 elements
 
 
-def test_paper_table_facts_read_the_cells_they_name():
-    b = vs_b()  # u, b, v, 1
-    facts = "B: b = v*b = b\\u = v\\b and u = b*b = v\\u"
-    assert _table_facts_hold(b, facts)
+@pytest.mark.parametrize(
+    "alg, facts, cells",
+    [
+        # B = u, b, v, 1: v*b, b*b, b\u, v\b, v\u
+        (vs_b(), _TABLE_FACTS[0], {("product", 2, 1), ("product", 1, 1), ("ldiv", 1, 0), ("ldiv", 2, 1), ("ldiv", 2, 0)}),
+        # C = u, d, c, v, 1: v*c, v*d, c*c, c\u, v\c, v\d, v\u, c\d
+        (
+            vs_c(),
+            _TABLE_FACTS[1],
+            {("product", 3, 2), ("product", 3, 1), ("product", 2, 2)}
+            | {("ldiv", 2, 0), ("ldiv", 3, 2), ("ldiv", 3, 1), ("ldiv", 3, 0), ("ldiv", 2, 1)},
+        ),
+    ],
+)
+def test_paper_table_facts_read_the_cells_they_name(alg, facts, cells):
+    checked = "".join(facts)
+    assert _table_facts_hold(alg, checked)
     caught = set()
     for table in ("product", "ldiv"):
-        for x, y in itertools.product(range(b.size), repeat=2):
-            cells = [list(row) for row in getattr(b, table)]
-            cells[x][y] = (cells[x][y] + 1) % b.size
-            if not _table_facts_hold(replace(b, **{table: tuple(map(tuple, cells))}), facts):
+        for x, y in itertools.product(range(alg.size), repeat=2):
+            rows = [list(row) for row in getattr(alg, table)]
+            rows[x][y] = (rows[x][y] + 1) % alg.size
+            if not _table_facts_hold(replace(alg, **{table: tuple(map(tuple, rows))}), checked):
                 caught.add((table, x, y))
-    # v*b, b*b, b\u, v\b, v\u
-    assert caught == {("product", 2, 1), ("product", 1, 1), ("ldiv", 1, 0), ("ldiv", 2, 1), ("ldiv", 2, 0)}
+    assert caught == cells
 
 
 _DOCUMENTS = (algebra_to_document(with_zero(vs_b(), 0)), algebra_to_document(vs_k_triple().K))
