@@ -19,7 +19,6 @@ from .algebra import (
     FiniteRL,
     FormatError,
     Morphism,
-    NotCongruenceError,
     NotResiduatedError,
     PreconditionError,
     ReslatError,
@@ -27,13 +26,11 @@ from .algebra import (
     UnsupportedSymbolError,
     ValidationReport,
     congruence_filters,
-    congruence_to_filter,
     filter_to_congruence,
     make_algebra,
     quotient,
     relabel,
     residuals_from_product,
-    subalgebra_generated,
     tables_equal,
     validate,
     validate_morphism,
@@ -48,20 +45,21 @@ from .amalgamation import (
     bounded_one_amalgam_search,
     check_obstruction,
     check_vformation,
+    document_to_vformation,
     find_embeddings,
-    find_homomorphisms,
     find_obstruction,
     injectivity_reduction,
+    load_vformation,
     make_vformation,
     pointed_vformation,
     rotated_vformation,
+    vformation_to_document,
     vs_formation,
 )
 from .completion import (
     Budget,
     ChainFlags,
     CompletionProblem,
-    complete_table,
     count_chains,
     enumerate_chains,
     iter_completions,
@@ -71,7 +69,6 @@ from .constructions import (
     Nucleus,
     builtin,
     constant_one_nucleus,
-    disconnected_rotation,
     generalized_rotation,
     godel,
     identity_nucleus,
@@ -93,9 +90,7 @@ from .documents import (
     algebra_to_document,
     canonical_tables_json,
     document_to_algebra,
-    document_to_vformation,
     dumps_canonical,
-    vformation_to_document,
 )
 from .identities import (
     Identity,

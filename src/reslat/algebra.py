@@ -51,10 +51,6 @@ class UnsupportedSymbolError(ReslatError):
     """An identity uses a symbol the target algebra cannot interpret."""
 
 
-class NotCongruenceError(ReslatError):
-    """A partition is not compatible with all operations."""
-
-
 class NotResiduatedError(ReslatError):
     """A product table has no residuals; ``pair`` is the offending (x, z)."""
 
@@ -314,7 +310,7 @@ def _le_fn(order):
     return lambda x, y: bool(order[x][y])
 
 
-def lub(alg, x: int, y: int) -> int | None:
+def _lub(alg, x: int, y: int) -> int | None:
     """Least upper bound in the stored order, or None if it does not exist."""
     if alg.leq is None:
         return max(x, y)
@@ -325,7 +321,7 @@ def lub(alg, x: int, y: int) -> int | None:
     return None
 
 
-def glb(alg, x: int, y: int) -> int | None:
+def _glb(alg, x: int, y: int) -> int | None:
     if alg.leq is None:
         return min(x, y)
     lbs = [z for z in range(alg.size) if alg.leq[z][x] and alg.leq[z][y]]
@@ -349,11 +345,11 @@ def _bound_table(alg, bound, what) -> tuple[tuple[int, ...], ...]:
 
 
 def meet_table(alg) -> tuple[tuple[int, ...], ...]:
-    return _bound_table(alg, glb, "meet")
+    return _bound_table(alg, _glb, "meet")
 
 
 def join_table(alg) -> tuple[tuple[int, ...], ...]:
-    return _bound_table(alg, lub, "join")
+    return _bound_table(alg, _lub, "join")
 
 
 class OperationTables(NamedTuple):
@@ -432,9 +428,9 @@ def _check_lattice(alg):
                     return CheckOutcome("lattice", False, (x, y, z), "order not transitive")
     for x in range(n):
         for y in range(n):
-            if glb(alg, x, y) is None:
+            if _glb(alg, x, y) is None:
                 return CheckOutcome("lattice", False, (x, y), "pair has no meet")
-            if lub(alg, x, y) is None:
+            if _lub(alg, x, y) is None:
                 return CheckOutcome("lattice", False, (x, y), "pair has no join")
     return CheckOutcome("lattice", True)
 
@@ -566,7 +562,7 @@ def validate(alg: FiniteRL, required=RL_FLAGS) -> ValidationReport:
 # congruence filters, congruences, quotients
 
 
-def filter_closure(alg: FiniteRL, seed) -> frozenset[int]:
+def _filter_closure(alg: FiniteRL, seed) -> frozenset[int]:
     """Least congruence filter containing ``seed``."""
     members = set(seed) | {alg.unit}
     changed = True
@@ -595,7 +591,7 @@ def congruence_filters(alg: FiniteRL) -> list[CongruenceFilter]:
 
     Sorted by size, then lexicographically on the sorted member tuples.
     """
-    least = filter_closure(alg, ())
+    least = _filter_closure(alg, ())
     found = {least}
     frontier = [least]
     while frontier:
@@ -603,7 +599,7 @@ def congruence_filters(alg: FiniteRL) -> list[CongruenceFilter]:
         for x in range(alg.size):
             if x in current:
                 continue
-            bigger = filter_closure(alg, current | {x})
+            bigger = _filter_closure(alg, current | {x})
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
@@ -639,28 +635,6 @@ def filter_to_congruence(F: CongruenceFilter) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(b)) for b in sorted(blocks.values(), key=min))
 
 
-def congruence_to_filter(alg: FiniteRL, partition) -> CongruenceFilter:
-    """Inverse map; raises :class:`NotCongruenceError` on invalid input."""
-    blocks = [tuple(sorted(b)) for b in partition]
-    seen = sorted(x for b in blocks for x in b)
-    if seen != list(range(alg.size)):
-        raise NotCongruenceError("not a partition of the carrier")
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for x in b:
-            block_of[x] = i
-
-    for opname, table in operation_tables(alg)._asdict().items():
-        for b1 in blocks:
-            for b2 in blocks:
-                images = {block_of[table[x][y]] for x in b1 for y in b2}
-                if len(images) > 1:
-                    raise NotCongruenceError(
-                        f"partition not compatible with {opname} on blocks {b1} x {b2}"
-                    )
-    return CongruenceFilter(alg, frozenset(blocks[block_of[alg.unit]]))
-
-
 def quotient(alg: FiniteRL, F: CongruenceFilter) -> FiniteRL:
     """Quotient algebra on the blocks of the induced congruence."""
     blocks = filter_to_congruence(F)
@@ -688,40 +662,6 @@ def quotient(alg: FiniteRL, F: CongruenceFilter) -> FiniteRL:
         zero=None if alg.zero is None else block_of[alg.zero],
         name=f"{alg.name}/{sorted(F.members)}" if alg.name else "",
     )
-
-
-def subalgebra_generated(alg: FiniteRL, seed) -> tuple[FiniteRL, Morphism]:
-    """Least subuniverse containing the seed, the unit, and the zero."""
-    members = set(seed) | {alg.unit}
-    if alg.zero is not None:
-        members.add(alg.zero)
-    tables = operation_tables(alg)
-    changed = True
-    while changed:
-        changed = False
-        new = set()
-        for x in members:
-            for y in members:
-                new.update(t[x][y] for t in tables)
-        if not new <= members:
-            members |= new
-            changed = True
-    elems = sorted(members)
-    index = {x: i for i, x in enumerate(elems)}
-    if alg.leq is None:
-        order = CHAIN
-    else:
-        order = [[alg.leq[x][y] for y in elems] for x in elems]
-    sub = make_algebra(
-        product=[[index[alg.product[x][y]] for y in elems] for x in elems],
-        unit=index[alg.unit],
-        order=order,
-        labels=tuple(alg.labels[x] for x in elems),
-        zero=None if alg.zero is None else index[alg.zero],
-        name=f"{alg.name}<{sorted(seed)}>" if alg.name else "",
-    )
-    inclusion = Morphism(dom=sub, cod=alg, map=tuple(elems), kind=EMBEDDING)
-    return sub, inclusion
 
 
 # ---------------------------------------------------------------------------

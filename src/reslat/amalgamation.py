@@ -10,6 +10,7 @@ order preservation and residuation in the would-be chain.
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from dataclasses import dataclass
 
@@ -36,7 +37,9 @@ from .algebra import (
     with_zero,
 )
 from .completion import Budget, CompletionProblem, SearchStats, iter_completions
+from .documents import algebra_to_document, document_to_algebra
 from .constructions import (
+    builtin,
     generalized_rotation,
     nucleus_by_name,
     rotation_map,
@@ -145,17 +148,68 @@ def check_vformation(vf: VFormation) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# embedding / homomorphism search
+# V-formation documents: keys ``name``, ``A``, ``B``, ``C`` (algebra
+# documents or builtin names), ``i`` and ``j`` (index maps)
 
 
-def _find_maps(x: FiniteRL, y: FiniteRL, pin, injective: bool):
-    """All operation-preserving maps x -> y extending ``pin``, in
-    lexicographic order of the map list."""
-    if pin and injective:
-        vals = list(pin.values())
-        if len(set(vals)) != len(vals):
-            raise FormatError("pin must map distinct elements to distinct elements")
+_VF_KEYS = ("name", "A", "B", "C", "i", "j")
+
+
+def vformation_to_document(vf: VFormation) -> dict:
+    return {
+        "name": vf.name,
+        "A": algebra_to_document(vf.A),
+        "B": algebra_to_document(vf.B),
+        "C": algebra_to_document(vf.C),
+        "i": list(vf.i.map),
+        "j": list(vf.j.map),
+    }
+
+
+def _component(value):
+    alg = builtin(value) if isinstance(value, str) else document_to_algebra(value)
+    if not isinstance(alg, FiniteRL):
+        raise FormatError(f"builtin {value!r} is not an algebra")
+    if alg.masks is not None:
+        raise FormatError(f"V-formation component {alg.name or 'unnamed'!r} is a partial algebra")
+    return alg
+
+
+def document_to_vformation(doc: dict) -> VFormation:
+    if not isinstance(doc, dict):
+        raise FormatError("V-formation document must be a JSON object")
+    unknown = set(doc) - set(_VF_KEYS)
+    if unknown:
+        raise FormatError(f"unknown V-formation fields: {sorted(unknown)}")
+    for key in ("A", "B", "C", "i", "j"):
+        if key not in doc:
+            raise FormatError(f"missing V-formation field {key!r}")
+    for key in ("i", "j"):
+        if not isinstance(doc[key], list) or not all(type(v) is int for v in doc[key]):
+            raise FormatError(f"V-formation map {key!r} must be a list of integers")
+    A, B, C = _component(doc["A"]), _component(doc["B"]), _component(doc["C"])
+    vf = make_vformation(A, B, C, doc["i"], doc["j"], name=doc.get("name", ""))
+    report = check_vformation(vf)
+    if not report.ok:
+        raise FormatError(f"invalid V-formation: {report.first_failure()}")
+    return vf
+
+
+def load_vformation(path: str) -> VFormation:
+    with open(path, encoding="utf-8") as fh:
+        return document_to_vformation(json.load(fh))
+
+
+# ---------------------------------------------------------------------------
+# embedding search
+
+
+def find_embeddings(x: FiniteRL, y: FiniteRL, pin=None) -> list[Morphism]:
+    """All injective operation-preserving maps from x into y extending
+    ``pin``, in lexicographic order of the map list."""
     pin = dict(pin or {})
+    if len(set(pin.values())) != len(pin):
+        raise FormatError("pin must map distinct elements to distinct elements")
     n = x.size
     ops_x, ops_y = operation_tables(x), operation_tables(y)
     both_zero = x.zero is not None and y.zero is not None
@@ -168,7 +222,7 @@ def _find_maps(x: FiniteRL, y: FiniteRL, pin, injective: bool):
             return False
         if both_zero and e == x.zero and v != y.zero:
             return False
-        if injective and v in image[:e]:
+        if v in image[:e]:
             return False
 
         def img(t):
@@ -185,11 +239,9 @@ def _find_maps(x: FiniteRL, y: FiniteRL, pin, injective: bool):
                     return False
         return True
 
-    kind = EMBEDDING if injective else HOM
-
     def extend(e):
         if e == n:
-            m = Morphism(x, y, tuple(image), kind)
+            m = Morphism(x, y, tuple(image), EMBEDDING)
             if validate_morphism(m).ok:
                 out.append(m)
             return
@@ -202,15 +254,6 @@ def _find_maps(x: FiniteRL, y: FiniteRL, pin, injective: bool):
 
     extend(0)
     return out
-
-
-def find_embeddings(x: FiniteRL, y: FiniteRL, pin=None) -> list[Morphism]:
-    """All injective operation-preserving maps from x into y."""
-    return _find_maps(x, y, pin, injective=True)
-
-
-def find_homomorphisms(x: FiniteRL, y: FiniteRL, pin=None) -> list[Morphism]:
-    return _find_maps(x, y, pin, injective=False)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .amalgamation import (
     find_embeddings,
     find_obstruction,
     injectivity_reduction,
+    load_vformation,
     pointed_vformation,
     rotated_vformation,
     vs_formation,
@@ -68,7 +69,6 @@ from .documents import (
     canonical_tables_json,
     dumps_canonical,
     load_algebra,
-    load_vformation,
     write_atomic,
 )
 from .identities import check_identity, compile_term, format_identity, parse_identity
@@ -83,13 +83,6 @@ def _load_algebra_arg(spec: str) -> FiniteRL:
     if not isinstance(alg, FiniteRL):
         raise FormatError(f"{spec!r} is not an algebra")
     return alg
-
-
-def _algebra_spec(args) -> str:
-    given = [s for s in (args.algebra, args.builtin, args.input) if s]
-    if len(given) != 1:
-        raise FormatError("give exactly one algebra (positional, --builtin, or --input)")
-    return given[0]
 
 
 def _load_total_algebra(spec: str) -> FiniteRL:
@@ -157,7 +150,7 @@ def _emit(args, report: dict, text_lines: list[str]):
 
 
 def _cmd_verify(args):
-    spec = _algebra_spec(args)
+    spec = args.algebra
     alg = _load_algebra_arg(spec)
     if args.zero is not None:
         if alg.masks is not None:
@@ -180,7 +173,7 @@ def _cmd_verify(args):
 
 
 def _cmd_identity(args):
-    spec = _algebra_spec(args)
+    spec = args.algebra
     alg = _load_total_algebra(spec)
     if args.zero is not None:
         alg = with_zero(alg, args.zero)
@@ -238,12 +231,7 @@ def _cmd_construct(args):
     elif kind == "ordinal-sum":
         alg = ordinal_sum(_load_total_algebra(args.lower), _load_total_algebra(args.upper))
     elif kind == "gluing":
-        triple = builtin(args.triple) if not os.path.exists(args.triple) else None
-        if triple is None:
-            raise FormatError("gluing triples are available as builtins only (VS.K_triple)")
-        if not isinstance(triple, LowerCompatibleTriple):
-            raise FormatError(f"{args.triple!r} is not a lower-compatible triple")
-        alg = partial_gluing(triple, _load_total_algebra(args.upper))
+        alg = partial_gluing(vs_k_triple(), _load_total_algebra(args.upper))
     elif kind == "rotation":
         base = _load_total_algebra(args.base)
         alg = generalized_rotation(base, nucleus_by_name(base, args.nucleus), args.levels)
@@ -274,7 +262,7 @@ def _cmd_embed(args):
 
 
 def _cmd_filters(args):
-    spec = _algebra_spec(args)
+    spec = args.algebra
     alg = _load_total_algebra(spec)
     filters = congruence_filters(alg)
     report = {
@@ -288,7 +276,7 @@ def _cmd_filters(args):
 
 
 def _cmd_quotient(args):
-    spec = _algebra_spec(args)
+    spec = args.algebra
     alg = _load_total_algebra(spec)
     members = frozenset(int(x) for x in args.filter.split(","))
     filters = {F.members: F for F in congruence_filters(alg)}
@@ -610,6 +598,8 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
 
 
 def _cmd_paper(args):
+    if args.budget < 0:
+        raise FormatError("--budget must be non-negative")
     rotations = []
     for item in (args.rotations or "identity:2,const-1:2").split(","):
         rotations.append(_parse_rotation(item.strip()))
@@ -637,18 +627,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--output", help="write the report to a file (atomically)")
 
     p = sub.add_parser("verify", help="validate an algebra against axiom flags")
-    p.add_argument("algebra", nargs="?", help="builtin name or document path")
-    p.add_argument("--builtin", help="builtin algebra name")
-    p.add_argument("--input", help="algebra document path")
+    p.add_argument("algebra", help="builtin name or document path")
     p.add_argument("--flags", help="comma list of " + ",".join(VALIDATE_FLAGS))
     p.add_argument("--zero", type=int, help="designate an element as the constant 0")
     common(p)
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("identity", help="check an identity on an algebra")
-    p.add_argument("algebra", nargs="?", help="builtin name or document path")
-    p.add_argument("--builtin", help="builtin algebra name")
-    p.add_argument("--input")
+    p.add_argument("algebra", help="builtin name or document path")
     p.add_argument("--id", required=True, help="identity text or a named one (prel, sem, div, inv, idem, stone, potent:n)")
     p.add_argument("--zero", type=int)
     common(p)
@@ -659,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="builtin name (for kind=builtin)")
     p.add_argument("--lower")
     p.add_argument("--upper")
-    p.add_argument("--triple", default="VS.K_triple")
     p.add_argument("--base")
     p.add_argument("--nucleus", default="identity", help="identity or const-1")
     p.add_argument("--levels", type=int, default=2)
@@ -674,16 +659,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_embed)
 
     p = sub.add_parser("filters", help="list the congruence filters of an algebra")
-    p.add_argument("algebra", nargs="?", help="builtin name or document path")
-    p.add_argument("--builtin", help="builtin algebra name")
-    p.add_argument("--input")
+    p.add_argument("algebra", help="builtin name or document path")
     common(p)
     p.set_defaults(run=_cmd_filters)
 
     p = sub.add_parser("quotient", help="quotient an algebra by a congruence filter")
-    p.add_argument("algebra", nargs="?", help="builtin name or document path")
-    p.add_argument("--builtin", help="builtin algebra name")
-    p.add_argument("--input")
+    p.add_argument("algebra", help="builtin name or document path")
     p.add_argument("--filter", required=True, help="comma list of member indices")
     common(p)
     p.set_defaults(run=_cmd_quotient)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from .algebra import (
     CHAIN,
     BudgetExceededError,
-    FiniteRL,
     FormatError,
     make_algebra,
     residuals_from_product,
@@ -332,17 +331,6 @@ def iter_completions(problem: CompletionProblem, budget: Budget = Budget(), stat
     yield from _Engine(problem, budget, stats).solutions()
 
 
-def _algebra_from_table(table, unit, zero, name=""):
-    return make_algebra(product=table, unit=unit, order=CHAIN, zero=zero, name=name)
-
-
-def complete_table(problem: CompletionProblem, budget: Budget = Budget(), stats: SearchStats | None = None) -> FiniteRL | None:
-    """First completion in canonical order, or ``None`` when unsatisfiable."""
-    for table in iter_completions(problem, budget, stats):
-        return _algebra_from_table(table, problem.unit, problem.zero)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # chain enumeration
 
@@ -372,6 +360,8 @@ def _raw_stream(n: int, flags: ChainFlags, budget: Budget):
     in canonical order."""
     if n < 1:
         raise FormatError("size must be positive")
+    if flags.k_potent is not None and flags.k_potent < 1:
+        raise FormatError("k_potent must be at least 1")
     units = [n - 1] if flags.integral else range(n)
     for unit in units:
         problem = CompletionProblem(
@@ -399,8 +389,9 @@ def enumerate_chains(n: int, flags: ChainFlags = ChainFlags(), budget: Budget = 
     tables are pairwise non-isomorphic and the stream is a transversal of
     isomorphism classes.  The order is canonical and deterministic.
     """
+    zero = 0 if flags.pointed else None
     for count, (unit, table) in enumerate(_raw_stream(n, flags, budget)):
-        yield _algebra_from_table(table, unit, 0 if flags.pointed else None, name=f"chain{n}_{count}")
+        yield make_algebra(product=table, unit=unit, order=CHAIN, zero=zero, name=f"chain{n}_{count}")
 
 
 def count_chains(n: int, flags: ChainFlags = ChainFlags(), budget: Budget = Budget()) -> int:

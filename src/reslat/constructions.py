@@ -1,8 +1,9 @@
 """Constructors for finite residuated lattices.
 
 Ordinal sums, partial gluings driven by a lower-compatible triple, nucleus
-images, disconnected and generalized n-rotations, plus the built-in algebras
-(Lukasiewicz and Goedel chains and the VS formation components).
+images and generalized n-rotations (the disconnected rotation is the one by
+the identity nucleus at n = 2), plus the built-in algebras (Lukasiewicz and
+Goedel chains and the VS formation components).
 
 Carrier convention: constructed algebras list the lower block first, so
 every constructed chain satisfies the index-order CHAIN convention and
@@ -311,7 +312,7 @@ def constant_one_nucleus(alg: FiniteRL) -> Nucleus:
 def nucleus_by_name(alg: FiniteRL, name: str) -> Nucleus:
     if name == "identity":
         return identity_nucleus(alg)
-    if name in ("const-1", "const1"):
+    if name == "const-1":
         return constant_one_nucleus(alg)
     raise FormatError(f"unknown nucleus name {name!r}")
 
@@ -437,11 +438,6 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
         zero=zero,
         name=name or (f"{a.name}^rot{n}" if a.name else ""),
     )
-
-
-def disconnected_rotation(a: FiniteRL, name: str = "") -> FiniteRL:
-    """Rotation by the identity nucleus with no interior levels."""
-    return generalized_rotation(a, identity_nucleus(a), 2, name=name)
 
 
 # ---------------------------------------------------------------------------

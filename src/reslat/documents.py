@@ -1,4 +1,4 @@
-"""Canonical JSON documents for algebras and V-formations.
+"""Canonical JSON documents for algebras.
 
 An algebra document is a single JSON object with keys, in order: ``name``,
 ``size``, ``labels``, ``order`` (the string "chain" or an n x n 0/1 array),
@@ -21,12 +21,9 @@ from .algebra import (
     FormatError,
     make_algebra,
 )
-from .constructions import builtin
-from . import amalgamation as _am
 
 _ALGEBRA_KEYS = ("name", "size", "labels", "order", "unit", "product", "ldiv", "rdiv", "zero", "masks")
 _MASK_KEYS = ("product", "ldiv", "rdiv")
-_VF_KEYS = ("name", "A", "B", "C", "i", "j")
 
 
 def _table_out(table):
@@ -89,46 +86,6 @@ def document_to_algebra(doc: dict) -> FiniteRL:
     return alg
 
 
-def vformation_to_document(vf) -> dict:
-    return {
-        "name": vf.name,
-        "A": algebra_to_document(vf.A),
-        "B": algebra_to_document(vf.B),
-        "C": algebra_to_document(vf.C),
-        "i": list(vf.i.map),
-        "j": list(vf.j.map),
-    }
-
-
-def _component(value):
-    alg = builtin(value) if isinstance(value, str) else document_to_algebra(value)
-    if not isinstance(alg, FiniteRL):
-        raise FormatError(f"builtin {value!r} is not an algebra")
-    if alg.masks is not None:
-        raise FormatError(f"V-formation component {alg.name or 'unnamed'!r} is a partial algebra")
-    return alg
-
-
-def document_to_vformation(doc: dict):
-    if not isinstance(doc, dict):
-        raise FormatError("V-formation document must be a JSON object")
-    unknown = set(doc) - set(_VF_KEYS)
-    if unknown:
-        raise FormatError(f"unknown V-formation fields: {sorted(unknown)}")
-    for key in ("A", "B", "C", "i", "j"):
-        if key not in doc:
-            raise FormatError(f"missing V-formation field {key!r}")
-    for key in ("i", "j"):
-        if not isinstance(doc[key], list) or not all(type(v) is int for v in doc[key]):
-            raise FormatError(f"V-formation map {key!r} must be a list of integers")
-    A, B, C = _component(doc["A"]), _component(doc["B"]), _component(doc["C"])
-    vf = _am.make_vformation(A, B, C, doc["i"], doc["j"], name=doc.get("name", ""))
-    report = _am.check_vformation(vf)
-    if not report.ok:
-        raise FormatError(f"invalid V-formation: {report.first_failure()}")
-    return vf
-
-
 def dumps_canonical(doc) -> str:
     """Serialize with documented key order and no insignificant whitespace."""
     return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
@@ -152,11 +109,6 @@ def canonical_tables_json(alg: FiniteRL) -> str:
 def load_algebra(path: str) -> FiniteRL:
     with open(path, encoding="utf-8") as fh:
         return document_to_algebra(json.load(fh))
-
-
-def load_vformation(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return document_to_vformation(json.load(fh))
 
 
 def write_atomic(path: str, text: str):

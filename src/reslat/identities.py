@@ -103,6 +103,10 @@ def term_variables(t: Term) -> set[str]:
 # parsing
 
 
+# binding strength of each binary operator, for the parser and the printer
+_PRECEDENCE = {"\\": 1, "/": 1, "->": 1, "\\/": 2, "/\\": 3, "*": 4}
+
+
 class ParseError(FormatError):
     def __init__(self, message, position):
         super().__init__(f"{message} at position {position}")
@@ -215,36 +219,14 @@ class _Parser:
             raise ParseError("trailing input", self.where())
         return Identity(tuple(terms), EQ)
 
-    def parse_term(self) -> Term:
-        return self.parse_div()
-
-    def parse_div(self) -> Term:
-        left = self.parse_join()
-        while self.peek() in ("\\", "/", "->"):
-            op, _ = self.take()
-            right = self.parse_join()
-            left = BinOp(op, left, right)
-        return left
-
-    def parse_join(self) -> Term:
-        left = self.parse_meet()
-        while self.peek() == "\\/":
-            self.take()
-            left = BinOp("\\/", left, self.parse_meet())
-        return left
-
-    def parse_meet(self) -> Term:
-        left = self.parse_mul()
-        while self.peek() == "/\\":
-            self.take()
-            left = BinOp("/\\", left, self.parse_mul())
-        return left
-
-    def parse_mul(self) -> Term:
+    def parse_term(self, min_prec: int = 1) -> Term:
+        """Precedence climbing over ``_PRECEDENCE``: a binary operator
+        binds its right operand one level tighter, so it associates to
+        the left."""
         left = self.parse_unary()
-        while self.peek() == "*":
-            self.take()
-            left = BinOp("*", left, self.parse_unary())
+        while _PRECEDENCE.get(self.peek(), 0) >= min_prec:
+            op, _ = self.take()
+            left = BinOp(op, left, self.parse_term(_PRECEDENCE[op] + 1))
         return left
 
     def parse_unary(self) -> Term:
@@ -318,8 +300,6 @@ def parse_identity(text: str) -> Identity:
 
 # ---------------------------------------------------------------------------
 # pretty printing
-
-_PRECEDENCE = {"\\": 1, "/": 1, "->": 1, "\\/": 2, "/\\": 3, "*": 4}
 
 
 def format_term(t: Term, parent_prec: int = 0) -> str:

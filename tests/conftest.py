@@ -2,9 +2,10 @@ import pytest
 
 from reslat import (
     ChainFlags,
-    disconnected_rotation,
     enumerate_chains,
+    generalized_rotation,
     godel,
+    identity_nucleus,
     lukasiewicz,
     trivial,
     two,
@@ -30,7 +31,7 @@ def small_chain_pool():
     for n in (1, 2, 3, 4):
         pool.extend(enumerate_chains(n, ChainFlags(integral=True)))
     pool += [vs_a(), vs_b(), vs_c()]
-    pool += [disconnected_rotation(a) for a in (two(), godel(3), lukasiewicz(3))]
+    pool += [generalized_rotation(a, identity_nucleus(a), 2) for a in (two(), godel(3), lukasiewicz(3))]
     return pool
 
 

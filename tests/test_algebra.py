@@ -12,18 +12,15 @@ from reslat import (
     PARTIAL_IRL_FLAGS,
     FormatError,
     Morphism,
-    NotCongruenceError,
     NotResiduatedError,
     check_identity,
     congruence_filters,
-    congruence_to_filter,
     filter_to_congruence,
     lukasiewicz,
     make_algebra,
     parse_identity,
     quotient,
     residuals_from_product,
-    subalgebra_generated,
     tables_equal,
     trivial,
     validate,
@@ -162,13 +159,6 @@ def test_filters_match_subset_scan_oracle(small_chain_pool):
         assert [F.members for F in congruence_filters(alg)] == brute_force_filters(alg)
 
 
-def test_filter_congruence_round_trip(small_chain_pool):
-    for alg in small_chain_pool:
-        for F in congruence_filters(alg):
-            partition = filter_to_congruence(F)
-            assert congruence_to_filter(alg, partition).members == F.members
-
-
 def test_congruences_by_direct_search_match_filters(small_chain_pool):
     for alg in small_chain_pool:
         if alg.size > 5:
@@ -183,13 +173,6 @@ def test_filter_to_congruence_example():
     assert filter_to_congruence(F) == ((0,), (1,), (2, 3))
     assert filter_to_congruence(CongruenceFilter(b, frozenset({3}))) == ((0,), (1,), (2,), (3,))
     assert filter_to_congruence(CongruenceFilter(b, frozenset(range(4)))) == ((0, 1, 2, 3),)
-
-
-def test_congruence_to_filter_rejects_non_congruence():
-    with pytest.raises(NotCongruenceError):
-        congruence_to_filter(vs_b(), ((0, 3), (1,), (2,)))
-    with pytest.raises(NotCongruenceError):
-        congruence_to_filter(vs_b(), ((0, 1), (2,)))
 
 
 def test_quotients_of_b():
@@ -210,21 +193,6 @@ def test_quotient_of_chain_is_chain(small_chain_pool):
             assert q.leq is None and validate(q, ("chain",)).ok
             assert q.size == len(filter_to_congruence(F))
             assert validate(q, ("lattice", "monoid", "residuation")).ok
-
-
-def test_subalgebra_generated():
-    b = vs_b()
-    sub, inc = subalgebra_generated(b, {1})
-    assert inc.map == (0, 1, 3)
-    assert tables_equal(sub, lukasiewicz(3))
-    assert validate_morphism(inc).ok
-
-    sub0, inc0 = subalgebra_generated(b, set())
-    assert sub0.size == 1 and inc0.map == (3,)
-
-    subA, incA = subalgebra_generated(b, {2, 0})
-    assert incA.map == (0, 2, 3)
-    assert subA.product == vs_a().product and subA.ldiv == vs_a().ldiv
 
 
 # ---------------------------------------------------------------------------

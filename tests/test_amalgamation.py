@@ -5,6 +5,7 @@ import pytest
 
 from reslat import (
     EMBEDDING,
+    HOM,
     Morphism,
     ObstructionWitness,
     PreconditionError,
@@ -17,7 +18,6 @@ from reslat import (
     check_vformation,
     congruence_filters,
     find_embeddings,
-    find_homomorphisms,
     find_obstruction,
     godel,
     injectivity_reduction,
@@ -76,15 +76,17 @@ def test_chain_embeddings_are_strictly_monotone(builtin_chains):
 def test_embeddings_are_injective_homomorphisms(builtin_chains):
     smalls = [a for a in builtin_chains if a.size <= 5]
     for x, y in itertools.product(smalls, repeat=2):
-        homs = find_homomorphisms(x, y)
-        injective = [m.map for m in homs if len(set(m.map)) == x.size]
-        assert [m.map for m in find_embeddings(x, y)] == injective
+        brute_force = [
+            f for f in itertools.permutations(range(y.size), x.size)
+            if validate_morphism(Morphism(x, y, f, EMBEDDING)).ok
+        ]
+        assert [m.map for m in find_embeddings(x, y)] == brute_force
 
 
 def test_quotient_map_is_a_homomorphism(vs):
-    homs = {m.map for m in find_homomorphisms(vs.B, lukasiewicz(3))}
-    assert (0, 0, 1, 2) not in homs  # collapsing u with b is not compatible
-    assert (0, 1, 2, 2) in homs  # collapsing v with 1 is the filter {1, v}
+    l3 = lukasiewicz(3)
+    assert not validate_morphism(Morphism(vs.B, l3, (0, 0, 1, 2), HOM)).ok  # collapsing u with b is not compatible
+    assert validate_morphism(Morphism(vs.B, l3, (0, 1, 2, 2), HOM)).ok  # collapsing v with 1 is the filter {1, v}
 
 
 # ---------------------------------------------------------------------------

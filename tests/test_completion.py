@@ -7,6 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from reslat import (
+    CHAIN,
     Budget,
     BudgetExceededError,
     ChainFlags,
@@ -14,10 +15,10 @@ from reslat import (
     FormatError,
     bounded_amalgam_search,
     check_identity,
-    complete_table,
     count_chains,
     enumerate_chains,
     iter_completions,
+    make_algebra,
     parse_identity,
     validate,
     vs_b,
@@ -26,8 +27,8 @@ from reslat.completion import SearchStats
 
 
 def test_trivial_completion():
-    alg = complete_table(CompletionProblem(1, 0, {}, {}, {}))
-    assert alg is not None and alg.size == 1
+    table = next(iter_completions(CompletionProblem(1, 0, {}, {}, {})), None)
+    assert table is not None and len(table) == 1
 
 
 def test_blanked_cell_of_b_is_forced_back():
@@ -49,7 +50,7 @@ def test_blanked_cell_of_b_is_forced_back():
 def test_unit_product_pins_below_unit_are_unsat():
     # x*y = 1 for x, y < 1 contradicts integrality
     problem = CompletionProblem(3, 2, {(1, 1): 2}, {}, {}, integral=True)
-    assert complete_table(problem) is None
+    assert next(iter_completions(problem), None) is None
 
 
 def test_budget_exceeded():
@@ -160,8 +161,9 @@ def test_partial_pins_of_valid_chains_always_complete(small_chain_pool, data):
         rdiv_pins={c: alg.rdiv[c[0]][c[1]] for c in cells} if with_divs else {},
         integral=alg.unit == n - 1,
     )
-    first = complete_table(problem)
-    assert first is not None  # the original table is one completion
+    table = next(iter_completions(problem), None)
+    assert table is not None  # the original table is one completion
+    first = make_algebra(product=table, unit=problem.unit, order=CHAIN)
     assert validate(first, ("lattice", "monoid", "residuation", "chain")).ok
     for (x, y), v in problem.product_pins.items():
         assert first.product[x][y] == v

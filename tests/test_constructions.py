@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from reslat import (
-    EMBEDDING,
     HOM,
     FormatError,
     LowerCompatibleTriple,
@@ -15,7 +14,6 @@ from reslat import (
     check_identity,
     congruence_filters,
     constant_one_nucleus,
-    disconnected_rotation,
     filter_to_congruence,
     find_embeddings,
     generalized_rotation,
@@ -29,7 +27,6 @@ from reslat import (
     parse_identity,
     partial_gluing,
     quotient,
-    subalgebra_generated,
     tables_equal,
     trivial,
     two,
@@ -238,18 +235,15 @@ def _closure_operators(alg):
 
 
 def test_induced_algebras_keep_the_parent_operations(small_chain_pool):
-    """Quotients, generated subalgebras and nucleus images carry the
-    parent's five operations: the quotient map and the inclusion are
-    homomorphisms, and an image divides closed elements as the parent does."""
+    """Quotients and nucleus images carry the parent's five operations:
+    the quotient map is a homomorphism, and an image divides closed
+    elements as the parent does."""
     for alg in small_chain_pool + [_square()]:
         for F in congruence_filters(alg):
             q = quotient(alg, F)
             block_of = {x: bi for bi, block in enumerate(filter_to_congruence(F)) for x in block}
             qmap = Morphism(alg, q, tuple(block_of[x] for x in range(alg.size)), HOM)
             assert validate_morphism(qmap).ok, (alg, F)
-        for x in range(alg.size):
-            sub, inclusion = subalgebra_generated(alg, [x])
-            assert inclusion.kind == EMBEDDING and validate_morphism(inclusion).ok, (alg, x)
         for dmap in _closure_operators(alg):
             d = Nucleus(alg, dmap)
             if not validate_nucleus(d).ok:
@@ -271,7 +265,7 @@ def test_invalid_nucleus_is_rejected():
 
 
 def test_disconnected_rotation_of_two():
-    r = disconnected_rotation(two())
+    r = generalized_rotation(two(), identity_nucleus(two()), 2)
     assert r.size == 4 and r.zero == 0
     assert validate(r, ("lattice", "monoid", "residuation", "integral", "commutative", "chain", "zero-bounded")).ok
     assert check_identity(r, parse_identity("inv")).holds
@@ -280,29 +274,19 @@ def test_disconnected_rotation_of_two():
 
 
 def test_rotation_of_trivial_is_two_pointed():
-    r = disconnected_rotation(trivial())
+    r = generalized_rotation(trivial(), identity_nucleus(trivial()), 2)
     assert r.size == 2 and r.zero == 0
     assert tables_equal(with_zero(r, None), two())
 
 
 def test_rotation_of_l3_is_involutive_six_chain():
-    r = disconnected_rotation(lukasiewicz(3))
+    r = generalized_rotation(lukasiewicz(3), identity_nucleus(lukasiewicz(3)), 2)
     assert r.size == 6
     assert validate(r, ("lattice", "monoid", "residuation", "chain", "zero-bounded")).ok
     assert check_identity(r, parse_identity("inv")).holds
     # the original chain sits on top, its rotated copy annihilates below
     assert any(m.map == (3, 4, 5) for m in find_embeddings(lukasiewicz(3), r))
     assert r.product[2][2] == 0
-
-
-def test_generalized_rotation_equals_disconnected_at_identity_2(builtin_chains):
-    for alg in builtin_chains:
-        if alg.size > 4:
-            continue
-        assert tables_equal(
-            generalized_rotation(alg, identity_nucleus(alg), 2),
-            disconnected_rotation(alg),
-        )
 
 
 def test_lifting_is_ordinal_sum_with_two():
