@@ -357,3 +357,42 @@ def test_injectivity_reduction_examples(vs):
 
     rvf = rotated_vformation(vs, "identity", 2)
     assert injectivity_reduction(rvf)
+
+
+# ---------------------------------------------------------------------------
+# search work
+
+
+# (size, placements, nodes) per size of the paper's searches, at bounds past
+# the paper's own; every search is UNSAT
+SEARCH_WORK = {
+    "VS": (
+        13,
+        SearchFlags(),
+        [(5, 2, 0), (6, 15, 0), (7, 63, 0), (8, 196, 0), (9, 504, 0), (10, 1134, 0), (11, 2310, 0), (12, 4356, 0), (13, 7722, 0)],
+    ),
+    "VS.pointed": (
+        11,
+        SearchFlags(pointed=True),
+        [(5, 2, 0), (6, 13, 0), (7, 48, 0), (8, 133, 0), (9, 308, 0), (10, 630, 0), (11, 1176, 0)],
+    ),
+    "VS^const-1:2": (11, SearchFlags(), [(6, 2, 0), (7, 17, 0), (8, 80, 0), (9, 276, 0), (10, 780, 0), (11, 1914, 0)]),
+    "VS^identity:2": (14, SearchFlags(), [(10, 4, 0), (11, 56, 0), (12, 417, 0), (13, 2197, 0), (14, 9191, 0)]),
+}
+
+
+def _paper_formation(vs, name):
+    if name == "VS":
+        return vs
+    if name == "VS.pointed":
+        return pointed_vformation(vs, 0)
+    delta, n = name.split("^")[1].split(":")
+    return rotated_vformation(vs, delta, int(n))
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_WORK))
+def test_search_work_per_size_is_pinned(vs, name):
+    bound, flags, expected = SEARCH_WORK[name]
+    report = bounded_amalgam_search(_paper_formation(vs, name), bound, flags)
+    assert report.verdict == "UNSAT"
+    assert [(s.size, s.placements, s.nodes) for s in report.sizes] == expected
