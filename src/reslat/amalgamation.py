@@ -4,7 +4,9 @@ amalgam and one-amalgam search, and obstruction certificates.
 An obstruction witness is a finite tuple of table facts in B and C alone
 which rules out a chain amalgam of *any* size: the distinguished images
 h(b), k(c) can be neither equal nor ordered either way without violating
-order preservation and residuation in the would-be chain.
+order preservation and residuation in the would-be chain.  The amalgam
+search refutes whole order types of h(B) | k(C) the same way before it
+completes any table.
 """
 
 from __future__ import annotations
@@ -428,7 +430,8 @@ def _placements(vf: VFormation, m: int, flags: SearchFlags):
 
 def _pins_for(vf: VFormation, hpos, kpos):
     """Product and division pins induced by requiring h and k to preserve
-    operations; ``None`` when the two sets of pins conflict."""
+    operations; ``None`` when the two sets of pins conflict.  Positions may
+    be places in D or ranks in an order type."""
     product_pins = {}
     ldiv_pins = {}
     rdiv_pins = {}
@@ -448,6 +451,84 @@ def _pins_for(vf: VFormation, hpos, kpos):
     return product_pins, ldiv_pins, rdiv_pins
 
 
+def _order_type(hpos, kpos):
+    """The ranks of ``hpos`` and ``kpos`` among their distinct positions,
+    and those positions in ascending order."""
+    points = sorted(set(hpos).union(kpos))
+    rank = {p: r for r, p in enumerate(points)}
+    return tuple(map(rank.__getitem__, hpos)), tuple(map(rank.__getitem__, kpos)), points
+
+
+def _type_refuted(vf: VFormation, htype, ktype, flags: SearchFlags) -> bool:
+    """True when no chain D, of any size, embeds B and C with h(B) | k(C) in
+    the order type ``(htype, ktype)``.
+
+    D is cut into 2t+1 slots around its t image points p_0 < ... < p_{t-1}:
+    gap, p_0, gap, p_1, ..., p_{t-1}, gap, so p_r sits in slot 2r+1.  Sending
+    each element of D to its slot is monotone and one-to-one on the points.
+    Each product p_x*p_y keeps an interval of slots, tightened to a fixpoint
+    by rules that hold in every D of the type, so an empty interval refutes
+    the type at every size.  Why each rule holds:
+
+    - pins: h and k preserve products, so p_x*p_y = p_v, in slot 2v+1;
+    - unit: p_u*p_y = p_y*p_u = p_y;
+    - division: p_x \\ p_z = p_d gives p_x*p_d <= p_z and p_x*s > p_z for
+      every s > p_d; elements above p_z sit in slots above 2z+1 (p_z / p_y
+      alike);
+    - monotonicity: D's product is monotone and so is the slot map;
+    - commutativity: in commutative mode p_x*p_y and p_y*p_x are one element;
+    - associativity: p_x*p_y = p_a and p_y*p_z = p_b make p_a*p_z and
+      p_x*p_b one element.
+    """
+    pins = _pins_for(vf, htype, ktype)
+    if pins is None:
+        return True
+    product_pins, ldiv_pins, rdiv_pins = pins
+    t = max(htype + ktype) + 1
+    lo, hi = [0] * (t * t), [2 * t] * (t * t)
+    exact = [(x * t + y, v) for (x, y), v in product_pins.items()]
+    u = htype[vf.B.unit]
+    exact += [(c, y) for y in range(t) for c in (u * t + y, y * t + u)]
+    for c, v in exact:
+        lo[c], hi[c] = max(lo[c], 2 * v + 1), min(hi[c], 2 * v + 1)
+    for division, cell in ((ldiv_pins, lambda x, s: x * t + s), (rdiv_pins, lambda y, s: s * t + y)):
+        for (x, z), d in division.items():
+            hi[cell(x, d)] = min(hi[cell(x, d)], 2 * z + 1)
+            for s in range(d + 1, t):
+                lo[cell(x, s)] = max(lo[cell(x, s)], 2 * z + 2)
+    cells = range(t * t)
+    changed = True
+    while changed:
+        before = lo + hi
+        for c in cells:  # monotonicity, lower bounds upwards
+            x, y = divmod(c, t)
+            if x:
+                lo[c] = max(lo[c], lo[c - t])
+            if y:
+                lo[c] = max(lo[c], lo[c - 1])
+        for c in reversed(cells):  # and upper bounds downwards
+            x, y = divmod(c, t)
+            if x < t - 1:
+                hi[c] = min(hi[c], hi[c + t])
+            if y < t - 1:
+                hi[c] = min(hi[c], hi[c + 1])
+        equal = []
+        if flags.commutative:
+            equal += [(c, (c % t) * t + c // t) for c in cells]
+        point = [lo[c] // 2 if lo[c] == hi[c] and lo[c] % 2 else -1 for c in cells]
+        for c in cells:
+            if point[c] >= 0:
+                x, y = divmod(c, t)
+                equal += [(point[c] * t + z, x * t + point[y * t + z]) for z in range(t) if point[y * t + z] >= 0]
+        for a, b in equal:
+            lo[a] = lo[b] = max(lo[a], lo[b])
+            hi[a] = hi[b] = min(hi[a], hi[b])
+        if any(lo[c] > hi[c] for c in cells):
+            return True
+        changed = lo + hi != before
+    return False
+
+
 def bounded_amalgam_search(
     vf: VFormation,
     max_size: int,
@@ -461,6 +542,13 @@ def bounded_amalgam_search(
     with ``|D| <= max_size`` admits embeddings h, k with h.i = k.j.  The
     bound is the only blind spot: extra elements outside the images may be
     needed at larger sizes, so UNSAT-at-bound is corroboration, not proof.
+
+    Placements (h, k) are listed in lexicographic order and counted per
+    size.  Each order type of h(B) | k(C) is decided once per search: a type
+    that a pin conflict or ``_type_refuted`` rules out has no amalgam at any
+    size, and its placements are skipped.  The completion engine runs only
+    on the placements of the other types, so per-size ``nodes`` counts the
+    engine's branching nodes on those placements alone.
     Raises :class:`PreconditionError` when the sizes to search, from
     ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none.
     """
@@ -474,15 +562,22 @@ def bounded_amalgam_search(
         raise PreconditionError(f"nothing to search: sizes start at {lo}, above the bound {max_size}")
     start = time.monotonic()
     per_size = []
+    type_pins = {}  # order type -> its pins in ranks, or None when refuted
     for m in range(lo, max_size + 1):
         stats = SearchStats()
         placements = 0
         for hpos, kpos in _placements(vf, m, flags):
             placements += 1
-            pins = _pins_for(vf, hpos, kpos)
+            htype, ktype, points = _order_type(hpos, kpos)
+            key = (htype, ktype)
+            if key not in type_pins:
+                type_pins[key] = None if _type_refuted(vf, htype, ktype, flags) else _pins_for(vf, htype, ktype)
+            pins = type_pins[key]
             if pins is None:
                 continue
-            product_pins, ldiv_pins, rdiv_pins = pins
+            product_pins, ldiv_pins, rdiv_pins = (
+                {(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins
+            )
             problem = CompletionProblem(
                 size=m,
                 unit=hpos[vf.B.unit],

@@ -107,6 +107,11 @@ def term_variables(t: Term) -> set[str]:
 _PRECEDENCE = {"\\": 1, "/": 1, "->": 1, "\\/": 2, "/\\": 3, "*": 4}
 
 
+# the parser refuses terms deeper than this, and deeper parentheses; every
+# walk over a term recurses once per level
+MAX_TERM_DEPTH = 100
+
+
 class ParseError(FormatError):
     def __init__(self, message, position):
         super().__init__(f"{message} at position {position}")
@@ -181,6 +186,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.text = text
+        self.open = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -201,55 +207,68 @@ class _Parser:
         return self.take()
 
     def parse_identity(self) -> Identity:
-        first = self.parse_term()
+        first, _ = self.parse_term()
         rel = self.peek()
         if rel not in ("=", ">="):
             raise ParseError("expected '=' or '>='", self.where())
         if rel == ">=":
             self.take()
-            second = self.parse_term()
+            second, _ = self.parse_term()
             if self.peek() is not None:
                 raise ParseError("trailing input", self.where())
             return Identity((first, second), GEQ)
         terms = [first]
         while self.peek() == "=":
             self.take()
-            terms.append(self.parse_term())
+            terms.append(self.parse_term()[0])
         if self.peek() is not None:
             raise ParseError("trailing input", self.where())
         return Identity(tuple(terms), EQ)
 
-    def parse_term(self, min_prec: int = 1) -> Term:
+    def deeper(self, depth: int, position: int) -> int:
+        if depth >= MAX_TERM_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_TERM_DEPTH} levels", position)
+        return depth + 1
+
+    def parse_term(self, min_prec: int = 1) -> tuple[Term, int]:
         """Precedence climbing over ``_PRECEDENCE``: a binary operator
         binds its right operand one level tighter, so it associates to
-        the left."""
-        left = self.parse_unary()
+        the left.  Returns the term and its depth."""
+        left, depth = self.parse_unary()
         while _PRECEDENCE.get(self.peek(), 0) >= min_prec:
-            op, _ = self.take()
-            left = BinOp(op, left, self.parse_term(_PRECEDENCE[op] + 1))
-        return left
+            op, position = self.take()
+            right, right_depth = self.parse_term(_PRECEDENCE[op] + 1)
+            left, depth = BinOp(op, left, right), self.deeper(max(depth, right_depth), position)
+        return left, depth
 
-    def parse_unary(self) -> Term:
-        if self.peek() == "neg":
-            self.take()
-            return Neg(self.parse_unary())
-        return self.parse_atom()
+    def parse_unary(self) -> tuple[Term, int]:
+        negations = []
+        while self.peek() == "neg":
+            negations.append(self.take()[1])
+        term, depth = self.parse_atom()
+        for position in reversed(negations):
+            term, depth = Neg(term), self.deeper(depth, position)
+        return term, depth
 
-    def parse_atom(self) -> Term:
+    def parse_atom(self) -> tuple[Term, int]:
         tok = self.peek()
         if tok == "(":
+            # between two parentheses the parser recurses at most once per
+            # precedence level, so bounding them bounds its own recursion
+            self.open = self.deeper(self.open, self.where())
             self.take()
             inner = self.parse_term()
             self.expect(")")
+            self.open -= 1
             return inner
         if tok is None:
             raise ParseError("unexpected end of input", self.where())
         if tok.startswith("var:"):
             self.take()
-            return Var(tok[4:])
+            return Var(tok[4:]), 1
         if tok.startswith("const:"):
             self.take()
-            return Const(tok[6:])
+            return Const(tok[6:]), 1
         raise ParseError(f"unexpected token {tok!r}", self.where())
 
 
@@ -291,8 +310,8 @@ def parse_identity(text: str) -> Identity:
             k = int(stripped.split(":", 1)[1])
         except ValueError:
             raise ParseError("potent:n needs an integer", 0) from None
-        if k < 1:
-            raise ParseError("potent:n needs n >= 1", 0)
+        if not 1 <= k < MAX_TERM_DEPTH:  # x^(n+1) is n+1 levels deep
+            raise ParseError(f"potent:n needs 1 <= n < {MAX_TERM_DEPTH}", 0)
         return Identity((_power("x", k), _power("x", k + 1)), EQ)
     tokens = _tokenize(text)
     return _Parser(tokens, text).parse_identity()

@@ -396,3 +396,110 @@ def test_search_work_per_size_is_pinned(vs, name):
     report = bounded_amalgam_search(_paper_formation(vs, name), bound, flags)
     assert report.verdict == "UNSAT"
     assert [(s.size, s.placements, s.nodes) for s in report.sizes] == expected
+
+
+# ---------------------------------------------------------------------------
+# order types: each is refuted once, before the engine runs
+
+
+def _order_types(vf, m, flags=SearchFlags()):
+    from reslat.amalgamation import _order_type, _placements
+
+    return {_order_type(hpos, kpos)[:2] for hpos, kpos in _placements(vf, m, flags)}
+
+
+@pytest.mark.parametrize("name, m, types, conflicts", [("VS", 12, 5, 2), ("VS^identity:2", 14, 25, 16)])
+def test_order_types_of_the_paper_formations(vs, name, m, types, conflicts):
+    from reslat.amalgamation import _pins_for, _type_refuted
+
+    vf = _paper_formation(vs, name)
+    found = _order_types(vf, m)
+    assert len(found) == types
+    assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
+    assert all(_type_refuted(vf, *t, SearchFlags()) for t in found)
+
+
+def test_paper_report_never_calls_the_engine(monkeypatch):
+    from reslat import amalgamation, completion
+    from reslat.cli import paper_report
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return completion.iter_completions(*args, **kwargs)
+
+    monkeypatch.setattr(amalgamation, "iter_completions", spy)
+    paper_report(10)
+    assert calls == []
+
+
+def _small_formations():
+    """Every formation of chains of size <= 3 over the trivial and the
+    2-element algebra, each with its flags: the four commutative/integral
+    combinations, and pointed once with every bottom designated as 0.  Then
+    the unpointed ones over the trivial algebra with C a 4-chain, which are
+    the least that tell a gap just above a point from the point above it."""
+    from reslat import enumerate_chains, with_zero
+
+    chains = [c for n in (1, 2, 3) for c in enumerate_chains(n)]
+    pointed = [with_zero(c, 0) for c in chains]
+    unpointed = [SearchFlags(c, i) for c in (False, True) for i in (False, True)]
+    groups = [
+        ((trivial(), two()), chains, chains, unpointed),
+        ([with_zero(A, 0) for A in (trivial(), two())], pointed, pointed, [SearchFlags(pointed=True)]),
+        ((trivial(),), chains, list(enumerate_chains(4)), unpointed),
+    ]
+    out = []
+    for bases, b_hosts, c_hosts, flag_sets in groups:
+        for A, B, C in itertools.product(bases, b_hosts, c_hosts):
+            for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
+                out += [(VFormation(A, B, C, i, j), flags) for flags in flag_sets]
+    return out
+
+
+def test_refuted_order_types_have_no_completion():
+    from reslat import CompletionProblem
+    from reslat.amalgamation import _order_type, _pins_for, _placements, _type_refuted
+    from reslat.completion import iter_completions
+
+    checked = 0
+    for vf, flags in _small_formations():
+        refuted = {}
+        lo = max(vf.B.size, vf.C.size)
+        for m in range(lo, lo + 3):
+            for hpos, kpos in _placements(vf, m, flags):
+                key = _order_type(hpos, kpos)[:2]
+                if key not in refuted:
+                    refuted[key] = _type_refuted(vf, *key, flags) and _pins_for(vf, *key) is not None
+                if not refuted[key]:  # survives, or a pin conflict
+                    continue
+                pins = _pins_for(vf, hpos, kpos)
+                problem = CompletionProblem(
+                    m,
+                    hpos[vf.B.unit],
+                    *pins,
+                    commutative=flags.commutative,
+                    integral=flags.integral,
+                    zero=0 if flags.pointed else None,
+                )
+                assert next(iter_completions(problem), None) is None, (vf, flags, hpos, kpos)
+                checked += 1
+    assert checked > 100  # the rules beyond pin conflicts do fire
+
+
+def test_type_filter_changes_no_search_result(monkeypatch):
+    from reslat import amalgamation
+
+    cases = _small_formations()
+    filtered = [bounded_amalgam_search(vf, max(vf.B.size, vf.C.size) + 2, flags) for vf, flags in cases]
+    monkeypatch.setattr(amalgamation, "_type_refuted", lambda *a: False)
+    unfiltered = [bounded_amalgam_search(vf, max(vf.B.size, vf.C.size) + 2, flags) for vf, flags in cases]
+    assert {r.verdict for r in filtered} == {"FOUND", "UNSAT"}
+    for got, want in zip(filtered, unfiltered):
+        assert got.verdict == want.verdict
+        assert [(s.size, s.placements) for s in got.sizes] == [(s.size, s.placements) for s in want.sizes]
+        assert sum(s.nodes for s in got.sizes) <= sum(s.nodes for s in want.sizes)
+        if want.found:
+            assert got.d.product == want.d.product and got.d.unit == want.d.unit
+            assert (got.h.map, got.k.map) == (want.h.map, want.k.map)

@@ -181,6 +181,11 @@ def test_usage_and_format_errors(tmp_path, capsys):
         ["enumerate", "--size", "3", "--flags", "potent:0"],  # k-potency needs k >= 1
         ["enumerate", "--size", "3", "--flags", "potent:-3", "--count"],
         ["paper", "--budget", "-1"],
+        # terms too deep to walk: 400 parentheses, 3,000 factors, 3,000 negations, x^3001
+        ["identity", "VS.B", "--id", "(" * 400 + "x" + ")" * 400 + " = x"],
+        ["identity", "VS.B", "--id", " * ".join(["x"] * 3000) + " = x"],
+        ["identity", "VS.B", "--zero", "0", "--id", "neg " * 3000 + "x = x"],
+        ["identity", "VS.B", "--id", "potent:3000"],
     ):
         assert main(argv) == 2, argv
     k = tmp_path / "k.json"
