@@ -402,18 +402,12 @@ def test_search_work_per_size_is_pinned(vs, name):
 # order types: each is refuted once, before the engine runs
 
 
-def _order_types(vf, m, flags=SearchFlags()):
-    from reslat.amalgamation import _order_type, _placements
-
-    return {_order_type(hpos, kpos)[:2] for hpos, kpos in _placements(vf, m, flags)}
-
-
 @pytest.mark.parametrize("name, m, types, conflicts", [("VS", 12, 5, 2), ("VS^identity:2", 14, 25, 16)])
 def test_order_types_of_the_paper_formations(vs, name, m, types, conflicts):
-    from reslat.amalgamation import _pins_for, _type_refuted
+    from reslat.amalgamation import _order_type, _pins_for, _placements, _type_refuted
 
     vf = _paper_formation(vs, name)
-    found = _order_types(vf, m)
+    found = {_order_type(hpos, kpos)[:2] for hpos, kpos in _placements(vf, m, SearchFlags())}
     assert len(found) == types
     assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
     assert all(_type_refuted(vf, *t, SearchFlags()) for t in found)
@@ -425,7 +419,7 @@ def test_paper_report_never_calls_the_engine(monkeypatch):
 
     calls = []
 
-    def spy(*args, **kwargs):
+    def spy(*args, **kwargs):  # stands in for the name the search imported
         calls.append(args)
         return completion.iter_completions(*args, **kwargs)
 

@@ -74,13 +74,13 @@ def test_parse_depth_limit():
     from reslat.identities import MAX_TERM_DEPTH as d
 
     # d factors make a term d levels deep; d parentheses may be open at once
-    for text in (" * ".join(["x"] * d), "neg " * (d - 1) + "x", "(" * d + "x" + ")" * d, "potent:%d" % (d - 1)):
-        parse_identity(text if text.startswith("potent") else f"{text} = x")
+    for text in (" * ".join(["x"] * d) + " = x", "neg " * (d - 1) + "x = x", "(" * d + "x" + ")" * d + " = x", f"potent:{d - 1}"):
+        parse_identity(text)
     for text, position in (
         (" * ".join(["x"] * (d + 1)) + " = x", 4 * d - 2),
         ("neg " * d + "x = x", 0),
         ("(" * (d + 1) + "x" + ")" * (d + 1) + " = x", d),
-        ("potent:%d" % d, 0),
+        (f"potent:{d}", 0),
     ):
         with pytest.raises(ParseError, match=f"{d} levels|n < {d}") as exc:
             parse_identity(text)
