@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -99,6 +100,9 @@ class ObstructionCheck:
 
 @dataclass(frozen=True)
 class SizeStats:
+    """One size of D: all its placements, counted in closed form (at the
+    last size of a FOUND or BUDGET report too), and the engine's nodes."""
+
     size: int
     placements: int
     nodes: int
@@ -379,63 +383,49 @@ def injectivity_reduction(vf: VFormation) -> list[int]:
 # bounded amalgam search
 
 
-def _anchored_positions(k, anchors, m):
-    """Strictly increasing position tuples for a chain of ``k`` elements
-    where some indices are pinned by ``anchors``."""
-    segments = []
-    fixed = sorted(anchors.items())  # (element index in inner order, position)
-    prev_idx, prev_pos = -1, -1
-    for idx, pos in fixed + [(k, m)]:
-        gap = idx - prev_idx - 1
-        segments.append((gap, prev_pos + 1, pos))
-        prev_idx, prev_pos = idx, pos
-    choices = []
-    for gap, lo, hi in segments:
-        if gap == 0:
-            choices.append([()])
-            continue
-        choices.append(list(itertools.combinations(range(lo, hi), gap)))
-    for combo in itertools.product(*choices):
-        positions = [None] * k
-        for idx, pos in fixed:
-            positions[idx] = pos
-        free = [p for seg in combo for p in seg]
-        it = iter(free)
-        for idx in range(k):
-            if positions[idx] is None:
-                positions[idx] = next(it)
-        yield tuple(positions)
-
-
-def _placements(vf: VFormation, m: int, flags: SearchFlags):
-    """All pairs (hpos, kpos) of strictly increasing position maps that agree
-    on the shared subalgebra, in lexicographic order."""
+def _order_types(vf: VFormation, flags: SearchFlags):
+    """Each order type ``(htype, ktype)`` of h(B) | k(C) once: the ranks of
+    B's and C's elements among the distinct image points.  B and C are
+    merged along the anchors i(a) ~ j(a); an element of B and one of C
+    outside the images of A may share a rank.  With ``integral`` B's unit
+    holds the top rank, with ``pointed`` both zeros hold rank 0.  Anchors
+    that are not monotone deadlock the merge, so they yield nothing."""
     B, C = vf.B, vf.C
-    if flags.integral and vf.B.unit != vf.B.size - 1:
-        return
-    for hpos in itertools.combinations(range(m), B.size):
-        if flags.integral and hpos[B.unit] != m - 1:
-            continue
-        if flags.pointed and hpos[B.zero] != 0:
-            continue
-        anchors = {vf.j.map[a]: hpos[vf.i.map[a]] for a in range(vf.A.size)}
-        items = sorted(anchors.items())
-        if any(items[t][1] >= items[t + 1][1] for t in range(len(items) - 1)):
-            continue  # guards against non-monotone embeddings in the input
-        for kpos in _anchored_positions(C.size, anchors, m):
-            if flags.pointed and kpos[C.zero] != 0:
-                continue
-            yield hpos, kpos
+    partner = dict(zip(vf.i.map, vf.j.map))
+    anchored_c = set(vf.j.map)
+    htype, ktype = [0] * B.size, [0] * C.size
+
+    def merge(b, c, r):  # b, c: the least elements not ranked yet; r: the next rank
+        if b == B.size and c == C.size:
+            if flags.integral and htype[B.unit] != r - 1:
+                return
+            if flags.pointed and (htype[B.zero] or ktype[C.zero]):
+                return
+            yield tuple(htype), tuple(ktype)
+            return
+        b_free = b < B.size and b not in partner
+        c_free = c < C.size and c not in anchored_c
+        if b_free:
+            htype[b] = r
+            yield from merge(b + 1, c, r + 1)
+        if c_free:
+            ktype[c] = r
+            yield from merge(b, c + 1, r + 1)
+        if b_free and c_free or partner.get(b) == c:
+            htype[b] = ktype[c] = r
+            yield from merge(b + 1, c + 1, r + 1)
+
+    yield from merge(0, 0, 0)
 
 
-def _pins_for(vf: VFormation, hpos, kpos):
-    """Product and division pins induced by requiring h and k to preserve
-    operations; ``None`` when the two sets of pins conflict.  Positions may
-    be places in D or ranks in an order type."""
+def _pins_for(vf: VFormation, htype, ktype):
+    """Product and division pins, in ranks of the order type ``(htype,
+    ktype)``, induced by requiring h and k to preserve operations; ``None``
+    when the two sets of pins conflict."""
     product_pins = {}
     ldiv_pins = {}
     rdiv_pins = {}
-    for alg, pos in ((vf.B, hpos), (vf.C, kpos)):
+    for alg, pos in ((vf.B, htype), (vf.C, ktype)):
         for px, prod_row, ldiv_row, rdiv_row in zip(pos, alg.product, alg.ldiv, alg.rdiv):
             for y, py in enumerate(pos):
                 key = (px, py)
@@ -449,16 +439,6 @@ def _pins_for(vf: VFormation, hpos, kpos):
                 if rdiv_pins.setdefault(key, v) != v:
                     return None
     return product_pins, ldiv_pins, rdiv_pins
-
-
-def _order_type(hpos, kpos):
-    """The ranks of ``hpos`` and ``kpos`` among their distinct positions,
-    and those positions in ascending order."""
-    points = sorted(set(hpos).union(kpos))
-    rank = {p: r for r, p in enumerate(points)}
-    # tuples from lists of known length: tuple(map(...)) resizes each one,
-    # and once per placement that raised the paper run's peak RSS by 0.5 MiB
-    return tuple([rank[p] for p in hpos]), tuple([rank[p] for p in kpos]), points
 
 
 def _type_refuted(vf: VFormation, htype, ktype, flags: SearchFlags) -> bool:
@@ -545,12 +525,17 @@ def bounded_amalgam_search(
     bound is the only blind spot: extra elements outside the images may be
     needed at larger sizes, so UNSAT-at-bound is corroboration, not proof.
 
-    Placements (h, k) are listed in lexicographic order and counted per
-    size.  Each order type of h(B) | k(C) is decided once per search: a type
+    The order types of h(B) | k(C) are listed directly, by
+    ``_order_types``, and each is decided once, before any size: a type
     that a pin conflict or ``_type_refuted`` rules out has no amalgam at any
-    size, and its placements are skipped.  The completion engine runs only
-    on the placements of the other types, so per-size ``nodes`` counts the
-    engine's branching nodes on those placements alone.
+    size.  A placement (h, k) is a type with its t ranks sent to positions
+    in D, so per-size ``placements`` is counted in closed form, the sum over
+    all types of comb(m - e, t - e) with e the ranks held at D's bottom
+    (pointed) or top (integral); on FOUND or BUDGET the last size counts all
+    of its placements too.  Placements are built only for the types that
+    survive, and the completion engine runs on them in lexicographic order
+    of (h, k), so per-size ``nodes`` counts its branching nodes on those
+    placements alone.
     Raises :class:`PreconditionError` when the sizes to search, from
     ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none.
     """
@@ -564,19 +549,30 @@ def bounded_amalgam_search(
         raise PreconditionError(f"nothing to search: sizes start at {lo}, above the bound {max_size}")
     start = time.monotonic()
     per_size = []
-    type_pins = {}  # order type -> its pins in ranks, or None when refuted
+    fixed = flags.pointed + flags.integral  # ranks held at D's bottom or top
+    ranks = []  # the number of ranks of each order type
+    survivors = []  # (t, htype, ktype, pins) of each type not refuted
+    for htype, ktype in _order_types(vf, flags):
+        t = max(htype + ktype) + 1
+        ranks.append(t)
+        pins = None if _type_refuted(vf, htype, ktype, flags) else _pins_for(vf, htype, ktype)
+        if pins is not None:
+            survivors.append((t, htype, ktype, pins))
     for m in range(lo, max_size + 1):
         stats = SearchStats()
-        placements = 0
-        for hpos, kpos in _placements(vf, m, flags):
-            placements += 1
-            htype, ktype, points = _order_type(hpos, kpos)
-            key = (htype, ktype)
-            if key not in type_pins:
-                type_pins[key] = None if _type_refuted(vf, htype, ktype, flags) else _pins_for(vf, htype, ktype)
-            pins = type_pins[key]
-            if pins is None:
-                continue
+        # a type places its free ranks in D's free elements; a lone rank that
+        # is both zero and unit (trivial B and C) fits only the trivial D
+        placements = sum(math.comb(m - fixed, t - fixed) if t >= fixed else int(m == 1) for t in ranks)
+        candidates = sorted(
+            (
+                (tuple([points[r] for r in htype]), tuple([points[r] for r in ktype]), points, pins)
+                for t, htype, ktype, pins in survivors
+                for points in itertools.combinations(range(m), t)
+                if (points[0] == 0 or not flags.pointed) and (points[-1] == m - 1 or not flags.integral)
+            ),
+            key=lambda c: c[:2],  # (hpos, kpos): FOUND is the least completion
+        )
+        for hpos, kpos, points, pins in candidates:
             product_pins, ldiv_pins, rdiv_pins = (
                 {(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins
             )
@@ -599,8 +595,8 @@ def bounded_amalgam_search(
                         zero=problem.zero,
                         name=f"amalgam{m}",
                     )
-                    h = Morphism(vf.B, d, tuple(hpos), EMBEDDING)
-                    k = Morphism(vf.C, d, tuple(kpos), EMBEDDING)
+                    h = Morphism(vf.B, d, hpos, EMBEDDING)
+                    k = Morphism(vf.C, d, kpos, EMBEDDING)
                     if not (validate_morphism(h).ok and validate_morphism(k).ok):
                         raise AssertionError("search produced a non-embedding")
                     per_size.append(SizeStats(m, placements, stats.nodes))

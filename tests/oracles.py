@@ -162,6 +162,31 @@ def brute_amalgam_exists(vf, m) -> bool:
     return False
 
 
+def naive_placements(vf, m, flags):
+    """Every pair (hpos, kpos) of increasing position tuples of B and C in a
+    chain of size m that agrees on A, with the units at the top when
+    ``flags.integral`` and the zeros at 0 when ``flags.pointed``, in
+    lexicographic order.  It filters the product of all position tuples,
+    joining the two sides on the positions they give A."""
+    B, C, i, j = vf.B, vf.C, vf.i.map, vf.j.map
+
+    def admitted(pos, alg):
+        if flags.integral and pos[alg.unit] != m - 1:
+            return False
+        return not flags.pointed or pos[alg.zero] == 0
+
+    by_anchors = {}
+    for kpos in itertools.combinations(range(m), C.size):
+        if admitted(kpos, C):
+            by_anchors.setdefault(tuple(kpos[x] for x in j), []).append(kpos)
+    return [
+        (hpos, kpos)
+        for hpos in itertools.combinations(range(m), B.size)
+        if admitted(hpos, B)
+        for kpos in by_anchors.get(tuple(hpos[x] for x in i), ())
+    ]
+
+
 def rpn_eval(alg: FiniteRL, term, env):
     """Second evaluator: compile to postfix, run a stack machine."""
     code = []

@@ -402,13 +402,20 @@ def test_search_work_per_size_is_pinned(vs, name):
 # order types: each is refuted once, before the engine runs
 
 
+def _rank_type(hpos, kpos):
+    rank = {p: r for r, p in enumerate(sorted(set(hpos) | set(kpos)))}
+    return tuple(rank[p] for p in hpos), tuple(rank[p] for p in kpos)
+
+
 @pytest.mark.parametrize("name, m, types, conflicts", [("VS", 12, 5, 2), ("VS^identity:2", 14, 25, 16)])
 def test_order_types_of_the_paper_formations(vs, name, m, types, conflicts):
-    from reslat.amalgamation import _order_type, _pins_for, _placements, _type_refuted
+    from oracles import naive_placements
+    from reslat.amalgamation import _order_types, _pins_for, _type_refuted
 
     vf = _paper_formation(vs, name)
-    found = {_order_type(hpos, kpos)[:2] for hpos, kpos in _placements(vf, m, SearchFlags())}
+    found = {_rank_type(*placement) for placement in naive_placements(vf, m, SearchFlags())}
     assert len(found) == types
+    assert found == set(_order_types(vf, SearchFlags()))
     assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
     assert all(_type_refuted(vf, *t, SearchFlags()) for t in found)
 
@@ -453,8 +460,9 @@ def _small_formations():
 
 
 def test_refuted_order_types_have_no_completion():
+    from oracles import naive_placements
     from reslat import CompletionProblem
-    from reslat.amalgamation import _order_type, _pins_for, _placements, _type_refuted
+    from reslat.amalgamation import _pins_for, _type_refuted
     from reslat.completion import iter_completions
 
     checked = 0
@@ -462,13 +470,13 @@ def test_refuted_order_types_have_no_completion():
         refuted = {}
         lo = max(vf.B.size, vf.C.size)
         for m in range(lo, lo + 3):
-            for hpos, kpos in _placements(vf, m, flags):
-                key = _order_type(hpos, kpos)[:2]
+            for hpos, kpos in naive_placements(vf, m, flags):
+                key = _rank_type(hpos, kpos)
                 if key not in refuted:
                     refuted[key] = _type_refuted(vf, *key, flags) and _pins_for(vf, *key) is not None
                 if not refuted[key]:  # survives, or a pin conflict
                     continue
-                pins = _pins_for(vf, hpos, kpos)
+                pins = _pins_for(vf, hpos, kpos)  # the same pins, labelled by positions in D
                 problem = CompletionProblem(
                     m,
                     hpos[vf.B.unit],
@@ -480,6 +488,50 @@ def test_refuted_order_types_have_no_completion():
                 assert next(iter_completions(problem), None) is None, (vf, flags, hpos, kpos)
                 checked += 1
     assert checked > 100  # the rules beyond pin conflicts do fire
+
+
+def test_order_types_and_placement_counts_match_the_naive_placements(vs):
+    """Every type of the naive placements at sizes lo..lo+3 is listed once,
+    no other type is, and each size's closed-form count is the naive one."""
+    from oracles import naive_placements
+    from reslat import with_zero
+    from reslat.amalgamation import _order_types
+
+    cases = _small_formations() + [(_paper_formation(vs, name), SEARCH_WORK[name][1]) for name in sorted(SEARCH_WORK)]
+    for vf, flags in cases:
+        types = list(_order_types(vf, flags))
+        assert len(set(types)) == len(types), (vf, flags)
+        lo = max(vf.B.size, vf.C.size)
+        naive = {m: naive_placements(vf, m, flags) for m in range(lo, lo + 4)}
+        assert {_rank_type(*placement) for m in naive for placement in naive[m]} == set(types), (vf, flags)
+        report = bounded_amalgam_search(vf, lo + 3, flags)
+        assert [s.placements for s in report.sizes] == [len(naive[s.size]) for s in report.sizes], (vf, flags)
+    # one rank that is both zero and unit fits only the trivial D
+    A = with_zero(trivial(), 0)
+    vf = VFormation(A, A, A, find_embeddings(A, A)[0], find_embeddings(A, A)[0])
+    flags = SearchFlags(integral=True, pointed=True)
+    assert [(s.size, s.placements) for s in bounded_amalgam_search(vf, 3, flags).sizes] == [(1, 1)]
+    report = bounded_amalgam_search(vf, 3, flags, min_size=2)
+    assert [s.placements for s in report.sizes] == [len(naive_placements(vf, m, flags)) for m in (2, 3)] == [0, 0]
+
+
+@pytest.mark.parametrize("commutative, integral", itertools.product((False, True), repeat=2))
+def test_found_witness_is_the_least_placement(commutative, integral):
+    """Of the two placements at size 3, k = (0, 2) and k = (1, 2), only the
+    lexicographically first is reported, however the types are listed."""
+    from oracles import naive_placements
+    from reslat import enumerate_chains
+
+    chains = {c.name: c for n in (2, 3) for c in enumerate_chains(n)}
+    A, B, C = trivial(), chains["chain3_2"], chains["chain2_0"]
+    vf = VFormation(A, B, C, Morphism(A, B, (2,), EMBEDDING), Morphism(A, C, (1,), EMBEDDING))
+    flags = SearchFlags(commutative, integral)
+    report = bounded_amalgam_search(vf, 5, flags)
+    assert report.found
+    assert (list(report.h.map), list(report.k.map)) == ([0, 1, 2], [0, 2])
+    assert report.d.product == ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+    last = report.sizes[-1]
+    assert last.placements == len(naive_placements(vf, last.size, flags)) == 2
 
 
 def test_type_filter_changes_no_search_result(monkeypatch):

@@ -211,8 +211,8 @@ def test_budget_exit_code(capsys):
     assert code == 0
     code = main(
         ["amalgam", "--vf", "VS", "--max-size", "5", "--budget", "0"]
-    )  # propagation solves every VS placement without branching, still UNSAT
-    assert code in (1, 3)
+    )  # every order type of VS is refuted before the engine runs: UNSAT
+    assert code == 1
 
 
 def test_output_file_is_atomic(tmp_path, capsys):
