@@ -11,6 +11,7 @@ completes any table.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -383,19 +384,24 @@ def injectivity_reduction(vf: VFormation) -> list[int]:
 # bounded amalgam search
 
 
-def _order_types(vf: VFormation, flags: SearchFlags):
-    """Each order type ``(htype, ktype)`` of h(B) | k(C) once: the ranks of
-    B's and C's elements among the distinct image points.  B and C are
-    merged along the anchors i(a) ~ j(a); an element of B and one of C
-    outside the images of A may share a rank.  With ``integral`` B's unit
-    holds the top rank, with ``pointed`` both zeros hold rank 0.  Anchors
-    that are not monotone deadlock the merge, so they yield nothing."""
+def _order_types(vf: VFormation, flags: SearchFlags, max_ranks: int):
+    """Each order type ``(htype, ktype)`` of h(B) | k(C) with at most
+    ``max_ranks`` ranks once: the ranks of B's and C's elements among the
+    distinct image points.  B and C are merged along the anchors
+    i(a) ~ j(a); an element of B and one of C outside the images of A may
+    share a rank.  With ``integral`` B's unit holds the top rank, with
+    ``pointed`` both zeros hold rank 0.  Anchors that are not monotone
+    deadlock the merge, so they yield nothing.  A merge is cut as soon as
+    the elements left on one side need more ranks than the bound leaves,
+    so a type that fits no chain of ``max_ranks`` elements is never built."""
     B, C = vf.B, vf.C
     partner = dict(zip(vf.i.map, vf.j.map))
     anchored_c = set(vf.j.map)
     htype, ktype = [0] * B.size, [0] * C.size
 
     def merge(b, c, r):  # b, c: the least elements not ranked yet; r: the next rank
+        if r + max(B.size - b, C.size - c) > max_ranks:
+            return
         if b == B.size and c == C.size:
             if flags.integral and htype[B.unit] != r - 1:
                 return
@@ -416,6 +422,32 @@ def _order_types(vf: VFormation, flags: SearchFlags):
             yield from merge(b + 1, c + 1, r + 1)
 
     yield from merge(0, 0, 0)
+
+
+def _type_placements(htype, ktype, m: int, flags: SearchFlags):
+    """Each placement ``(hpos, kpos, points)`` of the order type ``(htype,
+    ktype)`` in a chain of size m, ``points[r]`` the position of rank r, in
+    lexicographic order of (hpos, kpos): B's ranks are placed first, then
+    C's own ranks, each with room left for the ranks on either side."""
+    t = max(htype + ktype) + 1
+    order = list(htype) + sorted(set(ktype).difference(htype))
+    points = [None] * t
+
+    def place(n):  # n: the number of ranks in ``order`` placed so far
+        if n == t:
+            yield tuple([points[r] for r in htype]), tuple([points[r] for r in ktype]), tuple(points)
+            return
+        r = order[n]
+        lo = max([points[a] + r - a for a in range(r) if points[a] is not None], default=r)
+        hi = min([points[b] + r - b for b in range(r + 1, t) if points[b] is not None], default=m - t + r)
+        lo = max(lo, m - 1) if flags.integral and r == t - 1 else lo  # B's unit at the top
+        hi = min(hi, 0) if flags.pointed and r == 0 else hi  # the zeros at the bottom
+        for p in range(lo, hi + 1):
+            points[r] = p
+            yield from place(n + 1)
+        points[r] = None
+
+    return place(0)
 
 
 def _pins_for(vf: VFormation, htype, ktype):
@@ -525,17 +557,17 @@ def bounded_amalgam_search(
     bound is the only blind spot: extra elements outside the images may be
     needed at larger sizes, so UNSAT-at-bound is corroboration, not proof.
 
-    The order types of h(B) | k(C) are listed directly, by
-    ``_order_types``, and each is decided once, before any size: a type
-    that a pin conflict or ``_type_refuted`` rules out has no amalgam at any
-    size.  A placement (h, k) is a type with its t ranks sent to positions
-    in D, so per-size ``placements`` is counted in closed form, the sum over
-    all types of comb(m - e, t - e) with e the ranks held at D's bottom
-    (pointed) or top (integral); on FOUND or BUDGET the last size counts all
-    of its placements too.  Placements are built only for the types that
-    survive, and the completion engine runs on them in lexicographic order
-    of (h, k), so per-size ``nodes`` counts its branching nodes on those
-    placements alone.
+    The order types of h(B) | k(C) with at most ``max_size`` ranks are
+    listed directly, by ``_order_types``, and each is decided once, at the
+    first size it fits: a type that a pin conflict or ``_type_refuted``
+    rules out has no amalgam at any size.  A placement (h, k) is a type with its t ranks
+    sent to positions in D, so per-size ``placements`` is counted in closed
+    form, the sum over all types of comb(m - e, t - e) with e the ranks held
+    at D's bottom (pointed) or top (integral); on FOUND or BUDGET the last
+    size counts all of its placements too.  Placements are generated, one
+    at a time, only for the types that survive, and the completion engine
+    runs on them in lexicographic order of (h, k), so per-size ``nodes``
+    counts its branching nodes on those placements alone.
     Raises :class:`PreconditionError` when the sizes to search, from
     ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none.
     """
@@ -549,82 +581,43 @@ def bounded_amalgam_search(
         raise PreconditionError(f"nothing to search: sizes start at {lo}, above the bound {max_size}")
     start = time.monotonic()
     per_size = []
+    zero = 0 if flags.pointed else None
     fixed = flags.pointed + flags.integral  # ranks held at D's bottom or top
-    ranks = []  # the number of ranks of each order type
-    survivors = []  # (t, htype, ktype, pins) of each type not refuted
-    for htype, ktype in _order_types(vf, flags):
-        t = max(htype + ktype) + 1
-        ranks.append(t)
-        pins = None if _type_refuted(vf, htype, ktype, flags) else _pins_for(vf, htype, ktype)
-        if pins is not None:
-            survivors.append((t, htype, ktype, pins))
+    pending = sorted(((max(h + k) + 1, h, k) for h, k in _order_types(vf, flags, max_size)), reverse=True)
+    ranks = [t for t, _, _ in pending]  # the number of ranks of each order type
+    survivors = []  # (htype, ktype, pins) of each type decided and not refuted
     for m in range(lo, max_size + 1):
+        while pending and pending[-1][0] <= m:  # a type is decided at the first size it fits
+            _, htype, ktype = pending.pop()
+            pins = None if _type_refuted(vf, htype, ktype, flags) else _pins_for(vf, htype, ktype)
+            if pins is not None:
+                survivors.append((htype, ktype, pins))
         stats = SearchStats()
         # a type places its free ranks in D's free elements; a lone rank that
         # is both zero and unit (trivial B and C) fits only the trivial D
         placements = sum(math.comb(m - fixed, t - fixed) if t >= fixed else int(m == 1) for t in ranks)
-        candidates = sorted(
-            (
-                (tuple([points[r] for r in htype]), tuple([points[r] for r in ktype]), points, pins)
-                for t, htype, ktype, pins in survivors
-                for points in itertools.combinations(range(m), t)
-                if (points[0] == 0 or not flags.pointed) and (points[-1] == m - 1 or not flags.integral)
-            ),
-            key=lambda c: c[:2],  # (hpos, kpos): FOUND is the least completion
-        )
-        for hpos, kpos, points, pins in candidates:
-            product_pins, ldiv_pins, rdiv_pins = (
-                {(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins
-            )
-            problem = CompletionProblem(
-                size=m,
-                unit=hpos[vf.B.unit],
-                product_pins=product_pins,
-                ldiv_pins=ldiv_pins,
-                rdiv_pins=rdiv_pins,
-                commutative=flags.commutative,
-                integral=flags.integral,
-                zero=0 if flags.pointed else None,
-            )
+        streams = [zip(_type_placements(h, k, m, flags), itertools.repeat(pins)) for h, k, pins in survivors]
+        # each stream is in (hpos, kpos) order, and so is their merge: FOUND is the least completion
+        for (hpos, kpos, points), pins in heapq.merge(*streams, key=lambda c: c[0][:2]):
+            pins = ({(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins)
+            problem = CompletionProblem(m, hpos[vf.B.unit], *pins, flags.commutative, flags.integral, zero)
             try:
                 for table in iter_completions(problem, budget, stats):
-                    d = make_algebra(
-                        product=table,
-                        unit=problem.unit,
-                        order=CHAIN,
-                        zero=problem.zero,
-                        name=f"amalgam{m}",
-                    )
+                    d = make_algebra(product=table, unit=problem.unit, order=CHAIN, zero=zero, name=f"amalgam{m}")
                     h = Morphism(vf.B, d, hpos, EMBEDDING)
                     k = Morphism(vf.C, d, kpos, EMBEDDING)
                     if not (validate_morphism(h).ok and validate_morphism(k).ok):
                         raise AssertionError("search produced a non-embedding")
                     per_size.append(SizeStats(m, placements, stats.nodes))
-                    return SearchReport(
-                        "FOUND",
-                        max_size,
-                        d=d,
-                        h=h,
-                        k=k,
-                        sizes=tuple(per_size),
-                        wall_time=time.monotonic() - start,
-                    )
+                    sizes, wall_time = tuple(per_size), time.monotonic() - start
+                    return SearchReport("FOUND", max_size, d, h, k, sizes, wall_time)
             except BudgetExceededError as exc:
                 per_size.append(SizeStats(m, placements, exc.nodes))
-                return SearchReport(
-                    "BUDGET",
-                    max_size,
-                    sizes=tuple(per_size),
-                    wall_time=time.monotonic() - start,
-                    detail=f"budget exhausted at size {m}",
-                )
+                sizes, wall_time = tuple(per_size), time.monotonic() - start
+                detail = f"budget exhausted at size {m}"
+                return SearchReport("BUDGET", max_size, sizes=sizes, wall_time=wall_time, detail=detail)
         per_size.append(SizeStats(m, placements, stats.nodes))
-    return SearchReport(
-        "UNSAT",
-        max_size,
-        sizes=tuple(per_size),
-        wall_time=time.monotonic() - start,
-    )
+    return SearchReport("UNSAT", max_size, sizes=tuple(per_size), wall_time=time.monotonic() - start)
 
 
 def bounded_one_amalgam_search(

@@ -415,7 +415,7 @@ def test_order_types_of_the_paper_formations(vs, name, m, types, conflicts):
     vf = _paper_formation(vs, name)
     found = {_rank_type(*placement) for placement in naive_placements(vf, m, SearchFlags())}
     assert len(found) == types
-    assert found == set(_order_types(vf, SearchFlags()))
+    assert found == set(_order_types(vf, SearchFlags(), m))
     assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
     assert all(_type_refuted(vf, *t, SearchFlags()) for t in found)
 
@@ -438,9 +438,11 @@ def test_paper_report_never_calls_the_engine(monkeypatch):
 def _small_formations():
     """Every formation of chains of size <= 3 over the trivial and the
     2-element algebra, each with its flags: the four commutative/integral
-    combinations, and pointed once with every bottom designated as 0.  Then
-    the unpointed ones over the trivial algebra with C a 4-chain, which are
-    the least that tell a gap just above a point from the point above it."""
+    combinations, and pointed once with every bottom of B and C designated
+    as 0, over A with its bottom as 0 and over A unpointed, where C's zero
+    need not be an image of A.  Then the unpointed ones over the trivial
+    algebra with C a 4-chain, which are the least that tell a gap just
+    above a point from the point above it."""
     from reslat import enumerate_chains, with_zero
 
     chains = [c for n in (1, 2, 3) for c in enumerate_chains(n)]
@@ -449,6 +451,7 @@ def _small_formations():
     groups = [
         ((trivial(), two()), chains, chains, unpointed),
         ([with_zero(A, 0) for A in (trivial(), two())], pointed, pointed, [SearchFlags(pointed=True)]),
+        ((trivial(), two()), pointed, pointed, [SearchFlags(pointed=True)]),
         ((trivial(),), chains, list(enumerate_chains(4)), unpointed),
     ]
     out = []
@@ -457,6 +460,27 @@ def _small_formations():
             for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
                 out += [(VFormation(A, B, C, i, j), flags) for flags in flag_sets]
     return out
+
+
+def test_types_beyond_the_bound_are_never_decided(monkeypatch):
+    """Over the trivial algebra the free elements of a 5- and a 6-chain
+    merge in 681 ways, but only the 5 with six ranks fit the bound 6; no
+    other type is built or decided."""
+    from reslat import amalgamation
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _type_refuted(*args)
+
+    _type_refuted = amalgamation._type_refuted
+    monkeypatch.setattr(amalgamation, "_type_refuted", spy)
+    A, B, C = trivial(), godel(5), lukasiewicz(6)
+    vf = VFormation(A, B, C, find_embeddings(A, B)[0], find_embeddings(A, C)[0])
+    report = bounded_amalgam_search(vf, 6)
+    assert [(s.size, s.placements) for s in report.sizes] == [(6, 5)]
+    assert len(calls) == 5
 
 
 def test_refuted_order_types_have_no_completion():
@@ -492,18 +516,25 @@ def test_refuted_order_types_have_no_completion():
 
 def test_order_types_and_placement_counts_match_the_naive_placements(vs):
     """Every type of the naive placements at sizes lo..lo+3 is listed once,
-    no other type is, and each size's closed-form count is the naive one."""
+    no other type is, each type's placements are generated in the naive
+    order, and each size's closed-form count is the naive one."""
     from oracles import naive_placements
     from reslat import with_zero
-    from reslat.amalgamation import _order_types
+    from reslat.amalgamation import _order_types, _type_placements
 
     cases = _small_formations() + [(_paper_formation(vs, name), SEARCH_WORK[name][1]) for name in sorted(SEARCH_WORK)]
     for vf, flags in cases:
-        types = list(_order_types(vf, flags))
-        assert len(set(types)) == len(types), (vf, flags)
         lo = max(vf.B.size, vf.C.size)
+        types = list(_order_types(vf, flags, lo + 3))
+        assert len(set(types)) == len(types), (vf, flags)
         naive = {m: naive_placements(vf, m, flags) for m in range(lo, lo + 4)}
         assert {_rank_type(*placement) for m in naive for placement in naive[m]} == set(types), (vf, flags)
+        for m in naive:
+            of_type = {t: [] for t in types}
+            for placement in naive[m]:
+                of_type[_rank_type(*placement)].append(placement)
+            for t in types:
+                assert [(h, k) for h, k, _ in _type_placements(*t, m, flags)] == of_type[t], (vf, flags, m, t)
         report = bounded_amalgam_search(vf, lo + 3, flags)
         assert [s.placements for s in report.sizes] == [len(naive[s.size]) for s in report.sizes], (vf, flags)
     # one rank that is both zero and unit fits only the trivial D
