@@ -427,27 +427,24 @@ def _order_types(vf: VFormation, flags: SearchFlags, max_ranks: int):
 def _type_placements(htype, ktype, m: int, flags: SearchFlags):
     """Each placement ``(hpos, kpos, points)`` of the order type ``(htype,
     ktype)`` in a chain of size m, ``points[r]`` the position of rank r, in
-    lexicographic order of (hpos, kpos): B's ranks are placed first, then
-    C's own ranks, each with room left for the ranks on either side."""
-    t = max(htype + ktype) + 1
-    order = list(htype) + sorted(set(ktype).difference(htype))
-    points = [None] * t
-
-    def place(n):  # n: the number of ranks in ``order`` placed so far
-        if n == t:
-            yield tuple([points[r] for r in htype]), tuple([points[r] for r in ktype]), tuple(points)
-            return
-        r = order[n]
-        lo = max([points[a] + r - a for a in range(r) if points[a] is not None], default=r)
-        hi = min([points[b] + r - b for b in range(r + 1, t) if points[b] is not None], default=m - t + r)
-        lo = max(lo, m - 1) if flags.integral and r == t - 1 else lo  # B's unit at the top
-        hi = min(hi, 0) if flags.pointed and r == 0 else hi  # the zeros at the bottom
-        for p in range(lo, hi + 1):
-            points[r] = p
-            yield from place(n + 1)
-        points[r] = None
-
-    return place(0)
+    lexicographic order of (hpos, kpos): B's positions first, then C's own
+    ranks fill the gaps between them in order."""
+    t, b = max(htype + ktype) + 1, len(htype)
+    order = htype + tuple(r for r in range(t) if r not in htype)  # B's ranks, then C's own
+    ends = (-1,) + htype + (t,)
+    counts = [y - x - 1 for x, y in zip(ends, ends[1:])]  # C's own ranks in each gap between B's
+    # q[j] = hpos[j] - htype[j] + j is increasing and leaves each gap room for its ranks
+    for q in itertools.combinations(range(m - t + b), b):
+        hpos = tuple([x + r - j for j, (x, r) in enumerate(zip(q, htype))])
+        if flags.pointed and hpos[0] or flags.integral and hpos[-1] != m - 1:
+            continue
+        cuts = (-1,) + hpos + (m,)
+        gaps = [itertools.combinations(range(x + 1, y), n) for x, y, n in zip(cuts, cuts[1:], counts)]
+        for fill in itertools.product(*gaps):
+            points = [0] * t
+            for r, p in zip(order, hpos + tuple(itertools.chain(*fill))):
+                points[r] = p
+            yield hpos, tuple([points[r] for r in ktype]), tuple(points)
 
 
 def _pins_for(vf: VFormation, htype, ktype):
@@ -560,14 +557,15 @@ def bounded_amalgam_search(
     The order types of h(B) | k(C) with at most ``max_size`` ranks are
     listed directly, by ``_order_types``, and each is decided once, at the
     first size it fits: a type that a pin conflict or ``_type_refuted``
-    rules out has no amalgam at any size.  A placement (h, k) is a type with its t ranks
-    sent to positions in D, so per-size ``placements`` is counted in closed
-    form, the sum over all types of comb(m - e, t - e) with e the ranks held
-    at D's bottom (pointed) or top (integral); on FOUND or BUDGET the last
-    size counts all of its placements too.  Placements are generated, one
-    at a time, only for the types that survive, and the completion engine
-    runs on them in lexicographic order of (h, k), so per-size ``nodes``
-    counts its branching nodes on those placements alone.
+    rules out has no amalgam at any size.  A placement (h, k) is a type
+    with its t ranks sent to positions in D, so per-size ``placements`` is
+    counted in closed form, the sum over all types of comb(m - e, t - e)
+    with e the ranks held at D's bottom (pointed) or top (integral); on
+    FOUND or BUDGET the last size counts all of its placements too.  Only
+    the types that survive are placed, one placement at a time, by
+    ``_type_placements``; the completion engine runs on their placements
+    merged in lexicographic order of (h, k), so per-size ``nodes`` counts
+    its branching nodes on those placements alone.
     Raises :class:`PreconditionError` when the sizes to search, from
     ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none.
     """
@@ -600,7 +598,9 @@ def bounded_amalgam_search(
         # each stream is in (hpos, kpos) order, and so is their merge: FOUND is the least completion
         for (hpos, kpos, points), pins in heapq.merge(*streams, key=lambda c: c[0][:2]):
             pins = ({(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins)
-            problem = CompletionProblem(m, hpos[vf.B.unit], *pins, flags.commutative, flags.integral, zero)
+            problem = CompletionProblem(
+                m, hpos[vf.B.unit], *pins, commutative=flags.commutative, integral=flags.integral, zero=zero
+            )
             try:
                 for table in iter_completions(problem, budget, stats):
                     d = make_algebra(product=table, unit=problem.unit, order=CHAIN, zero=zero, name=f"amalgam{m}")

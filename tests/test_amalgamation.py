@@ -408,8 +408,10 @@ def _rank_type(hpos, kpos):
 
 
 @pytest.mark.parametrize("name, m, types, conflicts", [("VS", 12, 5, 2), ("VS^identity:2", 14, 25, 16)])
-def test_order_types_of_the_paper_formations(vs, name, m, types, conflicts):
+def test_order_types_of_the_paper_formations(monkeypatch, vs, name, m, types, conflicts):
+    """Every type is refuted, so the search to bound m places none."""
     from oracles import naive_placements
+    from reslat import amalgamation
     from reslat.amalgamation import _order_types, _pins_for, _type_refuted
 
     vf = _paper_formation(vs, name)
@@ -418,6 +420,8 @@ def test_order_types_of_the_paper_formations(vs, name, m, types, conflicts):
     assert found == set(_order_types(vf, SearchFlags(), m))
     assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
     assert all(_type_refuted(vf, *t, SearchFlags()) for t in found)
+    monkeypatch.setattr(amalgamation, "_type_placements", lambda *args: pytest.fail("a refuted type was placed"))
+    assert bounded_amalgam_search(vf, m).verdict == "UNSAT"
 
 
 def test_paper_report_never_calls_the_engine(monkeypatch):
@@ -462,25 +466,23 @@ def _small_formations():
     return out
 
 
-def test_types_beyond_the_bound_are_never_decided(monkeypatch):
+def test_types_fit_the_bound_and_are_decided_at_the_first_size_they_fit(monkeypatch):
     """Over the trivial algebra the free elements of a 5- and a 6-chain
-    merge in 681 ways, but only the 5 with six ranks fit the bound 6; no
-    other type is built or decided."""
+    merge in 681 order types, and only 5 of them fit the bound 6.  A search
+    to bound 10 finds an amalgam at size 9, so it decides each of the 555
+    types that fit 9 once and none of the rest."""
     from reslat import amalgamation
+    from reslat.amalgamation import _order_types
 
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return _type_refuted(*args)
-
-    _type_refuted = amalgamation._type_refuted
-    monkeypatch.setattr(amalgamation, "_type_refuted", spy)
     A, B, C = trivial(), godel(5), lukasiewicz(6)
     vf = VFormation(A, B, C, find_embeddings(A, B)[0], find_embeddings(A, C)[0])
-    report = bounded_amalgam_search(vf, 6)
-    assert [(s.size, s.placements) for s in report.sizes] == [(6, 5)]
-    assert len(calls) == 5
+    assert [len(list(_order_types(vf, SearchFlags(), bound))) for bound in (6, 7, 10)] == [5, 65, 681]
+    calls = []
+    decide = amalgamation._type_refuted
+    monkeypatch.setattr(amalgamation, "_type_refuted", lambda *args: calls.append(args) or decide(*args))
+    report = bounded_amalgam_search(vf, 10)
+    assert report.found and report.sizes[-1].size == 9
+    assert len(calls) == len(set(calls)) == 555
 
 
 def test_refuted_order_types_have_no_completion():
@@ -546,23 +548,46 @@ def test_order_types_and_placement_counts_match_the_naive_placements(vs):
     assert [s.placements for s in report.sizes] == [len(naive_placements(vf, m, flags)) for m in (2, 3)] == [0, 0]
 
 
-@pytest.mark.parametrize("commutative, integral", itertools.product((False, True), repeat=2))
-def test_found_witness_is_the_least_placement(commutative, integral):
-    """Of the two placements at size 3, k = (0, 2) and k = (1, 2), only the
-    lexicographically first is reported, however the types are listed."""
+_SMALL_D = ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+_LARGE_D = (
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 1, 1, 1, 1),
+    (0, 1, 2, 2, 2, 2),
+    (0, 1, 2, 2, 2, 3),
+    (0, 1, 2, 3, 4, 4),
+    (0, 1, 2, 3, 4, 5),
+)
+
+
+@pytest.mark.parametrize(
+    "b, c, i, j, flags, h, k, product",
+    [
+        ("chain3_2", "chain2_0", 2, 1, SearchFlags(*f), [0, 1, 2], [0, 2], _SMALL_D)
+        for f in itertools.product((False, True), repeat=2)
+    ]
+    + [
+        ("chain3_1", "chain4_10", 2, 3, SearchFlags(integral=f), [0, 1, 5], [2, 3, 4, 5], _LARGE_D)
+        for f in (False, True)
+    ],
+)
+def test_found_witness_is_the_least_placement(b, c, i, j, flags, h, k, product):
+    """FOUND reports the lexicographically least placement that completes,
+    whatever its type.  The first formation has two placements at size 3,
+    k = (0, 2) and k = (1, 2), one of each type; the second has, at size 6,
+    a completing placement h = (3, 4, 5) of a type with fewer ranks, which a
+    search that took the types one after another would report instead."""
     from oracles import naive_placements
     from reslat import enumerate_chains
 
-    chains = {c.name: c for n in (2, 3) for c in enumerate_chains(n)}
-    A, B, C = trivial(), chains["chain3_2"], chains["chain2_0"]
-    vf = VFormation(A, B, C, Morphism(A, B, (2,), EMBEDDING), Morphism(A, C, (1,), EMBEDDING))
-    flags = SearchFlags(commutative, integral)
-    report = bounded_amalgam_search(vf, 5, flags)
+    chains = {ch.name: ch for n in (2, 3, 4) for ch in enumerate_chains(n)}
+    A, B, C = trivial(), chains[b], chains[c]
+    vf = VFormation(A, B, C, Morphism(A, B, (i,), EMBEDDING), Morphism(A, C, (j,), EMBEDDING))
+    report = bounded_amalgam_search(vf, max(B.size, C.size) + 2, flags)
     assert report.found
-    assert (list(report.h.map), list(report.k.map)) == ([0, 1, 2], [0, 2])
-    assert report.d.product == ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+    assert (list(report.h.map), list(report.k.map)) == (h, k)
+    assert report.d.product == product
     last = report.sizes[-1]
-    assert last.placements == len(naive_placements(vf, last.size, flags)) == 2
+    assert last.placements == len(naive_placements(vf, last.size, flags))
 
 
 def test_type_filter_changes_no_search_result(monkeypatch):
