@@ -424,7 +424,7 @@ def _order_types(vf: VFormation, flags: SearchFlags, max_ranks: int):
     yield from merge(0, 0, 0)
 
 
-def _type_placements(htype, ktype, m: int, flags: SearchFlags):
+def _type_positions(htype, ktype, m: int, flags: SearchFlags):
     """Each placement ``(hpos, kpos, points)`` of the order type ``(htype,
     ktype)`` in a chain of size m, ``points[r]`` the position of rank r, in
     lexicographic order of (hpos, kpos): B's positions first, then C's own
@@ -563,7 +563,7 @@ def bounded_amalgam_search(
     with e the ranks held at D's bottom (pointed) or top (integral); on
     FOUND or BUDGET the last size counts all of its placements too.  Only
     the types that survive are placed, one placement at a time, by
-    ``_type_placements``; the completion engine runs on their placements
+    ``_type_positions``; the completion engine runs on their placements
     merged in lexicographic order of (h, k), so per-size ``nodes`` counts
     its branching nodes on those placements alone.
     Raises :class:`PreconditionError` when the sizes to search, from
@@ -594,7 +594,7 @@ def bounded_amalgam_search(
         # a type places its free ranks in D's free elements; a lone rank that
         # is both zero and unit (trivial B and C) fits only the trivial D
         placements = sum(math.comb(m - fixed, t - fixed) if t >= fixed else int(m == 1) for t in ranks)
-        streams = [zip(_type_placements(h, k, m, flags), itertools.repeat(pins)) for h, k, pins in survivors]
+        streams = [zip(_type_positions(h, k, m, flags), itertools.repeat(pins)) for h, k, pins in survivors]
         # each stream is in (hpos, kpos) order, and so is their merge: FOUND is the least completion
         for (hpos, kpos, points), pins in heapq.merge(*streams, key=lambda c: c[0][:2]):
             pins = ({(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins)

@@ -420,7 +420,7 @@ def test_order_types_of_the_paper_formations(monkeypatch, vs, name, m, types, co
     assert found == set(_order_types(vf, SearchFlags(), m))
     assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
     assert all(_type_refuted(vf, *t, SearchFlags()) for t in found)
-    monkeypatch.setattr(amalgamation, "_type_placements", lambda *args: pytest.fail("a refuted type was placed"))
+    monkeypatch.setattr(amalgamation, "_type_positions", lambda *args: pytest.fail("a refuted type was placed"))
     assert bounded_amalgam_search(vf, m).verdict == "UNSAT"
 
 
@@ -522,7 +522,7 @@ def test_order_types_and_placement_counts_match_the_naive_placements(vs):
     order, and each size's closed-form count is the naive one."""
     from oracles import naive_placements
     from reslat import with_zero
-    from reslat.amalgamation import _order_types, _type_placements
+    from reslat.amalgamation import _order_types, _type_positions
 
     cases = _small_formations() + [(_paper_formation(vs, name), SEARCH_WORK[name][1]) for name in sorted(SEARCH_WORK)]
     for vf, flags in cases:
@@ -536,7 +536,7 @@ def test_order_types_and_placement_counts_match_the_naive_placements(vs):
             for placement in naive[m]:
                 of_type[_rank_type(*placement)].append(placement)
             for t in types:
-                assert [(h, k) for h, k, _ in _type_placements(*t, m, flags)] == of_type[t], (vf, flags, m, t)
+                assert [(h, k) for h, k, _ in _type_positions(*t, m, flags)] == of_type[t], (vf, flags, m, t)
         report = bounded_amalgam_search(vf, lo + 3, flags)
         assert [s.placements for s in report.sizes] == [len(naive[s.size]) for s in report.sizes], (vf, flags)
     # one rank that is both zero and unit fits only the trivial D
