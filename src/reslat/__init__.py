@@ -38,7 +38,6 @@ from .algebra import (
 )
 from .amalgamation import (
     ObstructionWitness,
-    SearchFlags,
     SearchReport,
     VFormation,
     bounded_amalgam_search,

@@ -15,8 +15,7 @@ import heapq
 import itertools
 import json
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (
     CHAIN,
@@ -40,7 +39,7 @@ from .algebra import (
     validate_morphism,
     with_zero,
 )
-from .completion import Budget, CompletionProblem, SearchStats, iter_completions
+from .completion import Budget, ChainFlags, CompletionProblem, SearchStats, iter_completions
 from .documents import algebra_to_document, document_to_algebra
 from .constructions import (
     builtin,
@@ -61,15 +60,6 @@ class VFormation:
     i: Morphism  # A -> B
     j: Morphism  # A -> C
     name: str = ""
-
-
-@dataclass(frozen=True)
-class SearchFlags:
-    """Class of chains admitted for the amalgam D (chain-ness is implicit)."""
-
-    commutative: bool = False
-    integral: bool = False
-    pointed: bool = False
 
 
 LEFT = "LEFT"
@@ -117,7 +107,6 @@ class SearchReport:
     h: Morphism | None = None
     k: Morphism | None = None
     sizes: tuple[SizeStats, ...] = ()
-    wall_time: float = 0.0
     detail: str = ""
 
     @property
@@ -384,7 +373,7 @@ def injectivity_reduction(vf: VFormation) -> list[int]:
 # bounded amalgam search
 
 
-def _order_types(vf: VFormation, flags: SearchFlags, max_ranks: int):
+def _order_types(vf: VFormation, flags: ChainFlags, max_ranks: int):
     """Each order type ``(htype, ktype)`` of h(B) | k(C) with at most
     ``max_ranks`` ranks once: the ranks of B's and C's elements among the
     distinct image points.  B and C are merged along the anchors
@@ -424,7 +413,7 @@ def _order_types(vf: VFormation, flags: SearchFlags, max_ranks: int):
     yield from merge(0, 0, 0)
 
 
-def _type_positions(htype, ktype, m: int, flags: SearchFlags):
+def _type_positions(htype, ktype, m: int, flags: ChainFlags):
     """Each placement ``(hpos, kpos, points)`` of the order type ``(htype,
     ktype)`` in a chain of size m, ``points[r]`` the position of rank r, in
     lexicographic order of (hpos, kpos): B's positions first, then C's own
@@ -470,7 +459,7 @@ def _pins_for(vf: VFormation, htype, ktype):
     return product_pins, ldiv_pins, rdiv_pins
 
 
-def _type_refuted(vf: VFormation, htype, ktype, flags: SearchFlags) -> bool:
+def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
     """True when no chain D, of any size, embeds B and C with h(B) | k(C) in
     the order type ``(htype, ktype)``.
 
@@ -543,29 +532,32 @@ def _type_refuted(vf: VFormation, htype, ktype, flags: SearchFlags) -> bool:
 def bounded_amalgam_search(
     vf: VFormation,
     max_size: int,
-    flags: SearchFlags = SearchFlags(),
+    flags: ChainFlags = ChainFlags(),
     budget: Budget = Budget(),
     min_size: int | None = None,
 ) -> SearchReport:
-    """Search for a chain amalgam of every size up to ``max_size``.
+    """Search for a chain amalgam of every size up to ``max_size``, in the
+    class of chains that ``flags`` selects.
 
     FOUND returns the canonically least completion; UNSAT means no chain D
-    with ``|D| <= max_size`` admits embeddings h, k with h.i = k.j.  The
-    bound is the only blind spot: extra elements outside the images may be
-    needed at larger sizes, so UNSAT-at-bound is corroboration, not proof.
+    of the class with ``|D| <= max_size`` admits embeddings h, k with
+    h.i = k.j.  The bound is the only blind spot: extra elements outside the
+    images may be needed at larger sizes, so UNSAT-at-bound is
+    corroboration, not proof.
 
     The order types of h(B) | k(C) with at most ``max_size`` ranks are
-    listed directly, by ``_order_types``, and each is decided once, at the
-    first size it fits: a type that a pin conflict or ``_type_refuted``
-    rules out has no amalgam at any size.  A placement (h, k) is a type
+    listed directly, by ``_order_types``.  A placement (h, k) is a type
     with its t ranks sent to positions in D, so per-size ``placements`` is
     counted in closed form, the sum over all types of comb(m - e, t - e)
     with e the ranks held at D's bottom (pointed) or top (integral); on
-    FOUND or BUDGET the last size counts all of its placements too.  Only
-    the types that survive are placed, one placement at a time, by
-    ``_type_positions``; the completion engine runs on their placements
-    merged in lexicographic order of (h, k), so per-size ``nodes`` counts
-    its branching nodes on those placements alone.
+    FOUND or BUDGET the last size counts all of its placements too.  Each
+    type's placements are generated one at a time, by ``_type_positions``,
+    and merged in lexicographic order of (h, k).  A type is decided once,
+    when its first placement comes up: a type that a pin conflict or
+    ``_type_refuted`` rules out has no amalgam in any chain, of any size,
+    and is placed no further.  The completion engine runs on the placements
+    of the other types, so per-size ``nodes`` counts its branching nodes on
+    those placements alone.
     Raises :class:`PreconditionError` when the sizes to search, from
     ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none.
     """
@@ -577,30 +569,32 @@ def bounded_amalgam_search(
     lo = max(vf.B.size, vf.C.size) if min_size is None else min_size
     if lo > max_size:
         raise PreconditionError(f"nothing to search: sizes start at {lo}, above the bound {max_size}")
-    start = time.monotonic()
     per_size = []
     zero = 0 if flags.pointed else None
     fixed = flags.pointed + flags.integral  # ranks held at D's bottom or top
-    pending = sorted(((max(h + k) + 1, h, k) for h, k in _order_types(vf, flags, max_size)), reverse=True)
-    ranks = [t for t, _, _ in pending]  # the number of ranks of each order type
-    survivors = []  # (htype, ktype, pins) of each type decided and not refuted
+    types = [(max(h + k) + 1, (h, k)) for h, k in _order_types(vf, flags, max_size)]  # (ranks, type)
+    pins = {}  # each decided type: its pins in ranks, or None when it is refuted
+
+    def placed(t, m):  # the placements of type t in size m, until t is refuted
+        for placement in _type_positions(*t, m, flags):
+            yield placement, t
+            if pins[t] is None:
+                return
+
     for m in range(lo, max_size + 1):
-        while pending and pending[-1][0] <= m:  # a type is decided at the first size it fits
-            _, htype, ktype = pending.pop()
-            pins = None if _type_refuted(vf, htype, ktype, flags) else _pins_for(vf, htype, ktype)
-            if pins is not None:
-                survivors.append((htype, ktype, pins))
         stats = SearchStats()
         # a type places its free ranks in D's free elements; a lone rank that
         # is both zero and unit (trivial B and C) fits only the trivial D
-        placements = sum(math.comb(m - fixed, t - fixed) if t >= fixed else int(m == 1) for t in ranks)
-        streams = [zip(_type_positions(h, k, m, flags), itertools.repeat(pins)) for h, k, pins in survivors]
+        placements = sum(math.comb(m - fixed, r - fixed) if r >= fixed else int(m == 1) for r, _ in types)
+        streams = [placed(t, m) for r, t in types if r <= m and pins.get(t, ()) is not None]
         # each stream is in (hpos, kpos) order, and so is their merge: FOUND is the least completion
-        for (hpos, kpos, points), pins in heapq.merge(*streams, key=lambda c: c[0][:2]):
-            pins = ({(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins)
-            problem = CompletionProblem(
-                m, hpos[vf.B.unit], *pins, commutative=flags.commutative, integral=flags.integral, zero=zero
-            )
+        for (hpos, kpos, points), t in heapq.merge(*streams, key=lambda c: c[0][:2]):
+            if t not in pins:
+                pins[t] = None if _type_refuted(vf, *t, flags) else _pins_for(vf, *t)
+            if pins[t] is None:
+                continue
+            at = ({(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins[t])
+            problem = CompletionProblem(m, hpos[vf.B.unit], *at, flags)
             try:
                 for table in iter_completions(problem, budget, stats):
                     d = make_algebra(product=table, unit=problem.unit, order=CHAIN, zero=zero, name=f"amalgam{m}")
@@ -609,21 +603,18 @@ def bounded_amalgam_search(
                     if not (validate_morphism(h).ok and validate_morphism(k).ok):
                         raise AssertionError("search produced a non-embedding")
                     per_size.append(SizeStats(m, placements, stats.nodes))
-                    sizes, wall_time = tuple(per_size), time.monotonic() - start
-                    return SearchReport("FOUND", max_size, d, h, k, sizes, wall_time)
+                    return SearchReport("FOUND", max_size, d, h, k, tuple(per_size))
             except BudgetExceededError as exc:
                 per_size.append(SizeStats(m, placements, exc.nodes))
-                sizes, wall_time = tuple(per_size), time.monotonic() - start
-                detail = f"budget exhausted at size {m}"
-                return SearchReport("BUDGET", max_size, sizes=sizes, wall_time=wall_time, detail=detail)
+                return SearchReport("BUDGET", max_size, sizes=tuple(per_size), detail=f"budget exhausted at size {m}")
         per_size.append(SizeStats(m, placements, stats.nodes))
-    return SearchReport("UNSAT", max_size, sizes=tuple(per_size), wall_time=time.monotonic() - start)
+    return SearchReport("UNSAT", max_size, sizes=tuple(per_size))
 
 
 def bounded_one_amalgam_search(
     vf: VFormation,
     max_size: int,
-    flags: SearchFlags = SearchFlags(),
+    flags: ChainFlags = ChainFlags(),
     budget: Budget = Budget(),
 ) -> SearchReport:
     """Search for a one-amalgam: k embeds C, h is any homomorphism on B.
@@ -633,7 +624,6 @@ def bounded_one_amalgam_search(
     for each congruence filter F of B that does not identify distinct
     elements of i(A).  A filter whose quotient or C exceeds the bound is
     skipped; :class:`PreconditionError` is raised when no filter is left."""
-    start = time.monotonic()
     all_sizes: list[SizeStats] = []
     details = []
     searched = 0
@@ -657,36 +647,14 @@ def bounded_one_amalgam_search(
         report = bounded_amalgam_search(sub_vf, max_size, flags, budget)
         all_sizes.extend(report.sizes)
         details.append(f"filter {sorted(F.members)}: {report.verdict}")
-        if report.verdict == "BUDGET":
-            return SearchReport(
-                "BUDGET",
-                max_size,
-                sizes=tuple(all_sizes),
-                wall_time=time.monotonic() - start,
-                detail="; ".join(details),
-            )
         if report.found:
             quotient_map = Morphism(vf.B, Bq, tuple(block_of[x] for x in range(vf.B.size)), HOM)
-            h = Morphism(vf.B, report.d, compose(report.h, quotient_map), HOM)
-            return SearchReport(
-                "FOUND",
-                max_size,
-                d=report.d,
-                h=h,
-                k=report.k,
-                sizes=tuple(all_sizes),
-                wall_time=time.monotonic() - start,
-                detail="; ".join(details),
-            )
+            report = replace(report, h=Morphism(vf.B, report.d, compose(report.h, quotient_map), HOM))
+        if report.verdict != "UNSAT":
+            break
     if not searched:
         raise PreconditionError(f"nothing to search within the bound {max_size}: {'; '.join(details)}")
-    return SearchReport(
-        "UNSAT",
-        max_size,
-        sizes=tuple(all_sizes),
-        wall_time=time.monotonic() - start,
-        detail="; ".join(details),
-    )
+    return replace(report, sizes=tuple(all_sizes), detail="; ".join(details))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .algebra import (
     BudgetExceededError,
@@ -35,7 +36,6 @@ from .algebra import (
 )
 from .amalgamation import (
     ObstructionWitness,
-    SearchFlags,
     SearchReport,
     bounded_amalgam_search,
     bounded_one_amalgam_search,
@@ -124,13 +124,23 @@ def _parse_flag_list(text: str | None, allowed, what):
     return flags
 
 
-def _search_flags(text: str | None) -> SearchFlags:
-    flags = _parse_flag_list(text, ("commutative", "integral", "pointed"), "search")
-    return SearchFlags(
-        commutative="commutative" in flags,
-        integral="integral" in flags,
-        pointed="pointed" in flags,
-    )
+_CHAIN_FLAGS = ("integral", "commutative", "divisible", "pointed")
+_CHAIN_FLAGS_HELP = "comma list of integral,commutative,divisible,pointed,potent:k (x^(k+1) = x^k, k >= 1)"
+
+
+def _chain_flags(text: str | None) -> ChainFlags:
+    """The class of chains named by a comma list of ``_CHAIN_FLAGS`` and
+    ``potent:k``."""
+    flags = {}
+    for f in (s.strip() for s in (text or "").split(",") if s.strip()):
+        name, _, k = f.partition(":")
+        if f in _CHAIN_FLAGS:
+            flags[f] = True
+        elif name == "potent" and k.lstrip("-").isdigit():
+            flags["k_potent"] = int(k)
+        else:
+            raise FormatError(f"unknown chain flag {f!r} (allowed: {', '.join(_CHAIN_FLAGS)}, potent:k)")
+    return ChainFlags(**flags)
 
 
 def _emit(args, report: dict, text_lines: list[str]):
@@ -290,23 +300,7 @@ def _cmd_quotient(args):
 def _cmd_enumerate(args):
     if args.limit is not None and args.limit < 0:
         raise FormatError("--limit must be non-negative")
-    k_potent = None
-    names = []
-    if args.flags:
-        for f in (s.strip() for s in args.flags.split(",") if s.strip()):
-            if f.startswith("potent:"):
-                k_potent = int(f.split(":", 1)[1])
-            elif f in ("integral", "commutative", "divisible", "pointed"):
-                names.append(f)
-            else:
-                raise FormatError(f"unknown enumeration flag {f!r}")
-    flags = ChainFlags(
-        integral="integral" in names,
-        commutative="commutative" in names,
-        divisible="divisible" in names,
-        pointed="pointed" in names,
-        k_potent=k_potent,
-    )
+    flags = _chain_flags(args.flags)
     if args.count:
         n = count_chains(args.size, flags)
         report = {"command": "enumerate", "size": args.size, "count": n}
@@ -339,8 +333,8 @@ def _search_report_json(rep: SearchReport) -> dict:
     return out
 
 
-def _search_lines(tag, rep: SearchReport):
-    lines = [f"{tag}: {rep.verdict} (bound {rep.bound}, {rep.wall_time:.2f}s)"]
+def _search_lines(tag, rep: SearchReport, seconds: float):
+    lines = [f"{tag}: {rep.verdict} (bound {rep.bound}, {seconds:.2f}s)"]
     for s in rep.sizes:
         lines.append(f"  size {s.size}: {s.placements} placements, {s.nodes} nodes")
     if rep.found:
@@ -360,14 +354,16 @@ def _cmd_amalgam(args, one_sided: bool):
         raise FormatError("--max-size must be positive")
     if args.budget < 0:
         raise FormatError("--budget must be non-negative")
+    flags = _chain_flags(args.flags)
     vf = _load_vf(args.vf, args.rotate)
-    flags = _search_flags(args.flags)
     budget = Budget(max_nodes=args.budget)
     search = bounded_one_amalgam_search if one_sided else bounded_amalgam_search
+    start = time.monotonic()
     rep = search(vf, args.max_size, flags, budget)
+    seconds = time.monotonic() - start
     name = "one-amalgam" if one_sided else "amalgam"
     report = {"command": name, "vformation": vf.name or args.vf, "search": _search_report_json(rep)}
-    return _exit_for_search(rep), report, _search_lines(f"{name} search for {vf.name or args.vf}", rep)
+    return _exit_for_search(rep), report, _search_lines(f"{name} search for {vf.name or args.vf}", rep, seconds)
 
 
 def _cmd_obstruct(args):
@@ -534,7 +530,7 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
         "pointed variant (u designated 0): same witness",
         wp is not None and wp.as_tuple() == expected,
     )
-    pointed_amal = bounded_amalgam_search(vsp, max_size, SearchFlags(pointed=True), budget=budget)
+    pointed_amal = bounded_amalgam_search(vsp, max_size, ChainFlags(pointed=True), budget=budget)
     ok &= _fact(
         steps,
         lines,
@@ -671,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate residuated chains of a given size")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--flags", help="comma list of integral,commutative,divisible,pointed,potent:k")
+    p.add_argument("--flags", help=_CHAIN_FLAGS_HELP)
     p.add_argument("--count", action="store_true")
     p.add_argument("--limit", type=int)
     common(p)
@@ -681,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"bounded {name} search over chains")
         p.add_argument("--vf", required=True, help="VS, VS.pointed, or a V-formation document path")
         p.add_argument("--max-size", type=int, default=9)
-        p.add_argument("--flags", help="comma list of commutative,integral,pointed")
+        p.add_argument("--flags", help="the class of chains D ranges over: " + _CHAIN_FLAGS_HELP)
         p.add_argument("--rotate", help="apply a rotation first, e.g. identity:2")
         p.add_argument("--budget", type=int, default=10**8)
         common(p)

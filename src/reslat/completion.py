@@ -11,7 +11,9 @@ Candidate sets are bitmasks.  Propagation is deliberately limited to four
 rules (monotonicity against fixed cells, associativity instances whose two
 inner products are fixed, residual-pin consistency, unit laws); every
 complete assignment is re-verified before it is reported, so the pruning
-rules only ever need to be sound, not complete.
+rules only ever need to be sound, not complete.  The class of chains,
+``ChainFlags``, is applied the same way: commutativity propagates, and
+k-potency and divisibility are checked on each complete table.
 
 Propagation is incremental.  A cell whose candidate set shrinks to a
 singleton is queued as it shrinks; ``propagate`` fixes the queued cells in
@@ -36,22 +38,37 @@ from .algebra import (
     FormatError,
     make_algebra,
     residuals_from_product,
-    NotResiduatedError,
 )
+
+
+@dataclass(frozen=True, kw_only=True)
+class ChainFlags:
+    """A class of residuated chains: the chains that ``enumerate_chains``
+    lists, that an amalgam D is searched in, and that the engine completes
+    to.  ``k_potent`` selects the chains with ``x^(k+1) = x^k``."""
+
+    integral: bool = False
+    commutative: bool = False
+    k_potent: int | None = None
+    divisible: bool = False
+    pointed: bool = False
+
+    def __post_init__(self):
+        if self.k_potent is not None and self.k_potent < 1:
+            raise FormatError("k_potent must be at least 1")
 
 
 @dataclass(frozen=True)
 class CompletionProblem:
-    """A partially pinned product table over an ``m``-element chain."""
+    """A partially pinned product table over an ``m``-element chain, to be
+    completed to a chain of the class ``flags``."""
 
     size: int
     unit: int
     product_pins: dict  # (x, y) -> value
     ldiv_pins: dict  # (x, z) -> d, meaning x \ z = d exactly
     rdiv_pins: dict  # (y, z) -> d, meaning z / y = d exactly
-    commutative: bool = False
-    integral: bool = False
-    zero: int | None = None  # pinned pointed constant (0-bounded mode)
+    flags: ChainFlags = ChainFlags()
 
     def check_well_formed(self):
         m = self.size
@@ -59,10 +76,8 @@ class CompletionProblem:
             raise FormatError("size must be positive")
         if not 0 <= self.unit < m:
             raise FormatError("unit out of range")
-        if self.integral and self.unit != m - 1:
+        if self.flags.integral and self.unit != m - 1:
             raise FormatError("integral problems need the unit on top")
-        if self.zero is not None and self.zero != 0:
-            raise FormatError("a pinned zero must be the bottom element")
         for (x, y), v in self.product_pins.items():
             if not (0 <= x < m and 0 <= y < m and 0 <= v < m):
                 raise FormatError("product pin out of range")
@@ -90,6 +105,28 @@ class _Conflict(Exception):
 def _low_mask(v):
     # candidates <= v
     return (1 << (v + 1)) - 1
+
+
+def _is_k_potent(table, k):
+    n = len(table)
+    for x in range(n):
+        p = x
+        for _ in range(k - 1):
+            p = table[p][x]
+        if table[p][x] != p:
+            return False
+    return True
+
+
+def _divisible_raw(table, unit):
+    ldiv, rdiv = residuals_from_product(CHAIN, table, unit)  # a complete table has both: x*0 = 0
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            m = min(x, y)
+            if table[x][ldiv[x][y]] != m or table[rdiv[x][y]][x] != m:
+                return False
+    return True
 
 
 class _Engine:
@@ -122,7 +159,7 @@ class _Engine:
         self.cand[cell] = new
         if new & (new - 1) == 0:
             self.queue.append(cell)
-        if self.p.commutative:
+        if self.p.flags.commutative:
             x, y = divmod(cell, self.m)
             mirror = y * self.m + x
             if mirror != cell:
@@ -308,7 +345,8 @@ class _Engine:
                 for z in rng:
                     if t[txy][z] != t[x][t[y][z]]:
                         return False
-        if self.p.commutative:
+        flags = self.p.flags
+        if flags.commutative:
             for x in rng:
                 for y in rng:
                     if t[x][y] != t[y][x]:
@@ -322,7 +360,9 @@ class _Engine:
         for (y, z), d in self.p.rdiv_pins.items():
             if t[d][y] > z or (d + 1 < m and t[d + 1][y] <= z):
                 return False
-        return True
+        if flags.k_potent is not None and not _is_k_potent(t, flags.k_potent):
+            return False
+        return not flags.divisible or _divisible_raw(t, u)
 
 
 def iter_completions(problem: CompletionProblem, budget: Budget = Budget(), stats: SearchStats | None = None):
@@ -335,50 +375,13 @@ def iter_completions(problem: CompletionProblem, budget: Budget = Budget(), stat
 # chain enumeration
 
 
-@dataclass(frozen=True)
-class ChainFlags:
-    integral: bool = False
-    commutative: bool = False
-    k_potent: int | None = None
-    divisible: bool = False
-    pointed: bool = False
-
-
-def _is_k_potent(table, k):
-    n = len(table)
-    for x in range(n):
-        p = x
-        for _ in range(k - 1):
-            p = table[p][x]
-        if table[p][x] != p:
-            return False
-    return True
-
-
 def _raw_stream(n: int, flags: ChainFlags, budget: Budget):
     """The (unit, product table) pairs of the chains that ``flags`` select,
     in canonical order."""
     if n < 1:
         raise FormatError("size must be positive")
-    if flags.k_potent is not None and flags.k_potent < 1:
-        raise FormatError("k_potent must be at least 1")
-    units = [n - 1] if flags.integral else range(n)
-    for unit in units:
-        problem = CompletionProblem(
-            size=n,
-            unit=unit,
-            product_pins={},
-            ldiv_pins={},
-            rdiv_pins={},
-            commutative=flags.commutative,
-            integral=flags.integral,
-            zero=0 if flags.pointed else None,
-        )
-        for table in iter_completions(problem, budget):
-            if flags.k_potent is not None and not _is_k_potent(table, flags.k_potent):
-                continue
-            if flags.divisible and not _divisible_raw(table, unit):
-                continue
+    for unit in [n - 1] if flags.integral else range(n):
+        for table in iter_completions(CompletionProblem(n, unit, {}, {}, {}, flags), budget):
             yield unit, table
 
 
@@ -398,17 +401,3 @@ def count_chains(n: int, flags: ChainFlags = ChainFlags(), budget: Budget = Budg
     """Number of chains :func:`enumerate_chains` would yield, without
     materializing algebra objects."""
     return sum(1 for _ in _raw_stream(n, flags, budget))
-
-
-def _divisible_raw(table, unit):
-    try:
-        ldiv, rdiv = residuals_from_product(CHAIN, table, unit)
-    except NotResiduatedError:
-        return False
-    n = len(table)
-    for x in range(n):
-        for y in range(n):
-            m = min(x, y)
-            if table[x][ldiv[x][y]] != m or table[rdiv[x][y]][x] != m:
-                return False
-    return True

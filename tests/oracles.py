@@ -145,14 +145,22 @@ def _is_filter(alg, members):
     return True
 
 
-def brute_amalgam_exists(vf, m) -> bool:
+def brute_amalgam_exists(vf, m, flags=None) -> bool:
     """Amalgam existence at exactly size m, the slow way: every residuated
     chain of that size, every embedding of B, every compatible embedding of
-    C.  Shares no search code with the bounded engine."""
+    C.  Shares no search code with the bounded engine.  ``flags`` may ask
+    for k-potent or divisible chains only; they are filtered here, with
+    their definitions read off the product table."""
     from reslat import ChainFlags, enumerate_chains
     from reslat.amalgamation import find_embeddings
 
+    flags = flags or ChainFlags()
+    assert not (flags.integral or flags.commutative or flags.pointed), "only k_potent and divisible are filtered"
     for d in enumerate_chains(m, ChainFlags()):
+        if flags.k_potent is not None and not _has_equal_powers(d.product, flags.k_potent):
+            continue
+        if flags.divisible and not _divides(d.product):
+            continue
         for h in find_embeddings(vf.B, d):
             pin = {vf.j.map[a]: h.map[vf.i.map[a]] for a in range(vf.A.size)}
             if len(set(pin.values())) != len(pin):
@@ -160,6 +168,30 @@ def brute_amalgam_exists(vf, m) -> bool:
             if find_embeddings(vf.C, d, pin=pin):
                 return True
     return False
+
+
+def _has_equal_powers(t, k):
+    """x^(k+1) = x^k for every x, each power built as x*(x*(...))."""
+    for x in range(len(t)):
+        powers = [x]
+        while len(powers) <= k:
+            powers.append(t[x][powers[-1]])
+        if powers[k] != powers[k - 1]:
+            return False
+    return True
+
+
+def _divides(t):
+    """x /\\ y = x*(x\\y) = (y/x)*x for all x, y, each residual found as
+    the greatest s with x*s <= y (s*x <= y); s = 0 always qualifies."""
+    n = len(t)
+    for x in range(n):
+        for y in range(n):
+            left = max(s for s in range(n) if t[x][s] <= y)
+            right = max(s for s in range(n) if t[s][x] <= y)
+            if not t[x][left] == t[right][x] == min(x, y):
+                return False
+    return True
 
 
 def naive_placements(vf, m, flags):

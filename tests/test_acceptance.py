@@ -10,7 +10,6 @@ from reslat import (
     CHAIN,
     ChainFlags,
     LowerCompatibleTriple,
-    SearchFlags,
     bounded_amalgam_search,
     bounded_one_amalgam_search,
     canonical_tables_json,
@@ -143,8 +142,8 @@ def test_criterion_06_pointed_variant():
     vs = pointed_vformation(vs_formation(), 0)
     w = find_obstruction(vs)
     assert w is not None and w.as_tuple() == (1, 1, 2, 0, 0, "LEFT")
-    assert bounded_amalgam_search(vs, 9, SearchFlags(pointed=True)).verdict == "UNSAT"
-    assert bounded_one_amalgam_search(vs, 9, SearchFlags(pointed=True)).verdict == "UNSAT"
+    assert bounded_amalgam_search(vs, 9, ChainFlags(pointed=True)).verdict == "UNSAT"
+    assert bounded_one_amalgam_search(vs, 9, ChainFlags(pointed=True)).verdict == "UNSAT"
     elapsed = time.monotonic() - start
     _report(6, f"0-designated variant: same witness, same verdicts ({elapsed:.2f}s)")
 

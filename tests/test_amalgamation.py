@@ -6,10 +6,10 @@ import pytest
 from reslat import (
     EMBEDDING,
     HOM,
+    ChainFlags,
     Morphism,
     ObstructionWitness,
     PreconditionError,
-    SearchFlags,
     UnsupportedError,
     VFormation,
     bounded_amalgam_search,
@@ -176,12 +176,12 @@ def test_amalgam_found_implies_one_amalgam_found():
 
 def test_pointed_search_requires_pointed_components(vs):
     with pytest.raises(PreconditionError):
-        bounded_amalgam_search(vs, 6, SearchFlags(pointed=True))
+        bounded_amalgam_search(vs, 6, ChainFlags(pointed=True))
 
 
 def test_pointed_variant_unsat(vs):
     vsp = pointed_vformation(vs, 0)
-    assert bounded_amalgam_search(vsp, 8, SearchFlags(pointed=True)).verdict == "UNSAT"
+    assert bounded_amalgam_search(vsp, 8, ChainFlags(pointed=True)).verdict == "UNSAT"
 
 
 def test_budget_verdict():
@@ -213,13 +213,44 @@ def test_search_agrees_with_brute_force_over_all_chains(vs):
 
 def test_class_flags_narrow_the_search(vs):
     # narrower classes stay UNSAT for VS
-    assert bounded_amalgam_search(vs, 7, SearchFlags(commutative=True)).verdict == "UNSAT"
-    assert bounded_amalgam_search(vs, 7, SearchFlags(integral=True)).verdict == "UNSAT"
+    assert bounded_amalgam_search(vs, 7, ChainFlags(commutative=True)).verdict == "UNSAT"
+    assert bounded_amalgam_search(vs, 7, ChainFlags(integral=True)).verdict == "UNSAT"
     # and a commutative integral amalgam is still found where one exists
     vf = _vf(trivial(), lukasiewicz(3), godel(3))
-    rep = bounded_amalgam_search(vf, 5, SearchFlags(commutative=True, integral=True))
+    rep = bounded_amalgam_search(vf, 5, ChainFlags(commutative=True, integral=True))
     assert rep.found
     assert validate(rep.d, ("commutative", "integral")).ok
+
+
+def test_restricted_searches_agree_with_brute_force():
+    """Amalgams inside the idempotent, the 2-potent and the divisible chains,
+    for every formation of chains of size <= 3 over the trivial and the
+    2-element algebra, at the two least sizes (82 cases each): the search
+    and the oracle agree, and the class changes 22 verdicts of the
+    unrestricted search for the idempotent chains and 8 for the divisible."""
+    from oracles import brute_amalgam_exists
+    from reslat import enumerate_chains
+
+    chains = [c for n in (1, 2, 3) for c in enumerate_chains(n)]
+    changed = {}
+    for flags in (ChainFlags(k_potent=1), ChainFlags(k_potent=2), ChainFlags(divisible=True)):
+        changed[flags.k_potent or "divisible"] = 0
+        for A, B, C in itertools.product((trivial(), two()), chains, chains):
+            for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
+                vf = VFormation(A, B, C, i, j)
+                lo = max(B.size, C.size)
+                for m in (lo, lo + 1):
+                    found = bounded_amalgam_search(vf, m, flags, min_size=m).found
+                    assert found == brute_amalgam_exists(vf, m, flags), (vf, flags, m)
+                    changed[flags.k_potent or "divisible"] += found != bounded_amalgam_search(vf, m, min_size=m).found
+    assert changed == {1: 22, 2: 0, "divisible": 8}
+
+
+def test_equal_searches_return_equal_reports(vs):
+    found = _vf(trivial(), lukasiewicz(3), godel(3))
+    for search in (bounded_amalgam_search, bounded_one_amalgam_search):
+        for vf, bound in ((vs, 9), (found, 5)):
+            assert search(vf, bound) == search(vf, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +399,16 @@ def test_injectivity_reduction_examples(vs):
 SEARCH_WORK = {
     "VS": (
         13,
-        SearchFlags(),
+        ChainFlags(),
         [(5, 2, 0), (6, 15, 0), (7, 63, 0), (8, 196, 0), (9, 504, 0), (10, 1134, 0), (11, 2310, 0), (12, 4356, 0), (13, 7722, 0)],
     ),
     "VS.pointed": (
         11,
-        SearchFlags(pointed=True),
+        ChainFlags(pointed=True),
         [(5, 2, 0), (6, 13, 0), (7, 48, 0), (8, 133, 0), (9, 308, 0), (10, 630, 0), (11, 1176, 0)],
     ),
-    "VS^const-1:2": (11, SearchFlags(), [(6, 2, 0), (7, 17, 0), (8, 80, 0), (9, 276, 0), (10, 780, 0), (11, 1914, 0)]),
-    "VS^identity:2": (14, SearchFlags(), [(10, 4, 0), (11, 56, 0), (12, 417, 0), (13, 2197, 0), (14, 9191, 0)]),
+    "VS^const-1:2": (11, ChainFlags(), [(6, 2, 0), (7, 17, 0), (8, 80, 0), (9, 276, 0), (10, 780, 0), (11, 1914, 0)]),
+    "VS^identity:2": (14, ChainFlags(), [(10, 4, 0), (11, 56, 0), (12, 417, 0), (13, 2197, 0), (14, 9191, 0)]),
 }
 
 
@@ -409,19 +440,32 @@ def _rank_type(hpos, kpos):
 
 @pytest.mark.parametrize("name, m, types, conflicts", [("VS", 12, 5, 2), ("VS^identity:2", 14, 25, 16)])
 def test_order_types_of_the_paper_formations(monkeypatch, vs, name, m, types, conflicts):
-    """Every type is refuted, so the search to bound m places none."""
+    """Every type is refuted, so the search to bound m never calls the
+    engine and places each type once, to decide it."""
+    from collections import Counter
+
     from oracles import naive_placements
     from reslat import amalgamation
     from reslat.amalgamation import _order_types, _pins_for, _type_refuted
 
     vf = _paper_formation(vs, name)
-    found = {_rank_type(*placement) for placement in naive_placements(vf, m, SearchFlags())}
+    found = {_rank_type(*placement) for placement in naive_placements(vf, m, ChainFlags())}
     assert len(found) == types
-    assert found == set(_order_types(vf, SearchFlags(), m))
+    assert found == set(_order_types(vf, ChainFlags(), m))
     assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
-    assert all(_type_refuted(vf, *t, SearchFlags()) for t in found)
-    monkeypatch.setattr(amalgamation, "_type_positions", lambda *args: pytest.fail("a refuted type was placed"))
+    assert all(_type_refuted(vf, *t, ChainFlags()) for t in found)
+    placed = Counter()
+    positions = amalgamation._type_positions
+
+    def counted(htype, ktype, *args):
+        for placement in positions(htype, ktype, *args):
+            placed[htype, ktype] += 1
+            yield placement
+
+    monkeypatch.setattr(amalgamation, "_type_positions", counted)
+    monkeypatch.setattr(amalgamation, "iter_completions", lambda *args: pytest.fail("the engine ran"))
     assert bounded_amalgam_search(vf, m).verdict == "UNSAT"
+    assert set(placed) == found and set(placed.values()) == {1}
 
 
 def test_paper_report_never_calls_the_engine(monkeypatch):
@@ -451,11 +495,11 @@ def _small_formations():
 
     chains = [c for n in (1, 2, 3) for c in enumerate_chains(n)]
     pointed = [with_zero(c, 0) for c in chains]
-    unpointed = [SearchFlags(c, i) for c in (False, True) for i in (False, True)]
+    unpointed = [ChainFlags(commutative=c, integral=i) for c in (False, True) for i in (False, True)]
     groups = [
         ((trivial(), two()), chains, chains, unpointed),
-        ([with_zero(A, 0) for A in (trivial(), two())], pointed, pointed, [SearchFlags(pointed=True)]),
-        ((trivial(), two()), pointed, pointed, [SearchFlags(pointed=True)]),
+        ([with_zero(A, 0) for A in (trivial(), two())], pointed, pointed, [ChainFlags(pointed=True)]),
+        ((trivial(), two()), pointed, pointed, [ChainFlags(pointed=True)]),
         ((trivial(),), chains, list(enumerate_chains(4)), unpointed),
     ]
     out = []
@@ -469,20 +513,21 @@ def _small_formations():
 def test_types_fit_the_bound_and_are_decided_at_the_first_size_they_fit(monkeypatch):
     """Over the trivial algebra the free elements of a 5- and a 6-chain
     merge in 681 order types, and only 5 of them fit the bound 6.  A search
-    to bound 10 finds an amalgam at size 9, so it decides each of the 555
-    types that fit 9 once and none of the rest."""
+    to bound 10 finds an amalgam at size 9.  555 types fit 9, but it decides
+    only the 279 whose first placement comes up before the amalgam's, each
+    once, and none of the rest."""
     from reslat import amalgamation
     from reslat.amalgamation import _order_types
 
     A, B, C = trivial(), godel(5), lukasiewicz(6)
     vf = VFormation(A, B, C, find_embeddings(A, B)[0], find_embeddings(A, C)[0])
-    assert [len(list(_order_types(vf, SearchFlags(), bound))) for bound in (6, 7, 10)] == [5, 65, 681]
+    assert [len(list(_order_types(vf, ChainFlags(), bound))) for bound in (6, 7, 10)] == [5, 65, 681]
     calls = []
     decide = amalgamation._type_refuted
     monkeypatch.setattr(amalgamation, "_type_refuted", lambda *args: calls.append(args) or decide(*args))
     report = bounded_amalgam_search(vf, 10)
     assert report.found and report.sizes[-1].size == 9
-    assert len(calls) == len(set(calls)) == 555
+    assert len(calls) == len(set(calls)) == 279
 
 
 def test_refuted_order_types_have_no_completion():
@@ -503,14 +548,7 @@ def test_refuted_order_types_have_no_completion():
                 if not refuted[key]:  # survives, or a pin conflict
                     continue
                 pins = _pins_for(vf, hpos, kpos)  # the same pins, labelled by positions in D
-                problem = CompletionProblem(
-                    m,
-                    hpos[vf.B.unit],
-                    *pins,
-                    commutative=flags.commutative,
-                    integral=flags.integral,
-                    zero=0 if flags.pointed else None,
-                )
+                problem = CompletionProblem(m, hpos[vf.B.unit], *pins, flags)
                 assert next(iter_completions(problem), None) is None, (vf, flags, hpos, kpos)
                 checked += 1
     assert checked > 100  # the rules beyond pin conflicts do fire
@@ -542,7 +580,7 @@ def test_order_types_and_placement_counts_match_the_naive_placements(vs):
     # one rank that is both zero and unit fits only the trivial D
     A = with_zero(trivial(), 0)
     vf = VFormation(A, A, A, find_embeddings(A, A)[0], find_embeddings(A, A)[0])
-    flags = SearchFlags(integral=True, pointed=True)
+    flags = ChainFlags(integral=True, pointed=True)
     assert [(s.size, s.placements) for s in bounded_amalgam_search(vf, 3, flags).sizes] == [(1, 1)]
     report = bounded_amalgam_search(vf, 3, flags, min_size=2)
     assert [s.placements for s in report.sizes] == [len(naive_placements(vf, m, flags)) for m in (2, 3)] == [0, 0]
@@ -562,11 +600,11 @@ _LARGE_D = (
 @pytest.mark.parametrize(
     "b, c, i, j, flags, h, k, product",
     [
-        ("chain3_2", "chain2_0", 2, 1, SearchFlags(*f), [0, 1, 2], [0, 2], _SMALL_D)
+        ("chain3_2", "chain2_0", 2, 1, ChainFlags(commutative=f[0], integral=f[1]), [0, 1, 2], [0, 2], _SMALL_D)
         for f in itertools.product((False, True), repeat=2)
     ]
     + [
-        ("chain3_1", "chain4_10", 2, 3, SearchFlags(integral=f), [0, 1, 5], [2, 3, 4, 5], _LARGE_D)
+        ("chain3_1", "chain4_10", 2, 3, ChainFlags(integral=f), [0, 1, 5], [2, 3, 4, 5], _LARGE_D)
         for f in (False, True)
     ],
 )

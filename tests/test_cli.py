@@ -110,6 +110,8 @@ def test_amalgam_commands(capsys):
         code, out = run(capsys, command, "--vf", "VS", "--max-size", "6", "--format", "json")
         assert code == 1 and json.loads(out)["search"]["verdict"] == "UNSAT"
         assert run(capsys, command, "--vf", "VS", "--max-size", "6", "--format", "json") == (code, out)
+        code, out = run(capsys, command, "--vf", "VS", "--max-size", "7", "--flags", "commutative,integral,potent:2")
+        assert code == 1 and out.startswith(f"{command} search for VS: UNSAT (bound 7, ")
 
 
 def test_amalgam_with_rotation(capsys):
@@ -161,8 +163,8 @@ def test_construct_nucleus_image(capsys):
     assert document_to_algebra(report["algebra"]).size == 1
 
 
-def test_usage_and_format_errors(tmp_path, capsys):
-    from reslat import vs_k_triple
+def test_usage_and_format_errors(tmp_path, capsys, monkeypatch):
+    from reslat import cli, vs_k_triple
 
     assert main(["verify", "no-such-algebra"]) == 2
     assert main(["identity", "VS.B", "--id", "x +* y = x"]) == 2
@@ -188,6 +190,10 @@ def test_usage_and_format_errors(tmp_path, capsys):
         ["identity", "VS.B", "--id", "potent:3000"],
     ):
         assert main(argv) == 2, argv
+    for search in ("bounded_amalgam_search", "bounded_one_amalgam_search"):
+        monkeypatch.setattr(cli, search, lambda *args: pytest.fail("a search ran"))
+    for command, flags in itertools.product(("amalgam", "one-amalgam"), ("potent:0", "potent:x", "bogus")):
+        assert main([command, "--vf", "VS", "--flags", flags]) == 2, (command, flags)
     k = tmp_path / "k.json"
     k.write_text(dumps_canonical(algebra_to_document(vs_k_triple().K)))
     assert main(["verify", str(k)]) == 0

@@ -41,7 +41,7 @@ def test_blanked_cell_of_b_is_forced_back():
     }
     ldiv_pins = {(x, z): b.ldiv[x][z] for x in range(4) for z in range(4)}
     rdiv_pins = {(x, z): b.rdiv[x][z] for x in range(4) for z in range(4)}
-    problem = CompletionProblem(4, 3, pins, ldiv_pins, rdiv_pins, commutative=True, integral=True)
+    problem = CompletionProblem(4, 3, pins, ldiv_pins, rdiv_pins, flags=ChainFlags(commutative=True, integral=True))
     solutions = list(iter_completions(problem))
     assert len(solutions) == 1
     assert tuple(map(tuple, solutions[0])) == b.product  # b*b = u restored
@@ -49,12 +49,12 @@ def test_blanked_cell_of_b_is_forced_back():
 
 def test_unit_product_pins_below_unit_are_unsat():
     # x*y = 1 for x, y < 1 contradicts integrality
-    problem = CompletionProblem(3, 2, {(1, 1): 2}, {}, {}, integral=True)
+    problem = CompletionProblem(3, 2, {(1, 1): 2}, {}, {}, flags=ChainFlags(integral=True))
     assert next(iter_completions(problem), None) is None
 
 
 def test_budget_exceeded():
-    problem = CompletionProblem(6, 5, {}, {}, {}, integral=True)
+    problem = CompletionProblem(6, 5, {}, {}, {}, flags=ChainFlags(integral=True))
     with pytest.raises(BudgetExceededError):
         list(iter_completions(problem, Budget(max_nodes=3)))
 
@@ -140,7 +140,7 @@ def test_streams_are_deterministic():
 def test_all_solutions_mode_equals_enumeration():
     flags = ChainFlags(integral=True, commutative=True)
     streamed = [a.product for a in enumerate_chains(4, flags)]
-    problem = CompletionProblem(4, 3, {}, {}, {}, commutative=True, integral=True)
+    problem = CompletionProblem(4, 3, {}, {}, {}, flags=ChainFlags(commutative=True, integral=True))
     direct = [tuple(map(tuple, t)) for t in iter_completions(problem)]
     assert streamed == direct
 
@@ -159,7 +159,7 @@ def test_partial_pins_of_valid_chains_always_complete(small_chain_pool, data):
         product_pins={c: alg.product[c[0]][c[1]] for c in kept},
         ldiv_pins={c: alg.ldiv[c[0]][c[1]] for c in cells} if with_divs else {},
         rdiv_pins={c: alg.rdiv[c[0]][c[1]] for c in cells} if with_divs else {},
-        integral=alg.unit == n - 1,
+        flags=ChainFlags(integral=alg.unit == n - 1),
     )
     table = next(iter_completions(problem), None)
     assert table is not None  # the original table is one completion
@@ -177,7 +177,7 @@ def test_size_validation():
     with pytest.raises(FormatError):
         CompletionProblem(3, 5, {}, {}, {}).check_well_formed()
     with pytest.raises(FormatError):
-        CompletionProblem(3, 1, {}, {}, {}, integral=True).check_well_formed()
+        CompletionProblem(3, 1, {}, {}, {}, flags=ChainFlags(integral=True)).check_well_formed()
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_unpinned_search_totals_are_pinned(column):
     for n in range(1, 7):
         stats = SearchStats()
         for unit in [n - 1] if flags.integral else range(n):
-            problem = CompletionProblem(n, unit, {}, {}, {}, commutative=flags.commutative, integral=flags.integral)
+            problem = CompletionProblem(n, unit, {}, {}, {}, flags=flags)
             for _ in iter_completions(problem, stats=stats):
                 pass
         got.append((stats.nodes, stats.solutions))
@@ -327,7 +327,7 @@ def test_pinned_completions_match_naive_oracle(naive_tables, data):
             else:
                 table[x, y] = data.draw(st.integers(0, m - 1), label="value")
         pins.append(table)
-    problem = CompletionProblem(m, unit, *pins, commutative=commutative, integral=integral)
+    problem = CompletionProblem(m, unit, *pins, flags=ChainFlags(commutative=commutative, integral=integral))
     got = [tuple(map(tuple, t)) for t in iter_completions(problem)]
     event("satisfiable" if got else "unsatisfiable")
     assert len(got) == len(set(got))
