@@ -557,15 +557,17 @@ def bounded_amalgam_search(
     ``_type_refuted`` rules out has no amalgam in any chain, of any size,
     and is placed no further.  The completion engine runs on the placements
     of the other types, so per-size ``nodes`` counts its branching nodes on
-    those placements alone.
+    those placements alone.  D contains B and C, so when ``flags`` does not
+    admit B or C every type is refuted at once and ``detail`` names them.
     Raises :class:`PreconditionError` when the sizes to search, from
-    ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none.
+    ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none, and in
+    a pointed search when the 0 of B or C is not its bottom.
     """
     for alg, tag in ((vf.A, "A"), (vf.B, "B"), (vf.C, "C")):
         if not alg.is_chain_order:
             raise UnsupportedError(f"{tag} must use the index-order chain convention")
-    if flags.pointed and (vf.B.zero is None or vf.C.zero is None):
-        raise PreconditionError("pointed search needs pointed B and C")
+    if flags.pointed and (vf.B.zero != 0 or vf.C.zero != 0):
+        raise PreconditionError("pointed search needs B and C with 0 at the bottom")
     lo = max(vf.B.size, vf.C.size) if min_size is None else min_size
     if lo > max_size:
         raise PreconditionError(f"nothing to search: sizes start at {lo}, above the bound {max_size}")
@@ -573,7 +575,9 @@ def bounded_amalgam_search(
     zero = 0 if flags.pointed else None
     fixed = flags.pointed + flags.integral  # ranks held at D's bottom or top
     types = [(max(h + k) + 1, (h, k)) for h, k in _order_types(vf, flags, max_size)]  # (ranks, type)
-    pins = {}  # each decided type: its pins in ranks, or None when it is refuted
+    outside = [tag for alg, tag in ((vf.B, "B"), (vf.C, "C")) if not flags.admits(alg.product, alg.unit)]
+    # each decided type: its pins in ranks, or None when it is refuted
+    pins = dict.fromkeys([t for _, t in types]) if outside else {}
 
     def placed(t, m):  # the placements of type t in size m, until t is refuted
         for placement in _type_positions(*t, m, flags):
@@ -608,7 +612,8 @@ def bounded_amalgam_search(
                 per_size.append(SizeStats(m, placements, exc.nodes))
                 return SearchReport("BUDGET", max_size, sizes=tuple(per_size), detail=f"budget exhausted at size {m}")
         per_size.append(SizeStats(m, placements, stats.nodes))
-    return SearchReport("UNSAT", max_size, sizes=tuple(per_size))
+    detail = f"{' and '.join(outside)} outside the class" if outside else ""
+    return SearchReport("UNSAT", max_size, sizes=tuple(per_size), detail=detail)
 
 
 def bounded_one_amalgam_search(

@@ -144,13 +144,12 @@ def _chain_flags(text: str | None) -> ChainFlags:
 
 
 def _emit(args, report: dict, text_lines: list[str]):
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         payload = dumps_canonical(report)
     else:
         payload = "\n".join(text_lines)
-    output = getattr(args, "output", None)
-    if output:
-        write_atomic(output, payload + "\n")
+    if args.output:
+        write_atomic(args.output, payload + "\n")
     else:
         print(payload)
 
@@ -617,10 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if output:
-            p.add_argument("--output", help="write the report to a file (atomically)")
+        p.add_argument("--output", help="write the report to a file (atomically)")
 
     p = sub.add_parser("verify", help="validate an algebra against axiom flags")
     p.add_argument("algebra", help="builtin name or document path")

@@ -13,7 +13,7 @@ inner products are fixed, residual-pin consistency, unit laws); every
 complete assignment is re-verified before it is reported, so the pruning
 rules only ever need to be sound, not complete.  The class of chains,
 ``ChainFlags``, is applied the same way: commutativity propagates, and
-k-potency and divisibility are checked on each complete table.
+``ChainFlags.admits`` decides each complete table.
 
 Propagation is incremental.  A cell whose candidate set shrinks to a
 singleton is queued as it shrinks; ``propagate`` fixes the queued cells in
@@ -54,8 +54,32 @@ class ChainFlags:
     pointed: bool = False
 
     def __post_init__(self):
-        if self.k_potent is not None and self.k_potent < 1:
-            raise FormatError("k_potent must be at least 1")
+        k = self.k_potent
+        if k is not None and (type(k) is not int or k < 1):  # bool is no count
+            raise FormatError(f"k_potent must be an integer of at least 1, not {k!r}")
+
+    def admits(self, table, unit) -> bool:
+        """Whether the chain with this product table, in index order, and
+        this unit lies in the class; ``pointed`` asks nothing of a table."""
+        n = len(table)
+        rng = range(n)
+        if self.integral and unit != n - 1:
+            return False
+        if self.commutative and any(table[x][y] != table[y][x] for x in rng for y in rng):
+            return False
+        # on a chain the powers of x are monotone, so x^n = x^(n+1) and any k >= n holds
+        k = self.k_potent
+        if k is not None and k < n:
+            for x in rng:
+                p = x
+                for _ in range(k - 1):
+                    p = table[p][x]
+                if table[p][x] != p:
+                    return False
+        if self.divisible:
+            ldiv, rdiv = residuals_from_product(CHAIN, table, unit)  # a chain has both: x*0 = 0
+            return all(table[x][ldiv[x][y]] == table[rdiv[x][y]][x] == min(x, y) for x in rng for y in rng)
+        return True
 
 
 @dataclass(frozen=True)
@@ -105,28 +129,6 @@ class _Conflict(Exception):
 def _low_mask(v):
     # candidates <= v
     return (1 << (v + 1)) - 1
-
-
-def _is_k_potent(table, k):
-    n = len(table)
-    for x in range(n):
-        p = x
-        for _ in range(k - 1):
-            p = table[p][x]
-        if table[p][x] != p:
-            return False
-    return True
-
-
-def _divisible_raw(table, unit):
-    ldiv, rdiv = residuals_from_product(CHAIN, table, unit)  # a complete table has both: x*0 = 0
-    n = len(table)
-    for x in range(n):
-        for y in range(n):
-            m = min(x, y)
-            if table[x][ldiv[x][y]] != m or table[rdiv[x][y]][x] != m:
-                return False
-    return True
 
 
 class _Engine:
@@ -345,12 +347,6 @@ class _Engine:
                 for z in rng:
                     if t[txy][z] != t[x][t[y][z]]:
                         return False
-        flags = self.p.flags
-        if flags.commutative:
-            for x in rng:
-                for y in rng:
-                    if t[x][y] != t[y][x]:
-                        return False
         for (x, y), v in self.p.product_pins.items():
             if t[x][y] != v:
                 return False
@@ -360,9 +356,7 @@ class _Engine:
         for (y, z), d in self.p.rdiv_pins.items():
             if t[d][y] > z or (d + 1 < m and t[d + 1][y] <= z):
                 return False
-        if flags.k_potent is not None and not _is_k_potent(t, flags.k_potent):
-            return False
-        return not flags.divisible or _divisible_raw(t, u)
+        return self.p.flags.admits(t, u)
 
 
 def iter_completions(problem: CompletionProblem, budget: Budget = Budget(), stats: SearchStats | None = None):
@@ -375,17 +369,17 @@ def iter_completions(problem: CompletionProblem, budget: Budget = Budget(), stat
 # chain enumeration
 
 
-def _raw_stream(n: int, flags: ChainFlags, budget: Budget):
+def _raw_stream(n: int, flags: ChainFlags):
     """The (unit, product table) pairs of the chains that ``flags`` select,
     in canonical order."""
     if n < 1:
         raise FormatError("size must be positive")
     for unit in [n - 1] if flags.integral else range(n):
-        for table in iter_completions(CompletionProblem(n, unit, {}, {}, {}, flags), budget):
+        for table in iter_completions(CompletionProblem(n, unit, {}, {}, {}, flags)):
             yield unit, table
 
 
-def enumerate_chains(n: int, flags: ChainFlags = ChainFlags(), budget: Budget = Budget()):
+def enumerate_chains(n: int, flags: ChainFlags = ChainFlags()):
     """All residuated chains of size ``n`` with the requested properties.
 
     On a chain the only order automorphism is the identity, so distinct
@@ -393,11 +387,11 @@ def enumerate_chains(n: int, flags: ChainFlags = ChainFlags(), budget: Budget = 
     isomorphism classes.  The order is canonical and deterministic.
     """
     zero = 0 if flags.pointed else None
-    for count, (unit, table) in enumerate(_raw_stream(n, flags, budget)):
+    for count, (unit, table) in enumerate(_raw_stream(n, flags)):
         yield make_algebra(product=table, unit=unit, order=CHAIN, zero=zero, name=f"chain{n}_{count}")
 
 
-def count_chains(n: int, flags: ChainFlags = ChainFlags(), budget: Budget = Budget()) -> int:
+def count_chains(n: int, flags: ChainFlags = ChainFlags()) -> int:
     """Number of chains :func:`enumerate_chains` would yield, without
     materializing algebra objects."""
-    return sum(1 for _ in _raw_stream(n, flags, budget))
+    return sum(1 for _ in _raw_stream(n, flags))

@@ -317,7 +317,7 @@ def nucleus_by_name(alg: FiniteRL, name: str) -> Nucleus:
     raise FormatError(f"unknown nucleus name {name!r}")
 
 
-def nucleus_image(n: Nucleus, name: str = "") -> tuple[FiniteRL, tuple[int, ...]]:
+def nucleus_image(n: Nucleus) -> tuple[FiniteRL, tuple[int, ...]]:
     """Image algebra on the closed elements, with the closure surjection."""
     report = validate_nucleus(n)
     if not report.ok:
@@ -335,7 +335,7 @@ def nucleus_image(n: Nucleus, name: str = "") -> tuple[FiniteRL, tuple[int, ...]
         unit=index[d[alg.unit]],
         order=order,
         labels=tuple(alg.labels[x] for x in elems),
-        name=name or (f"{alg.name}_img" if alg.name else ""),
+        name=f"{alg.name}_img" if alg.name else "",
     )
     surjection = tuple(index[d[x]] for x in range(alg.size))
     return image, surjection

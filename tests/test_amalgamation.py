@@ -175,8 +175,39 @@ def test_amalgam_found_implies_one_amalgam_found():
 
 
 def test_pointed_search_requires_pointed_components(vs):
+    from reslat import with_zero
+
     with pytest.raises(PreconditionError):
         bounded_amalgam_search(vs, 6, ChainFlags(pointed=True))
+    # a 0 above the bottom fits no order type, so nothing would be searched
+    zero_inside = with_zero(godel(3), 1)
+    with pytest.raises(PreconditionError):
+        bounded_amalgam_search(_vf(trivial(), zero_inside, zero_inside), 6, ChainFlags(pointed=True))
+
+
+def test_a_class_without_b_or_c_refutes_every_type_at_once(monkeypatch):
+    """L3 is not idempotent, so no idempotent chain contains it: the search
+    decides no type and runs no engine, names the component outside the
+    class, and still counts each size's placements in closed form.  The
+    one-amalgam searches each quotient of B, and the quotient by the full
+    filter is in the class."""
+    from reslat import amalgamation
+
+    A, L3, G3 = trivial(), lukasiewicz(3), godel(3)
+    idempotent = ChainFlags(k_potent=1)
+    unrestricted = {}
+    for tag, vf in (("B", _vf(A, L3, G3)), ("C", _vf(A, G3, L3))):
+        unrestricted[tag] = [bounded_amalgam_search(vf, m, min_size=m).sizes[0].placements for m in range(3, 8)]
+        with monkeypatch.context() as patch:
+            patch.setattr(amalgamation, "_type_refuted", lambda *args: pytest.fail("a type was decided"))
+            patch.setattr(amalgamation, "iter_completions", lambda *args: pytest.fail("the engine ran"))
+            report = bounded_amalgam_search(vf, 7, idempotent)
+        assert report.verdict == "UNSAT" and report.detail == f"{tag} outside the class"
+        assert [(s.size, s.placements, s.nodes) for s in report.sizes] == [
+            (m, p, 0) for m, p in zip(range(3, 8), unrestricted[tag])
+        ]
+    one = bounded_one_amalgam_search(_vf(A, L3, G3), 7, idempotent)
+    assert one.found and one.h.map == (2, 2, 2)
 
 
 def test_pointed_variant_unsat(vs):

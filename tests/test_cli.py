@@ -151,6 +151,16 @@ def test_vformation_from_file(tmp_path, capsys):
         assert main(["one-amalgam", "--vf", str(bad_path), "--max-size", "6"]) == 2
         assert main(["obstruct", "--vf", str(bad_path)]) == 2
 
+    # a pointed search needs the 0 of B and C at the bottom
+    from reslat import VFormation, find_embeddings, godel, trivial
+
+    zero_inside = with_zero(godel(3), 1)
+    i = find_embeddings(trivial(), zero_inside)[0]
+    path = tmp_path / "zero_inside.json"
+    path.write_text(dumps_canonical(vformation_to_document(VFormation(trivial(), zero_inside, zero_inside, i, i))))
+    assert main(["amalgam", "--vf", str(path), "--max-size", "6"]) == 0  # FOUND
+    assert main(["amalgam", "--vf", str(path), "--max-size", "6", "--flags", "pointed"]) == 2
+
 
 def test_builtin_option_spelling(capsys):
     assert main(["verify"]) == 2

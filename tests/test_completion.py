@@ -178,6 +178,9 @@ def test_size_validation():
         CompletionProblem(3, 5, {}, {}, {}).check_well_formed()
     with pytest.raises(FormatError):
         CompletionProblem(3, 1, {}, {}, {}, flags=ChainFlags(integral=True)).check_well_formed()
+    for k in (0, True, 2.5):  # bool is no count
+        with pytest.raises(FormatError):
+            ChainFlags(k_potent=k)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +222,29 @@ def test_census_columns_match_naive_oracle_n_le_4(naive_tables):
             want = naive_tables[n, flags.integral, flags.commutative]
             assert {alg.product for alg in enumerate_chains(n, flags)} == want
             assert count_chains(n, flags) == len(want) == CENSUS_COUNTS[n - 1][column]
+
+
+def test_admits_matches_the_oracles():
+    """``ChainFlags.admits`` against direct checks, on every chain of size
+    at most 5 and every census column with k = 1 ... n+1; k = 10**12 is
+    admitted wherever the column's other flags are, and ``pointed`` asks
+    nothing of a table."""
+    from oracles import _divides, _has_equal_powers
+
+    for n in range(1, 6):
+        for chain in enumerate_chains(n):
+            t, u, rng = chain.product, chain.unit, range(n)
+            holds = {
+                "integral": u == n - 1,
+                "commutative": all(t[x][y] == t[y][x] for x in rng for y in rng),
+                "divisible": _divides(t),
+            }
+            for _, column in _census_columns():
+                others = all(ok for flag, ok in holds.items() if getattr(column, flag))
+                for k in range(1, n + 2):
+                    assert replace(column, k_potent=k).admits(t, u) == (others and _has_equal_powers(t, k))
+                assert replace(column, k_potent=10**12).admits(t, u) == others
+                assert replace(column, pointed=True).admits(t, u) == column.admits(t, u)
 
 
 # ---------------------------------------------------------------------------
