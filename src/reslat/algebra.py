@@ -1,9 +1,10 @@
 """Finite residuated lattices represented as operation tables.
 
-Elements are integers ``0 .. n-1``.  A totally ordered algebra uses the
-``CHAIN`` order marker, meaning index order (``0 < 1 < ... < n-1``); general
-lattices carry an explicit ``leq`` table.  All structures are immutable after
-construction and every operation in this module is a pure function.
+Elements are integers ``0 .. n-1``.  An algebra ordered by index
+(``0 < 1 < ... < n-1``) stores the ``CHAIN`` order marker, however its order
+was given; every other lattice carries an explicit ``leq`` table.  All
+structures are immutable after construction and every operation in this
+module is a pure function.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ class BudgetExceededError(ReslatError):
 class FiniteRL:
     """A finite residuated lattice (or candidate: validity is checked lazily).
 
-    ``leq`` is ``None`` for chains in index order, otherwise an ``n x n``
-    boolean table.  ``ldiv[x][z] = x\\z`` and ``rdiv[x][z] = z/x``.  ``zero``
-    is the optional pointed constant.  ``masks`` is ``None`` for a total
-    algebra; a partial one carries the (product, ldiv, rdiv) definedness
-    tables, read through :func:`definedness`.
+    ``leq`` is ``None`` exactly for chains in index order, otherwise an
+    ``n x n`` boolean table.  ``ldiv[x][z] = x\\z`` and ``rdiv[x][z] = z/x``.
+    ``zero`` is the optional pointed constant.  ``masks`` is ``None`` for a
+    total algebra; a partial one carries the (product, ldiv, rdiv)
+    definedness tables, read through :func:`definedness`.
     """
 
     size: int
@@ -154,9 +155,6 @@ class Morphism:
     map: tuple[int, ...]
     kind: str = HOM
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
     def __repr__(self):
         return f"Morphism({self.kind}, {list(self.map)})"
 
@@ -224,6 +222,8 @@ def make_algebra(
 ) -> FiniteRL:
     """Build a :class:`FiniteRL`, deriving divisions when not supplied.
 
+    ``order`` is ``CHAIN`` or a 0/1 table; a table equal to the index order
+    is stored as ``CHAIN``, so each order has one representation.
     ``masks``, when given, is the (product, ldiv, rdiv) triple of
     definedness tables of a partial algebra, which must carry explicit
     divisions.  Raises :class:`FormatError` for malformed shapes and
@@ -234,10 +234,9 @@ def make_algebra(
         raise FormatError("product must be a non-empty table: algebras have at least one element")
     n = len(product)
     product = _as_int_table(product, n, "product")
-    if order == CHAIN:
+    leq = None if order == CHAIN else _as_bool_table(order, n, "order")
+    if leq is not None and all(leq[x][y] == (x <= y) for x in range(n) for y in range(n)):
         leq = None
-    else:
-        leq = _as_bool_table(order, n, "order")
     if labels is None:
         labels = _default_labels(n)
     elif not isinstance(labels, (list, tuple)) or not all(isinstance(lab, str) for lab in labels):
@@ -257,7 +256,7 @@ def make_algebra(
     if (ldiv is None) != (rdiv is None):
         raise FormatError("supply both divisions or neither")
     if ldiv is None:
-        ldiv, rdiv = residuals_from_product(order if leq is None else leq, product, unit)
+        ldiv, rdiv = residuals_from_product(CHAIN if leq is None else leq, product, unit)
     ldiv = _as_int_table(ldiv, n, "ldiv")
     rdiv = _as_int_table(rdiv, n, "rdiv")
     if masks is not None:
@@ -302,12 +301,6 @@ def relabel(alg: FiniteRL, labels, name=None) -> FiniteRL:
 
 # ---------------------------------------------------------------------------
 # order utilities
-
-
-def _le_fn(order):
-    if order == CHAIN or order is None:
-        return lambda x, y: x <= y
-    return lambda x, y: bool(order[x][y])
 
 
 def _lub(alg, x: int, y: int) -> int | None:
@@ -378,8 +371,8 @@ def residuals_from_product(order, product, unit):
     with the least pair whose candidate set has no maximum.
     """
     n = len(product)
-    le = _le_fn(order)
-    chain = order == CHAIN or order is None
+    chain = order == CHAIN
+    le = (lambda x, y: x <= y) if chain else (lambda x, y: order[x][y])
 
     def greatest(candidates, pair):
         if not candidates:
@@ -608,31 +601,16 @@ def congruence_filters(alg: FiniteRL) -> list[CongruenceFilter]:
 
 
 def filter_to_congruence(F: CongruenceFilter) -> tuple[tuple[int, ...], ...]:
-    """Partition induced by ``x ~ y iff x\\y and y\\x in F``."""
-    alg = F.parent
-    members = F.members
-    n = alg.size
-    parent = list(range(n))
+    """Partition induced by ``x ~ y iff x\\y and y\\x in F``.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for x in range(n):
-        for y in range(x + 1, n):
-            if alg.ldiv[x][y] in members and alg.ldiv[y][x] in members:
-                union(x, y)
+    For a congruence filter this relation is already an equivalence, so each
+    x joins the block of the least y related to it."""
+    alg, members = F.parent, F.members
     blocks = {}
-    for x in range(n):
-        blocks.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted(b)) for b in sorted(blocks.values(), key=min))
+    for x in range(alg.size):
+        least = next(y for y in range(x + 1) if alg.ldiv[x][y] in members and alg.ldiv[y][x] in members)
+        blocks.setdefault(least, []).append(x)
+    return tuple(map(tuple, blocks.values()))
 
 
 def quotient(alg: FiniteRL, F: CongruenceFilter) -> FiniteRL:
@@ -645,14 +623,8 @@ def quotient(alg: FiniteRL, F: CongruenceFilter) -> FiniteRL:
     reps = [b[0] for b in blocks]
     m = len(blocks)
     product = [[block_of[alg.product[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    if alg.leq is None:
-        order = CHAIN
-    else:
-        mt = meet_table(alg)
-        order = [
-            [block_of[mt[reps[i]][reps[j]]] == i for j in range(m)]
-            for i in range(m)
-        ]
+    mt = meet_table(alg)
+    order = [[block_of[mt[reps[i]][reps[j]]] == i for j in range(m)] for i in range(m)]
     labels = tuple("|".join(alg.labels[x] for x in b) for b in blocks)
     return make_algebra(
         product=product,

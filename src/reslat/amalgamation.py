@@ -85,9 +85,6 @@ class ObstructionCheck:
     clause: str | None
     lines: tuple[str, ...]
 
-    def __str__(self):
-        return "\n".join(self.lines)
-
 
 @dataclass(frozen=True)
 class SizeStats:
@@ -559,6 +556,7 @@ def bounded_amalgam_search(
     of the other types, so per-size ``nodes`` counts its branching nodes on
     those placements alone.  D contains B and C, so when ``flags`` does not
     admit B or C every type is refuted at once and ``detail`` names them.
+    ``budget`` bounds the engine nodes of all sizes together.
     Raises :class:`PreconditionError` when the sizes to search, from
     ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none, and in
     a pointed search when the 0 of B or C is not its bottom.
@@ -572,6 +570,7 @@ def bounded_amalgam_search(
     if lo > max_size:
         raise PreconditionError(f"nothing to search: sizes start at {lo}, above the bound {max_size}")
     per_size = []
+    stats = SearchStats()  # one count for the whole search, which the budget bounds
     zero = 0 if flags.pointed else None
     fixed = flags.pointed + flags.integral  # ranks held at D's bottom or top
     types = [(max(h + k) + 1, (h, k)) for h, k in _order_types(vf, flags, max_size)]  # (ranks, type)
@@ -586,7 +585,7 @@ def bounded_amalgam_search(
                 return
 
     for m in range(lo, max_size + 1):
-        stats = SearchStats()
+        before = stats.nodes
         # a type places its free ranks in D's free elements; a lone rank that
         # is both zero and unit (trivial B and C) fits only the trivial D
         placements = sum(math.comb(m - fixed, r - fixed) if r >= fixed else int(m == 1) for r, _ in types)
@@ -606,12 +605,12 @@ def bounded_amalgam_search(
                     k = Morphism(vf.C, d, kpos, EMBEDDING)
                     if not (validate_morphism(h).ok and validate_morphism(k).ok):
                         raise AssertionError("search produced a non-embedding")
-                    per_size.append(SizeStats(m, placements, stats.nodes))
+                    per_size.append(SizeStats(m, placements, stats.nodes - before))
                     return SearchReport("FOUND", max_size, d, h, k, tuple(per_size))
-            except BudgetExceededError as exc:
-                per_size.append(SizeStats(m, placements, exc.nodes))
+            except BudgetExceededError:
+                per_size.append(SizeStats(m, placements, stats.nodes - before))
                 return SearchReport("BUDGET", max_size, sizes=tuple(per_size), detail=f"budget exhausted at size {m}")
-        per_size.append(SizeStats(m, placements, stats.nodes))
+        per_size.append(SizeStats(m, placements, stats.nodes - before))
     detail = f"{' and '.join(outside)} outside the class" if outside else ""
     return SearchReport("UNSAT", max_size, sizes=tuple(per_size), detail=detail)
 
@@ -628,7 +627,8 @@ def bounded_one_amalgam_search(
     by an embedding, so it suffices to run the amalgam search on (A, B/F, C)
     for each congruence filter F of B that does not identify distinct
     elements of i(A).  A filter whose quotient or C exceeds the bound is
-    skipped; :class:`PreconditionError` is raised when no filter is left."""
+    skipped; :class:`PreconditionError` is raised when no filter is left.
+    The budget bounds the nodes of all the sub-searches together."""
     all_sizes: list[SizeStats] = []
     details = []
     searched = 0
@@ -649,7 +649,8 @@ def bounded_one_amalgam_search(
         Bq = quotient(vf.B, F)
         iq = tuple(block_of[i_img[a]] for a in range(vf.A.size))
         sub_vf = make_vformation(vf.A, Bq, vf.C, iq, vf.j.map, name=f"{vf.name}/F")
-        report = bounded_amalgam_search(sub_vf, max_size, flags, budget)
+        spent = sum(s.nodes for s in all_sizes)
+        report = bounded_amalgam_search(sub_vf, max_size, flags, replace(budget, max_nodes=budget.max_nodes - spent))
         all_sizes.extend(report.sizes)
         details.append(f"filter {sorted(F.members)}: {report.verdict}")
         if report.found:
@@ -675,19 +676,12 @@ def vs_formation() -> VFormation:
     return VFormation(A, B, C, i[0], j[0], name="VS")
 
 
-def pointed_vformation(vf: VFormation, a_zero: int, name="") -> VFormation:
+def pointed_vformation(vf: VFormation, a_zero: int) -> VFormation:
     """Designate an element of A (and its images) as the constant 0."""
     A = with_zero(vf.A, a_zero)
     B = with_zero(vf.B, vf.i.map[a_zero])
     C = with_zero(vf.C, vf.j.map[a_zero])
-    return VFormation(
-        A,
-        B,
-        C,
-        Morphism(A, B, vf.i.map, EMBEDDING),
-        Morphism(A, C, vf.j.map, EMBEDDING),
-        name=name or (f"{vf.name}.pointed" if vf.name else ""),
-    )
+    return make_vformation(A, B, C, vf.i.map, vf.j.map, name=f"{vf.name}.pointed" if vf.name else "")
 
 
 def rotated_vformation(vf: VFormation, delta_name: str, n: int) -> VFormation:
@@ -697,14 +691,12 @@ def rotated_vformation(vf: VFormation, delta_name: str, n: int) -> VFormation:
     RA = generalized_rotation(A, dA, n, name=f"{A.name}^{delta_name}:{n}")
     RB = generalized_rotation(B, dB, n, name=f"{B.name}^{delta_name}:{n}")
     RC = generalized_rotation(C, dC, n, name=f"{C.name}^{delta_name}:{n}")
-    i_map = rotation_map(dA, dB, n, vf.i.map)
-    j_map = rotation_map(dA, dC, n, vf.j.map)
-    out = VFormation(
+    out = make_vformation(
         RA,
         RB,
         RC,
-        Morphism(RA, RB, i_map, EMBEDDING),
-        Morphism(RA, RC, j_map, EMBEDDING),
+        rotation_map(dA, dB, n, vf.i.map),
+        rotation_map(dA, dC, n, vf.j.map),
         name=f"{vf.name}^{delta_name}:{n}" if vf.name else "",
     )
     rep = check_vformation(out)

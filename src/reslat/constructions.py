@@ -6,9 +6,10 @@ the identity nucleus at n = 2), plus the built-in algebras (Lukasiewicz and
 Goedel chains and the VS formation components).
 
 Carrier convention: constructed algebras list the lower block first, so
-every constructed chain satisfies the index-order CHAIN convention and
-table equality is meaningful.  Total constructions state only the product
-and the order; ``make_algebra`` derives the divisions, which are unique.
+every constructed chain is in index order, which ``make_algebra`` stores as
+``CHAIN``, and table equality is meaningful.  Total constructions state only
+the product and the order table; ``make_algebra`` derives the divisions,
+which are unique.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import (
-    CHAIN,
     CheckOutcome,
     FiniteRL,
     FormatError,
@@ -200,7 +200,7 @@ def _splitting_coatom(L: FiniteRL) -> int:
 
 
 def _stacked_order(blocks) -> list[list[bool]]:
-    """Explicit order of a carrier made of blocks stacked bottom to top.
+    """Order table of a carrier made of blocks stacked bottom to top.
 
     Each block is a pair ``(members, le)``: a dict from carrier index to
     element and the order on those elements.  Every element of a block lies
@@ -245,11 +245,6 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
     glued = {x: i for i, x in in_K.items()}
     glued[K.unit] = unit
 
-    if K.is_chain_order and L.is_chain_order and K.unit == K.size - 1 and L.unit == L.size - 1:
-        order = CHAIN
-    else:
-        order = _stacked_order([(in_K, K.le), ({nk + x: x for x in range(L.size)}, L.le)])
-
     def mul(a, b):
         if a in in_K and b in in_K:
             return glued[K.product[in_K[a]][in_K[b]]]
@@ -263,7 +258,7 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
     return make_algebra(
         product=[[mul(a, b) for b in range(n)] for a in range(n)],
         unit=unit,
-        order=order,
+        order=_stacked_order([(in_K, K.le), ({nk + x: x for x in range(L.size)}, L.le)]),
         labels=labels,
         name=name or f"({K.name}&{L.name})",
     )
@@ -326,14 +321,10 @@ def nucleus_image(n: Nucleus) -> tuple[FiniteRL, tuple[int, ...]]:
     elems = sorted({d[x] for x in range(alg.size)})
     index = {x: i for i, x in enumerate(elems)}
     product = [[index[d[alg.product[x][y]]] for y in elems] for x in elems]
-    if alg.leq is None:
-        order = CHAIN
-    else:
-        order = [[alg.leq[x][y] for y in elems] for x in elems]
     image = make_algebra(
         product=product,
         unit=index[d[alg.unit]],
-        order=order,
+        order=[[alg.le(x, y) for y in elems] for x in elems],
         labels=tuple(alg.labels[x] for x in elems),
         name=f"{alg.name}_img" if alg.name else "",
     )
@@ -406,11 +397,6 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
     in_p = {i: b for b, i in primed.items()}
     in_l = {i: t for t, i in levels.items()}
 
-    if a.is_chain_order:
-        order = CHAIN
-    else:
-        order = _stacked_order([(in_p, lambda b, c: a.le(c, b)), (in_l, lambda s, t: s <= t), (in_a, a.le)])
-
     def mul(i, j):
         if i in in_a and j in in_a:
             return base[a.product[in_a[i]][in_a[j]]]
@@ -433,7 +419,7 @@ def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> Fin
     return make_algebra(
         product=[[mul(i, j) for j in range(size)] for i in range(size)],
         unit=unit,
-        order=order,
+        order=_stacked_order([(in_p, lambda b, c: a.le(c, b)), (in_l, lambda s, t: s <= t), (in_a, a.le)]),
         labels=labels,
         zero=zero,
         name=name or (f"{a.name}^rot{n}" if a.name else ""),

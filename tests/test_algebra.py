@@ -16,6 +16,7 @@ from reslat import (
     check_identity,
     congruence_filters,
     filter_to_congruence,
+    godel,
     lukasiewicz,
     make_algebra,
     parse_identity,
@@ -101,6 +102,18 @@ def test_validate_rejects_malformed_tables():
         make_algebra(product=[[0, 0], [0, 1]], unit=1, labels=("x", "x"))
 
 
+def test_index_order_table_is_stored_as_chain():
+    for alg in (trivial(), godel(3), vs_c()):
+        n = alg.size
+        table = [[int(x <= y) for y in range(n)] for x in range(n)]
+        rebuilt = make_algebra(product=alg.product, unit=alg.unit, order=table)
+        assert rebuilt.leq is None
+        assert tables_equal(rebuilt, alg)
+    # the order is validated before it is compared with the index order
+    with pytest.raises(FormatError):
+        make_algebra(product=[[0, 0], [0, 1]], unit=1, order=[[1, 1], [0, 2]])
+
+
 def test_residuals_examples():
     b = vs_b()
     ldiv, rdiv = residuals_from_product(CHAIN, b.product, b.unit)
@@ -182,6 +195,15 @@ def test_quotients_of_b():
     assert tables_equal(q, lukasiewicz(3))
     assert tables_equal(quotient(b, filters[(3,)]), b)
     assert quotient(b, filters[(0, 1, 2, 3)]).size == 1
+
+
+def test_quotients_of_the_square():
+    square = diamond()
+    filters = {F.sorted_members(): F for F in congruence_filters(square)}
+    for members in ((1, 3), (2, 3)):  # {a, 1} and {b, 1}
+        assert tables_equal(quotient(square, filters[members]), godel(2))
+    assert tables_equal(quotient(square, filters[(0, 1, 2, 3)]), trivial())
+    assert tables_equal(quotient(square, filters[(3,)]), square)
 
 
 def test_quotient_of_chain_is_chain(small_chain_pool):

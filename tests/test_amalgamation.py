@@ -225,6 +225,46 @@ def test_budget_verdict():
     assert bounded_amalgam_search(vf, 5, min_size=5).found
 
 
+def _budget_formation():
+    """A = 2 in B = L3 at (0, 2) and in the 2-potent CI chain chain5_1 at
+    (3, 4): at bound 9 the engine spends 6 nodes at size 8 and 56 at size 9."""
+    from reslat import enumerate_chains, make_vformation
+
+    C = list(enumerate_chains(5, ChainFlags(commutative=True, integral=True, k_potent=2)))[1]
+    return make_vformation(two(), lukasiewicz(3), C, (0, 2), (3, 4))
+
+
+@pytest.mark.parametrize("search", [bounded_amalgam_search, bounded_one_amalgam_search])
+def test_budget_bounds_the_whole_search(search):
+    from reslat import Budget
+
+    vf = _budget_formation()
+    enough = search(vf, 9, budget=Budget(max_nodes=62))
+    assert enough.verdict == "UNSAT"
+    assert [(s.size, s.nodes) for s in enough.sizes] == [(5, 0), (6, 0), (7, 0), (8, 6), (9, 56)]
+    short = search(vf, 9, budget=Budget(max_nodes=56))
+    assert short.verdict == "BUDGET"
+    # the 57th node overruns the budget; size 9 reports the nodes it spent
+    assert [(s.size, s.nodes) for s in short.sizes][-2:] == [(8, 6), (9, 51)]
+
+
+def test_one_amalgam_budget_is_shared_by_its_filters():
+    """Over B = chain5_2 the trivial filter {4} spends 12 nodes and finds
+    nothing, and the filter {3, 4} finds a one-amalgam after 4 more."""
+    from reslat import Budget, enumerate_chains, make_vformation
+
+    flags = ChainFlags(commutative=True, integral=True, k_potent=2)
+    B = list(enumerate_chains(5, flags))[2]
+    C = list(enumerate_chains(4, flags))[1]
+    vf = make_vformation(two(), B, C, (0, 4), (2, 3))
+    found = bounded_one_amalgam_search(vf, 8, budget=Budget(max_nodes=16))
+    assert found.found and sum(s.nodes for s in found.sizes) == 16
+    assert found.detail == "filter [4]: UNSAT; filter [3, 4]: FOUND"
+    short = bounded_one_amalgam_search(vf, 8, budget=Budget(max_nodes=15))
+    assert short.verdict == "BUDGET"
+    assert short.detail == "filter [4]: UNSAT; filter [3, 4]: BUDGET"
+
+
 def test_search_agrees_with_brute_force_over_all_chains(vs):
     from oracles import brute_amalgam_exists
 
@@ -354,6 +394,16 @@ def test_rotated_formations_obstructed(vs):
         rvf = rotated_vformation(vs, delta, 2)
         assert check_vformation(rvf).ok
         assert find_obstruction(rvf) is not None
+
+
+@pytest.mark.parametrize("delta, sizes", [("identity", (7, 9, 11)), ("const-1", (5, 6, 7))])
+def test_three_level_rotations_of_vs(vs, delta, sizes):
+    # n = 3 puts one interior Lukasiewicz level into every component
+    rvf = rotated_vformation(vs, delta, 3)
+    assert check_vformation(rvf).ok
+    assert (rvf.A.size, rvf.B.size, rvf.C.size) == sizes
+    assert find_obstruction(rvf) is not None
+    assert bounded_amalgam_search(rvf, max(sizes[1:])).verdict == "UNSAT"
 
 
 def test_rotated_identity_formation_one_amalgam_unsat_at_9(vs):

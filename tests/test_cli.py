@@ -162,6 +162,67 @@ def test_vformation_from_file(tmp_path, capsys):
     assert main(["amalgam", "--vf", str(path), "--max-size", "6", "--flags", "pointed"]) == 2
 
 
+def test_index_order_arrays_in_a_vformation_document(tmp_path, capsys):
+    from reslat import vformation_to_document, vs_formation
+
+    doc = vformation_to_document(vs_formation())
+    for key in ("A", "B", "C"):
+        n = doc[key]["size"]
+        doc[key]["order"] = [[int(x <= y) for y in range(n)] for x in range(n)]
+    path = tmp_path / "vs_arrays.json"
+    path.write_text(dumps_canonical(doc))
+    code, report = run_json(capsys, "amalgam", "--vf", str(path), "--max-size", "9")
+    vs_code, vs_report = run_json(capsys, "amalgam", "--vf", "VS", "--max-size", "9")
+    assert code == vs_code == 1
+    assert report["search"] == vs_report["search"]
+
+
+def test_a_chain_out_of_index_order_is_refused(tmp_path, capsys):
+    from reslat import (
+        UnsupportedError,
+        bounded_amalgam_search,
+        godel,
+        make_algebra,
+        make_vformation,
+        trivial,
+        vformation_to_document,
+    )
+
+    g3, perm = godel(3), (2, 0, 1)  # index x holds the element perm[x] of G3
+    back = {e: x for x, e in enumerate(perm)}
+    shuffled = make_algebra(
+        product=[[back[g3.product[perm[x]][perm[y]]] for y in range(3)] for x in range(3)],
+        unit=back[g3.unit],
+        order=[[perm[x] <= perm[y] for y in range(3)] for x in range(3)],
+    )
+    assert shuffled.leq is not None  # a total order, but not the index order
+    vf = make_vformation(trivial(), shuffled, g3, (back[g3.unit],), (g3.unit,))
+    with pytest.raises(UnsupportedError):
+        bounded_amalgam_search(vf, 5)
+    path = tmp_path / "shuffled.json"
+    path.write_text(dumps_canonical(vformation_to_document(vf)))
+    assert main(["amalgam", "--vf", str(path), "--max-size", "5"]) == 2
+
+
+def test_builtin_vformation_names(capsys):
+    assert main(["amalgam", "--vf", "VS.pointed", "--flags", "pointed", "--max-size", "9"]) == 1
+    assert main(["amalgam", "--vf", "VS.nope", "--max-size", "9"]) == 2
+
+
+@pytest.mark.parametrize("check", ["1,1,2,0", "9,9,9,9,9", "1,1,2,0,0,UP"])
+def test_malformed_obstruction_checks_exit_2(capsys, check):
+    assert main(["obstruct", "--vf", "VS", "--check", check]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_with_zero_and_the_triple_builtin(capsys):
+    code, report = run_json(capsys, "verify", "VS.B", "--zero", "0")
+    assert code == 0 and report["ok"]
+    code, report = run_json(capsys, "construct", "builtin", "--name", "VS.K_triple")
+    assert code == 0 and "masks" in report["triple"]["K"]
+
+
 def test_builtin_option_spelling(capsys):
     assert main(["verify"]) == 2
     assert main(["verify", "VS.B", "--builtin", "VS.C"]) == 2

@@ -9,6 +9,7 @@ from reslat import (
     document_to_algebra,
     document_to_vformation,
     dumps_canonical,
+    godel,
     tables_equal,
     vformation_to_document,
     vs_b,
@@ -24,6 +25,15 @@ def test_algebra_document_round_trip(small_chain_pool):
         back = document_to_algebra(json.loads(dumps_canonical(doc)))
         assert tables_equal(back, alg)
         assert back.labels == alg.labels and back.name == alg.name
+
+
+def test_index_order_array_round_trips_as_chain():
+    doc = algebra_to_document(godel(3))
+    assert doc["order"] == "chain"
+    doc["order"] = [[int(x <= y) for y in range(3)] for x in range(3)]
+    alg = document_to_algebra(doc)
+    assert tables_equal(alg, godel(3))
+    assert algebra_to_document(alg) == algebra_to_document(godel(3))
 
 
 def test_partial_document_round_trip():
