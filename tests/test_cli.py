@@ -282,6 +282,13 @@ def test_usage_and_format_errors(tmp_path, capsys, monkeypatch):
     assert main(["verify", str(v)]) == 1  # verify reports the failure itself
 
 
+def test_enumerate_rejects_sizes_beyond_one_byte_per_cell(capsys):
+    for argv in (["enumerate", "--size", "100000", "--count"], ["enumerate", "--size", "257"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "size must be at most 256" in err and "Traceback" not in err
+
+
 def test_budget_exit_code(capsys):
     vf = "VS"
     code = main(["enumerate", "--size", "6", "--flags", "integral", "--count"])  # big but fine

@@ -1,5 +1,6 @@
 import importlib.util
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from reslat import (
     FormatError,
     bounded_amalgam_search,
     check_identity,
+    completion,
     count_chains,
     enumerate_chains,
     iter_completions,
@@ -174,6 +176,8 @@ def test_partial_pins_of_valid_chains_always_complete(small_chain_pool, data):
 def test_size_validation():
     with pytest.raises(FormatError):
         count_chains(0, ChainFlags())
+    with pytest.raises(FormatError):  # the memo keeps one byte per cell
+        count_chains(completion.MAX_CHAIN_SIZE + 1, ChainFlags())
     with pytest.raises(FormatError):
         CompletionProblem(3, 5, {}, {}, {}).check_well_formed()
     with pytest.raises(FormatError):
@@ -248,6 +252,68 @@ def test_admits_matches_the_oracles():
 
 
 # ---------------------------------------------------------------------------
+# the memo of unpinned engine runs behind enumerate_chains and count_chains
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(completion, "_CHAINS", memo)
+    return memo
+
+
+def _stream(n, flags):
+    return [(alg.unit, alg.product) for alg in enumerate_chains(n, flags)]
+
+
+@pytest.mark.parametrize("column", range(6))
+def test_memo_is_invisible(column, cold_memo):
+    """Cold, warm and unmemoized streams list the same tables in the same order."""
+    _, flags = _census_columns()[column]
+    for n in range(1, 7):
+        cold_memo.clear()
+        cold = _stream(n, flags)
+        warm = _stream(n, flags)
+        direct = [
+            (unit, tuple(map(tuple, table)))
+            for unit in ([n - 1] if flags.integral else range(n))
+            for table in iter_completions(CompletionProblem(n, unit, {}, {}, {}, flags=flags))
+        ]
+        assert cold == warm == direct
+        assert count_chains(n, flags) == len(direct) == CENSUS_COUNTS[n - 1][column]
+
+
+def test_streams_read_in_parts_match_one_read(cold_memo):
+    flags = ChainFlags(integral=True)
+    at_once = _stream(5, flags)
+    cold_memo.clear()
+    abandoned = [alg.product for alg in islice(enumerate_chains(5, flags), 7)]
+    assert cold_memo == {}  # a stream stopped early stores nothing
+    stream = enumerate_chains(5, flags)
+    head = [(alg.unit, alg.product) for alg in islice(stream, 7)]
+    beside = _stream(5, flags)  # a second cold stream, run while the first is paused
+    parts = head + [(alg.unit, alg.product) for alg in stream]
+    assert abandoned == [product for _, product in head]
+    assert parts == beside == at_once == _stream(5, flags)
+
+
+def test_first_chain_costs_one_engine_table(monkeypatch, cold_memo):
+    produced = []
+    engine = completion.iter_completions
+
+    def spy(*args, **kwargs):
+        for table in engine(*args, **kwargs):
+            produced.append(table)
+            yield table
+
+    monkeypatch.setattr(completion, "iter_completions", spy)
+    first = next(enumerate_chains(8, ChainFlags(integral=True)))
+    assert len(produced) == 1
+    assert first.product == tuple(map(tuple, produced[0]))
+    assert cold_memo == {}
+
+
+# ---------------------------------------------------------------------------
 # exactness pins: the engine's search order and work counts, which depend on
 # the order of propagation; a faster engine must reproduce them exactly
 
@@ -298,6 +364,18 @@ def test_unpinned_search_totals_are_pinned(column):
                 pass
         got.append((stats.nodes, stats.solutions))
     assert tuple(got) == UNPINNED_SEARCH_TOTALS[column]
+
+
+@pytest.mark.parametrize(
+    "commutative, nodes, solutions", [(False, 22_437, 2_641), (True, 1_939, 451)]
+)
+def test_census_size_search_is_pinned(commutative, nodes, solutions):
+    """n = 7, unit 6: where skipping the fixed cells of a cone saves most."""
+    stats = SearchStats()
+    problem = CompletionProblem(7, 6, {}, {}, {}, flags=ChainFlags(integral=True, commutative=commutative))
+    for _ in iter_completions(problem, stats=stats):
+        pass
+    assert (stats.nodes, stats.solutions) == (nodes, solutions)
 
 
 def test_vs_search_work_per_size_is_pinned(vs):
