@@ -72,7 +72,7 @@ from .documents import (
     load_algebra,
     write_atomic,
 )
-from .identities import check_identity, compile_term, format_identity, parse_identity
+from .identities import TermEvaluator, check_identity, format_identity, parse_identity
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +417,11 @@ def _table_facts_hold(alg, facts: str) -> bool:
     """Whether each equation chain of ``facts`` (after the ``"X: "`` prefix,
     chains separated by ``", "`` or ``" and "``) holds in ``alg`` when every
     label names its own element."""
-    own = tuple(range(alg.size))
+    evaluator = TermEvaluator(alg)
+    own = {label: (x,) for x, label in enumerate(alg.labels)}
     chains = facts.split(": ", 1)[1].replace(" and ", ", ").split(", ")
     return all(
-        len({compile_term(alg, t, alg.labels)(own) for t in parse_identity(chain).terms}) == 1
+        len({values[0] for values in evaluator.values(parse_identity(chain).terms, own)}) == 1
         for chain in chains
     )
 

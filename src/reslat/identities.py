@@ -12,13 +12,24 @@ Precedence, tightest first: ``neg``, ``*``, meet, join, divisions; all
 binary operators associate to the left.  ``->`` desugars to ``\\`` on
 commutative algebras only, and ``neg x`` to ``x \\ 0`` on pointed algebras
 only.
+
+Evaluation works on tables, not on one assignment at a time.
+:class:`TermEvaluator` lists each subterm's values over the assignments
+of its own variables, in ``itertools.product`` order, and applies an
+operator to whole lists through its table.  :func:`check_identity`
+compares the terms' lists; an identity with more than ``BLOCK_CELLS``
+assignments is checked in blocks that fix its leading variables, in
+lexicographic order, so no list grows past that constant (or the size of
+the algebra, if larger).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
+from operator import getitem, gt, ne, not_
 
 from .algebra import (
     FiniteRL,
@@ -345,64 +356,172 @@ def format_identity(ident: Identity) -> str:
 # evaluation
 
 
-def compile_term(alg: FiniteRL, t: Term, variables: tuple[str, ...]):
-    """Compile ``t`` over ``alg`` to a function of an assignment tuple that
-    gives ``variables`` their values in order.
+# the most assignments one value list covers; an identity with more is
+# checked block by block, its leading variables fixed in each block
+BLOCK_CELLS = 1 << 16
 
-    Tables, constants and errors are resolved here, once: a negation
-    checks for the zero before compiling its argument, and a binary node
-    compiles both operands before it rejects ``->`` on a non-commutative
-    algebra or builds a meet or join table (only a term that uses one
-    needs the order to have it).
+
+class TermEvaluator:
+    """Value lists of terms over ``alg``.
+
+    ``domains`` maps each variable, in the identity's order, to the values
+    it ranges over (a one-entry tuple fixes it).  A term's list holds its
+    value at each assignment of the domains, in ``itertools.product``
+    order.  Each subterm is evaluated once per assignment of its own
+    variables, and an operator maps whole lists through its table; a
+    child is spread over the variables its sibling adds by repeating it.
+
+    Tables are looked up on first use and kept for the evaluator's life:
+    a negation checks for the zero before it evaluates its argument, and
+    a binary node evaluates both operands before it rejects ``->`` on a
+    non-commutative algebra or builds a meet or join table (only a term
+    that uses one needs the order to have it).
     """
-    if isinstance(t, Var):
-        return itemgetter(variables.index(t.name))
-    if isinstance(t, Const):
-        if t.symbol == "1":
-            value = alg.unit
-        elif alg.zero is None:
-            raise UnsupportedSymbolError("constant 0 on an unpointed algebra")
+
+    def __init__(self, alg: FiniteRL):
+        self.alg = alg
+        self._tables: dict[str, tuple] = {}
+
+    def values(self, terms: Sequence[Term], domains: dict[str, Sequence[int]]) -> list[list[int]]:
+        """Each term's values at every assignment of ``domains``.  The terms
+        are all evaluated before any is spread over every variable."""
+        position = {v: i for i, v in enumerate(domains)}
+        sizes = [len(d) for d in domains.values()]
+        every = range(len(sizes))
+        listed = [self._values(t, domains, position, sizes) for t in terms]
+        return [
+            values if len(have) == len(sizes) else list(_spread(values, have, every, sizes))
+            for values, have in listed
+        ]
+
+    def _values(self, t, domains, position, sizes) -> tuple[list[int], tuple[int, ...]]:
+        """``t``'s values, listed over the variables at the returned positions."""
+        alg = self.alg
+        if isinstance(t, Var):
+            return list(domains[t.name]), (position[t.name],)
+        if isinstance(t, Const):
+            if t.symbol == "1":
+                return [alg.unit], ()
+            if alg.zero is None:
+                raise UnsupportedSymbolError("constant 0 on an unpointed algebra")
+            return [alg.zero], ()
+        if isinstance(t, Neg):
+            if alg.zero is None:
+                raise UnsupportedSymbolError("negation on an unpointed algebra")
+            arg, have = self._values(t.arg, domains, position, sizes)
+            return list(map(self._table("neg").__getitem__, arg)), have
+        a, pa = self._values(t.left, domains, position, sizes)
+        b, pb = self._values(t.right, domains, position, sizes)
+        table = self._table(t.op)
+        if t.op == "/":  # a / b is rdiv[b][a]
+            a, pa, b, pb = b, pb, a, pa
+        # a one-entry list is constant over its variables
+        if len(a) == 1:
+            return list(map(table[a[0]].__getitem__, b)), pb
+        if len(b) == 1:
+            return list(map([row[b[0]] for row in table].__getitem__, a)), pa
+        both = tuple(sorted({*pa, *pb}))
+        a, b = _spread(a, pa, both, sizes), _spread(b, pb, both, sizes)
+        return list(map(getitem, map(table.__getitem__, a), b)), both
+
+    def _table(self, op: str) -> tuple:
+        table = self._tables.get(op)
+        if table is not None:
+            return table
+        alg = self.alg
+        if op == "neg":
+            table = tuple(row[alg.zero] for row in alg.ldiv)
+        elif op == "->" and not validate(alg, ["commutative"]).ok:
+            raise UnsupportedSymbolError("arrow on a non-commutative algebra")
+        elif op == "/\\":
+            table = meet_table(alg)
+        elif op == "\\/":
+            table = join_table(alg)
+        elif op == "*":
+            table = alg.product
+        elif op == "/":
+            table = alg.rdiv
+        elif op in ("\\", "->"):
+            table = alg.ldiv
         else:
-            value = alg.zero
-        return lambda env: value
-    if isinstance(t, Neg):
-        if alg.zero is None:
-            raise UnsupportedSymbolError("negation on an unpointed algebra")
-        to_zero = tuple(row[alg.zero] for row in alg.ldiv)
-        arg = compile_term(alg, t.arg, variables)
-        return lambda env: to_zero[arg(env)]
-    left = compile_term(alg, t.left, variables)
-    right = compile_term(alg, t.right, variables)
-    if t.op == "->" and not validate(alg, ["commutative"]).ok:
-        raise UnsupportedSymbolError("arrow on a non-commutative algebra")
-    if t.op == "/":  # a / b: numerator a, denominator b
-        rdiv = alg.rdiv
-        return lambda env: rdiv[right(env)][left(env)]
-    if t.op == "/\\":
-        table = meet_table(alg)
-    elif t.op == "\\/":
-        table = join_table(alg)
-    elif t.op in ("*", "\\", "->"):
-        table = alg.product if t.op == "*" else alg.ldiv
-    else:
-        raise FormatError(f"unknown operator {t.op!r}")
-    return lambda env: table[left(env)][right(env)]
+            raise FormatError(f"unknown operator {op!r}")
+        self._tables[op] = table
+        return table
+
+
+def _spread(values: list[int], have, want, sizes) -> Iterable[int]:
+    """``values``, listed over the variables at positions ``have``, spread
+    over the positions ``want`` (a sorted superset).  A run of new
+    variables between two old ones repeats each block of ``values`` that
+    shares the variables before the run as often as the run has
+    assignments.  The last run is repeated lazily, unless it comes first."""
+    have = iter(have)
+    next_old = next(have, None)
+    outer = run = 1  # assignments of the positions before the run; of the run
+    for p in want:
+        if p != next_old:
+            run *= sizes[p]
+            continue
+        if run > 1:
+            values = list(_repeat_blocks(values, outer, run))
+            outer *= run
+            run = 1
+        outer *= sizes[p]
+        next_old = next(have, None)
+    return _repeat_blocks(values, outer, run) if run > 1 else values
+
+
+def _repeat_blocks(values: list[int], blocks: int, times: int) -> Iterable[int]:
+    """Each of the ``blocks`` equal slices of ``values``, ``times`` times."""
+    if blocks == 1:
+        return values * times
+    width = len(values) // blocks
+    if width == 1:
+        return chain.from_iterable(map(repeat, values, repeat(times, blocks)))
+    return chain.from_iterable(values[i : i + width] * times for i in range(0, len(values), width))
+
+
+def _first_failure(alg: FiniteRL, relation: str, values: list[list[int]]) -> int | None:
+    """The least index where the term values break ``relation``, if any."""
+    first = values[0]
+    if relation == GEQ:  # first >= second
+        if alg.leq is None:
+            fails = map(gt, values[1], first)
+        else:
+            fails = map(not_, map(getitem, map(alg.leq.__getitem__, values[1]), first))
+        return next(compress(count(), fails), None)
+    return min(
+        (next(compress(count(), map(ne, first, other))) for other in values[1:] if other != first),
+        default=None,
+    )
 
 
 def check_identity(alg: FiniteRL, ident: Identity) -> IdentityResult:
-    """Evaluate over every assignment; report the least failing one."""
+    """Evaluate over every assignment; report the least failing one.
+
+    The terms are evaluated as value lists over at most ``BLOCK_CELLS``
+    assignments (or ``alg.size``, if that is more) at a time: the leading
+    variables are fixed block by block in lexicographic order, and the
+    check stops at the first block with a failure.
+    """
     variables = ident.variables()
-    compiled = [compile_term(alg, t, variables) for t in ident.terms]
-    for assignment in itertools.product(range(alg.size), repeat=len(variables)):
-        values = [term(assignment) for term in compiled]
-        if ident.relation == GEQ:
-            ok = alg.le(values[1], values[0])
-        else:
-            ok = all(v == values[0] for v in values[1:])
-        if not ok:
-            shown = ", ".join(
-                f"{v}={alg.labels[i]}" for v, i in zip(variables, assignment)
-            )
-            sides = " , ".join(alg.labels[v] for v in values)
-            return IdentityResult(False, variables, assignment, f"{shown}: values {sides}")
+    n = alg.size
+    free = len(variables)
+    while free > 1 and n**free > BLOCK_CELLS:
+        free -= 1
+    evaluator = TermEvaluator(alg)
+    for prefix in itertools.product(range(n), repeat=len(variables) - free):
+        domains = dict(zip(variables, [(v,) for v in prefix] + [range(n)] * free))
+        values = evaluator.values(ident.terms, domains)
+        index = _first_failure(alg, ident.relation, values)
+        if index is None:
+            continue
+        sides = " , ".join(alg.labels[v[index]] for v in values)
+        rest = []
+        for _ in range(free):
+            index, digit = divmod(index, n)
+            rest.append(digit)
+        assignment = prefix + tuple(reversed(rest))
+        shown = ", ".join(f"{v}={alg.labels[i]}" for v, i in zip(variables, assignment))
+        return IdentityResult(False, variables, assignment, f"{shown}: values {sides}" if shown else f"values {sides}")
     return IdentityResult(True, variables)

@@ -8,6 +8,7 @@ import itertools
 
 from reslat import (
     FiniteRL,
+    IdentityResult,
     NotResiduatedError,
     make_algebra,
     validate,
@@ -263,3 +264,23 @@ def rpn_eval(alg: FiniteRL, term, env):
                 raise ValueError(payload)
     (result,) = stack
     return result
+
+
+def naive_check_identity(alg: FiniteRL, ident) -> IdentityResult:
+    """``check_identity`` from its definition: every assignment in
+    ``itertools.product`` order, each term by :func:`rpn_eval`, stopping at
+    the first that fails."""
+    variables = ident.variables()
+    for assignment in itertools.product(range(alg.size), repeat=len(variables)):
+        env = dict(zip(variables, assignment))
+        values = [rpn_eval(alg, t, env) for t in ident.terms]
+        if ident.relation == "GEQ":
+            ok = alg.le(values[1], values[0])
+        else:
+            ok = len(set(values)) == 1
+        if not ok:
+            where = "".join(f"{v}={alg.labels[x]}, " for v, x in env.items())
+            sides = " , ".join(alg.labels[v] for v in values)
+            detail = f"{where[:-2]}: values {sides}" if where else f"values {sides}"
+            return IdentityResult(False, variables, assignment, detail)
+    return IdentityResult(True, variables)

@@ -56,6 +56,15 @@ def test_identity_with_zero_flag(capsys):
     assert code == 0
 
 
+def test_variable_free_failure_has_no_assignment_prefix(capsys):
+    argv = ("identity", "lukasiewicz(3)", "--id", "0 >= 1", "--zero", "0")
+    assert run(capsys, *argv) == (1, "0 >= 1 on L3: FAILS\n  least failing assignment: values 0 , 1\n")
+    code, report = run_json(capsys, *argv)
+    assert code == 1 and report["assignment"] == {} and report["detail"] == "values 0 , 1"
+    code, report = run_json(capsys, "identity", "VS.C", "--id", "div")
+    assert report["detail"] == "x=v, y=c: values c , d , d"  # a variable keeps its prefix
+
+
 def test_construct_outputs_canonical_document(capsys):
     code, report = run_json(capsys, "construct", "ordinal-sum", "--lower", "lukasiewicz(3)", "--upper", "two")
     assert code == 0
@@ -297,6 +306,22 @@ def test_budget_exit_code(capsys):
         ["amalgam", "--vf", "VS", "--max-size", "5", "--budget", "0"]
     )  # every order type of VS is refuted before the engine runs: UNSAT
     assert code == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "1", "-1"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["amalgam", "--vf", "VS", "--max-size", "10"], 1),
+        (["one-amalgam", "--vf", "VS", "--max-size", "10"], 1),
+        (["paper", "--max-size", "10"], 0),
+    ],
+)
+def test_tiny_and_negative_budgets_exit_cleanly(capsys, argv, code, budget):
+    # every VS order type is refuted before the engine runs, so budgets of
+    # 0 and 1 still decide; a negative budget is a usage error
+    assert main(argv + ["--budget", budget]) == (2 if budget == "-1" else code)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_output_file_is_atomic(tmp_path, capsys):

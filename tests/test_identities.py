@@ -21,9 +21,11 @@ from reslat import (
     vs_c,
     with_zero,
 )
-from reslat.identities import BinOp, Const, Identity, Neg, ParseError, Var, compile_term
+from reslat import identities
+from reslat.identities import BinOp, Const, Identity, Neg, ParseError, TermEvaluator, Var
 
-from oracles import rpn_eval
+from oracles import naive_check_identity, rpn_eval
+from test_algebra import diamond
 
 
 def test_parse_basic_forms():
@@ -119,7 +121,8 @@ def test_pretty_print_round_trip(ident):
 
 
 def test_tree_walk_agrees_with_stack_machine_on_100_random_identities():
-    # compile_term against the oracle's postfix machine on every assignment.
+    # the evaluator's value list against the oracle's postfix machine on
+    # every assignment, in itertools.product order.
     # The non-commutative chains tell x / y from y \ x, so reading one
     # division as the other cannot pass; -> is drawn on commutative ones only.
     rng = random.Random(20240817)
@@ -153,15 +156,110 @@ def test_tree_walk_agrees_with_stack_machine_on_100_random_identities():
         alg = rng.choice(pool)
         commutative = validate(alg, ("commutative",)).ok
         term = random_term(["*", "/\\", "\\/", "\\", "/"] + (["->"] if commutative else []), 3)
-        compiled, swapped = compile_term(alg, term, variables), swap_divisions(term)
+        (values,) = TermEvaluator(alg).values([term], dict.fromkeys(variables, range(alg.size)))
+        swapped = swap_divisions(term)
+        assert len(values) == alg.size**3
         changed = False
-        for assignment in itertools.product(range(alg.size), repeat=3):
+        for value, assignment in zip(values, itertools.product(range(alg.size), repeat=3)):
             env = dict(zip(variables, assignment))
             expected = rpn_eval(alg, term, env)
-            assert compiled(assignment) == expected
+            assert value == expected
             changed |= rpn_eval(alg, swapped, env) != expected
         sided += changed
     assert len(noncomm) == 4 and sided > 0
+
+
+def _oracle_pool():
+    noncomm = [a for a in enumerate_chains(4, ChainFlags()) if not validate(a, ("commutative",)).ok]
+    assert len(noncomm) == 4
+    pool = [lukasiewicz(3), lukasiewicz(5), godel(3), godel(5), diamond()] + noncomm
+    return [with_zero(a, 0) for a in pool] + [vs_b(), vs_c(), diamond()]
+
+
+def test_check_identity_agrees_with_the_naive_oracle_on_1200_random_identities():
+    # Equation chains of 2-3 terms and >= identities, on chains, the
+    # non-commutative 4-chains (which tell x / y from y \ x) and the
+    # diamond, where >= reads the order table, not the index order.
+    # Some draws have no variables.  0 and neg are drawn on pointed
+    # algebras only, -> on commutative ones only.
+    rng = random.Random(20261018)
+    pool = [(a, a.zero is not None, validate(a, ("commutative",)).ok) for a in _oracle_pool()]
+
+    def random_term(leaves, ops, pointed, depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        if pointed and rng.random() < 0.15:
+            return Neg(random_term(leaves, ops, pointed, depth - 1))
+        return BinOp(rng.choice(ops), random_term(leaves, ops, pointed, depth - 1), random_term(leaves, ops, pointed, depth - 1))
+
+    seen = {"holds": 0, "fails": 0, "variable-free fails": 0, "fails by the order table": 0}
+    for _ in range(1200):
+        alg, pointed, commutative = rng.choice(pool)
+        variables = rng.choice([(), ("x",), ("x", "y"), ("x", "y", "z")])
+        leaves = [Var(v) for v in variables] + [Const("1")] + ([Const("0")] if pointed else [])
+        ops = ["*", "/\\", "\\/", "\\", "/"] + (["->"] if commutative else [])
+        if rng.random() < 0.5:
+            ident = Identity(tuple(random_term(leaves, ops, pointed, 3) for _ in range(2)), "GEQ")
+        else:
+            ident = Identity(tuple(random_term(leaves, ops, pointed, 3) for _ in range(rng.choice((2, 3)))), "EQ")
+        result = check_identity(alg, ident)
+        assert result == naive_check_identity(alg, ident), format_identity(ident)
+        seen["holds" if result.holds else "fails"] += 1
+        if not result.holds:
+            seen["variable-free fails"] += not result.variables
+            env = dict(zip(result.variables, result.assignment))
+            first, second = (rpn_eval(alg, t, env) for t in ident.terms[:2])
+            seen["fails by the order table"] += ident.relation == "GEQ" and second <= first
+    assert min(seen.values()) > 0, seen
+
+
+def test_named_identities_agree_with_the_naive_oracle():
+    for alg in _oracle_pool():
+        for name in ("sem", "prel", "div", "inv", "stone", "idem", "potent:2"):
+            ident = parse_identity(name)
+            try:
+                result = check_identity(alg, ident)
+            except UnsupportedSymbolError:
+                continue
+            assert result == naive_check_identity(alg, ident), (alg, name)
+
+
+def _record_lists(monkeypatch):
+    """Lengths of the value lists ``check_identity`` compares."""
+    lengths = []
+    values = TermEvaluator.values
+
+    def recording(self, terms, domains):
+        out = values(self, terms, domains)
+        lengths.extend(map(len, out))
+        return out
+
+    monkeypatch.setattr(TermEvaluator, "values", recording)
+    return lengths
+
+
+def test_least_failure_in_a_later_block(monkeypatch):
+    monkeypatch.setattr(identities, "BLOCK_CELLS", 4)
+    lengths = _record_lists(monkeypatch)
+    alg = lukasiewicz(4)
+    ident = parse_identity("x * y * z >= x /\\ y /\\ z")
+    result = check_identity(alg, ident)
+    # x and y are fixed in each block of 4; (0, *) holds, so the least
+    # failure (1, 1, 1) is in the sixth block
+    assert result.assignment == (1, 1, 1) and result == naive_check_identity(alg, ident)
+    assert lengths == [4] * 12
+    lengths.clear()
+    assert check_identity(alg, parse_identity("x * (y * z) = (x * y) * z")).holds
+    assert lengths == [4] * 32
+
+
+def test_six_variables_stop_at_the_first_failing_block(monkeypatch):
+    lengths = _record_lists(monkeypatch)
+    alg = lukasiewicz(12)  # 12^6 = 2,985,984 assignments; blocks of 12^4 fix u and v
+    result = check_identity(alg, parse_identity("u \\/ v \\/ w \\/ x \\/ y \\/ z = x"))
+    assert result.assignment == (0, 0, 0, 0, 0, 1)
+    assert result.detail == "u=0, v=0, w=0, x=0, y=0, z=a1: values a1 , 0"
+    assert lengths == [12**4] * 2 and 12**4 <= identities.BLOCK_CELLS < 12**5
 
 
 def test_check_identity_examples():
