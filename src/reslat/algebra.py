@@ -613,10 +613,11 @@ def filter_to_congruence(F: CongruenceFilter) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, blocks.values()))
 
 
-def quotient(alg: FiniteRL, F: CongruenceFilter) -> FiniteRL:
-    """Quotient algebra on the blocks of the induced congruence."""
+def quotient(alg: FiniteRL, F: CongruenceFilter) -> tuple[FiniteRL, tuple[int, ...]]:
+    """Quotient algebra on the blocks of the induced congruence, with the
+    quotient map: each element goes to the block that holds it."""
     blocks = filter_to_congruence(F)
-    block_of = {}
+    block_of = [0] * alg.size
     for i, b in enumerate(blocks):
         for x in b:
             block_of[x] = i
@@ -626,7 +627,7 @@ def quotient(alg: FiniteRL, F: CongruenceFilter) -> FiniteRL:
     mt = meet_table(alg)
     order = [[block_of[mt[reps[i]][reps[j]]] == i for j in range(m)] for i in range(m)]
     labels = tuple("|".join(alg.labels[x] for x in b) for b in blocks)
-    return make_algebra(
+    q = make_algebra(
         product=product,
         unit=block_of[alg.unit],
         order=order,
@@ -634,6 +635,7 @@ def quotient(alg: FiniteRL, F: CongruenceFilter) -> FiniteRL:
         zero=None if alg.zero is None else block_of[alg.zero],
         name=f"{alg.name}/{sorted(F.members)}" if alg.name else "",
     )
+    return q, tuple(block_of)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .algebra import (
     ValidationReport,
     compose,
     congruence_filters,
-    filter_to_congruence,
     make_algebra,
     operation_tables,
     quotient,
@@ -526,6 +525,17 @@ def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
     return False
 
 
+def _revalidate(vf: VFormation, h: Morphism, k: Morphism) -> None:
+    """Re-check a found amalgam: h and k are morphisms of their kinds and
+    agree on A, h.i = k.j; anything else is a fault of the search."""
+    for m in (h, k):
+        if not validate_morphism(m).ok:
+            raise AssertionError(f"search produced an invalid {m.kind.lower()}: {list(m.map)}")
+    hi, kj = compose(h, vf.i), compose(k, vf.j)
+    if hi != kj:
+        raise AssertionError(f"search produced maps that disagree on A: h.i = {hi}, k.j = {kj}")
+
+
 def bounded_amalgam_search(
     vf: VFormation,
     max_size: int,
@@ -603,8 +613,7 @@ def bounded_amalgam_search(
                     d = make_algebra(product=table, unit=problem.unit, order=CHAIN, zero=zero, name=f"amalgam{m}")
                     h = Morphism(vf.B, d, hpos, EMBEDDING)
                     k = Morphism(vf.C, d, kpos, EMBEDDING)
-                    if not (validate_morphism(h).ok and validate_morphism(k).ok):
-                        raise AssertionError("search produced a non-embedding")
+                    _revalidate(vf, h, k)
                     per_size.append(SizeStats(m, placements, stats.nodes - before))
                     return SearchReport("FOUND", max_size, d, h, k, tuple(per_size))
             except BudgetExceededError:
@@ -628,34 +637,32 @@ def bounded_one_amalgam_search(
     for each congruence filter F of B that does not identify distinct
     elements of i(A).  A filter whose quotient or C exceeds the bound is
     skipped; :class:`PreconditionError` is raised when no filter is left.
-    The budget bounds the nodes of all the sub-searches together."""
+    The budget bounds the nodes of all the sub-searches together.  On FOUND,
+    h is the map of ``quotient`` followed by the sub-search's embedding,
+    re-validated with k against the formation."""
     all_sizes: list[SizeStats] = []
     details = []
     searched = 0
-    i_img = vf.i.map
     for F in congruence_filters(vf.B):
-        blocks = filter_to_congruence(F)
-        block_of = {}
-        for bi, block in enumerate(blocks):
-            for x in block:
-                block_of[x] = bi
-        if len({block_of[i_img[a]] for a in range(vf.A.size)}) != vf.A.size:
+        Bq, q = quotient(vf.B, F)
+        quotient_map = Morphism(vf.B, Bq, q, HOM)
+        iq = compose(quotient_map, vf.i)
+        if len(set(iq)) != vf.A.size:
             details.append(f"filter {sorted(F.members)}: identifies elements of A, skipped")
             continue
-        if max(len(blocks), vf.C.size) > max_size:
+        if max(Bq.size, vf.C.size) > max_size:
             details.append(f"filter {sorted(F.members)}: needs more than {max_size} elements, skipped")
             continue
         searched += 1
-        Bq = quotient(vf.B, F)
-        iq = tuple(block_of[i_img[a]] for a in range(vf.A.size))
         sub_vf = make_vformation(vf.A, Bq, vf.C, iq, vf.j.map, name=f"{vf.name}/F")
         spent = sum(s.nodes for s in all_sizes)
         report = bounded_amalgam_search(sub_vf, max_size, flags, replace(budget, max_nodes=budget.max_nodes - spent))
         all_sizes.extend(report.sizes)
         details.append(f"filter {sorted(F.members)}: {report.verdict}")
         if report.found:
-            quotient_map = Morphism(vf.B, Bq, tuple(block_of[x] for x in range(vf.B.size)), HOM)
-            report = replace(report, h=Morphism(vf.B, report.d, compose(report.h, quotient_map), HOM))
+            h = Morphism(vf.B, report.d, compose(report.h, quotient_map), HOM)
+            _revalidate(vf, h, report.k)
+            report = replace(report, h=h)
         if report.verdict != "UNSAT":
             break
     if not searched:

@@ -292,7 +292,7 @@ def _cmd_quotient(args):
     filters = {F.members: F for F in congruence_filters(alg)}
     if members not in filters:
         raise PreconditionError(f"{sorted(members)} is not a congruence filter of {alg.name or spec}")
-    q = quotient(alg, filters[members])
+    q, _ = quotient(alg, filters[members])
     report, lines = _algebra_payload(args, q, {"command": "quotient"})
     return 0, report, lines
 
@@ -399,18 +399,14 @@ def _cmd_obstruct(args):
 # the one-shot reproduction pipeline
 
 
-def _fact(steps, lines, name, ok, detail=""):
-    steps.append({"step": name, "ok": bool(ok), "detail": detail})
-    lines.append(f"[{'ok' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
-    return ok
-
-
 # The B and C table-fact steps of ``paper_report``: each step's name and the
 # chains it also checks without naming them (C's name leaves out v\u = u).
 _TABLE_FACTS = (
     ("B: b = v*b = b\\u = v\\b and u = b*b = v\\u", ""),
     ("C: c = c\\u = v\\c = v\\d, d = v*c = v*d, u = c*c, c\\d = v", ", u = v\\u"),
 )
+# the step that carries the obstruction certificate's trace, one line each
+_TRACE_STEP = "obstruction trace"
 
 
 def _table_facts_hold(alg, facts: str) -> bool:
@@ -426,146 +422,113 @@ def _table_facts_hold(alg, facts: str) -> bool:
     )
 
 
-def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2)), budget: Budget = Budget()):
-    """Run the full reproduction pipeline and aggregate a composite report.
+def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2)), budget: Budget = Budget()) -> dict:
+    """Run the full reproduction pipeline and return its one record.
 
     Builds the VS chains, re-validates every finite fact (tables, triple,
     construction identities, obstruction certificate, injectivity argument,
     bounded searches, pointed variant, rotated variants) and summarizes what
-    the computations establish.
+    the computations establish.  Returns ``{"steps", "conclusions", "ok"}``:
+    a step is a fact ``{"step", "ok", "detail"}``, the certificate's trace
+    (``_TRACE_STEP``, always ok) or, after each VS search's fact, that
+    search's report ``{"step", "ok", "search"}``; ``ok`` holds when every
+    step does.
     """
     if max_size < 6:
         raise PreconditionError("the pipeline needs max-size >= 6")
     steps: list[dict] = []
-    lines: list[str] = []
-    ok = True
+
+    def fact(name, ok, detail=""):
+        steps.append({"step": name, "ok": bool(ok), "detail": detail})
 
     vs = vs_formation()
     A, B, C = vs.A, vs.B, vs.C
     base_flags = ("lattice", "monoid", "residuation", "integral", "commutative", "chain")
     for alg in (A, B, C):
-        ok &= _fact(steps, lines, f"validate {alg.name} (commutative integral chain)", validate(alg, base_flags).ok)
+        fact(f"validate {alg.name} (commutative integral chain)", validate(alg, base_flags).ok)
     two_potent = parse_identity("potent:2")
     for alg in (A, B, C):
-        ok &= _fact(steps, lines, f"2-potency x*x = x*x*x on {alg.name}", check_identity(alg, two_potent).holds)
+        fact(f"2-potency x*x = x*x*x on {alg.name}", check_identity(alg, two_potent).holds)
 
     for alg, (facts, unnamed) in zip((B, C), _TABLE_FACTS):
-        ok &= _fact(steps, lines, facts, _table_facts_hold(alg, facts + unnamed))
+        fact(facts, _table_facts_hold(alg, facts + unnamed))
 
     triple = vs_k_triple()
-    ok &= _fact(steps, lines, "(K, sigma, gamma) is a lower-compatible triple", validate_triple(triple).ok)
-
-    sum_b = ordinal_sum(lukasiewicz(3), two())
-    ok &= _fact(
-        steps,
-        lines,
+    fact("(K, sigma, gamma) is a lower-compatible triple", validate_triple(triple).ok)
+    fact(
         "B equals the ordinal sum of the 3-element MV-chain and 2 (canonical tables)",
-        tables_equal(sum_b, B),
+        tables_equal(ordinal_sum(lukasiewicz(3), two()), B),
     )
-    glue_c = partial_gluing(triple, two())
-    ok &= _fact(
-        steps,
-        lines,
+    fact(
         "C equals the partial gluing of (K, sigma, gamma) with 2 (canonical tables)",
-        tables_equal(glue_c, C),
+        tables_equal(partial_gluing(triple, two()), C),
     )
 
-    ok &= _fact(steps, lines, "divisibility holds on B", check_identity(B, parse_identity("div")).holds)
+    fact("divisibility holds on B", check_identity(B, parse_identity("div")).holds)
     div_c = check_identity(C, parse_identity("div"))
-    ok &= _fact(
-        steps,
-        lines,
+    fact(
         "divisibility fails on C at x=v, y=c",
-        (not div_c.holds) and div_c.assignment == (C.labels.index("v"), C.labels.index("c")),
+        not div_c.holds and div_c.assignment == (C.labels.index("v"), C.labels.index("c")),
     )
 
     witness = find_obstruction(vs)
     a_u = A.labels.index("u")
     expected = (A.labels.index("v"), B.labels.index("b"), C.labels.index("c"), a_u, a_u, "LEFT")
-    ok &= _fact(
-        steps,
-        lines,
-        "obstruction witness (a=v, b=b, c=c, u1=u, u2=u)",
-        witness is not None and witness.as_tuple() == expected,
-    )
+    fact("obstruction witness (a=v, b=b, c=c, u1=u, u2=u)", witness is not None and witness.as_tuple() == expected)
     trace = check_obstruction(vs, witness) if witness else None
-    ok &= _fact(steps, lines, "witness certified (both orderings refuted by residuation)", bool(trace and trace.accepted))
+    fact("witness certified (both orderings refuted by residuation)", trace and trace.accepted)
     if trace:
-        steps.append({"step": "obstruction trace", "ok": True, "detail": "\n".join(trace.lines)})
-        lines.extend("    " + l for l in trace.lines)
+        steps.append({"step": _TRACE_STEP, "ok": True, "detail": "\n".join(trace.lines)})
 
-    inj = injectivity_reduction(vs)
-    ok &= _fact(
-        steps,
-        lines,
-        "every nontrivial congruence filter of B contains v (one-amalgam reduction)",
-        1 in inj,
-    )
+    fact("every nontrivial congruence filter of B contains v (one-amalgam reduction)", 1 in injectivity_reduction(vs))
 
-    amal = bounded_amalgam_search(vs, max_size, budget=budget)
-    ok &= _fact(
-        steps,
-        lines,
-        f"no chain amalgam up to size {max_size} (non-commutative, non-integral admitted)",
-        amal.verdict == "UNSAT",
-    )
-    steps.append({"step": "amalgam search report", "ok": amal.verdict == "UNSAT", "search": _search_report_json(amal)})
-    one = bounded_one_amalgam_search(vs, max_size, budget=budget)
-    ok &= _fact(
-        steps,
-        lines,
-        f"no one-amalgam up to size {max_size}",
-        one.verdict == "UNSAT",
-    )
-    steps.append({"step": "one-amalgam search report", "ok": one.verdict == "UNSAT", "search": _search_report_json(one)})
+    admitted = " (non-commutative, non-integral admitted)"
+    for name, search, claim in (
+        ("amalgam", bounded_amalgam_search, f"no chain amalgam up to size {max_size}{admitted}"),
+        ("one-amalgam", bounded_one_amalgam_search, f"no one-amalgam up to size {max_size}"),
+    ):
+        rep = search(vs, max_size, budget=budget)
+        unsat = rep.verdict == "UNSAT"
+        fact(claim, unsat)
+        steps.append({"step": f"{name} search report", "ok": unsat, "search": _search_report_json(rep)})
 
     vsp = pointed_vformation(vs, 0)
     wp = find_obstruction(vsp)
-    ok &= _fact(
-        steps,
-        lines,
-        "pointed variant (u designated 0): same witness",
-        wp is not None and wp.as_tuple() == expected,
-    )
+    fact("pointed variant (u designated 0): same witness", wp is not None and wp.as_tuple() == expected)
     pointed_amal = bounded_amalgam_search(vsp, max_size, ChainFlags(pointed=True), budget=budget)
-    ok &= _fact(
-        steps,
-        lines,
-        f"pointed variant: no 0-bounded chain amalgam up to size {max_size}",
-        pointed_amal.verdict == "UNSAT",
-    )
+    fact(f"pointed variant: no 0-bounded chain amalgam up to size {max_size}", pointed_amal.verdict == "UNSAT")
 
     for delta_name, levels in rotations:
         rvf = rotated_vformation(vs, delta_name, levels)
         tag = f"rotation {delta_name}:{levels}"
-        ok &= _fact(steps, lines, f"{tag}: components validate (bounded chains)", check_vformation(rvf).ok)
+        fact(f"{tag}: components validate (bounded chains)", check_vformation(rvf).ok)
         sizes = (rvf.A.size, rvf.B.size, rvf.C.size)
         expected_sizes = tuple(
             base.size + len({nucleus_by_name(base, delta_name).map[x] for x in range(base.size)}) + (levels - 2)
             for base in (A, B, C)
         )
-        ok &= _fact(steps, lines, f"{tag}: size formula |A| + |delta[A]| + (n-2)", sizes == expected_sizes, str(sizes))
+        fact(f"{tag}: size formula |A| + |delta[A]| + (n-2)", sizes == expected_sizes, str(sizes))
         for alg in (rvf.A, rvf.B, rvf.C):
-            ok &= _fact(steps, lines, f"{tag}: 2-potency on {alg.name}", check_identity(alg, two_potent).holds)
+            fact(f"{tag}: 2-potency on {alg.name}", check_identity(alg, two_potent).holds)
         if delta_name == "identity":
             for alg in (rvf.A, rvf.B, rvf.C):
-                ok &= _fact(steps, lines, f"{tag}: involution neg neg x = x on {alg.name}",
-                            check_identity(alg, parse_identity("inv")).holds)
+                fact(f"{tag}: involution neg neg x = x on {alg.name}", check_identity(alg, parse_identity("inv")).holds)
         if delta_name == "const-1":
             for alg in (rvf.A, rvf.B, rvf.C):
-                ok &= _fact(steps, lines, f"{tag}: Stone identity neg x \\/ neg neg x = 1 on {alg.name}",
-                            check_identity(alg, parse_identity("stone")).holds)
+                fact(
+                    f"{tag}: Stone identity neg x \\/ neg neg x = 1 on {alg.name}",
+                    check_identity(alg, parse_identity("stone")).holds,
+                )
             if levels == 2:
                 lift = generalized_rotation(A, nucleus_by_name(A, "const-1"), 2)
                 same = tables_equal(with_zero(lift, None), ordinal_sum(two(), A))
-                ok &= _fact(steps, lines, f"{tag}: lifting of A reproduces the ordinal sum 2 + A table-exactly", same)
+                fact(f"{tag}: lifting of A reproduces the ordinal sum 2 + A table-exactly", same)
         rw = find_obstruction(rvf)
-        ok &= _fact(steps, lines, f"{tag}: obstruction witness exists", rw is not None,
-                    str(rw.as_tuple()) if rw else "")
+        fact(f"{tag}: obstruction witness exists", rw is not None, str(rw.as_tuple()) if rw else "")
         r_amal = bounded_amalgam_search(rvf, max_size, budget=budget)
         r_one = bounded_one_amalgam_search(rvf, max_size, budget=budget)
-        ok &= _fact(steps, lines, f"{tag}: no chain amalgam up to size {max_size}", r_amal.verdict == "UNSAT")
-        ok &= _fact(steps, lines, f"{tag}: no one-amalgam up to size {max_size}", r_one.verdict == "UNSAT")
+        fact(f"{tag}: no chain amalgam up to size {max_size}", r_amal.verdict == "UNSAT")
+        fact(f"{tag}: no one-amalgam up to size {max_size}", r_one.verdict == "UNSAT")
 
     conclusions = [
         "VS is a V-formation of 2-potent commutative integral residuated chains "
@@ -587,20 +550,31 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
         "amalgamation over its chains; each family above therefore refutes "
         "amalgamation for every such variety containing it.",
     ]
-    return {"steps": steps, "conclusions": conclusions, "ok": ok}, lines
+    return {"steps": steps, "conclusions": conclusions, "ok": all(step["ok"] for step in steps)}
+
+
+def _paper_lines(report: dict) -> list[str]:
+    """The text of a ``paper_report``: a line per fact, the trace indented,
+    then the conclusions and the overall verdict; search reports are left
+    to the JSON."""
+    lines = []
+    for step in report["steps"]:
+        if step["step"] == _TRACE_STEP:
+            lines += ["    " + line for line in step["detail"].split("\n")]
+        elif "search" not in step:
+            detail = f": {step['detail']}" if step["detail"] else ""
+            lines.append(f"[{'ok' if step['ok'] else 'FAIL'}] {step['step']}{detail}")
+    lines += ["", "conclusions:"] + ["  - " + c for c in report["conclusions"]]
+    return lines + ["overall: " + ("pass" if report["ok"] else "FAIL")]
 
 
 def _cmd_paper(args):
     if args.budget < 0:
         raise FormatError("--budget must be non-negative")
-    rotations = []
-    for item in (args.rotations or "identity:2,const-1:2").split(","):
-        rotations.append(_parse_rotation(item.strip()))
-    report, lines = paper_report(args.max_size, rotations, Budget(max_nodes=args.budget))
-    lines = lines + ["", "conclusions:"] + ["  - " + c for c in report["conclusions"]]
-    lines.append("overall: " + ("pass" if report["ok"] else "FAIL"))
+    rotations = [_parse_rotation(item.strip()) for item in (args.rotations or "identity:2,const-1:2").split(",")]
+    report = paper_report(args.max_size, rotations, Budget(max_nodes=args.budget))
     report = {"command": "paper", "max_size": args.max_size, **report}
-    return (0 if report["ok"] else 1), report, lines
+    return (0 if report["ok"] else 1), report, _paper_lines(report)
 
 
 # ---------------------------------------------------------------------------

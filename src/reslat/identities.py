@@ -26,7 +26,7 @@ the algebra, if larger).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import getitem, gt, ne, not_

@@ -149,6 +149,49 @@ def test_found_reports_revalidate():
     assert compose(rep.h, vf.i) == compose(rep.k, vf.j)
 
 
+def _two_into_g3():
+    """A = B = 2 and C = G3, with A's bottom sent to C's middle element."""
+    return VFormation(
+        two(), two(), godel(3), Morphism(two(), two(), (0, 1), EMBEDDING), Morphism(two(), godel(3), (1, 2), EMBEDDING)
+    )
+
+
+@pytest.mark.parametrize("search", [bounded_amalgam_search, bounded_one_amalgam_search])
+def test_found_maps_that_disagree_on_a_raise(monkeypatch, search):
+    """A merge that forgets A's anchors places h(0) at G3's bottom, so h
+    and k embed B and C but h.i = (0, 2) differs from k.j = (1, 2)."""
+    from reslat import amalgamation
+
+    order_types = amalgamation._order_types
+
+    def unanchored(vf, flags, max_ranks):
+        return order_types(replace(vf, i=replace(vf.i, map=()), j=replace(vf.j, map=())), flags, max_ranks)
+
+    monkeypatch.setattr(amalgamation, "_order_types", unanchored)
+    with pytest.raises(AssertionError, match="disagree on A"):
+        search(_two_into_g3(), 4)
+
+
+@pytest.mark.parametrize(
+    "bad_h, match",
+    [((0, 2), "disagree on A"), ((1, 1), "invalid hom")],
+)
+def test_one_amalgam_revalidates_its_composed_h(monkeypatch, bad_h, match):
+    from reslat import amalgamation
+
+    vf = _two_into_g3()
+    assert bounded_one_amalgam_search(vf, 4).h.map == (1, 2)
+    amalgam_search = amalgamation.bounded_amalgam_search
+
+    def wrong_h(sub_vf, *args):
+        rep = amalgam_search(sub_vf, *args)
+        return replace(rep, h=replace(rep.h, map=bad_h))
+
+    monkeypatch.setattr(amalgamation, "bounded_amalgam_search", wrong_h)
+    with pytest.raises(AssertionError, match=match):
+        bounded_one_amalgam_search(vf, 4)
+
+
 def test_one_amalgam_of_vs_fails(vs):
     rep = bounded_one_amalgam_search(vs, 9)
     assert rep.verdict == "UNSAT"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -136,6 +137,18 @@ def test_obstruct_command(capsys):
     assert code == 0 and report["accepted"]
     code, report = run_json(capsys, "obstruct", "--vf", "VS", "--check", "1,1,2,1,0")
     assert code == 1 and report["clause"] == "W2"
+
+
+def test_obstruct_without_a_witness_exits_1(tmp_path, capsys):
+    from reslat import make_vformation, trivial, vformation_to_document
+
+    path = tmp_path / "trivial.json"
+    vf = make_vformation(trivial(), trivial(), trivial(), (0,), (0,))
+    path.write_text(dumps_canonical(vformation_to_document(vf)))
+    code, report = run_json(capsys, "obstruct", "--vf", str(path))
+    assert code == 1 and report["witness"] is None
+    code, out = run(capsys, "obstruct", "--vf", str(path))
+    assert code == 1 and out == "no obstruction witness found (this proves nothing by itself)\n"
 
 
 def test_vformation_from_file(tmp_path, capsys):
@@ -343,6 +356,34 @@ def test_paper_command_small_bound(capsys):
     code = main(["paper", "--max-size", "5"])
     assert code == 2  # pipeline needs max-size >= 6
     assert main(["paper", "--max-size", "6"]) == 2  # the identity:2 rotation's C has 10 elements
+
+
+def test_paper_text_output_is_pinned(capsys):
+    code, out = run(capsys, "paper", "--max-size", "10")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "15d10faf612efd38029e15423a05655de1c9d85ed31ee172696c8a5263202832"
+
+
+def test_paper_without_a_witness_fails_in_both_outputs(capsys, monkeypatch):
+    from reslat import cli
+
+    monkeypatch.setattr(cli, "find_obstruction", lambda vf: None)
+    code, report = run_json(capsys, "paper", "--max-size", "10")
+    assert code == 1 and report["ok"] is False
+    failed = [s["step"] for s in report["steps"] if not s["ok"]]
+    assert len(failed) == 5  # the VS, pointed and rotation witnesses and the certificate
+    assert "witness certified (both orderings refuted by residuation)" in failed
+    assert "obstruction trace" not in [s["step"] for s in report["steps"]]
+    code, out = run(capsys, "paper", "--max-size", "10")
+    assert code == 1
+    lines = out.splitlines()
+    assert not [line for line in lines if line.startswith("    ")]
+    assert lines[-1] == "overall: FAIL"
+    fail_lines = [line for line in lines if line.startswith("[FAIL] ")]
+    assert len(fail_lines) == len(failed)
+    for line, name in zip(fail_lines, failed):
+        assert line == f"[FAIL] {name}" or line.startswith(f"[FAIL] {name}: "), (line, name)
 
 
 @pytest.mark.parametrize(

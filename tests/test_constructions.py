@@ -14,7 +14,6 @@ from reslat import (
     check_identity,
     congruence_filters,
     constant_one_nucleus,
-    filter_to_congruence,
     find_embeddings,
     generalized_rotation,
     godel,
@@ -106,6 +105,68 @@ def test_mutating_sigma_breaks_the_triple():
     assert not rep.ok
     assert rep.first_failure().flag == "undefinedness-pattern"
     assert rep.first_failure().witness == (2, 1)
+
+
+def _k_mutant(product=None, ldiv=None, product_mask=None, gamma=None):
+    """``vs_k_triple()`` with K's product, its divisions (one table for
+    both), its product mask or gamma replaced; K is c2 < d < c < 1."""
+    t = vs_k_triple()
+    K = t.K
+    ldiv = ldiv or K.ldiv
+    masks = K.masks if product_mask is None else (product_mask, *K.masks[1:])
+    K = make_algebra(product=product or K.product, unit=K.unit, ldiv=ldiv, rdiv=ldiv, labels=K.labels, masks=masks)
+    return LowerCompatibleTriple(K, t.sigma, gamma or t.gamma)
+
+
+@pytest.mark.parametrize(
+    "triple, clause, witness",
+    [
+        # d*d = d breaks monotonicity of the product: not residuated
+        (_k_mutant(product=[[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 2], [0, 1, 2, 3]]), "partial-irl", (1, 1, 0)),
+        # only products with the unit defined: a partial IRL, but not a triple's K
+        (_k_mutant(product_mask=[[x == 3 or y == 3 for y in range(4)] for x in range(4)]), "total-product", (0, 0)),
+        # gamma(c) = 1 is not the upper adjoint of sigma: sigma(1) <= c fails, 1 <= gamma(c) holds
+        (_k_mutant(gamma=(0, 2, 3, 3)), "residuated-pair", (3, 2)),
+        # c*c = d (so c\c2 = d): c*sigma(c) = c*d = c2 but sigma(c*c) = d
+        (
+            _k_mutant(
+                product=[[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 2], [0, 1, 2, 3]],
+                ldiv=[[3] * 4, [2, 3, 3, 3], [1, 0, 3, 3], [0, 1, 2, 3]],
+            ),
+            "strong-conucleus",
+            (2, 2),
+        ),
+        # the Goedel product: sigma commutes with it, but c*c = c lies above sigma(c) = d
+        (
+            _k_mutant(
+                product=[[min(x, y) for y in range(4)] for x in range(4)],
+                ldiv=[[3] * 4, [0, 3, 3, 3], [0, 0, 3, 3], [0, 1, 2, 3]],
+            ),
+            "products-below-sigma",
+            (2, 2),
+        ),
+    ],
+)
+def test_each_triple_clause_rejects_its_mutant_first(triple, clause, witness):
+    rep = validate_triple(triple)
+    assert [c.flag for c in rep.checks if not c.ok] == [clause]
+    assert rep.first_failure().witness == witness
+
+
+def test_closure_never_rejects_first():
+    """A residuated pair makes gamma the upper adjoint of sigma, and the
+    adjoint of a decreasing idempotent sigma is increasing, idempotent and
+    monotone: no triple reaches the closure clause and fails it.  Every
+    gamma with K's sigma, and every sigma with K's gamma, fails earlier or
+    passes (``None``)."""
+    t = vs_k_triple()
+    pairs = itertools.chain(
+        ((t.sigma, gamma) for gamma in itertools.product(range(4), repeat=4)),
+        ((sigma, t.gamma) for sigma in itertools.product(range(4), repeat=4)),
+    )
+    reports = (validate_triple(LowerCompatibleTriple(t.K, *pair)) for pair in pairs)
+    first = {rep.first_failure().flag if not rep.ok else None for rep in reports}
+    assert first == {None, "undefinedness-pattern", "residuated-pair"}
 
 
 def test_identity_maps_on_partial_k_fail():
@@ -240,10 +301,9 @@ def test_induced_algebras_keep_the_parent_operations(small_chain_pool):
     elements as the parent does."""
     for alg in small_chain_pool + [_square()]:
         for F in congruence_filters(alg):
-            q = quotient(alg, F)
-            block_of = {x: bi for bi, block in enumerate(filter_to_congruence(F)) for x in block}
-            qmap = Morphism(alg, q, tuple(block_of[x] for x in range(alg.size)), HOM)
-            assert validate_morphism(qmap).ok, (alg, F)
+            q, qmap = quotient(alg, F)
+            assert validate_morphism(Morphism(alg, q, qmap, HOM)).ok, (alg, F)
+            assert {x for x in range(alg.size) if qmap[x] == q.unit} == F.members, (alg, F)
         for dmap in _closure_operators(alg):
             d = Nucleus(alg, dmap)
             if not validate_nucleus(d).ok:

@@ -1,7 +1,13 @@
-"""Import layering of the reslat modules, read from their source with ``ast``."""
+"""Module hygiene of reslat: the import layering, read from the source with
+``ast``, and annotations that resolve."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
+
+import pytest
 
 import reslat
 
@@ -27,3 +33,28 @@ def test_documents_imports_only_algebra():
 def test_no_module_imports_cli():
     importers = sorted(m for m, names in _relative_imports().items() if "cli" in names)
     assert importers == []
+
+
+def _defined_in(module):
+    """The classes and functions ``module`` defines, and the methods and
+    properties of its classes."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for attr in vars(obj).values():
+                func = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+                if inspect.isfunction(func):
+                    yield func
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"))
+def test_every_annotation_resolves(name):
+    module = importlib.import_module(f"reslat.{name}")
+    defined = list(_defined_in(module))
+    assert defined
+    for obj in defined:
+        typing.get_type_hints(obj)  # raises NameError on a name the module never imports
