@@ -14,17 +14,6 @@ from typing import NamedTuple
 
 CHAIN = "chain"
 
-#: Flags understood by :func:`validate`, in canonical checking order.
-VALIDATE_FLAGS = (
-    "lattice",
-    "monoid",
-    "residuation",
-    "integral",
-    "commutative",
-    "chain",
-    "zero-bounded",
-)
-
 #: The three flags that make a table a residuated lattice.
 RL_FLAGS = ("lattice", "monoid", "residuation")
 
@@ -533,6 +522,9 @@ _FLAG_CHECKS = {
     "chain": _check_chain,
     "zero-bounded": _check_zero_bounded,
 }
+
+#: Flags understood by :func:`validate`, in canonical checking order.
+VALIDATE_FLAGS = tuple(_FLAG_CHECKS)
 
 
 def validate(alg: FiniteRL, required=RL_FLAGS) -> ValidationReport:

@@ -80,9 +80,12 @@ class ObstructionWitness:
 
 @dataclass(frozen=True)
 class ObstructionCheck:
-    accepted: bool
-    clause: str | None
+    clause: str | None  # the first W1-W3 clause that fails, None if none does
     lines: tuple[str, ...]
+
+    @property
+    def accepted(self) -> bool:
+        return self.clause is None
 
 
 @dataclass(frozen=True)
@@ -331,7 +334,7 @@ def check_obstruction(vf: VFormation, w: ObstructionWitness) -> ObstructionCheck
                 lines.append(f"  {key.upper()}: {facts[key]}")
         if "detail" in facts:
             lines.append(f"  {facts['detail']}")
-        return ObstructionCheck(False, clause, tuple(lines))
+        return ObstructionCheck(clause, tuple(lines))
     la, lb, lc = vf.A.labels, vf.B.labels, vf.C.labels
     a, b, c, u1, u2 = la[w.a], lb[w.b], lc[w.c], la[w.u1], la[w.u2]
     mul = (lambda s, t: f"{s}*{t}") if w.side == LEFT else (lambda s, t: f"{t}*{s}")
@@ -349,7 +352,7 @@ def check_obstruction(vf: VFormation, w: ObstructionWitness) -> ObstructionCheck
         "conclusion: no totally ordered residuated lattice amalgamates this "
         "V-formation, at any cardinality.",
     )
-    return ObstructionCheck(True, None, lines)
+    return ObstructionCheck(None, lines)
 
 
 def injectivity_reduction(vf: VFormation) -> list[int]:

@@ -364,35 +364,21 @@ def _cmd_amalgam(args, one_sided: bool):
 
 def _cmd_obstruct(args):
     vf = _load_vf(args.vf, args.rotate)
+    report = {"command": "obstruct", "vformation": vf.name or args.vf}
     if args.check:
         parts = [p.strip() for p in args.check.split(",")]
         if len(parts) not in (5, 6):
             raise FormatError("--check needs a,b,c,u1,u2[,side]")
         side = parts[5] if len(parts) == 6 else "LEFT"
         w = ObstructionWitness(*(int(p) for p in parts[:5]), side=side)
-        result = check_obstruction(vf, w)
-        report = {
-            "command": "obstruct",
-            "vformation": vf.name or args.vf,
-            "witness": list(w.as_tuple()),
-            "accepted": result.accepted,
-            "clause": result.clause,
-            "trace": list(result.lines),
-        }
-        return (0 if result.accepted else 1), report, list(result.lines)
-    w = find_obstruction(vf)
+    else:
+        w = find_obstruction(vf)
     if w is None:
-        report = {"command": "obstruct", "vformation": vf.name or args.vf, "witness": None}
+        report["witness"] = None
         return 1, report, ["no obstruction witness found (this proves nothing by itself)"]
     result = check_obstruction(vf, w)
-    report = {
-        "command": "obstruct",
-        "vformation": vf.name or args.vf,
-        "witness": list(w.as_tuple()),
-        "accepted": result.accepted,
-        "trace": list(result.lines),
-    }
-    return 0, report, list(result.lines)
+    report.update(witness=list(w.as_tuple()), accepted=result.accepted, clause=result.clause, trace=list(result.lines))
+    return (0 if result.accepted else 1), report, list(result.lines)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +418,7 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     a step is a fact ``{"step", "ok", "detail"}``, the certificate's trace
     (``_TRACE_STEP``, always ok) or, after each VS search's fact, that
     search's report ``{"step", "ok", "search"}``; ``ok`` holds when every
-    step does.
+    step does, and the conclusions are stated only then (``[]`` otherwise).
     """
     if max_size < 6:
         raise PreconditionError("the pipeline needs max-size >= 6")
@@ -550,13 +536,15 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
         "amalgamation over its chains; each family above therefore refutes "
         "amalgamation for every such variety containing it.",
     ]
-    return {"steps": steps, "conclusions": conclusions, "ok": all(step["ok"] for step in steps)}
+    ok = all(step["ok"] for step in steps)
+    return {"steps": steps, "conclusions": conclusions if ok else [], "ok": ok}
 
 
 def _paper_lines(report: dict) -> list[str]:
     """The text of a ``paper_report``: a line per fact, the trace indented,
     then the conclusions and the overall verdict; search reports are left
-    to the JSON."""
+    to the JSON.  A failed run has no conclusions and says how many steps
+    failed."""
     lines = []
     for step in report["steps"]:
         if step["step"] == _TRACE_STEP:
@@ -564,7 +552,8 @@ def _paper_lines(report: dict) -> list[str]:
         elif "search" not in step:
             detail = f": {step['detail']}" if step["detail"] else ""
             lines.append(f"[{'ok' if step['ok'] else 'FAIL'}] {step['step']}{detail}")
-    lines += ["", "conclusions:"] + ["  - " + c for c in report["conclusions"]]
+    failed = sum(not step["ok"] for step in report["steps"])
+    lines += ["", "conclusions:"] + (["  - " + c for c in report["conclusions"]] or [f"  none: {failed} steps failed"])
     return lines + ["overall: " + ("pass" if report["ok"] else "FAIL")]
 
 

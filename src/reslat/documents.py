@@ -92,17 +92,11 @@ def dumps_canonical(doc) -> str:
 
 
 def canonical_tables_json(alg: FiniteRL) -> str:
-    """Compact text of the structural fields only (no name or labels), used
-    to print a found amalgam; compare tables with ``tables_equal``."""
-    doc = {
-        "size": alg.size,
-        "order": CHAIN if alg.leq is None else _mask_out(alg.leq),
-        "unit": alg.unit,
-        "product": _table_out(alg.product),
-        "ldiv": _table_out(alg.ldiv),
-        "rdiv": _table_out(alg.rdiv),
-        "zero": alg.zero,
-    }
+    """Compact text of the document's structural fields (no name, labels or
+    masks; ``zero`` always, null when unpointed), used to print a found
+    amalgam; compare tables with ``tables_equal``."""
+    doc = {key: v for key, v in algebra_to_document(alg).items() if key not in ("name", "labels", "masks")}
+    doc["zero"] = alg.zero
     return dumps_canonical(doc)
 
 

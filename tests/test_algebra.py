@@ -39,6 +39,26 @@ from oracles import brute_force_congruences, brute_force_filters
 ALL_FLAGS = ("lattice", "monoid", "residuation", "integral", "commutative", "chain")
 
 
+@pytest.mark.parametrize(
+    "order, detail, witness",
+    [
+        ([[0, 1], [0, 1]], "order not reflexive", (0,)),
+        ([[1, 1], [1, 1]], "order not antisymmetric", (0, 1)),
+        ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], "order not transitive", (0, 1, 2)),
+        # 0 and 1 are minimal and incomparable: nothing lies below both
+        ([[1, 0, 1, 1], [0, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]], "pair has no meet", (0, 1)),
+        # 2 is below the incomparable 0 and 1, and nothing is above both
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 1]], "pair has no join", (0, 1)),
+    ],
+)
+def test_lattice_check_rejects_orders_that_are_no_lattice(order, detail, witness):
+    # explicit divisions, so that make_algebra derives nothing from the order
+    table = [[0] * len(order) for _ in order]
+    alg = make_algebra(product=table, unit=0, order=order, ldiv=table, rdiv=table)
+    bad = validate(alg, ("lattice",)).first_failure()
+    assert (bad.flag, bad.detail, bad.witness) == ("lattice", detail, witness)
+
+
 def diamond():
     # 2x2 Goedel square: 0 < a, b < 1 with a, b incomparable, product = meet
     leq = [

@@ -130,13 +130,17 @@ def test_amalgam_with_rotation(capsys):
 
 
 def test_obstruct_command(capsys):
-    code, report = run_json(capsys, "obstruct", "--vf", "VS")
+    code, found = run_json(capsys, "obstruct", "--vf", "VS")
     assert code == 0
-    assert report["witness"] == [1, 1, 2, 0, 0, "LEFT"]
+    assert found["witness"] == [1, 1, 2, 0, 0, "LEFT"]
     code, report = run_json(capsys, "obstruct", "--vf", "VS", "--check", "1,1,2,0,0,LEFT")
     assert code == 0 and report["accepted"]
-    code, report = run_json(capsys, "obstruct", "--vf", "VS", "--check", "1,1,2,1,0")
-    assert code == 1 and report["clause"] == "W2"
+    code, rejected = run_json(capsys, "obstruct", "--vf", "VS", "--check", "1,1,2,1,0")
+    assert code == 1 and rejected["clause"] == "W2"
+    # one report, whether the witness was found or given
+    assert list(found) == list(report) == list(rejected)
+    for r in (found, report, rejected):
+        assert r["accepted"] == (r["clause"] is None)
 
 
 def test_obstruct_without_a_witness_exits_1(tmp_path, capsys):
@@ -384,6 +388,9 @@ def test_paper_without_a_witness_fails_in_both_outputs(capsys, monkeypatch):
     assert len(fail_lines) == len(failed)
     for line, name in zip(fail_lines, failed):
         assert line == f"[FAIL] {name}" or line.startswith(f"[FAIL] {name}: "), (line, name)
+    assert report["conclusions"] == []
+    assert "  none: 5 steps failed" in lines
+    assert "rules out every size" not in out
 
 
 @pytest.mark.parametrize(

@@ -182,6 +182,14 @@ def test_size_validation():
         CompletionProblem(3, 5, {}, {}, {}).check_well_formed()
     with pytest.raises(FormatError):
         CompletionProblem(3, 1, {}, {}, {}, flags=ChainFlags(integral=True)).check_well_formed()
+    for problem, message in (
+        (CompletionProblem(0, 0, {}, {}, {}), "size must be positive"),
+        (CompletionProblem(2, 1, {(0, 2): 0}, {}, {}), "product pin out of range"),
+        (CompletionProblem(2, 1, {}, {(0, 0): 2}, {}), "division pin out of range"),
+        (CompletionProblem(2, 1, {}, {}, {(0, 0): 2}), "division pin out of range"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            problem.check_well_formed()
     for k in (0, True, 2.5):  # bool is no count
         with pytest.raises(FormatError):
             ChainFlags(k_potent=k)

@@ -82,6 +82,11 @@ def test_ordinal_sum_rejects_non_integral():
         ordinal_sum(notint, two())
 
 
+def test_ordinal_sum_rejects_a_pointed_summand():
+    with pytest.raises(PreconditionError, match="unpointed"):
+        ordinal_sum(with_zero(two(), 0), two())
+
+
 def test_ordinal_sum_components_embed():
     s = ordinal_sum(lukasiewicz(3), lukasiewicz(3))
     assert any(m.map == (0, 1, 4) for m in find_embeddings(lukasiewicz(3), s))
@@ -153,19 +158,28 @@ def test_each_triple_clause_rejects_its_mutant_first(triple, clause, witness):
     assert rep.first_failure().witness == witness
 
 
-def test_closure_never_rejects_first():
-    """A residuated pair makes gamma the upper adjoint of sigma, and the
-    adjoint of a decreasing idempotent sigma is increasing, idempotent and
-    monotone: no triple reaches the closure clause and fails it.  Every
-    gamma with K's sigma, and every sigma with K's gamma, fails earlier or
-    passes (``None``)."""
+def test_accepted_triples_have_a_monotone_sigma_and_a_closure_gamma():
+    """``validate_triple`` leaves out two clauses of the definition: sigma
+    monotone, and gamma increasing, idempotent and monotone.  A residuated
+    pair makes gamma the upper adjoint of sigma, which implies both.  Over
+    every gamma with K's sigma and every sigma with K's gamma, each accepted
+    triple is checked against the definition directly, and the first
+    failure comes no later than ``residuated-pair``."""
     t = vs_k_triple()
+    K, n = t.K, t.K.size
     pairs = itertools.chain(
-        ((t.sigma, gamma) for gamma in itertools.product(range(4), repeat=4)),
-        ((sigma, t.gamma) for sigma in itertools.product(range(4), repeat=4)),
+        ((t.sigma, gamma) for gamma in itertools.product(range(n), repeat=n)),
+        ((sigma, t.gamma) for sigma in itertools.product(range(n), repeat=n)),
     )
-    reports = (validate_triple(LowerCompatibleTriple(t.K, *pair)) for pair in pairs)
-    first = {rep.first_failure().flag if not rep.ok else None for rep in reports}
+    first = set()
+    for sigma, gamma in pairs:
+        rep = validate_triple(LowerCompatibleTriple(K, sigma, gamma))
+        first.add(None if rep.ok else rep.first_failure().flag)
+        if rep.ok:
+            for x, y in itertools.product(range(n), repeat=2):
+                assert K.le(x, gamma[x]) and gamma[gamma[x]] == gamma[x]
+                if K.le(x, y):
+                    assert K.le(gamma[x], gamma[y]) and K.le(sigma[x], sigma[y])
     assert first == {None, "undefinedness-pattern", "residuated-pair"}
 
 
@@ -322,6 +336,9 @@ def test_invalid_nucleus_is_rejected():
     assert not rep.ok
     with pytest.raises(PreconditionError):
         nucleus_image(Nucleus(a, (0, 0, 2)))
+    for dmap, detail, witness in (((1, 0, 2), "not idempotent", (0,)), ((2, 1, 2), "not monotone", (0, 1))):
+        bad = validate_nucleus(Nucleus(a, dmap)).first_failure()
+        assert (bad.flag, bad.detail, bad.witness) == ("closure", detail, witness)
 
 
 def test_disconnected_rotation_of_two():
@@ -400,6 +417,19 @@ def test_rotation_on_trivial_gives_lukasiewicz_chains():
 def test_rotation_rejects_bad_arity():
     with pytest.raises(PreconditionError):
         generalized_rotation(vs_a(), identity_nucleus(vs_a()), 1)
+
+
+def test_rotation_rejects_bad_inputs():
+    a, pointed = vs_a(), with_zero(vs_a(), 0)
+    notint = make_algebra(product=[[0, 0, 0], [0, 1, 2], [0, 2, 2]], unit=1)
+    for base, nucleus, error, message in (
+        (pointed, identity_nucleus(pointed), PreconditionError, "unpointed"),
+        (a, identity_nucleus(vs_b()), PreconditionError, "must live on the rotated algebra"),
+        (a, Nucleus(a, (1, 0, 2)), PreconditionError, "not a nucleus"),
+        (notint, identity_nucleus(notint), UnsupportedError, "must be an IRL"),
+    ):
+        with pytest.raises(error, match=message):
+            generalized_rotation(base, nucleus, 2)
 
 
 def test_rotation_involution_only_with_identity_nucleus():

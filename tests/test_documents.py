@@ -100,6 +100,34 @@ def test_vformation_accepts_builtin_names():
         document_to_vformation({"A": "VS.A", "B": "VS.B", "C": "VS.C", "i": [0, 2, 3]})
 
 
+def test_vformation_document_must_be_an_object_of_known_fields():
+    with pytest.raises(FormatError, match="must be a JSON object"):
+        document_to_vformation(["VS.A", "VS.B", "VS.C"])
+    doc = {"A": "VS.A", "B": "VS.B", "C": "VS.C", "i": [0, 2, 3], "j": [0, 3, 4], "k": [0]}
+    with pytest.raises(FormatError, match=r"unknown V-formation fields: \['k'\]"):
+        document_to_vformation(doc)
+
+
+def _tables_json_field_by_field(alg):
+    """The structural fields written out one by one, as the tables text was
+    built before it was derived from the document: the oracle for it."""
+    doc = {
+        "size": alg.size,
+        "order": "chain" if alg.leq is None else [[1 if v else 0 for v in row] for row in alg.leq],
+        "unit": alg.unit,
+        "product": [list(row) for row in alg.product],
+        "ldiv": [list(row) for row in alg.ldiv],
+        "rdiv": [list(row) for row in alg.rdiv],
+        "zero": alg.zero,
+    }
+    return dumps_canonical(doc)
+
+
+def test_canonical_tables_json_is_the_documents_structural_part(small_chain_pool):
+    for alg in [*small_chain_pool, with_zero(vs_b(), 0), vs_k_triple().K]:
+        assert canonical_tables_json(alg) == _tables_json_field_by_field(alg)
+
+
 def test_canonical_tables_json_is_label_independent():
     from reslat import relabel
 

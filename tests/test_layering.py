@@ -58,3 +58,13 @@ def test_every_annotation_resolves(name):
     assert defined
     for obj in defined:
         typing.get_type_hints(obj)  # raises NameError on a name the module never imports
+
+
+def test_sources_parse_at_the_python_floor():
+    """``pyproject.toml`` promises Python 3.10: every source file parses
+    with the 3.10 grammar."""
+    root = Path(__file__).resolve().parent.parent
+    paths = [path for top in ("src", "tests", "scripts", "perfbench") for path in sorted((root / top).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
