@@ -255,8 +255,32 @@ def find_embeddings(x: FiniteRL, y: FiniteRL, pin=None) -> list[Morphism]:
 # obstruction certificates
 
 
+def _w1(vf: VFormation, a, b, c, side):
+    """W1: a*b = b in B and a*c != c in C (b*a, c*a on the RIGHT); whether it holds, and both products."""
+    ia, ja = vf.i.map[a], vf.j.map[a]
+    B, C = vf.B.product, vf.C.product
+    pb, pc = (B[ia][b], C[ja][c]) if side == LEFT else (B[b][ia], C[c][ja])
+    return pb == b and pc != c, pb, pc
+
+
+def _w2(vf: VFormation, b, c, u1):
+    """W2: c*c <= u1 in C and b\\u1 <= b in B; whether it holds, c*c and b\\u1."""
+    cc, bdiv = vf.C.product[c][c], vf.B.ldiv[b][vf.i.map[u1]]
+    return vf.C.le(cc, vf.j.map[u1]) and vf.B.le(bdiv, b), cc, bdiv
+
+
+def _w3(vf: VFormation, b, c, u2):
+    """W3: b*b <= u2 in B and c\\u2 <= c in C; whether it holds, b*b and c\\u2."""
+    bb, cdiv = vf.B.product[b][b], vf.C.ldiv[c][vf.j.map[u2]]
+    return vf.B.le(bb, vf.i.map[u2]) and vf.C.le(cdiv, c), bb, cdiv
+
+
+def _side_product(side, s, t):
+    return f"{s}*{t}" if side == LEFT else f"{t}*{s}"
+
+
 def _witness_clauses(vf: VFormation, w: ObstructionWitness):
-    """Evaluate W1-W3; returns (clause_name_or_None, facts dict)."""
+    """Evaluate W1-W3; returns (clause_name_or_None, facts up to that clause)."""
     A, B, C, i, j = vf.A, vf.B, vf.C, vf.i.map, vf.j.map
     la, lb, lc = A.labels, B.labels, C.labels
     for e, alg, what in ((w.a, A, "a"), (w.u1, A, "u1"), (w.u2, A, "u2")):
@@ -266,61 +290,50 @@ def _witness_clauses(vf: VFormation, w: ObstructionWitness):
         raise FormatError("witness field b or c out of range")
     if w.side not in (LEFT, RIGHT):
         raise FormatError("witness side must be LEFT or RIGHT")
-    facts = {}
     if w.b in set(i):
         return "W1-domain", {"detail": f"b = {lb[w.b]} lies in the image of A"}
     if w.c in set(j):
         return "W1-domain", {"detail": f"c = {lc[w.c]} lies in the image of A"}
-    ia, ja = i[w.a], j[w.a]
-    if w.side == LEFT:
-        pb, pc = B.product[ia][w.b], C.product[ja][w.c]
-        facts["w1"] = (
-            f"{la[w.a]}*{lb[w.b]} = {lb[pb]} in B and "
-            f"{la[w.a]}*{lc[w.c]} = {lc[pc]} in C"
-        )
-    else:
-        pb, pc = B.product[w.b][ia], C.product[w.c][ja]
-        facts["w1"] = (
-            f"{lb[w.b]}*{la[w.a]} = {lb[pb]} in B and "
-            f"{lc[w.c]}*{la[w.a]} = {lc[pc]} in C"
-        )
-    if pb != w.b or pc == w.c:
-        return "W1", facts
-    cc = C.product[w.c][w.c]
-    bdiv = B.ldiv[w.b][i[w.u1]]
-    facts["w2"] = (
-        f"{lc[w.c]}*{lc[w.c]} = {lc[cc]} <= {lc[j[w.u1]]} in C; "
-        f"{lb[w.b]}\\{lb[i[w.u1]]} = {lb[bdiv]} <= {lb[w.b]} in B"
-    )
-    if not C.le(cc, j[w.u1]) or not B.le(bdiv, w.b):
-        return "W2", facts
-    bb = B.product[w.b][w.b]
-    cdiv = C.ldiv[w.c][j[w.u2]]
-    facts["w3"] = (
-        f"{lb[w.b]}*{lb[w.b]} = {lb[bb]} <= {lb[i[w.u2]]} in B; "
-        f"{lc[w.c]}\\{lc[j[w.u2]]} = {lc[cdiv]} <= {lc[w.c]} in C"
-    )
-    if not B.le(bb, i[w.u2]) or not C.le(cdiv, w.c):
-        return "W3", facts
+    ok1, pb, pc = _w1(vf, w.a, w.b, w.c, w.side)
+    ok2, cc, bdiv = _w2(vf, w.b, w.c, w.u1)
+    ok3, bb, cdiv = _w3(vf, w.b, w.c, w.u2)
+    facts = {
+        "w1": f"{_side_product(w.side, la[w.a], lb[w.b])} = {lb[pb]} in B and "
+        f"{_side_product(w.side, la[w.a], lc[w.c])} = {lc[pc]} in C",
+        "w2": f"{lc[w.c]}*{lc[w.c]} = {lc[cc]} <= {lc[j[w.u1]]} in C; "
+        f"{lb[w.b]}\\{lb[i[w.u1]]} = {lb[bdiv]} <= {lb[w.b]} in B",
+        "w3": f"{lb[w.b]}*{lb[w.b]} = {lb[bb]} <= {lb[i[w.u2]]} in B; "
+        f"{lc[w.c]}\\{lc[j[w.u2]]} = {lc[cdiv]} <= {lc[w.c]} in C",
+    }
+    for n, ok in enumerate((ok1, ok2, ok3), 1):
+        if not ok:
+            return f"W{n}", dict(itertools.islice(facts.items(), n))
     return None, facts
 
 
 def find_obstruction(vf: VFormation) -> ObstructionWitness | None:
-    """Scan for the least witness; a hit certifies that no chain amalgam of
-    any size exists.  ``None`` proves nothing."""
+    """The least witness (a, b, c, u1, u2, side), LEFT before RIGHT; a hit
+    certifies that no chain amalgam of any size exists.  ``None`` proves
+    nothing.  W1 reads (a, b, c, side), W2 (b, c, u1) and W3 (b, c, u2), so
+    the least u1 and u2 are found once per (b, c), and the scan walks
+    (a, b, c) and takes the least side.  Only the given roles are scanned,
+    b in B and c in C: VS with B and C swapped has no witness."""
     for alg, tag in ((vf.B, "B"), (vf.C, "C")):
         if not validate(alg, ("chain",)).ok:
             raise UnsupportedError(f"{tag} must be a chain")
-    i_img, j_img = set(vf.i.map), set(vf.j.map)
-    b_outside = [b for b in range(vf.B.size) if b not in i_img]
-    c_outside = [c for c in range(vf.C.size) if c not in j_img]
-    for a, b, c, u1, u2, side in itertools.product(
-        range(vf.A.size), b_outside, c_outside, range(vf.A.size), range(vf.A.size), (LEFT, RIGHT)
-    ):
-        w = ObstructionWitness(a, b, c, u1, u2, side)
-        clause, _ = _witness_clauses(vf, w)
-        if clause is None:
-            return w
+    us = range(vf.A.size)
+    b_outside = [b for b in range(vf.B.size) if b not in vf.i.map]
+    c_outside = [c for c in range(vf.C.size) if c not in vf.j.map]
+    least = {}  # (b, c) -> the least (u1, u2), for the pairs that have both
+    for b, c in itertools.product(b_outside, c_outside):
+        u1 = next((u for u in us if _w2(vf, b, c, u)[0]), None)
+        u2 = next((u for u in us if _w3(vf, b, c, u)[0]), None)
+        if u1 is not None and u2 is not None:
+            least[b, c] = u1, u2
+    for a, ((b, c), (u1, u2)) in itertools.product(us, least.items()):
+        side = next((s for s in (LEFT, RIGHT) if _w1(vf, a, b, c, s)[0]), None)
+        if side is not None:
+            return ObstructionWitness(a, b, c, u1, u2, side)
     return None
 
 
@@ -337,11 +350,10 @@ def check_obstruction(vf: VFormation, w: ObstructionWitness) -> ObstructionCheck
         return ObstructionCheck(clause, tuple(lines))
     la, lb, lc = vf.A.labels, vf.B.labels, vf.C.labels
     a, b, c, u1, u2 = la[w.a], lb[w.b], lc[w.c], la[w.u1], la[w.u2]
-    mul = (lambda s, t: f"{s}*{t}") if w.side == LEFT else (lambda s, t: f"{t}*{s}")
     lines = (
         f"witness (a={a}, b={b}, c={c}, u1={u1}, u2={u2}, side={w.side})",
         f"(i) {facts['w1']}; since any amalgam identifies the images of {a}, "
-        f"h(b) = k(c) would force {mul(a, 'h(b)')} to be both h(b) and a smaller "
+        f"h(b) = k(c) would force {_side_product(w.side, a, 'h(b)')} to be both h(b) and a smaller "
         f"element, so h(b) != k(c) and the chain orders them strictly.",
         f"(ii) if h(b) < k(c): h(b)*k(c) <= k(c)*k(c) and {facts['w2']}, so by "
         f"residuation k(c) <= h(b)\\h({u1}) = h({b}\\{u1}) <= h(b), "
@@ -467,7 +479,9 @@ def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
     each element of D to its slot is monotone and one-to-one on the points.
     Each product p_x*p_y keeps an interval of slots, tightened to a fixpoint
     by rules that hold in every D of the type, so an empty interval refutes
-    the type at every size.  Why each rule holds:
+    the type at every size.  Intervals only narrow, so the first empty one
+    returns at once: after the exact and division bounds, in the upper
+    monotonicity sweep, or in the merges of a pass.  Why each rule holds:
 
     - pins: h and k preserve products, so p_x*p_y = p_v, in slot 2v+1;
     - unit: p_u*p_y = p_y*p_u = p_y;
@@ -496,8 +510,9 @@ def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
             for s in range(d + 1, t):
                 lo[cell(x, s)] = max(lo[cell(x, s)], 2 * z + 2)
     cells = range(t * t)
-    changed = True
-    while changed:
+    if any(lo[c] > hi[c] for c in cells):
+        return True
+    while True:
         before = lo + hi
         for c in cells:  # monotonicity, lower bounds upwards
             x, y = divmod(c, t)
@@ -511,6 +526,8 @@ def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
                 hi[c] = min(hi[c], hi[c + t])
             if y < t - 1:
                 hi[c] = min(hi[c], hi[c + 1])
+            if lo[c] > hi[c]:
+                return True
         equal = []
         if flags.commutative:
             equal += [(c, (c % t) * t + c // t) for c in cells]
@@ -522,10 +539,10 @@ def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
         for a, b in equal:
             lo[a] = lo[b] = max(lo[a], lo[b])
             hi[a] = hi[b] = min(hi[a], hi[b])
-        if any(lo[c] > hi[c] for c in cells):
-            return True
-        changed = lo + hi != before
-    return False
+            if lo[a] > hi[a]:
+                return True
+        if lo + hi == before:
+            return False
 
 
 def _revalidate(vf: VFormation, h: Morphism, k: Morphism) -> None:

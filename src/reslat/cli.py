@@ -367,10 +367,12 @@ def _cmd_obstruct(args):
     report = {"command": "obstruct", "vformation": vf.name or args.vf}
     if args.check:
         parts = [p.strip() for p in args.check.split(",")]
-        if len(parts) not in (5, 6):
-            raise FormatError("--check needs a,b,c,u1,u2[,side]")
-        side = parts[5] if len(parts) == 6 else "LEFT"
-        w = ObstructionWitness(*(int(p) for p in parts[:5]), side=side)
+        try:
+            if len(parts) not in (5, 6):
+                raise ValueError
+            w = ObstructionWitness(*(int(p) for p in parts[:5]), *parts[5:])
+        except ValueError:
+            raise FormatError("--check needs a,b,c,u1,u2[,side]") from None
     else:
         w = find_obstruction(vf)
     if w is None:

@@ -284,3 +284,93 @@ def naive_check_identity(alg: FiniteRL, ident) -> IdentityResult:
             detail = f"{where[:-2]}: values {sides}" if where else f"values {sides}"
             return IdentityResult(False, variables, assignment, detail)
     return IdentityResult(True, variables)
+
+
+def naive_find_obstruction(vf):
+    """The least W1-W3 witness by a blind scan of every (a, b, c, u1, u2,
+    side) in product order, LEFT before RIGHT, each clause read straight
+    from the tables."""
+    from reslat import ObstructionWitness
+
+    A, B, C, i, j = vf.A, vf.B, vf.C, vf.i.map, vf.j.map
+    sides = ("LEFT", "RIGHT")
+    for a, b, c, u1, u2, side in itertools.product(
+        range(A.size), range(B.size), range(C.size), range(A.size), range(A.size), sides
+    ):
+        if b in i or c in j:
+            continue
+        if side == "LEFT":
+            pb, pc = B.product[i[a]][b], C.product[j[a]][c]
+        else:
+            pb, pc = B.product[b][i[a]], C.product[c][j[a]]
+        w1 = pb == b and pc != c
+        w2 = C.le(C.product[c][c], j[u1]) and B.le(B.ldiv[b][i[u1]], b)
+        w3 = B.le(B.product[b][b], i[u2]) and C.le(C.ldiv[c][j[u2]], c)
+        if w1 and w2 and w3:
+            return ObstructionWitness(a, b, c, u1, u2, side)
+    return None
+
+
+def naive_type_refuted(vf, htype, ktype, flags):
+    """Whether the slot intervals refute the order type ``(htype, ktype)``,
+    by full passes of every rule until nothing moves, as
+    ``amalgamation._type_refuted`` decides it without returning early.  The
+    result names where an interval was first empty: ``"pin conflict"``,
+    ``"init"`` (the exact and division bounds), ``"sweep"`` (monotonicity)
+    or ``"rules"`` (commutativity and associativity); ``None`` when the
+    type survives."""
+    from reslat.amalgamation import _pins_for
+
+    pins = _pins_for(vf, htype, ktype)
+    if pins is None:
+        return "pin conflict"
+    product_pins, ldiv_pins, rdiv_pins = pins
+    t = max(htype + ktype) + 1
+    lo, hi = [0] * (t * t), [2 * t] * (t * t)
+    exact = [(x * t + y, v) for (x, y), v in product_pins.items()]
+    u = htype[vf.B.unit]
+    exact += [(c, y) for y in range(t) for c in (u * t + y, y * t + u)]
+    for c, v in exact:
+        lo[c], hi[c] = max(lo[c], 2 * v + 1), min(hi[c], 2 * v + 1)
+    for division, cell in ((ldiv_pins, lambda x, s: x * t + s), (rdiv_pins, lambda y, s: s * t + y)):
+        for (x, z), d in division.items():
+            hi[cell(x, d)] = min(hi[cell(x, d)], 2 * z + 1)
+            for s in range(d + 1, t):
+                lo[cell(x, s)] = max(lo[cell(x, s)], 2 * z + 2)
+    cells = range(t * t)
+
+    def empty():
+        return any(lo[c] > hi[c] for c in cells)
+
+    stage = "init" if empty() else None
+    changed = True
+    while changed:
+        before = lo + hi
+        for c in cells:
+            x, y = divmod(c, t)
+            if x:
+                lo[c] = max(lo[c], lo[c - t])
+            if y:
+                lo[c] = max(lo[c], lo[c - 1])
+        for c in reversed(cells):
+            x, y = divmod(c, t)
+            if x < t - 1:
+                hi[c] = min(hi[c], hi[c + t])
+            if y < t - 1:
+                hi[c] = min(hi[c], hi[c + 1])
+        stage = stage or ("sweep" if empty() else None)
+        equal = []
+        if flags.commutative:
+            equal += [(c, (c % t) * t + c // t) for c in cells]
+        point = [lo[c] // 2 if lo[c] == hi[c] and lo[c] % 2 else -1 for c in cells]
+        for c in cells:
+            if point[c] >= 0:
+                x, y = divmod(c, t)
+                equal += [(point[c] * t + z, x * t + point[y * t + z]) for z in range(t) if point[y * t + z] >= 0]
+        for a, b in equal:
+            lo[a] = lo[b] = max(lo[a], lo[b])
+            hi[a] = hi[b] = min(hi[a], hi[b])
+        if empty():
+            return stage or "rules"
+        changed = lo + hi != before
+    return None

@@ -22,6 +22,7 @@ from reslat import (
     godel,
     injectivity_reduction,
     lukasiewicz,
+    make_vformation,
     ordinal_sum,
     pointed_vformation,
     rotated_vformation,
@@ -502,6 +503,66 @@ def test_certificate_soundness_over_random_formations():
     assert witnessed > 0  # the corpus does exercise the certificate
 
 
+def _vs_family(vs):
+    """VS, its pointed copy, the 2- and 3-level rotations, and VS with B and
+    C swapped."""
+    rotations = [rotated_vformation(vs, delta, n) for n in (2, 3) for delta in ("identity", "const-1")]
+    return [vs, pointed_vformation(vs, 0), *rotations, VFormation(vs.A, vs.C, vs.B, vs.j, vs.i)]
+
+
+def test_obstruction_scan_matches_the_naive_scan(vs):
+    """The clause-by-clause scan finds the least tuple of the blind product
+    scan: on the VS family (only swapped VS has none) and on every
+    formation of integral 4- and 5-chains over VS.A, with every embedding."""
+    from collections import Counter
+
+    from reslat import enumerate_chains, vs_a
+    from oracles import naive_find_obstruction
+
+    family = _vs_family(vs)
+    witnesses = [find_obstruction(vf) for vf in family]
+    assert witnesses == [naive_find_obstruction(vf) for vf in family]
+    assert [w is None for w in witnesses] == [False] * 6 + [True]
+    A = vs_a()
+    hosts = [(B, i) for n in (4, 5) for B in enumerate_chains(n, ChainFlags(integral=True)) for i in find_embeddings(A, B)]
+    sides = Counter()
+    for (B, i), (C, j) in itertools.product(hosts, repeat=2):
+        vf = VFormation(A, B, C, i, j)
+        w = find_obstruction(vf)
+        assert w == naive_find_obstruction(vf), (B, C, i, j)
+        sides[w and w.side] += 1
+    assert sides == {None: 2000, "LEFT": 16, "RIGHT": 9}
+
+
+def test_obstruction_scan_takes_the_least_bounds():
+    """A commutative integral formation of a 4-, a 5- and a 6-chain whose
+    witness passes W2 and W3 with u1, u2 = 0 and with 1: both scans report
+    0 for each."""
+    from reslat import make_algebra
+    from oracles import naive_find_obstruction
+
+    A = make_algebra(product=[[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]], unit=3)
+    B = make_algebra(
+        product=[[0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 2, 2], [0, 0, 2, 3, 3], [0, 1, 2, 3, 4]], unit=4
+    )
+    C = make_algebra(
+        product=[
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 2, 2],
+            [0, 0, 0, 0, 2, 3],
+            [0, 0, 2, 2, 4, 4],
+            [0, 1, 2, 3, 4, 5],
+        ],
+        unit=5,
+    )
+    vf = make_vformation(A, B, C, (0, 1, 3, 4), (0, 1, 4, 5))
+    assert check_vformation(vf).ok
+    w = ObstructionWitness(2, 2, 3, 0, 0, "LEFT")
+    assert find_obstruction(vf) == naive_find_obstruction(vf) == w
+    assert all(check_obstruction(vf, replace(w, **{u: 1})).accepted for u in ("u1", "u2"))
+
+
 def test_injectivity_reduction_examples(vs):
     assert injectivity_reduction(vs) == [1]  # the element v
     filters = [F.sorted_members() for F in congruence_filters(vs.B)]
@@ -632,6 +693,35 @@ def _small_formations():
             for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
                 out += [(VFormation(A, B, C, i, j), flags) for flags in flag_sets]
     return out
+
+
+def test_type_refutation_matches_the_full_pass_oracle(vs):
+    """Returning at the first empty interval decides every order type as
+    the full passes do, on the VS family and on the commutative integral
+    formations with 2 <= |A| < |B|, |C| <= 4, unbounded, under no flags and
+    under integral and commutative; each way a type ends occurs."""
+    from collections import Counter
+
+    from reslat import enumerate_chains
+    from reslat.amalgamation import _order_types, _type_refuted
+    from oracles import naive_type_refuted
+
+    ci = ChainFlags(integral=True, commutative=True)
+    chains = {n: list(enumerate_chains(n, ci)) for n in (2, 3, 4)}
+    pool = _vs_family(vs)
+    for na in (2, 3):
+        for nb, nc in itertools.product(range(na + 1, 5), repeat=2):
+            for A, B, C in itertools.product(chains[na], chains[nb], chains[nc]):
+                for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
+                    pool.append(VFormation(A, B, C, i, j))
+    outcomes = Counter()
+    for vf, flags in itertools.product(pool, (ChainFlags(), ci)):
+        for htype, ktype in _order_types(vf, flags, vf.B.size + vf.C.size):
+            outcome = naive_type_refuted(vf, htype, ktype, flags)
+            assert _type_refuted(vf, htype, ktype, flags) == (outcome is not None), (vf, flags, htype, ktype)
+            outcomes[outcome] += 1
+    assert sum(outcomes.values()) == 2398
+    assert {"pin conflict", "init", "sweep", None} <= set(outcomes)
 
 
 def test_types_fit_the_bound_and_are_decided_at_the_first_size_they_fit(monkeypatch):

@@ -235,11 +235,13 @@ def test_builtin_vformation_names(capsys):
     assert main(["amalgam", "--vf", "VS.nope", "--max-size", "9"]) == 2
 
 
-@pytest.mark.parametrize("check", ["1,1,2,0", "9,9,9,9,9", "1,1,2,0,0,UP"])
+@pytest.mark.parametrize("check", ["1,1,2,0", "9,9,9,9,9", "1,1,2,0,0,UP", "x,1,2,0,0"])
 def test_malformed_obstruction_checks_exit_2(capsys, check):
     assert main(["obstruct", "--vf", "VS", "--check", check]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if check in ("1,1,2,0", "x,1,2,0,0"):  # not five or six fields, or a field that is no integer
+        assert err == "error: --check needs a,b,c,u1,u2[,side]\n"
 
 
 def test_verify_with_zero_and_the_triple_builtin(capsys):

@@ -183,6 +183,27 @@ def test_accepted_triples_have_a_monotone_sigma_and_a_closure_gamma():
     assert first == {None, "undefinedness-pattern", "residuated-pair"}
 
 
+def test_every_triple_on_the_small_integral_chains_is_checked_against_the_definition():
+    """Every (sigma, gamma) on each integral chain of size <= 3: 1,475
+    triples.  Each accepted one has a monotone sigma and a closure gamma,
+    checked directly, and more than one is accepted."""
+    from reslat import ChainFlags, enumerate_chains
+
+    triples = accepted = 0
+    for K in (K for n in (1, 2, 3) for K in enumerate_chains(n, ChainFlags(integral=True))):
+        maps = list(itertools.product(range(K.size), repeat=K.size))
+        for sigma, gamma in itertools.product(maps, repeat=2):
+            triples += 1
+            if not validate_triple(LowerCompatibleTriple(K, sigma, gamma)).ok:
+                continue
+            accepted += 1
+            for x, y in itertools.product(range(K.size), repeat=2):
+                assert K.le(x, gamma[x]) and gamma[gamma[x]] == gamma[x]
+                if K.le(x, y):
+                    assert K.le(gamma[x], gamma[y]) and K.le(sigma[x], sigma[y])
+    assert triples == 1475 and accepted > 1
+
+
 def test_identity_maps_on_partial_k_fail():
     t = vs_k_triple()
     ident = tuple(range(4))
