@@ -327,10 +327,16 @@ def _bound_table(alg, bound, what) -> tuple[tuple[int, ...], ...]:
 
 
 def meet_table(alg) -> tuple[tuple[int, ...], ...]:
+    if alg.leq is None:  # row x of min: 0 .. x-1, then x
+        n = alg.size
+        return tuple((*range(x), *(x,) * (n - x)) for x in range(n))
     return _bound_table(alg, _glb, "meet")
 
 
 def join_table(alg) -> tuple[tuple[int, ...], ...]:
+    if alg.leq is None:  # row x of max: x, then x+1 .. n-1
+        n = alg.size
+        return tuple((*(x,) * (x + 1), *range(x + 1, n)) for x in range(n))
     return _bound_table(alg, _lub, "join")
 
 

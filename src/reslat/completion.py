@@ -167,6 +167,8 @@ class _Engine:
         # both of its monotonicity cones, so no later cone needs to visit it
         self.free = (1 << (m * m)) - 1
         self.cones = _cone_masks(m)
+        # the rows and columns other than the unit's and the zero's
+        self.inner = [z for z in range(1, m) if z != problem.unit]
         # cells that became singletons and were not processed yet; on a
         # one-element chain every cell starts out as one
         self.queue: list[int] = [0] if m == 1 else []
@@ -256,12 +258,18 @@ class _Engine:
                 if cand[c] > le_mask:
                     set_mask(c, le_mask)
         # associativity instances whose two inner products are fixed; equal
-        # masks (the same cell included) leave nothing to link
-        link, vm, xm = self._link, v * m, x * m
-        for z, w in enumerate(value[y * m:y * m + m]):
+        # masks (the same cell included) leave nothing to link.  The unit's
+        # and the zero's rows and columns hold their singletons from
+        # init_constraints, so z or w among them links only equal cells:
+        # (v,u) and (x,y) hold v, as do (u,v) and (x,y); (v,0) and (x,0)
+        # hold 0, as do (0,y) and (0,v)
+        link, vm, xm, ym = self._link, v * m, x * m, y * m
+        for z in self.inner:
+            w = value[ym + z]
             if w != -1 and cand[vm + z] != cand[xm + w]:  # (x*y)*z = x*(y*z)
                 link(vm + z, xm + w)
-        for w, t in enumerate(value[x::m]):
+        for w in self.inner:
+            t = value[w * m + x]
             if t != -1 and cand[t * m + y] != cand[w * m + v]:  # (w*x)*y = w*(x*y)
                 link(t * m + y, w * m + v)
 
@@ -356,7 +364,7 @@ class _Engine:
                     return False
         # (x*y)*z = x*(y*z) for all z, as rows; the unit and 0 associate with
         # anything once the checks above hold
-        inner = [x for x in range(1, m) if x != u]
+        inner = self.inner
         for x in inner:
             tx = t[x]
             for y in inner:

@@ -15,21 +15,25 @@ only.
 
 Evaluation works on tables, not on one assignment at a time.
 :class:`TermEvaluator` lists each subterm's values over the assignments
-of its own variables, in ``itertools.product`` order, and applies an
-operator to whole lists through its table.  :func:`check_identity`
-compares the terms' lists; an identity with more than ``BLOCK_CELLS``
-assignments is checked in blocks that fix its leading variables, in
-lexicographic order, so no list grows past that constant (or the size of
-the algebra, if larger).
+of its own variables, in ``itertools.product`` order, as ``bytes`` with
+one element index per byte (a ``list`` above 256 elements), and applies
+an operator to whole lists in C: one ``bytes.translate`` through a row,
+a column or, on algebras of at most 16 elements, the whole row-major
+table indexed by ``a * n + b`` (larger ones look up one cell per entry
+when both operands vary).  :func:`check_identity` compares the
+terms' lists, reading ``>=`` through the order table the same way; an
+identity with more than ``BLOCK_CELLS`` assignments is checked in blocks
+that fix its leading variables, in lexicographic order, so no list grows
+past that constant (or the size of the algebra, if larger).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
-from operator import getitem, gt, ne, not_
+from itertools import chain, compress, count
+from operator import getitem, ne
 
 from .algebra import (
     FiniteRL,
@@ -367,9 +371,15 @@ class TermEvaluator:
     ``domains`` maps each variable, in the identity's order, to the values
     it ranges over (a one-entry tuple fixes it).  A term's list holds its
     value at each assignment of the domains, in ``itertools.product``
-    order.  Each subterm is evaluated once per assignment of its own
-    variables, and an operator maps whole lists through its table; a
-    child is spread over the variables its sibling adds by repeating it.
+    order, one element index per byte (a ``list`` on an algebra of more
+    than 256 elements).  Each subterm is evaluated once per assignment of
+    its own variables, and an operator maps whole lists in C: a negation,
+    or an operator with a constant operand, translates the other list
+    through one image, row or column; two varying operands, on an algebra
+    of at most 16 elements, are read as the pair index ``a * n + b`` of
+    every lane at once and translated through the row-major table (on a
+    larger algebra, one table cell is looked up per entry).  A child is
+    spread over the variables its sibling adds by repeating it.
 
     Tables are looked up on first use and kept for the evaluator's life:
     a negation checks for the zero before it evaluates its argument, and
@@ -380,36 +390,40 @@ class TermEvaluator:
 
     def __init__(self, alg: FiniteRL):
         self.alg = alg
+        self._pack = bytes if alg.size <= 256 else list
         self._tables: dict[str, tuple] = {}
+        self._flat: dict[str, bytes] = {}  # padded row-major tables, for n <= 16
 
-    def values(self, terms: Sequence[Term], domains: dict[str, Sequence[int]]) -> list[list[int]]:
-        """Each term's values at every assignment of ``domains``.  The terms
-        are all evaluated before any is spread over every variable."""
+    def values(self, terms: Sequence[Term], domains: dict[str, Sequence[int]]) -> list[Sequence[int]]:
+        """Each term's values at every assignment of ``domains``: ``bytes``
+        (or a ``bytearray``), or a ``list`` on an algebra of more than 256
+        elements.  The terms are all evaluated before any is spread over
+        every variable."""
         position = {v: i for i, v in enumerate(domains)}
         sizes = [len(d) for d in domains.values()]
         every = range(len(sizes))
         listed = [self._values(t, domains, position, sizes) for t in terms]
         return [
-            values if len(have) == len(sizes) else list(_spread(values, have, every, sizes))
+            values if len(have) == len(sizes) else _spread(values, have, every, sizes)
             for values, have in listed
         ]
 
-    def _values(self, t, domains, position, sizes) -> tuple[list[int], tuple[int, ...]]:
+    def _values(self, t, domains, position, sizes) -> tuple[Sequence[int], tuple[int, ...]]:
         """``t``'s values, listed over the variables at the returned positions."""
         alg = self.alg
         if isinstance(t, Var):
-            return list(domains[t.name]), (position[t.name],)
+            return self._pack(domains[t.name]), (position[t.name],)
         if isinstance(t, Const):
             if t.symbol == "1":
-                return [alg.unit], ()
+                return self._pack((alg.unit,)), ()
             if alg.zero is None:
                 raise UnsupportedSymbolError("constant 0 on an unpointed algebra")
-            return [alg.zero], ()
+            return self._pack((alg.zero,)), ()
         if isinstance(t, Neg):
             if alg.zero is None:
                 raise UnsupportedSymbolError("negation on an unpointed algebra")
             arg, have = self._values(t.arg, domains, position, sizes)
-            return list(map(self._table("neg").__getitem__, arg)), have
+            return self._image(self._table("neg"), arg), have
         a, pa = self._values(t.left, domains, position, sizes)
         b, pb = self._values(t.right, domains, position, sizes)
         table = self._table(t.op)
@@ -417,12 +431,31 @@ class TermEvaluator:
             a, pa, b, pb = b, pb, a, pa
         # a one-entry list is constant over its variables
         if len(a) == 1:
-            return list(map(table[a[0]].__getitem__, b)), pb
+            return self._image(table[a[0]], b), pb
         if len(b) == 1:
-            return list(map([row[b[0]] for row in table].__getitem__, a)), pa
+            return self._image([row[b[0]] for row in table], a), pa
         both = tuple(sorted({*pa, *pb}))
-        a, b = _spread(a, pa, both, sizes), _spread(b, pb, both, sizes)
-        return list(map(getitem, map(table.__getitem__, a), b)), both
+        return self._pairs(t.op, _spread(a, pa, both, sizes), _spread(b, pb, both, sizes)), both
+
+    def _image(self, image: Sequence[int], values: Sequence[int]) -> Sequence[int]:
+        """``image[v]`` for each ``v`` in ``values``."""
+        if self._pack is bytes:
+            return values.translate(bytes(image).ljust(256, b"\0"))
+        return list(map(image.__getitem__, values))
+
+    def _pairs(self, op: str, a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+        """``op``'s table at ``(a[i], b[i])`` for each lane ``i`` of two
+        equally long value lists."""
+        table = self._table(op)
+        n = self.alg.size
+        if n > 16:
+            return self._pack(map(getitem, map(table.__getitem__, a), b))
+        flat = self._flat.get(op)
+        if flat is None:
+            flat = self._flat[op] = bytes(chain.from_iterable(table)).ljust(256, b"\0")
+        # each lane holds a * n + b <= n * n - 1 <= 255, so no lane carries
+        lanes = int.from_bytes(a, "little") * n + int.from_bytes(b, "little")
+        return lanes.to_bytes(len(a), "little").translate(flat)
 
     def _table(self, op: str) -> tuple:
         table = self._tables.get(op)
@@ -443,18 +476,21 @@ class TermEvaluator:
             table = alg.rdiv
         elif op in ("\\", "->"):
             table = alg.ldiv
+        elif op == "<=":  # the order, as a table of truth values
+            n = alg.size
+            table = alg.leq if alg.leq is not None else tuple(tuple(x <= y for y in range(n)) for x in range(n))
         else:
             raise FormatError(f"unknown operator {op!r}")
         self._tables[op] = table
         return table
 
 
-def _spread(values: list[int], have, want, sizes) -> Iterable[int]:
+def _spread(values: Sequence[int], have, want, sizes) -> Sequence[int]:
     """``values``, listed over the variables at positions ``have``, spread
     over the positions ``want`` (a sorted superset).  A run of new
     variables between two old ones repeats each block of ``values`` that
     shares the variables before the run as often as the run has
-    assignments.  The last run is repeated lazily, unless it comes first."""
+    assignments."""
     have = iter(have)
     next_old = next(have, None)
     outer = run = 1  # assignments of the positions before the run; of the run
@@ -463,7 +499,7 @@ def _spread(values: list[int], have, want, sizes) -> Iterable[int]:
             run *= sizes[p]
             continue
         if run > 1:
-            values = list(_repeat_blocks(values, outer, run))
+            values = _repeat_blocks(values, outer, run)
             outer *= run
             run = 1
         outer *= sizes[p]
@@ -471,25 +507,32 @@ def _spread(values: list[int], have, want, sizes) -> Iterable[int]:
     return _repeat_blocks(values, outer, run) if run > 1 else values
 
 
-def _repeat_blocks(values: list[int], blocks: int, times: int) -> Iterable[int]:
-    """Each of the ``blocks`` equal slices of ``values``, ``times`` times."""
+def _repeat_blocks(values: Sequence[int], blocks: int, times: int) -> Sequence[int]:
+    """Each of the ``blocks`` equal slices of ``values``, ``times`` times:
+    one slice assignment per block, or, if that takes fewer, one strided
+    assignment per copy of each offset within a block."""
     if blocks == 1:
         return values * times
     width = len(values) // blocks
-    if width == 1:
-        return chain.from_iterable(map(repeat, values, repeat(times, blocks)))
-    return chain.from_iterable(values[i : i + width] * times for i in range(0, len(values), width))
+    step = width * times  # one block's copies
+    out = [0] * (len(values) * times) if isinstance(values, list) else bytearray(len(values) * times)
+    if blocks <= step:
+        for i in range(blocks):
+            out[i * step : (i + 1) * step] = values[i * width : (i + 1) * width] * times
+    else:
+        for k in range(width):
+            lane = values[k::width]
+            for j in range(k, step, width):
+                out[j::step] = lane
+    return out
 
 
-def _first_failure(alg: FiniteRL, relation: str, values: list[list[int]]) -> int | None:
+def _first_failure(evaluator: TermEvaluator, relation: str, values: list[Sequence[int]]) -> int | None:
     """The least index where the term values break ``relation``, if any."""
     first = values[0]
     if relation == GEQ:  # first >= second
-        if alg.leq is None:
-            fails = map(gt, values[1], first)
-        else:
-            fails = map(not_, map(getitem, map(alg.leq.__getitem__, values[1]), first))
-        return next(compress(count(), fails), None)
+        holds = evaluator._pairs("<=", values[1], first)
+        return holds.index(0) if 0 in holds else None
     return min(
         (next(compress(count(), map(ne, first, other))) for other in values[1:] if other != first),
         default=None,
@@ -513,7 +556,7 @@ def check_identity(alg: FiniteRL, ident: Identity) -> IdentityResult:
     for prefix in itertools.product(range(n), repeat=len(variables) - free):
         domains = dict(zip(variables, [(v,) for v in prefix] + [range(n)] * free))
         values = evaluator.values(ident.terms, domains)
-        index = _first_failure(alg, ident.relation, values)
+        index = _first_failure(evaluator, ident.relation, values)
         if index is None:
             continue
         sides = " , ".join(alg.labels[v[index]] for v in values)

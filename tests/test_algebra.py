@@ -32,7 +32,7 @@ from reslat import (
     vs_k_triple,
     with_zero,
 )
-from reslat.algebra import CongruenceFilter, definedness, meet_table, join_table
+from reslat.algebra import CongruenceFilter, _bound_table, _glb, _lub, definedness, meet_table, join_table
 
 from oracles import brute_force_congruences, brute_force_filters
 
@@ -316,6 +316,16 @@ def test_meet_join_tables_on_diamond():
     alg = diamond()
     assert meet_table(alg)[1][2] == 0
     assert join_table(alg)[1][2] == 3
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_chain_lattice_rows_match_the_pairwise_bounds(n):
+    # a chain in index order builds min and max row by row; the pairwise
+    # glb/lub scan that serves every other order is the oracle
+    alg = godel(n)
+    assert alg.leq is None
+    assert meet_table(alg) == _bound_table(alg, _glb, "meet")
+    assert join_table(alg) == _bound_table(alg, _lub, "join")
 
 
 def test_lattice_operations_keep_no_algebra_alive():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from reslat import (
     format_identity,
     godel,
     lukasiewicz,
+    make_algebra,
     parse_identity,
     two,
     validate,
@@ -22,7 +24,7 @@ from reslat import (
     with_zero,
 )
 from reslat import identities
-from reslat.identities import BinOp, Const, Identity, Neg, ParseError, TermEvaluator, Var
+from reslat.identities import BinOp, Const, Identity, IdentityResult, Neg, ParseError, TermEvaluator, Var
 
 from oracles import naive_check_identity, rpn_eval
 from test_algebra import diamond
@@ -176,6 +178,14 @@ def _oracle_pool():
     return [with_zero(a, 0) for a in pool] + [vs_b(), vs_c(), diamond()]
 
 
+def _random_term(rng, leaves, ops, pointed, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)
+    if pointed and rng.random() < 0.15:
+        return Neg(_random_term(rng, leaves, ops, pointed, depth - 1))
+    return BinOp(rng.choice(ops), _random_term(rng, leaves, ops, pointed, depth - 1), _random_term(rng, leaves, ops, pointed, depth - 1))
+
+
 def test_check_identity_agrees_with_the_naive_oracle_on_1200_random_identities():
     # Equation chains of 2-3 terms and >= identities, on chains, the
     # non-commutative 4-chains (which tell x / y from y \ x) and the
@@ -184,13 +194,7 @@ def test_check_identity_agrees_with_the_naive_oracle_on_1200_random_identities()
     # algebras only, -> on commutative ones only.
     rng = random.Random(20261018)
     pool = [(a, a.zero is not None, validate(a, ("commutative",)).ok) for a in _oracle_pool()]
-
-    def random_term(leaves, ops, pointed, depth):
-        if depth == 0 or rng.random() < 0.3:
-            return rng.choice(leaves)
-        if pointed and rng.random() < 0.15:
-            return Neg(random_term(leaves, ops, pointed, depth - 1))
-        return BinOp(rng.choice(ops), random_term(leaves, ops, pointed, depth - 1), random_term(leaves, ops, pointed, depth - 1))
+    random_term = functools.partial(_random_term, rng)
 
     seen = {"holds": 0, "fails": 0, "variable-free fails": 0, "fails by the order table": 0}
     for _ in range(1200):
@@ -260,6 +264,105 @@ def test_six_variables_stop_at_the_first_failing_block(monkeypatch):
     assert result.assignment == (0, 0, 0, 0, 0, 1)
     assert result.detail == "u=0, v=0, w=0, x=0, y=0, z=a1: values a1 , 0"
     assert lengths == [12**4] * 2 and 12**4 <= identities.BLOCK_CELLS < 12**5
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_both_sides_of_the_pair_index_agree_with_the_naive_oracle(n):
+    # on 16 elements a pair index a * n + b still fits in a byte, so two
+    # varying operands are read through one translation; from 17 on, one
+    # cell is looked up per entry
+    rng = random.Random(n)
+    pool = [with_zero(lukasiewicz(n), 0), with_zero(godel(n), 0)]
+    leaves = [Var("x"), Var("y"), Const("1"), Const("0")]
+    ops = ["*", "/\\", "\\/", "\\", "/", "->"]
+    fails = 0
+    for _ in range(30):
+        alg = rng.choice(pool)
+        relation = rng.choice(["EQ", "GEQ"])
+        ident = Identity(tuple(_random_term(rng, leaves, ops, True, 3) for _ in range(2)), relation)
+        result = check_identity(alg, ident)
+        assert result == naive_check_identity(alg, ident), format_identity(ident)
+        fails += not result.holds
+    assert 0 < fails < 30
+    # (x, y) spread over (x, y, z) strides, (x, z) repeats whole blocks
+    alg = pool[0]
+    ident = parse_identity("x * y * (z \\/ x) = x * y * z \\/ x * y * x")
+    assert check_identity(alg, ident) == naive_check_identity(alg, ident) == IdentityResult(True, ("x", "y", "z"))
+    (values,) = TermEvaluator(alg).values(ident.terms[:1], dict.fromkeys("xyz", range(n)))
+    assert isinstance(values, (bytes, bytearray)) and len(values) == n**3
+
+
+def test_right_division_reads_its_operands_swapped():
+    # x / y is rdiv[y][x]; on the non-commutative 4-chains it differs from
+    # y \ x, with both operands varying or either one constant
+    noncomm = [with_zero(a, 0) for a in enumerate_chains(4, ChainFlags()) if not validate(a, ("commutative",)).ok]
+    texts = ("x / y = y \\ x", "x / y >= x", "(x / y) * y >= x /\\ y", "x / 1 = x", "1 / x = x \\ 1", "0 / x = x \\ 0", "x / 0 >= y / x")
+    sided = 0
+    for alg in noncomm:
+        for text in texts:
+            ident = parse_identity(text)
+            assert check_identity(alg, ident) == naive_check_identity(alg, ident), (alg.name, text)
+        sided += not check_identity(alg, parse_identity(texts[0])).holds
+    assert len(noncomm) == 4 and sided > 0
+
+
+def test_constants_negation_and_variable_free_identities_agree_with_the_naive_oracle():
+    texts = (
+        "neg 0 = 1", "neg 1 = 0", "0 >= 1", "1 >= 0", "0 \\ 0 = 1 / 0 = neg 0", "neg neg 0 = neg 1",
+        "neg x * x = 0", "x \\/ neg x = 1", "neg (x * y) >= neg x \\/ neg y", "0 / x = neg x", "neg x = neg neg neg x",
+    )
+    for alg in _oracle_pool():
+        if alg.zero is None:
+            continue
+        for text in texts:
+            ident = parse_identity(text)
+            assert check_identity(alg, ident) == naive_check_identity(alg, ident), (alg.name, text)
+    alg = with_zero(lukasiewicz(3), 0)
+    assert check_identity(alg, parse_identity("0 >= 1")) == IdentityResult(False, (), (), "values 0 , 1")
+    assert check_identity(alg, parse_identity("neg 1 = 0 = 1")) == IdentityResult(False, (), (), "values 0 , 0 , 1")
+
+
+def test_geq_reads_the_diamonds_order_table():
+    # at x = 0, y = a the left side is a \ 0 = b: b >= a fails in the
+    # order, though b comes after a in the index order
+    alg = diamond()
+    ident = parse_identity("(y \\ x) \\/ x >= y")
+    result = check_identity(alg, ident)
+    assert result == naive_check_identity(alg, ident)
+    assert result == IdentityResult(False, ("x", "y"), (0, 1), "x=0, y=a: values b , a")
+
+
+def test_five_variables_fail_in_a_late_block(monkeypatch):
+    lengths = _record_lists(monkeypatch)
+    alg = lukasiewicz(12)  # 12^5 assignments in 12 blocks of 12^4, each fixing v
+    ident = parse_identity("v * v * v * (w \\/ x) = v * v * v * (y /\\ z)")
+    result = check_identity(alg, ident)
+    # v^3 is 0 up to v = 7, and at v = 8 it is a2, so the right side leaves
+    # 0 first at y = z = a10; naive_check_identity would take seconds to
+    # reach the ninth block, so the same tables are scanned directly
+    p = alg.product
+    least = next(
+        (v, w, x, y, z)
+        for v, w, x, y, z in itertools.product(range(12), repeat=5)
+        if p[p[p[v][v]][v]][max(w, x)] != p[p[p[v][v]][v]][min(y, z)]
+    )
+    assert result == IdentityResult(False, ("v", "w", "x", "y", "z"), least, "v=a8, w=0, x=0, y=a10, z=a10: values 0 , a1")
+    env = dict(zip(result.variables, least))
+    assert [rpn_eval(alg, t, env) for t in ident.terms] == [0, 1]
+    assert lengths == [12**4] * 18
+
+
+def test_algebras_above_256_elements_keep_list_values():
+    # a pointed Goedel chain: x \ y is the top when x <= y and y otherwise
+    n = 257
+    meet = [[min(x, y) for y in range(n)] for x in range(n)]
+    div = [[n - 1 if x <= y else y for y in range(n)] for x in range(n)]
+    alg = make_algebra(product=meet, unit=n - 1, ldiv=div, rdiv=[list(col) for col in zip(*div)], zero=0)
+    for text in ("x /\\ neg x = 0", "neg neg x = x", "x * y >= x \\/ y", "y / x = x \\ y"):
+        ident = parse_identity(text)
+        assert check_identity(alg, ident) == naive_check_identity(alg, ident), text
+    (values,) = TermEvaluator(alg).values([parse_identity("neg x = x").terms[0]], {"x": range(n)})
+    assert type(values) is list and values == [n - 1] + [0] * (n - 1)
 
 
 def test_check_identity_examples():
