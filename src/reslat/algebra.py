@@ -9,6 +9,7 @@ module is a pure function.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -245,7 +246,7 @@ def make_algebra(
     if (ldiv is None) != (rdiv is None):
         raise FormatError("supply both divisions or neither")
     if ldiv is None:
-        ldiv, rdiv = residuals_from_product(CHAIN if leq is None else leq, product, unit)
+        ldiv, rdiv = residuals_from_product(CHAIN if leq is None else leq, product)
     ldiv = _as_int_table(ldiv, n, "ldiv")
     rdiv = _as_int_table(rdiv, n, "rdiv")
     if masks is not None:
@@ -358,27 +359,27 @@ def operation_tables(alg) -> OperationTables:
 # residuals
 
 
-def residuals_from_product(order, product, unit):
+def residuals_from_product(order, product):
     """Derive ``(ldiv, rdiv)`` from a product table.
 
     ``ldiv[x][z]`` is the maximum ``y`` with ``x*y <= z``; ``rdiv[y][z]``
     the maximum ``x`` with ``x*y <= z``.  Raises :class:`NotResiduatedError`
-    with the least pair whose candidate set has no maximum.
+    with the least pair whose candidate set has no maximum.  On ``CHAIN``
+    each row of ``ldiv`` is read off one product row, and each row of
+    ``rdiv`` off one product column.
     """
+    if order == CHAIN:
+        return _chain_residuals(product), _chain_residuals(list(zip(*product)))
     n = len(product)
-    chain = order == CHAIN
-    le = (lambda x, y: x <= y) if chain else (lambda x, y: order[x][y])
 
     def greatest(candidates, pair):
         if not candidates:
             raise NotResiduatedError(pair)
-        if chain:  # the candidates ascend, and the last is the greatest
-            return candidates[-1]
         top = candidates[0]
         for c in candidates[1:]:
-            if le(top, c):
+            if order[top][c]:
                 top = c
-        if all(le(c, top) for c in candidates):
+        if all(order[c][top] for c in candidates):
             return top
         raise NotResiduatedError(pair)
 
@@ -386,11 +387,26 @@ def residuals_from_product(order, product, unit):
     rdiv = [[0] * n for _ in range(n)]
     for x in range(n):
         for z in range(n):
-            ldiv[x][z] = greatest([y for y in range(n) if le(product[x][y], z)], (x, z))
+            ldiv[x][z] = greatest([y for y in range(n) if order[product[x][y]][z]], (x, z))
     for y in range(n):
         for z in range(n):
-            rdiv[y][z] = greatest([x for x in range(n) if le(product[x][y], z)], (y, z))
+            rdiv[y][z] = greatest([x for x in range(n) if order[product[x][y]][z]], (y, z))
     return tuple(map(tuple, ldiv)), tuple(map(tuple, rdiv))
+
+
+def _chain_residuals(lines):
+    """Row x holds ``max{y : lines[x][y] <= z}`` at each z, the running
+    maximum of the largest y holding each value.  A set that is empty is
+    empty at z = 0, so a row that has one raises with the pair (x, 0)."""
+    out = []
+    for x, line in enumerate(lines):
+        top = [-1] * len(line)
+        for y, v in enumerate(line):
+            top[v] = y
+        out.append(tuple(itertools.accumulate(top, max)))
+        if out[-1][0] < 0:
+            raise NotResiduatedError((x, 0))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

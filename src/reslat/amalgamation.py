@@ -38,7 +38,7 @@ from .algebra import (
     validate_morphism,
     with_zero,
 )
-from .completion import Budget, ChainFlags, CompletionProblem, SearchStats, iter_completions
+from .completion import Budget, ChainFlags, CompletionProblem, SearchStats, division_cells, iter_completions
 from .documents import algebra_to_document, document_to_algebra
 from .constructions import (
     builtin,
@@ -279,38 +279,6 @@ def _side_product(side, s, t):
     return f"{s}*{t}" if side == LEFT else f"{t}*{s}"
 
 
-def _witness_clauses(vf: VFormation, w: ObstructionWitness):
-    """Evaluate W1-W3; returns (clause_name_or_None, facts up to that clause)."""
-    A, B, C, i, j = vf.A, vf.B, vf.C, vf.i.map, vf.j.map
-    la, lb, lc = A.labels, B.labels, C.labels
-    for e, alg, what in ((w.a, A, "a"), (w.u1, A, "u1"), (w.u2, A, "u2")):
-        if not 0 <= e < alg.size:
-            raise FormatError(f"witness field {what} out of range")
-    if not 0 <= w.b < B.size or not 0 <= w.c < C.size:
-        raise FormatError("witness field b or c out of range")
-    if w.side not in (LEFT, RIGHT):
-        raise FormatError("witness side must be LEFT or RIGHT")
-    if w.b in set(i):
-        return "W1-domain", {"detail": f"b = {lb[w.b]} lies in the image of A"}
-    if w.c in set(j):
-        return "W1-domain", {"detail": f"c = {lc[w.c]} lies in the image of A"}
-    ok1, pb, pc = _w1(vf, w.a, w.b, w.c, w.side)
-    ok2, cc, bdiv = _w2(vf, w.b, w.c, w.u1)
-    ok3, bb, cdiv = _w3(vf, w.b, w.c, w.u2)
-    facts = {
-        "w1": f"{_side_product(w.side, la[w.a], lb[w.b])} = {lb[pb]} in B and "
-        f"{_side_product(w.side, la[w.a], lc[w.c])} = {lc[pc]} in C",
-        "w2": f"{lc[w.c]}*{lc[w.c]} = {lc[cc]} <= {lc[j[w.u1]]} in C; "
-        f"{lb[w.b]}\\{lb[i[w.u1]]} = {lb[bdiv]} <= {lb[w.b]} in B",
-        "w3": f"{lb[w.b]}*{lb[w.b]} = {lb[bb]} <= {lb[i[w.u2]]} in B; "
-        f"{lc[w.c]}\\{lc[j[w.u2]]} = {lc[cdiv]} <= {lc[w.c]} in C",
-    }
-    for n, ok in enumerate((ok1, ok2, ok3), 1):
-        if not ok:
-            return f"W{n}", dict(itertools.islice(facts.items(), n))
-    return None, facts
-
-
 def find_obstruction(vf: VFormation) -> ObstructionWitness | None:
     """The least witness (a, b, c, u1, u2, side), LEFT before RIGHT; a hit
     certifies that no chain amalgam of any size exists.  ``None`` proves
@@ -338,27 +306,42 @@ def find_obstruction(vf: VFormation) -> ObstructionWitness | None:
 
 
 def check_obstruction(vf: VFormation, w: ObstructionWitness) -> ObstructionCheck:
-    """Re-evaluate the witness clauses and emit the refutation trace."""
-    clause, facts = _witness_clauses(vf, w)
-    if clause is not None:
-        lines = [f"REJECT({clause})"]
-        for key in ("w1", "w2", "w3"):
-            if key in facts:
-                lines.append(f"  {key.upper()}: {facts[key]}")
-        if "detail" in facts:
-            lines.append(f"  {facts['detail']}")
-        return ObstructionCheck(clause, tuple(lines))
-    la, lb, lc = vf.A.labels, vf.B.labels, vf.C.labels
+    """Re-evaluate the witness clauses and emit the refutation trace, or
+    REJECT with the facts up to the first clause that fails."""
+    A, B, C, i, j = vf.A, vf.B, vf.C, vf.i.map, vf.j.map
+    for e, alg, what in ((w.a, A, "a"), (w.u1, A, "u1"), (w.u2, A, "u2")):
+        if not 0 <= e < alg.size:
+            raise FormatError(f"witness field {what} out of range")
+    if not 0 <= w.b < B.size or not 0 <= w.c < C.size:
+        raise FormatError("witness field b or c out of range")
+    if w.side not in (LEFT, RIGHT):
+        raise FormatError("witness side must be LEFT or RIGHT")
+    la, lb, lc = A.labels, B.labels, C.labels
     a, b, c, u1, u2 = la[w.a], lb[w.b], lc[w.c], la[w.u1], la[w.u2]
+    for e, image, fact in ((w.b, i, f"b = {b}"), (w.c, j, f"c = {c}")):
+        if e in image:
+            return ObstructionCheck("W1-domain", ("REJECT(W1-domain)", f"  {fact} lies in the image of A"))
+    ok1, pb, pc = _w1(vf, w.a, w.b, w.c, w.side)
+    ok2, cc, bdiv = _w2(vf, w.b, w.c, w.u1)
+    ok3, bb, cdiv = _w3(vf, w.b, w.c, w.u2)
+    w1, w2, w3 = facts = (
+        f"{_side_product(w.side, a, b)} = {lb[pb]} in B and {_side_product(w.side, a, c)} = {lc[pc]} in C",
+        f"{c}*{c} = {lc[cc]} <= {lc[j[w.u1]]} in C; {b}\\{lb[i[w.u1]]} = {lb[bdiv]} <= {b} in B",
+        f"{b}*{b} = {lb[bb]} <= {lb[i[w.u2]]} in B; {c}\\{lc[j[w.u2]]} = {lc[cdiv]} <= {c} in C",
+    )
+    for n, ok in enumerate((ok1, ok2, ok3), 1):
+        if not ok:
+            lines = [f"REJECT(W{n})"] + [f"  W{k}: {fact}" for k, fact in enumerate(facts[:n], 1)]
+            return ObstructionCheck(f"W{n}", tuple(lines))
     lines = (
         f"witness (a={a}, b={b}, c={c}, u1={u1}, u2={u2}, side={w.side})",
-        f"(i) {facts['w1']}; since any amalgam identifies the images of {a}, "
+        f"(i) {w1}; since any amalgam identifies the images of {a}, "
         f"h(b) = k(c) would force {_side_product(w.side, a, 'h(b)')} to be both h(b) and a smaller "
         f"element, so h(b) != k(c) and the chain orders them strictly.",
-        f"(ii) if h(b) < k(c): h(b)*k(c) <= k(c)*k(c) and {facts['w2']}, so by "
+        f"(ii) if h(b) < k(c): h(b)*k(c) <= k(c)*k(c) and {w2}, so by "
         f"residuation k(c) <= h(b)\\h({u1}) = h({b}\\{u1}) <= h(b), "
         f"contradicting h(b) < k(c).",
-        f"(iii) if k(c) < h(b): k(c)*h(b) <= h(b)*h(b) and {facts['w3']}, so by "
+        f"(iii) if k(c) < h(b): k(c)*h(b) <= h(b)*h(b) and {w3}, so by "
         f"residuation h(b) <= k(c)\\k({u2}) = k({c}\\{u2}) <= k(c), "
         f"contradicting k(c) < h(b).",
         "conclusion: no totally ordered residuated lattice amalgamates this "
@@ -470,9 +453,10 @@ def _pins_for(vf: VFormation, htype, ktype):
     return product_pins, ldiv_pins, rdiv_pins
 
 
-def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
-    """True when no chain D, of any size, embeds B and C with h(B) | k(C) in
-    the order type ``(htype, ktype)``.
+def _type_pins(vf: VFormation, htype, ktype, flags: ChainFlags):
+    """The type's pins, as ``_pins_for`` builds them, or ``None`` when no
+    chain D, of any size, embeds B and C with h(B) | k(C) in the order type
+    ``(htype, ktype)``.
 
     D is cut into 2t+1 slots around its t image points p_0 < ... < p_{t-1}:
     gap, p_0, gap, p_1, ..., p_{t-1}, gap, so p_r sits in slot 2r+1.  Sending
@@ -495,7 +479,7 @@ def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
     """
     pins = _pins_for(vf, htype, ktype)
     if pins is None:
-        return True
+        return None
     product_pins, ldiv_pins, rdiv_pins = pins
     t = max(htype + ktype) + 1
     lo, hi = [0] * (t * t), [2 * t] * (t * t)
@@ -504,14 +488,13 @@ def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
     exact += [(c, y) for y in range(t) for c in (u * t + y, y * t + u)]
     for c, v in exact:
         lo[c], hi[c] = max(lo[c], 2 * v + 1), min(hi[c], 2 * v + 1)
-    for division, cell in ((ldiv_pins, lambda x, s: x * t + s), (rdiv_pins, lambda y, s: s * t + y)):
-        for (x, z), d in division.items():
-            hi[cell(x, d)] = min(hi[cell(x, d)], 2 * z + 1)
-            for s in range(d + 1, t):
-                lo[cell(x, s)] = max(lo[cell(x, s)], 2 * z + 2)
+    for z, at, above in division_cells(ldiv_pins, rdiv_pins, t):
+        hi[at] = min(hi[at], 2 * z + 1)
+        for c in above:
+            lo[c] = max(lo[c], 2 * z + 2)
     cells = range(t * t)
     if any(lo[c] > hi[c] for c in cells):
-        return True
+        return None
     while True:
         before = lo + hi
         for c in cells:  # monotonicity, lower bounds upwards
@@ -527,7 +510,7 @@ def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
             if y < t - 1:
                 hi[c] = min(hi[c], hi[c + 1])
             if lo[c] > hi[c]:
-                return True
+                return None
         equal = []
         if flags.commutative:
             equal += [(c, (c % t) * t + c // t) for c in cells]
@@ -540,9 +523,9 @@ def _type_refuted(vf: VFormation, htype, ktype, flags: ChainFlags) -> bool:
             lo[a] = lo[b] = max(lo[a], lo[b])
             hi[a] = hi[b] = min(hi[a], hi[b])
             if lo[a] > hi[a]:
-                return True
+                return None
         if lo + hi == before:
-            return False
+            return pins
 
 
 def _revalidate(vf: VFormation, h: Morphism, k: Morphism) -> None:
@@ -580,9 +563,9 @@ def bounded_amalgam_search(
     FOUND or BUDGET the last size counts all of its placements too.  Each
     type's placements are generated one at a time, by ``_type_positions``,
     and merged in lexicographic order of (h, k).  A type is decided once,
-    when its first placement comes up: a type that a pin conflict or
-    ``_type_refuted`` rules out has no amalgam in any chain, of any size,
-    and is placed no further.  The completion engine runs on the placements
+    when its first placement comes up: a type that ``_type_pins`` refutes,
+    by a pin conflict or an empty slot interval, has no amalgam in any
+    chain, of any size, and is placed no further.  The completion engine runs on the placements
     of the other types, so per-size ``nodes`` counts its branching nodes on
     those placements alone.  D contains B and C, so when ``flags`` does not
     admit B or C every type is refuted at once and ``detail`` names them.
@@ -623,7 +606,7 @@ def bounded_amalgam_search(
         # each stream is in (hpos, kpos) order, and so is their merge: FOUND is the least completion
         for (hpos, kpos, points), t in heapq.merge(*streams, key=lambda c: c[0][:2]):
             if t not in pins:
-                pins[t] = None if _type_refuted(vf, *t, flags) else _pins_for(vf, *t)
+                pins[t] = _type_pins(vf, *t, flags)
             if pins[t] is None:
                 continue
             at = ({(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins[t])

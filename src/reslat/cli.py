@@ -508,8 +508,7 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
                     check_identity(alg, parse_identity("stone")).holds,
                 )
             if levels == 2:
-                lift = generalized_rotation(A, nucleus_by_name(A, "const-1"), 2)
-                same = tables_equal(with_zero(lift, None), ordinal_sum(two(), A))
+                same = tables_equal(with_zero(rvf.A, None), ordinal_sum(two(), A))
                 fact(f"{tag}: lifting of A reproduces the ordinal sum 2 + A table-exactly", same)
         rw = find_obstruction(rvf)
         fact(f"{tag}: obstruction witness exists", rw is not None, str(rw.as_tuple()) if rw else "")

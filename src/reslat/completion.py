@@ -125,6 +125,18 @@ class Budget:
     max_nodes: int = 10**8
 
 
+def division_cells(ldiv_pins, rdiv_pins, n):
+    """The cells of an ``n x n`` row-major table that each division pin
+    bounds, as ``(z, at, above)``, the ldiv pins first.  ``x \\ z = d``
+    holds exactly when cell ``at`` = (x, d) is ``<= z`` and every cell of
+    ``above``, the cells (x, s) with s > d in ascending order, is ``> z``;
+    ``z / y = d`` likewise, with ``at`` = (d, y) and the cells (s, y)."""
+    for (x, z), d in ldiv_pins.items():
+        yield z, x * n + d, range(x * n + d + 1, x * n + n)
+    for (y, z), d in rdiv_pins.items():
+        yield z, d * n + y, range((d + 1) * n + y, n * n, n)
+
+
 class _Conflict(Exception):
     pass
 
@@ -207,24 +219,13 @@ class _Engine:
         for (x, y), v in self.p.product_pins.items():
             if cand[x * m + y] != 1 << v:
                 set_mask(x * m + y, 1 << v)
-        full = (1 << m) - 1
-        # x \ z = d: x*d <= z < x*s for every s above d (likewise z / y = d)
-        for (x, z), d in self.p.ldiv_pins.items():
+        for z, at, above in division_cells(self.p.ldiv_pins, self.p.rdiv_pins, m):
             low = _low_mask(z)
-            if cand[x * m + d] > low:
-                set_mask(x * m + d, low)
-            above = full & ~low
-            for c in range(x * m + d + 1, x * m + m):
+            if cand[at] > low:
+                set_mask(at, low)
+            for c in above:
                 if cand[c] & low:
-                    set_mask(c, above)
-        for (y, z), d in self.p.rdiv_pins.items():
-            low = _low_mask(z)
-            if cand[d * m + y] > low:
-                set_mask(d * m + y, low)
-            above = full & ~low
-            for c in range((d + 1) * m + y, m * m, m):
-                if cand[c] & low:
-                    set_mask(c, above)
+                    set_mask(c, ~low)
 
     # -- propagation ------------------------------------------------------------
 
@@ -373,11 +374,8 @@ class _Engine:
         for (x, y), v in self.p.product_pins.items():
             if t[x][y] != v:
                 return False
-        for (x, z), d in self.p.ldiv_pins.items():
-            if t[x][d] > z or (d + 1 < m and t[x][d + 1] <= z):
-                return False
-        for (y, z), d in self.p.rdiv_pins.items():
-            if t[d][y] > z or (d + 1 < m and t[d + 1][y] <= z):
+        for z, at, above in division_cells(self.p.ldiv_pins, self.p.rdiv_pins, m):
+            if self.value[at] > z or above and self.value[above[0]] <= z:
                 return False
         return self.p.flags.admits(t, u)
 

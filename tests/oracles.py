@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 
 from reslat import (
+    CHAIN,
     FiniteRL,
     IdentityResult,
     NotResiduatedError,
@@ -63,6 +64,39 @@ def _quick_plausible(t, n):
             if t[x][y] < t[x][y - 1] or t[y][x] < t[y - 1][x]:
                 return False
     return True
+
+
+def naive_residuals(order, product):
+    """``(ldiv, rdiv)`` of a product table cell by cell: each residual is
+    the greatest of its candidates ``{y : x*y <= z}`` (``{x : x*y <= z}``
+    for ``rdiv``), all ``ldiv`` pairs before the ``rdiv`` ones; raises
+    :class:`NotResiduatedError` with the least pair that has none."""
+    n = len(product)
+    chain = order == CHAIN
+    le = (lambda x, y: x <= y) if chain else (lambda x, y: order[x][y])
+
+    def greatest(candidates, pair):
+        if not candidates:
+            raise NotResiduatedError(pair)
+        if chain:  # the candidates ascend, and the last is the greatest
+            return candidates[-1]
+        top = candidates[0]
+        for c in candidates[1:]:
+            if le(top, c):
+                top = c
+        if all(le(c, top) for c in candidates):
+            return top
+        raise NotResiduatedError(pair)
+
+    ldiv = [[0] * n for _ in range(n)]
+    rdiv = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for z in range(n):
+            ldiv[x][z] = greatest([y for y in range(n) if le(product[x][y], z)], (x, z))
+    for y in range(n):
+        for z in range(n):
+            rdiv[y][z] = greatest([x for x in range(n) if le(product[x][y], z)], (y, z))
+    return tuple(map(tuple, ldiv)), tuple(map(tuple, rdiv))
 
 
 def naive_ordinal_sum(lower: FiniteRL, upper: FiniteRL) -> FiniteRL:
@@ -314,7 +348,7 @@ def naive_find_obstruction(vf):
 def naive_type_refuted(vf, htype, ktype, flags):
     """Whether the slot intervals refute the order type ``(htype, ktype)``,
     by full passes of every rule until nothing moves, as
-    ``amalgamation._type_refuted`` decides it without returning early.  The
+    ``amalgamation._type_pins`` decides it without returning early.  The
     result names where an interval was first empty: ``"pin conflict"``,
     ``"init"`` (the exact and division bounds), ``"sweep"`` (monotonicity)
     or ``"rules"`` (commutativity and associativity); ``None`` when the

@@ -196,7 +196,7 @@ def test_criterion_10_property_suites(small_chain_pool, naive_ci4, naive_i4):
     # residuation law round trip on the corpus
     for alg in small_chain_pool:
         order = CHAIN if alg.leq is None else alg.leq
-        assert residuals_from_product(order, alg.product, alg.unit) == (alg.ldiv, alg.rdiv)
+        assert residuals_from_product(order, alg.product) == (alg.ldiv, alg.rdiv)
     # distinct congruence filters induce distinct congruences
     for alg in small_chain_pool:
         filters = congruence_filters(alg)

@@ -136,13 +136,13 @@ def test_index_order_table_is_stored_as_chain():
 
 def test_residuals_examples():
     b = vs_b()
-    ldiv, rdiv = residuals_from_product(CHAIN, b.product, b.unit)
+    ldiv, rdiv = residuals_from_product(CHAIN, b.product)
     assert ldiv == b.ldiv and rdiv == b.rdiv
     assert ldiv[1][0] == 1  # b \ u = b
     one = trivial()
-    assert residuals_from_product(CHAIN, one.product, 0) == (((0,),), ((0,),))
+    assert residuals_from_product(CHAIN, one.product) == (((0,),), ((0,),))
     c = vs_c()
-    ldiv, _ = residuals_from_product(CHAIN, c.product, c.unit)
+    ldiv, _ = residuals_from_product(CHAIN, c.product)
     assert ldiv[3][1] == 2  # v \ d = c
     assert ldiv[2][1] == 3  # c \ d = v
 
@@ -151,8 +151,46 @@ def test_not_residuated_witness():
     # join as product with unit at the bottom: {y : max(1, y) <= 0} is empty
     product = [[max(x, y) for y in range(3)] for x in range(3)]
     with pytest.raises(NotResiduatedError) as exc:
-        residuals_from_product(CHAIN, product, 0)
+        residuals_from_product(CHAIN, product)
     assert exc.value.pair == (1, 0)
+
+
+def _residuals_or_pair(order, product, derive):
+    try:
+        return derive(order, product)
+    except NotResiduatedError as exc:
+        return exc.pair
+
+
+def test_residuals_agree_with_the_naive_oracle_on_random_tables():
+    """Random tables up to n = 6, a third with ascending rows and a third
+    with ascending rows and columns, under the index order, its reverse and
+    the order of M_(n-2) (0 at the bottom, n-1 on top, the rest
+    incomparable): the same divisions or the same least pair."""
+    import random
+    from collections import Counter
+
+    from oracles import naive_residuals
+
+    rng = random.Random(20)
+    outcomes = Counter()
+    for trial in range(1500):
+        n = rng.randint(1, 6)
+        product = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if trial % 3:
+            product = [sorted(row) for row in product]
+        if trial % 3 == 2:
+            product = [list(row) for row in zip(*map(sorted, zip(*product)))]
+        orders = {
+            "index": CHAIN,
+            "reverse": [[x >= y for y in range(n)] for x in range(n)],
+            "M": [[x == y or x == 0 or y == n - 1 for y in range(n)] for x in range(n)],
+        }
+        for name, order in orders.items():
+            got = _residuals_or_pair(order, product, residuals_from_product)
+            assert got == _residuals_or_pair(order, product, naive_residuals), (name, product)
+            outcomes[name, "error" if type(got[0]) is int else "divisions"] += 1
+    assert min(outcomes.values()) >= 100 and len(outcomes) == 6
 
 
 @settings(deadline=None, max_examples=60)
@@ -160,7 +198,7 @@ def test_not_residuated_witness():
 def test_residual_round_trip_on_corpus(small_chain_pool, data):
     alg = data.draw(st.sampled_from(small_chain_pool))
     order = CHAIN if alg.leq is None else alg.leq
-    assert residuals_from_product(order, alg.product, alg.unit) == (alg.ldiv, alg.rdiv)
+    assert residuals_from_product(order, alg.product) == (alg.ldiv, alg.rdiv)
 
 
 @settings(deadline=None, max_examples=60)

@@ -34,6 +34,7 @@ from reslat import (
     vs_b,
 )
 from reslat.algebra import compose
+from reslat.amalgamation import ObstructionCheck
 
 
 def _vf(A, B, C, name=""):
@@ -243,7 +244,7 @@ def test_a_class_without_b_or_c_refutes_every_type_at_once(monkeypatch):
     for tag, vf in (("B", _vf(A, L3, G3)), ("C", _vf(A, G3, L3))):
         unrestricted[tag] = [bounded_amalgam_search(vf, m, min_size=m).sizes[0].placements for m in range(3, 8)]
         with monkeypatch.context() as patch:
-            patch.setattr(amalgamation, "_type_refuted", lambda *args: pytest.fail("a type was decided"))
+            patch.setattr(amalgamation, "_type_pins", lambda *args: pytest.fail("a type was decided"))
             patch.setattr(amalgamation, "iter_completions", lambda *args: pytest.fail("the engine ran"))
             report = bounded_amalgam_search(vf, 7, idempotent)
         assert report.verdict == "UNSAT" and report.detail == f"{tag} outside the class"
@@ -402,6 +403,47 @@ def test_obstruction_rejections(vs):
     not_fixing = replace(w, a=0)  # u*b = u != b breaks W1
     rej3 = check_obstruction(vs, not_fixing)
     assert not rej3.accepted and rej3.clause == "W1"
+
+
+def test_obstruction_check_lines(vs):
+    """The exact lines of each rejection on VS, and of a RIGHT-side
+    acceptance on a formation of integral 4- and 5-chains over VS.A."""
+    from reslat import make_algebra, vs_a
+
+    w = find_obstruction(vs)
+    w1 = "  W1: v*b = b in B and v*c = d in C"
+    w2 = r"  W2: c*c = u <= u in C; b\u = b <= b in B"
+    expected = [
+        (replace(w, b=2), "W1-domain", ("REJECT(W1-domain)", "  b = v lies in the image of A")),
+        (replace(w, c=0), "W1-domain", ("REJECT(W1-domain)", "  c = u lies in the image of A")),
+        (replace(w, a=0), "W1", ("REJECT(W1)", "  W1: u*b = u in B and u*c = u in C")),
+        (replace(w, u1=1), "W2", ("REJECT(W2)", w1, r"  W2: c*c = u <= v in C; b\v = 1 <= b in B")),
+        (replace(w, u2=1), "W3", ("REJECT(W3)", w1, w2, r"  W3: b*b = u <= v in B; c\v = 1 <= c in C")),
+    ]
+    for witness, clause, lines in expected:
+        assert check_obstruction(vs, witness) == ObstructionCheck(clause, lines)
+
+    B = make_algebra(product=[[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 2], [0, 1, 2, 3]], unit=3)
+    C = make_algebra(
+        product=[[0, 0, 0, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 4]], unit=4
+    )
+    vf = make_vformation(vs_a(), B, C, (0, 2, 3), (0, 3, 4))
+    right = find_obstruction(vf)
+    assert right == ObstructionWitness(a=1, b=1, c=2, u1=0, u2=0, side="RIGHT")
+    assert check_obstruction(vf, right) == ObstructionCheck(
+        None,
+        (
+            "witness (a=v, b=e1, c=e2, u1=u, u2=u, side=RIGHT)",
+            "(i) e1*v = e1 in B and e2*v = e1 in C; since any amalgam identifies the images of v, h(b) = k(c) "
+            "would force h(b)*v to be both h(b) and a smaller element, so h(b) != k(c) and the chain orders "
+            "them strictly.",
+            r"(ii) if h(b) < k(c): h(b)*k(c) <= k(c)*k(c) and e2*e2 = e0 <= e0 in C; e1\e0 = e1 <= e1 in B, "
+            r"so by residuation k(c) <= h(b)\h(u) = h(e1\u) <= h(b), contradicting h(b) < k(c).",
+            r"(iii) if k(c) < h(b): k(c)*h(b) <= h(b)*h(b) and e1*e1 = e0 <= e0 in B; e2\e0 = e2 <= e2 in C, "
+            r"so by residuation h(b) <= k(c)\k(u) = k(e2\u) <= k(c), contradicting k(c) < h(b).",
+            "conclusion: no totally ordered residuated lattice amalgamates this V-formation, at any cardinality.",
+        ),
+    )
 
 
 def test_no_witness_for_amalgamable_formation(vs):
@@ -631,14 +673,14 @@ def test_order_types_of_the_paper_formations(monkeypatch, vs, name, m, types, co
 
     from oracles import naive_placements
     from reslat import amalgamation
-    from reslat.amalgamation import _order_types, _pins_for, _type_refuted
+    from reslat.amalgamation import _order_types, _pins_for, _type_pins
 
     vf = _paper_formation(vs, name)
     found = {_rank_type(*placement) for placement in naive_placements(vf, m, ChainFlags())}
     assert len(found) == types
     assert found == set(_order_types(vf, ChainFlags(), m))
     assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
-    assert all(_type_refuted(vf, *t, ChainFlags()) for t in found)
+    assert all(_type_pins(vf, *t, ChainFlags()) is None for t in found)
     placed = Counter()
     positions = amalgamation._type_positions
 
@@ -703,7 +745,7 @@ def test_type_refutation_matches_the_full_pass_oracle(vs):
     from collections import Counter
 
     from reslat import enumerate_chains
-    from reslat.amalgamation import _order_types, _type_refuted
+    from reslat.amalgamation import _order_types, _type_pins
     from oracles import naive_type_refuted
 
     ci = ChainFlags(integral=True, commutative=True)
@@ -718,7 +760,7 @@ def test_type_refutation_matches_the_full_pass_oracle(vs):
     for vf, flags in itertools.product(pool, (ChainFlags(), ci)):
         for htype, ktype in _order_types(vf, flags, vf.B.size + vf.C.size):
             outcome = naive_type_refuted(vf, htype, ktype, flags)
-            assert _type_refuted(vf, htype, ktype, flags) == (outcome is not None), (vf, flags, htype, ktype)
+            assert (_type_pins(vf, htype, ktype, flags) is None) == (outcome is not None), (vf, flags, htype, ktype)
             outcomes[outcome] += 1
     assert sum(outcomes.values()) == 2398
     assert {"pin conflict", "init", "sweep", None} <= set(outcomes)
@@ -737,8 +779,8 @@ def test_types_fit_the_bound_and_are_decided_at_the_first_size_they_fit(monkeypa
     vf = VFormation(A, B, C, find_embeddings(A, B)[0], find_embeddings(A, C)[0])
     assert [len(list(_order_types(vf, ChainFlags(), bound))) for bound in (6, 7, 10)] == [5, 65, 681]
     calls = []
-    decide = amalgamation._type_refuted
-    monkeypatch.setattr(amalgamation, "_type_refuted", lambda *args: calls.append(args) or decide(*args))
+    decide = amalgamation._type_pins
+    monkeypatch.setattr(amalgamation, "_type_pins", lambda *args: calls.append(args) or decide(*args))
     report = bounded_amalgam_search(vf, 10)
     assert report.found and report.sizes[-1].size == 9
     assert len(calls) == len(set(calls)) == 279
@@ -747,7 +789,7 @@ def test_types_fit_the_bound_and_are_decided_at_the_first_size_they_fit(monkeypa
 def test_refuted_order_types_have_no_completion():
     from oracles import naive_placements
     from reslat import CompletionProblem
-    from reslat.amalgamation import _pins_for, _type_refuted
+    from reslat.amalgamation import _pins_for, _type_pins
     from reslat.completion import iter_completions
 
     checked = 0
@@ -758,7 +800,7 @@ def test_refuted_order_types_have_no_completion():
             for hpos, kpos in naive_placements(vf, m, flags):
                 key = _rank_type(hpos, kpos)
                 if key not in refuted:
-                    refuted[key] = _type_refuted(vf, *key, flags) and _pins_for(vf, *key) is not None
+                    refuted[key] = _type_pins(vf, *key, flags) is None and _pins_for(vf, *key) is not None
                 if not refuted[key]:  # survives, or a pin conflict
                     continue
                 pins = _pins_for(vf, hpos, kpos)  # the same pins, labelled by positions in D
@@ -847,7 +889,7 @@ def test_type_filter_changes_no_search_result(monkeypatch):
 
     cases = _small_formations()
     filtered = [bounded_amalgam_search(vf, max(vf.B.size, vf.C.size) + 2, flags) for vf, flags in cases]
-    monkeypatch.setattr(amalgamation, "_type_refuted", lambda *a: False)
+    monkeypatch.setattr(amalgamation, "_type_pins", lambda vf, h, k, f: amalgamation._pins_for(vf, h, k))
     unfiltered = [bounded_amalgam_search(vf, max(vf.B.size, vf.C.size) + 2, flags) for vf, flags in cases]
     assert {r.verdict for r in filtered} == {"FOUND", "UNSAT"}
     for got, want in zip(filtered, unfiltered):

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -444,3 +445,19 @@ def test_pinned_completions_match_naive_oracle(naive_tables, data):
     event("satisfiable" if got else "unsatisfiable")
     assert len(got) == len(set(got))
     assert set(got) == {t for t in chains if _meets_pins(t, *pins)}
+
+
+def test_leaf_check_holds_each_division_pin_exactly():
+    """On a non-commutative 4-chain, the leaf check accepts the table under
+    each single division pin it meets and rejects it under every other
+    value of that pin, the top included."""
+    from reslat.completion import _Engine
+
+    alg = next(a for a in enumerate_chains(4) if a.ldiv != a.rdiv)
+    table = [list(row) for row in alg.product]
+    for kind, divisions in (("ldiv", alg.ldiv), ("rdiv", alg.rdiv)):
+        for x, z, d in itertools.product(range(4), repeat=3):
+            pins = {"ldiv": {}, "rdiv": {}, kind: {(x, z): d}}
+            engine = _Engine(CompletionProblem(4, alg.unit, {}, pins["ldiv"], pins["rdiv"]), Budget(), SearchStats())
+            engine.value = [v for row in table for v in row]
+            assert engine._verify(table) == (d == divisions[x][z]), (kind, x, z, d)
