@@ -10,7 +10,7 @@ module is a pure function.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 CHAIN = "chain"
@@ -58,7 +58,6 @@ class BudgetExceededError(ReslatError):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
 class FiniteRL:
     """A finite residuated lattice (or candidate: validity is checked lazily).
 
@@ -67,6 +66,9 @@ class FiniteRL:
     ``zero`` is the optional pointed constant.  ``masks`` is ``None`` for a
     total algebra; a partial one carries the (product, ldiv, rdiv)
     definedness tables, read through :func:`definedness`.
+
+    Immutable, and equal and hashed by its fields.  Unlike the other
+    records it is no tuple: an algebra can be weakly referenced.
     """
 
     size: int
@@ -76,9 +78,35 @@ class FiniteRL:
     product: tuple[tuple[int, ...], ...]
     ldiv: tuple[tuple[int, ...], ...]
     rdiv: tuple[tuple[int, ...], ...]
-    zero: int | None = None
-    name: str = ""
-    masks: tuple[tuple[tuple[bool, ...], ...], ...] | None = None
+    zero: int | None
+    name: str
+    masks: tuple[tuple[tuple[bool, ...], ...], ...] | None
+    __slots__ = (*__annotations__, "__weakref__")
+
+    def __init__(self, size, labels, leq, unit, product, ldiv, rdiv, zero=None, name="", masks=None):
+        for field, value in zip(_RL_FIELDS, (size, labels, leq, unit, product, ldiv, rdiv, zero, name, masks)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"FiniteRL is immutable: cannot assign to {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"FiniteRL is immutable: cannot delete {field!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _rl_values(self) == _rl_values(other)
+
+    def __hash__(self):
+        return hash(_rl_values(self))
+
+    def __reduce__(self):
+        return FiniteRL, _rl_values(self)
+
+    def _replace(self, **changes) -> FiniteRL:
+        """A copy with the given fields changed."""
+        return FiniteRL(**dict(zip(_RL_FIELDS, _rl_values(self)), **changes))
 
     @property
     def is_chain_order(self) -> bool:
@@ -93,8 +121,11 @@ class FiniteRL:
         return f"FiniteRL({self.name or 'unnamed'}, size={self.size})"
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+_RL_FIELDS = FiniteRL.__slots__[:-1]
+_rl_values = attrgetter(*_RL_FIELDS)
+
+
+class CheckOutcome(NamedTuple):
     flag: str
     ok: bool
     witness: tuple | None = None
@@ -108,8 +139,7 @@ class CheckOutcome:
         return f"{self.flag}: FAIL{where}{tail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     subject: str
     checks: tuple[CheckOutcome, ...]
 
@@ -138,8 +168,7 @@ HOM = "HOM"
 EMBEDDING = "EMBEDDING"
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
     dom: FiniteRL
     cod: FiniteRL
     map: tuple[int, ...]
@@ -149,8 +178,7 @@ class Morphism:
         return f"Morphism({self.kind}, {list(self.map)})"
 
 
-@dataclass(frozen=True)
-class CongruenceFilter:
+class CongruenceFilter(NamedTuple):
     parent: FiniteRL
     members: frozenset[int]
 
@@ -279,14 +307,14 @@ def with_zero(alg: FiniteRL, zero: int | None) -> FiniteRL:
     """Designate an element as the pointed constant 0, or drop it with ``None``."""
     if zero is not None:
         _as_index(zero, alg.size, "zero index")
-    return replace(alg, zero=zero)
+    return alg._replace(zero=zero)
 
 
 def relabel(alg: FiniteRL, labels, name=None) -> FiniteRL:
     labels = tuple(labels)
     if len(labels) != alg.size or len(set(labels)) != alg.size:
         raise FormatError("labels must be distinct and match size")
-    return replace(alg, labels=labels, name=alg.name if name is None else name)
+    return alg._replace(labels=labels, name=alg.name if name is None else name)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .algebra import (
     CHAIN,
@@ -51,8 +51,7 @@ from .constructions import (
 )
 
 
-@dataclass(frozen=True)
-class VFormation:
+class VFormation(NamedTuple):
     A: FiniteRL
     B: FiniteRL
     C: FiniteRL
@@ -65,8 +64,7 @@ LEFT = "LEFT"
 RIGHT = "RIGHT"
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(NamedTuple):
     a: int  # element of A
     b: int  # element of B outside i(A)
     c: int  # element of C outside j(A)
@@ -75,11 +73,10 @@ class ObstructionWitness:
     side: str = LEFT
 
     def as_tuple(self):
-        return (self.a, self.b, self.c, self.u1, self.u2, self.side)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class ObstructionCheck:
+class ObstructionCheck(NamedTuple):
     clause: str | None  # the first W1-W3 clause that fails, None if none does
     lines: tuple[str, ...]
 
@@ -88,8 +85,7 @@ class ObstructionCheck:
         return self.clause is None
 
 
-@dataclass(frozen=True)
-class SizeStats:
+class SizeStats(NamedTuple):
     """One size of D: all its placements, counted in closed form (at the
     last size of a FOUND or BUDGET report too), and the engine's nodes."""
 
@@ -98,8 +94,7 @@ class SizeStats:
     nodes: int
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     verdict: str  # FOUND | UNSAT | BUDGET
     bound: int
     d: FiniteRL | None = None
@@ -659,18 +654,18 @@ def bounded_one_amalgam_search(
         searched += 1
         sub_vf = make_vformation(vf.A, Bq, vf.C, iq, vf.j.map, name=f"{vf.name}/F")
         spent = sum(s.nodes for s in all_sizes)
-        report = bounded_amalgam_search(sub_vf, max_size, flags, replace(budget, max_nodes=budget.max_nodes - spent))
+        report = bounded_amalgam_search(sub_vf, max_size, flags, budget._replace(max_nodes=budget.max_nodes - spent))
         all_sizes.extend(report.sizes)
         details.append(f"filter {sorted(F.members)}: {report.verdict}")
         if report.found:
             h = Morphism(vf.B, report.d, compose(report.h, quotient_map), HOM)
             _revalidate(vf, h, report.k)
-            report = replace(report, h=h)
+            report = report._replace(h=h)
         if report.verdict != "UNSAT":
             break
     if not searched:
         raise PreconditionError(f"nothing to search within the bound {max_size}: {'; '.join(details)}")
-    return replace(report, sizes=tuple(all_sizes), detail="; ".join(details))
+    return report._replace(sizes=tuple(all_sizes), detail="; ".join(details))
 
 
 # ---------------------------------------------------------------------------

@@ -33,40 +33,51 @@ depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import BudgetExceededError, FormatError, make_algebra
 
 
-@dataclass(frozen=True, kw_only=True)
-class ChainFlags:
-    """A class of residuated chains: the chains that ``enumerate_chains``
-    lists, that an amalgam D is searched in, and that the engine completes
-    to.  ``k_potent`` selects the chains with ``x^(k+1) = x^k``."""
-
+class _ChainFlagFields(NamedTuple):
     integral: bool = False
     commutative: bool = False
     k_potent: int | None = None
     divisible: bool = False
     pointed: bool = False
 
-    def __post_init__(self):
-        k = self.k_potent
+
+class ChainFlags(_ChainFlagFields):
+    """A class of residuated chains: the chains that ``enumerate_chains``
+    lists, that an amalgam D is searched in, and that the engine completes
+    to.  ``k_potent`` selects the chains with ``x^(k+1) = x^k``.  The
+    flags are given by keyword, and ``_replace`` checks them again."""
+
+    __slots__ = ()
+
+    def __new__(cls, **flags):
+        k = flags.get("k_potent")
         if k is not None and (type(k) is not int or k < 1):  # bool is no count
             raise FormatError(f"k_potent must be an integer of at least 1, not {k!r}")
+        return super().__new__(cls, **flags)
+
+    def _replace(self, **changes) -> ChainFlags:
+        return ChainFlags(**self._asdict() | changes)
+
+    def __getnewargs_ex__(self):  # copy and pickle pass the flags by keyword
+        return (), self._asdict()
 
     def admits(self, table, unit) -> bool:
         """Whether the chain with this product table, in index order, and
         this unit lies in the class; ``pointed`` asks nothing of a table."""
+        integral, commutative, k, divisible, _ = self
         n = len(table)
         rng = range(n)
-        if self.integral and unit != n - 1:
+        if integral and unit != n - 1:
             return False
-        if self.commutative and any(table[x][y] != table[y][x] for x in rng for y in rng):
+        if commutative and any(table[x][y] != table[y][x] for x in rng for y in rng):
             return False
         # on a chain the powers of x are monotone, so x^n = x^(n+1) and any k >= n holds
-        k = self.k_potent
         if k is not None and k < n:
             for x in rng:
                 p = x
@@ -74,7 +85,7 @@ class ChainFlags:
                     p = table[p][x]
                 if table[p][x] != p:
                     return False
-        if self.divisible:
+        if divisible:
             # row x rises from x*0 = 0, so x*(x\y) is its largest entry <= y, and
             # x*(x\y) = min(x, y) for every y iff the row takes exactly the
             # values 0..x; likewise (y/x)*x and column x
@@ -85,8 +96,7 @@ class ChainFlags:
         return True
 
 
-@dataclass(frozen=True)
-class CompletionProblem:
+class CompletionProblem(NamedTuple):
     """A partially pinned product table over an ``m``-element chain, to be
     completed to a chain of the class ``flags``."""
 
@@ -114,14 +124,20 @@ class CompletionProblem:
                     raise FormatError("division pin out of range")
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    solutions: int = 0
+    """Counts of the engine, updated in place as it runs."""
+
+    __slots__ = ("nodes", "solutions")
+
+    def __init__(self, nodes: int = 0, solutions: int = 0):
+        self.nodes = nodes
+        self.solutions = solutions
+
+    def __repr__(self):
+        return f"SearchStats(nodes={self.nodes}, solutions={self.solutions})"
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     max_nodes: int = 10**8
 
 
@@ -171,6 +187,9 @@ class _Engine:
         self.p = problem
         self.budget = budget
         self.stats = stats
+        # read on every candidate update, where a NamedTuple field is a
+        # slower load than an attribute of the engine
+        self.commutative = problem.flags.commutative
         m = self.m
         full = (1 << m) - 1
         self.cand = [full] * (m * m)
@@ -197,7 +216,7 @@ class _Engine:
         self.cand[cell] = new
         if new & (new - 1) == 0:
             self.queue.append(cell)
-        if self.p.flags.commutative:
+        if self.commutative:
             x, y = divmod(cell, self.m)
             mirror = y * self.m + x
             if mirror != cell:

@@ -15,7 +15,7 @@ which are unique.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     CheckOutcome,
@@ -32,8 +32,7 @@ from .algebra import (
 )
 
 
-@dataclass(frozen=True)
-class LowerCompatibleTriple:
+class LowerCompatibleTriple(NamedTuple):
     """A partial IRL together with its conucleus/closure pair."""
 
     K: FiniteRL
@@ -41,8 +40,7 @@ class LowerCompatibleTriple:
     gamma: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Nucleus:
+class Nucleus(NamedTuple):
     """A closure operator with delta(x)*delta(y) <= delta(x*y)."""
 
     parent: FiniteRL

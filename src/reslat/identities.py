@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import getitem, ne
+from typing import NamedTuple
 
 from .algebra import (
     FiniteRL,
@@ -48,33 +48,28 @@ EQ = "EQ"
 GEQ = "GEQ"
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     symbol: str  # "1" or "0"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of * /\ \/ \ / ->
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Term"
 
 
 Term = Var | Const | BinOp | Neg
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """``terms`` all equal (EQ, length >= 2) or ``terms[0] >= terms[1]`` (GEQ)."""
 
     terms: tuple[Term, ...]
@@ -87,8 +82,7 @@ class Identity:
         return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     holds: bool
     variables: tuple[str, ...]
     assignment: tuple[int, ...] | None = None

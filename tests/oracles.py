@@ -254,8 +254,9 @@ def naive_placements(vf, m, flags):
     ]
 
 
-def rpn_eval(alg: FiniteRL, term, env):
-    """Second evaluator: compile to postfix, run a stack machine."""
+def rpn_eval(alg: FiniteRL, term, env, lattice=None):
+    """Second evaluator: compile to postfix, run a stack machine.
+    ``lattice`` is the pair of meet and join tables, built here if not given."""
     code = []
 
     def emit(t):
@@ -272,7 +273,7 @@ def rpn_eval(alg: FiniteRL, term, env):
             code.append(("op", t.op))
 
     emit(term)
-    mt, jt = meet_table(alg), join_table(alg)
+    mt, jt = lattice if lattice is not None else (meet_table(alg), join_table(alg))
     stack = []
     for kind, payload in code:
         if kind == "load":
@@ -303,11 +304,12 @@ def rpn_eval(alg: FiniteRL, term, env):
 def naive_check_identity(alg: FiniteRL, ident) -> IdentityResult:
     """``check_identity`` from its definition: every assignment in
     ``itertools.product`` order, each term by :func:`rpn_eval`, stopping at
-    the first that fails."""
+    the first that fails.  The lattice tables are built once per check."""
     variables = ident.variables()
+    lattice = meet_table(alg), join_table(alg)
     for assignment in itertools.product(range(alg.size), repeat=len(variables)):
         env = dict(zip(variables, assignment))
-        values = [rpn_eval(alg, t, env) for t in ident.terms]
+        values = [rpn_eval(alg, t, env, lattice) for t in ident.terms]
         if ident.relation == "GEQ":
             ok = alg.le(values[1], values[0])
         else:

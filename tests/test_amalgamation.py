@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -167,7 +166,7 @@ def test_found_maps_that_disagree_on_a_raise(monkeypatch, search):
     order_types = amalgamation._order_types
 
     def unanchored(vf, flags, max_ranks):
-        return order_types(replace(vf, i=replace(vf.i, map=()), j=replace(vf.j, map=())), flags, max_ranks)
+        return order_types(vf._replace(i=vf.i._replace(map=()), j=vf.j._replace(map=())), flags, max_ranks)
 
     monkeypatch.setattr(amalgamation, "_order_types", unanchored)
     with pytest.raises(AssertionError, match="disagree on A"):
@@ -187,7 +186,7 @@ def test_one_amalgam_revalidates_its_composed_h(monkeypatch, bad_h, match):
 
     def wrong_h(sub_vf, *args):
         rep = amalgam_search(sub_vf, *args)
-        return replace(rep, h=replace(rep.h, map=bad_h))
+        return rep._replace(h=rep.h._replace(map=bad_h))
 
     monkeypatch.setattr(amalgamation, "bounded_amalgam_search", wrong_h)
     with pytest.raises(AssertionError, match=match):
@@ -370,6 +369,53 @@ def test_equal_searches_return_equal_reports(vs):
 
 
 # ---------------------------------------------------------------------------
+# oracles: classes known to amalgamate, found at the size theory predicts
+
+
+def _gaps(embedding: Morphism) -> list[int]:
+    """The elements of the target strictly below the image of each element
+    of the source and above the image of the one before it."""
+    bounds = (-1, *embedding.map)
+    return [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_goedel_chains_amalgamate_at_their_order_amalgam():
+    """Goedel logic has interpolation: every V-formation of Goedel chains
+    amalgamates in a Goedel chain.  On idempotent chains every order
+    embedding that keeps the top is an embedding, so the least amalgam
+    merges B's and C's elements between each two images of A: it has
+    ``|A| + sum of max(gap in B, gap in C)`` elements, at most
+    ``|B| + |C| - |A|``."""
+    flags = ChainFlags(integral=True, commutative=True, k_potent=1)
+    sizes = range(2, 6)
+    formations = 0
+    for a, b, c in itertools.product(sizes, repeat=3):
+        if a >= min(b, c):
+            continue
+        A, B, C = godel(a), godel(b), godel(c)
+        for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
+            formations += 1
+            want = a + sum(map(max, _gaps(i), _gaps(j)))
+            report = bounded_amalgam_search(VFormation(A, B, C, i, j), b + c - a, flags)
+            assert report.found and report.d.size == want, (i.map, j.map, report.verdict)
+            assert tables_equal(report.d, godel(want))
+    assert formations == 178
+
+
+@pytest.mark.parametrize("n, size", [(4, 7), (5, 5)])
+def test_lukasiewicz_chains_amalgamate_at_the_lcm(n, size):
+    """Ł3 and Łn over 2, bottoms fixed, amalgamate in divisible CI chains
+    first in Ł_(lcm(2, n - 1) + 1): the least MV-chain containing both."""
+    flags = ChainFlags(integral=True, commutative=True, divisible=True)
+    vf = make_vformation(two(), lukasiewicz(3), lukasiewicz(n), (0, 2), (0, n - 1))
+    if size > n:
+        assert bounded_amalgam_search(vf, size - 1, flags).verdict == "UNSAT"
+    report = bounded_amalgam_search(vf, size, flags)
+    assert report.found and report.d.size == size
+    assert tables_equal(report.d, lukasiewicz(size))
+
+
+# ---------------------------------------------------------------------------
 # obstructions
 
 
@@ -391,16 +437,16 @@ def test_obstruction_trace_mirrors_the_refutation(vs):
 
 def test_obstruction_rejections(vs):
     w = find_obstruction(vs)
-    bad_u1 = replace(w, u1=1)  # v instead of u
+    bad_u1 = w._replace(u1=1)  # v instead of u
     rej = check_obstruction(vs, bad_u1)
     assert not rej.accepted and rej.clause == "W2"
     assert "b\\v = 1" in "\n".join(rej.lines)
 
-    inside = replace(w, b=2)  # v lies in i(A)
+    inside = w._replace(b=2)  # v lies in i(A)
     rej2 = check_obstruction(vs, inside)
     assert not rej2.accepted and rej2.clause == "W1-domain"
 
-    not_fixing = replace(w, a=0)  # u*b = u != b breaks W1
+    not_fixing = w._replace(a=0)  # u*b = u != b breaks W1
     rej3 = check_obstruction(vs, not_fixing)
     assert not rej3.accepted and rej3.clause == "W1"
 
@@ -414,11 +460,11 @@ def test_obstruction_check_lines(vs):
     w1 = "  W1: v*b = b in B and v*c = d in C"
     w2 = r"  W2: c*c = u <= u in C; b\u = b <= b in B"
     expected = [
-        (replace(w, b=2), "W1-domain", ("REJECT(W1-domain)", "  b = v lies in the image of A")),
-        (replace(w, c=0), "W1-domain", ("REJECT(W1-domain)", "  c = u lies in the image of A")),
-        (replace(w, a=0), "W1", ("REJECT(W1)", "  W1: u*b = u in B and u*c = u in C")),
-        (replace(w, u1=1), "W2", ("REJECT(W2)", w1, r"  W2: c*c = u <= v in C; b\v = 1 <= b in B")),
-        (replace(w, u2=1), "W3", ("REJECT(W3)", w1, w2, r"  W3: b*b = u <= v in B; c\v = 1 <= c in C")),
+        (w._replace(b=2), "W1-domain", ("REJECT(W1-domain)", "  b = v lies in the image of A")),
+        (w._replace(c=0), "W1-domain", ("REJECT(W1-domain)", "  c = u lies in the image of A")),
+        (w._replace(a=0), "W1", ("REJECT(W1)", "  W1: u*b = u in B and u*c = u in C")),
+        (w._replace(u1=1), "W2", ("REJECT(W2)", w1, r"  W2: c*c = u <= v in C; b\v = 1 <= b in B")),
+        (w._replace(u2=1), "W3", ("REJECT(W3)", w1, w2, r"  W3: b*b = u <= v in B; c\v = 1 <= c in C")),
     ]
     for witness, clause, lines in expected:
         assert check_obstruction(vs, witness) == ObstructionCheck(clause, lines)
@@ -602,7 +648,7 @@ def test_obstruction_scan_takes_the_least_bounds():
     assert check_vformation(vf).ok
     w = ObstructionWitness(2, 2, 3, 0, 0, "LEFT")
     assert find_obstruction(vf) == naive_find_obstruction(vf) == w
-    assert all(check_obstruction(vf, replace(w, **{u: 1})).accepted for u in ("u1", "u2"))
+    assert all(check_obstruction(vf, w._replace(**{u: 1})).accepted for u in ("u1", "u2"))
 
 
 def test_injectivity_reduction_examples(vs):

@@ -3,7 +3,6 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -417,7 +416,7 @@ def test_paper_table_facts_read_the_cells_they_name(alg, facts, cells):
         for x, y in itertools.product(range(alg.size), repeat=2):
             rows = [list(row) for row in getattr(alg, table)]
             rows[x][y] = (rows[x][y] + 1) % alg.size
-            if not _table_facts_hold(replace(alg, **{table: tuple(map(tuple, rows))}), checked):
+            if not _table_facts_hold(alg._replace(**{table: tuple(map(tuple, rows))}), checked):
                 caught.add((table, x, y))
     assert caught == cells
 

@@ -1,6 +1,5 @@
 import importlib.util
 import itertools
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -107,7 +106,7 @@ def test_divisible_flag_matches_div_identity():
     div = parse_identity("div")
     for n in range(1, 6):
         for base in (ChainFlags(), ChainFlags(integral=True, commutative=True)):
-            flagged = replace(base, divisible=True)
+            flagged = base._replace(divisible=True)
             with_flag = [a.product for a in enumerate_chains(n, flagged)]
             by_filter = [a.product for a in enumerate_chains(n, base) if check_identity(a, div).holds]
             assert with_flag == by_filter
@@ -255,9 +254,9 @@ def test_admits_matches_the_oracles():
             for _, column in _census_columns():
                 others = all(ok for flag, ok in holds.items() if getattr(column, flag))
                 for k in range(1, n + 2):
-                    assert replace(column, k_potent=k).admits(t, u) == (others and _has_equal_powers(t, k))
-                assert replace(column, k_potent=10**12).admits(t, u) == others
-                assert replace(column, pointed=True).admits(t, u) == column.admits(t, u)
+                    assert column._replace(k_potent=k).admits(t, u) == (others and _has_equal_powers(t, k))
+                assert column._replace(k_potent=10**12).admits(t, u) == others
+                assert column._replace(pointed=True).admits(t, u) == column.admits(t, u)
 
 
 # ---------------------------------------------------------------------------

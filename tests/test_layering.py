@@ -4,6 +4,8 @@
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -33,6 +35,18 @@ def test_documents_imports_only_algebra():
 def test_no_module_imports_cli():
     importers = sorted(m for m, names in _relative_imports().items() if "cli" in names)
     assert importers == []
+
+
+def test_importing_the_cli_runs_no_generated_code():
+    """reslat's records are NamedTuples and ``__slots__`` classes, not
+    dataclasses: a dataclass compiles its generated methods at every
+    import, at several times the cost of a NamedTuple class, and the
+    ``dataclasses`` module itself imports ``inspect``."""
+    probe = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import reslat.cli; print(sorted(sys.modules))"
+    # -I -S: no environment variable, user directory or site hook imports
+    # anything first; -B: the probe leaves no bytecode behind
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", probe], capture_output=True, text=True, check=True)
+    assert "reslat.cli" in done.stdout and "'dataclasses'" not in done.stdout
 
 
 def _defined_in(module):

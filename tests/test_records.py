@@ -1,6 +1,9 @@
 """The value semantics of reslat's records: immutable, equal and hashed by
 their fields, printed as ``Name(field=value, ...)``."""
 
+import copy
+import pickle
+
 import pytest
 
 from reslat import (
@@ -112,6 +115,22 @@ def test_equal_fields_give_equal_records_and_hashes(name):
         assert hash(first) == hash(second)
 
 
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_survive_copy_and_pickle(name):
+    record = RECORDS[name]()
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_replace_changes_one_field(name):
+    record = RECORDS[name]()
+    field, value = FIELDS[name]
+    changed = record._replace(**{field: value})
+    assert type(changed) is type(record) and getattr(changed, field) == value and changed != record
+    assert changed._replace(**{field: getattr(record, field)}) == record
+
+
 def test_search_stats_is_a_mutable_counter():
     stats = SearchStats()
     assert (stats.nodes, stats.solutions) == (0, 0)
@@ -144,3 +163,5 @@ def test_chain_flags_take_keywords_only():
 def test_chain_flags_reject_a_potency_that_is_no_positive_integer(k):
     with pytest.raises(FormatError, match="k_potent must be an integer of at least 1"):
         ChainFlags(k_potent=k)
+    with pytest.raises(FormatError, match="k_potent must be an integer of at least 1"):
+        ChainFlags(integral=True)._replace(k_potent=k)
