@@ -72,7 +72,7 @@ from .documents import (
     load_algebra,
     write_atomic,
 )
-from .identities import TermEvaluator, check_identity, format_identity, parse_identity
+from .identities import NAMED_IDENTITIES, TermEvaluator, check_identity, format_identity, parse_identity
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +395,8 @@ _TABLE_FACTS = (
 )
 # the step that carries the obstruction certificate's trace, one line each
 _TRACE_STEP = "obstruction trace"
+# the named identity each nucleus's rotations satisfy, and what the paper calls it
+_NUCLEUS_IDENTITIES = {"identity": ("involution", "inv"), "const-1": ("Stone identity", "stone")}
 
 
 def _table_facts_hold(alg, facts: str) -> bool:
@@ -414,13 +416,14 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     """Run the full reproduction pipeline and return its one record.
 
     Builds the VS chains, re-validates every finite fact (tables, triple,
-    construction identities, obstruction certificate, injectivity argument,
+    construction identities, obstruction certificates, injectivity argument,
     bounded searches, pointed variant, rotated variants) and summarizes what
     the computations establish.  Returns ``{"steps", "conclusions", "ok"}``:
-    a step is a fact ``{"step", "ok", "detail"}``, the certificate's trace
-    (``_TRACE_STEP``, always ok) or, after each VS search's fact, that
-    search's report ``{"step", "ok", "search"}``; ``ok`` holds when every
-    step does, and the conclusions are stated only then (``[]`` otherwise).
+    a step is a fact ``{"step", "ok", "detail"}``, an accepted certificate's
+    trace (``_TRACE_STEP``) or, after each VS search's fact, that search's
+    report ``{"step", "ok", "search"}``; ``ok`` holds when every step does,
+    and the conclusions are stated only then (``[]`` otherwise), the one on
+    2-rotations only if both ``identity:2`` and ``const-1:2`` ran.
     """
     if max_size < 6:
         raise PreconditionError("the pipeline needs max-size >= 6")
@@ -429,14 +432,27 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     def fact(name, ok, detail=""):
         steps.append({"step": name, "ok": bool(ok), "detail": detail})
 
+    def holds_on(algs, name, identity):
+        for alg in algs:
+            fact(f"{name} on {alg.name}", check_identity(alg, identity).holds)
+
+    def unsat(claim, search, vf, flags=ChainFlags(), report=""):
+        rep = search(vf, max_size, flags, budget)
+        ok = rep.verdict == "UNSAT"
+        fact(claim, ok)
+        if report:
+            steps.append({"step": f"{report} search report", "ok": ok, "search": _search_report_json(rep)})
+
+    def certified(vf, w):
+        return w is not None and check_obstruction(vf, w).accepted
+
     vs = vs_formation()
     A, B, C = vs.A, vs.B, vs.C
     base_flags = ("lattice", "monoid", "residuation", "integral", "commutative", "chain")
     for alg in (A, B, C):
         fact(f"validate {alg.name} (commutative integral chain)", validate(alg, base_flags).ok)
     two_potent = parse_identity("potent:2")
-    for alg in (A, B, C):
-        fact(f"2-potency x*x = x*x*x on {alg.name}", check_identity(alg, two_potent).holds)
+    holds_on((A, B, C), "2-potency x*x = x*x*x", two_potent)
 
     for alg, (facts, unnamed) in zip((B, C), _TABLE_FACTS):
         fact(facts, _table_facts_hold(alg, facts + unnamed))
@@ -464,30 +480,26 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     expected = (A.labels.index("v"), B.labels.index("b"), C.labels.index("c"), a_u, a_u, "LEFT")
     fact("obstruction witness (a=v, b=b, c=c, u1=u, u2=u)", witness is not None and witness.as_tuple() == expected)
     trace = check_obstruction(vs, witness) if witness else None
-    fact("witness certified (both orderings refuted by residuation)", trace and trace.accepted)
-    if trace:
+    rejected = f"REJECT({trace.clause})" if trace and not trace.accepted else ""
+    fact("witness certified (both orderings refuted by residuation)", trace and trace.accepted, rejected)
+    if trace and trace.accepted:
         steps.append({"step": _TRACE_STEP, "ok": True, "detail": "\n".join(trace.lines)})
 
     fact("every nontrivial congruence filter of B contains v (one-amalgam reduction)", 1 in injectivity_reduction(vs))
 
     admitted = " (non-commutative, non-integral admitted)"
-    for name, search, claim in (
-        ("amalgam", bounded_amalgam_search, f"no chain amalgam up to size {max_size}{admitted}"),
-        ("one-amalgam", bounded_one_amalgam_search, f"no one-amalgam up to size {max_size}"),
-    ):
-        rep = search(vs, max_size, budget=budget)
-        unsat = rep.verdict == "UNSAT"
-        fact(claim, unsat)
-        steps.append({"step": f"{name} search report", "ok": unsat, "search": _search_report_json(rep)})
+    unsat(f"no chain amalgam up to size {max_size}{admitted}", bounded_amalgam_search, vs, report="amalgam")
+    unsat(f"no one-amalgam up to size {max_size}", bounded_one_amalgam_search, vs, report="one-amalgam")
 
     vsp = pointed_vformation(vs, 0)
     wp = find_obstruction(vsp)
-    fact("pointed variant (u designated 0): same witness", wp is not None and wp.as_tuple() == expected)
-    pointed_amal = bounded_amalgam_search(vsp, max_size, ChainFlags(pointed=True), budget=budget)
-    fact(f"pointed variant: no 0-bounded chain amalgam up to size {max_size}", pointed_amal.verdict == "UNSAT")
+    fact("pointed variant (u designated 0): same witness", certified(vsp, wp) and wp.as_tuple() == expected)
+    claim = f"pointed variant: no 0-bounded chain amalgam up to size {max_size}"
+    unsat(claim, bounded_amalgam_search, vsp, ChainFlags(pointed=True))
 
     for delta_name, levels in rotations:
         rvf = rotated_vformation(vs, delta_name, levels)
+        rotated = (rvf.A, rvf.B, rvf.C)
         tag = f"rotation {delta_name}:{levels}"
         fact(f"{tag}: components validate (bounded chains)", check_vformation(rvf).ok)
         sizes = (rvf.A.size, rvf.B.size, rvf.C.size)
@@ -496,26 +508,16 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
             for base in (A, B, C)
         )
         fact(f"{tag}: size formula |A| + |delta[A]| + (n-2)", sizes == expected_sizes, str(sizes))
-        for alg in (rvf.A, rvf.B, rvf.C):
-            fact(f"{tag}: 2-potency on {alg.name}", check_identity(alg, two_potent).holds)
-        if delta_name == "identity":
-            for alg in (rvf.A, rvf.B, rvf.C):
-                fact(f"{tag}: involution neg neg x = x on {alg.name}", check_identity(alg, parse_identity("inv")).holds)
-        if delta_name == "const-1":
-            for alg in (rvf.A, rvf.B, rvf.C):
-                fact(
-                    f"{tag}: Stone identity neg x \\/ neg neg x = 1 on {alg.name}",
-                    check_identity(alg, parse_identity("stone")).holds,
-                )
-            if levels == 2:
-                same = tables_equal(with_zero(rvf.A, None), ordinal_sum(two(), A))
-                fact(f"{tag}: lifting of A reproduces the ordinal sum 2 + A table-exactly", same)
+        holds_on(rotated, f"{tag}: 2-potency", two_potent)
+        called, named = _NUCLEUS_IDENTITIES[delta_name]
+        holds_on(rotated, f"{tag}: {called} {NAMED_IDENTITIES[named]}", parse_identity(named))
+        if delta_name == "const-1" and levels == 2:
+            same = tables_equal(with_zero(rvf.A, None), ordinal_sum(two(), A))
+            fact(f"{tag}: lifting of A reproduces the ordinal sum 2 + A table-exactly", same)
         rw = find_obstruction(rvf)
-        fact(f"{tag}: obstruction witness exists", rw is not None, str(rw.as_tuple()) if rw else "")
-        r_amal = bounded_amalgam_search(rvf, max_size, budget=budget)
-        r_one = bounded_one_amalgam_search(rvf, max_size, budget=budget)
-        fact(f"{tag}: no chain amalgam up to size {max_size}", r_amal.verdict == "UNSAT")
-        fact(f"{tag}: no one-amalgam up to size {max_size}", r_one.verdict == "UNSAT")
+        fact(f"{tag}: obstruction witness exists", certified(rvf, rw), str(rw.as_tuple()) if rw else "")
+        unsat(f"{tag}: no chain amalgam up to size {max_size}", bounded_amalgam_search, rvf)
+        unsat(f"{tag}: no one-amalgam up to size {max_size}", bounded_one_amalgam_search, rvf)
 
     conclusions = [
         "VS is a V-formation of 2-potent commutative integral residuated chains "
@@ -537,6 +539,8 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
         "amalgamation over its chains; each family above therefore refutes "
         "amalgamation for every such variety containing it.",
     ]
+    if not {("identity", 2), ("const-1", 2)} <= set(rotations):
+        del conclusions[3]  # the 2-rotations' conclusion
     ok = all(step["ok"] for step in steps)
     return {"steps": steps, "conclusions": conclusions if ok else [], "ok": ok}
 
@@ -591,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", help="check an identity on an algebra")
     p.add_argument("algebra", help="builtin name or document path")
-    p.add_argument("--id", required=True, help="identity text or a named one (prel, sem, div, inv, idem, stone, potent:n)")
+    p.add_argument("--id", required=True, help=f"identity text or a named one ({', '.join(NAMED_IDENTITIES)}, potent:n)")
     p.add_argument("--zero", type=int)
     common(p)
     p.set_defaults(run=_cmd_identity)

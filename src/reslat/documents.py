@@ -106,12 +106,16 @@ def load_algebra(path: str) -> FiniteRL:
 
 
 def write_atomic(path: str, text: str):
-    """Write via a temp file and rename, so readers never see partial output."""
+    """Write via a temp file and rename, so readers never see partial output;
+    the file gets the mode ``open(path, "w")`` gives a new one, not 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

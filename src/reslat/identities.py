@@ -127,8 +127,14 @@ class ParseError(FormatError):
         self.position = position
 
 
-_MULTI = (("/\\", "/\\"), ("\\/", "\\/"), ("\\\\", "\\"), ("->", "->"), (">=", ">="))
-_SINGLE = {
+# every symbol, ASCII or Unicode, and the token it reads as; none is longer
+# than two characters, and the longer one matches first
+_SYMBOLS = {
+    "/\\": "/\\",
+    "\\/": "\\/",
+    "\\\\": "\\",
+    "->": "->",
+    ">=": ">=",
     "*": "*",
     "·": "*",
     "∧": "/\\",
@@ -141,52 +147,38 @@ _SINGLE = {
     "=": "=",
     "(": "(",
     ")": ")",
+    "1": "const:1",
+    "0": "const:0",
 }
 
 
 def _tokenize(text: str):
     tokens = []
     i = 0
-    while i < len(text):
+    n = len(text)
+    while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        matched = False
-        for pat, tok in _MULTI:
-            if text.startswith(pat, i):
-                tokens.append((tok, i))
-                i += len(pat)
-                matched = True
-                break
-        if matched:
+        symbol = text[i : i + 2] if text[i : i + 2] in _SYMBOLS else ch
+        if symbol in _SYMBOLS:
+            tokens.append((_SYMBOLS[symbol], i))
+            i += len(symbol)
             continue
-        if ch in _SINGLE:
-            tokens.append((_SINGLE[ch], i))
-            i += 1
-            continue
-        if ch in "10":
-            tokens.append(("const:" + ch, i))
-            i += 1
-            continue
-        if ch.isalpha() and ch.islower():
-            j = i + 1
-            while j < len(text) and text[j].isalpha() and text[j].islower():
+        j = i
+        while j < n and text[j].isalpha() and text[j].islower():
+            j += 1
+        word = text[i:j]
+        if len(word) == 1:  # a variable: one letter, then digits
+            while j < n and text[j].isdigit():
                 j += 1
-            word = text[i:j]
-            if word == "neg":
-                tokens.append(("neg", i))
-                i = j
-                continue
-            if len(word) == 1:
-                k = j
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                tokens.append(("var:" + text[i:k], i))
-                i = k
-                continue
-            raise ParseError(f"unknown word {word!r}", i)
-        raise ParseError(f"unexpected character {ch!r}", i)
+            tokens.append(("var:" + text[i:j], i))
+        elif word == "neg":
+            tokens.append(("neg", i))
+        else:
+            raise ParseError(f"unknown word {word!r}" if word else f"unexpected character {ch!r}", i)
+        i = j
     return tokens
 
 
@@ -210,29 +202,18 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, tok):
-        if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}", self.where())
-        return self.take()
-
     def parse_identity(self) -> Identity:
-        first, _ = self.parse_term()
+        terms = [self.parse_term()[0]]
         rel = self.peek()
         if rel not in ("=", ">="):
             raise ParseError("expected '=' or '>='", self.where())
-        if rel == ">=":
-            self.take()
-            second, _ = self.parse_term()
-            if self.peek() is not None:
-                raise ParseError("trailing input", self.where())
-            return Identity((first, second), GEQ)
-        terms = [first]
-        while self.peek() == "=":
+        # '=' chains; '>=' relates two terms
+        while self.peek() == rel and (rel == "=" or len(terms) == 1):
             self.take()
             terms.append(self.parse_term()[0])
         if self.peek() is not None:
             raise ParseError("trailing input", self.where())
-        return Identity(tuple(terms), EQ)
+        return Identity(tuple(terms), EQ if rel == "=" else GEQ)
 
     def deeper(self, depth: int, position: int) -> int:
         if depth >= MAX_TERM_DEPTH:
@@ -267,7 +248,9 @@ class _Parser:
             self.open = self.deeper(self.open, self.where())
             self.take()
             inner = self.parse_term()
-            self.expect(")")
+            if self.peek() != ")":
+                raise ParseError("expected ')'", self.where())
+            self.take()
             self.open -= 1
             return inner
         if tok is None:
@@ -281,39 +264,22 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", self.where())
 
 
-def _power(var: str, k: int) -> Term:
-    t: Term = Var(var)
-    for _ in range(k - 1):
-        t = BinOp("*", t, Var(var))
-    return t
-
-
-def _shortcut(name: str) -> str | None:
-    """Expand a named identity to its source text."""
-    if name == "prel":
-        return "(x -> y) \\/ (y -> x) >= 1"
-    if name == "sem":
-        return (
-            "((u \\ ((x / (x \\/ y)) * u)) /\\ 1)"
-            " \\/ (((v * (y / (x \\/ y))) / v) /\\ 1) = 1"
-        )
-    if name == "div":
-        return "x /\\ y = x * (x \\ y) = (y / x) * x"
-    if name == "inv":
-        return "neg neg x = x"
-    if name == "idem":
-        return "x * x = x"
-    if name == "stone":
-        return "neg x \\/ neg neg x = 1"
-    return None
+# the identities a name stands for, in the order ``identity --id`` lists them
+NAMED_IDENTITIES = {
+    "prel": "(x -> y) \\/ (y -> x) >= 1",
+    "sem": "((u \\ ((x / (x \\/ y)) * u)) /\\ 1) \\/ (((v * (y / (x \\/ y))) / v) /\\ 1) = 1",
+    "div": "x /\\ y = x * (x \\ y) = (y / x) * x",
+    "inv": "neg neg x = x",
+    "idem": "x * x = x",
+    "stone": "neg x \\/ neg neg x = 1",
+}
 
 
 def parse_identity(text: str) -> Identity:
-    """Parse an identity, expanding named shortcuts first."""
+    """Parse an identity, expanding ``NAMED_IDENTITIES`` and ``potent:n`` first."""
     stripped = text.strip()
-    expansion = _shortcut(stripped)
-    if expansion is not None:
-        return parse_identity(expansion)
+    if stripped in NAMED_IDENTITIES:
+        return parse_identity(NAMED_IDENTITIES[stripped])
     if stripped.startswith("potent:"):
         try:
             k = int(stripped.split(":", 1)[1])
@@ -321,7 +287,7 @@ def parse_identity(text: str) -> Identity:
             raise ParseError("potent:n needs an integer", 0) from None
         if not 1 <= k < MAX_TERM_DEPTH:  # x^(n+1) is n+1 levels deep
             raise ParseError(f"potent:n needs 1 <= n < {MAX_TERM_DEPTH}", 0)
-        return Identity((_power("x", k), _power("x", k + 1)), EQ)
+        return parse_identity(" = ".join(" * ".join("x" * m) for m in (k, k + 1)))
     tokens = _tokenize(text)
     return _Parser(tokens, text).parse_identity()
 

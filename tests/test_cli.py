@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from reslat.cli import _TABLE_FACTS, _table_facts_hold, main
 from reslat.documents import document_to_algebra, dumps_canonical, algebra_to_document
+from reslat.identities import NAMED_IDENTITIES
 from reslat import ReslatError, lukasiewicz, vs_b, vs_c, vs_k_triple, with_zero
 
 
@@ -49,6 +50,9 @@ def test_identity_exit_codes(capsys):
     assert code == 0
     code, _ = run(capsys, "identity", "VS.B", "--id", "x*1 = x")
     assert code == 0
+    code, out = run(capsys, "identity", "--help")
+    named = " ".join(out.split()).split("a named one (", 1)[1].split(")", 1)[0]
+    assert code == 0 and named == ", ".join([*NAMED_IDENTITIES, "potent:n"])
 
 
 def test_identity_with_zero_flag(capsys):
@@ -348,6 +352,9 @@ def test_output_file_is_atomic(tmp_path, capsys):
     assert code == 0
     assert json.loads(target.read_text())["ok"] is True
     assert not list(tmp_path.glob("*.tmp"))
+    with open(tmp_path / "plain.json", "w"):
+        pass
+    assert os.stat(target).st_mode == os.stat(tmp_path / "plain.json").st_mode
 
 
 def test_paper_command_small_bound(capsys):
@@ -358,6 +365,9 @@ def test_paper_command_small_bound(capsys):
     assert run(capsys, *small) == (code, out)
     names = [s["step"] for s in report["steps"]]
     assert any("obstruction witness" in s for s in names)
+    # the identity rotation never ran, so no conclusion speaks of it
+    assert len(report["conclusions"]) == 4
+    assert not [c for c in report["conclusions"] if "identity nucleus" in c]
     code = main(["paper", "--max-size", "5"])
     assert code == 2  # pipeline needs max-size >= 6
     assert main(["paper", "--max-size", "6"]) == 2  # the identity:2 rotation's C has 10 elements
@@ -392,6 +402,26 @@ def test_paper_without_a_witness_fails_in_both_outputs(capsys, monkeypatch):
     assert report["conclusions"] == []
     assert "  none: 5 steps failed" in lines
     assert "rules out every size" not in out
+
+
+def test_paper_shows_no_trace_of_a_rejected_certificate(capsys, monkeypatch):
+    from reslat import cli
+    from reslat.amalgamation import ObstructionCheck
+
+    monkeypatch.setattr(cli, "check_obstruction", lambda vf, w: ObstructionCheck("W2", ("REJECT(W2)", "  W1: ...")))
+    code, report = run_json(capsys, "paper", "--max-size", "10")
+    assert code == 1 and report["conclusions"] == []
+    failed = {s["step"]: s["detail"] for s in report["steps"] if not s["ok"]}
+    assert failed == {
+        "witness certified (both orderings refuted by residuation)": "REJECT(W2)",
+        "pointed variant (u designated 0): same witness": "",
+        "rotation identity:2: obstruction witness exists": "(4, 5, 7, 3, 3, 'LEFT')",
+        "rotation const-1:2: obstruction witness exists": "(2, 2, 3, 1, 1, 'LEFT')",
+    }
+    assert "obstruction trace" not in [s["step"] for s in report["steps"]]
+    code, out = run(capsys, "paper", "--max-size", "10")
+    assert code == 1 and not [line for line in out.splitlines() if line.startswith("    ")]
+    assert "[FAIL] witness certified (both orderings refuted by residuation): REJECT(W2)" in out.splitlines()
 
 
 @pytest.mark.parametrize(

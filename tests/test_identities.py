@@ -24,7 +24,7 @@ from reslat import (
     with_zero,
 )
 from reslat import identities
-from reslat.identities import BinOp, Const, Identity, IdentityResult, Neg, ParseError, TermEvaluator, Var
+from reslat.identities import NAMED_IDENTITIES, BinOp, Const, Identity, IdentityResult, Neg, ParseError, TermEvaluator, Var
 
 from oracles import naive_check_identity, rpn_eval
 from test_algebra import diamond
@@ -49,6 +49,10 @@ def test_parse_unicode_aliases():
     b = parse_identity("x /\\ y = x * (x \\ y)")
     assert a == b
     assert parse_identity("¬x ∨ ¬¬x = 1") == parse_identity("stone")
+    # the longer symbol wins: a join, then one left division spelled twice
+    join, ldiv = BinOp("\\/", Var("x"), Var("y")), BinOp("\\", Var("x"), Var("y"))
+    assert parse_identity("x\\/y = x\\\\y") == Identity((join, ldiv), "EQ")
+    assert identities._tokenize("10 x10") == [("const:1", 0), ("const:0", 1), ("var:x10", 3)]
 
 
 def test_precedence():
@@ -72,6 +76,14 @@ def test_parse_errors_carry_positions():
         parse_identity("xy = x")
     with pytest.raises(ParseError):
         parse_identity("x = y >= z")
+    for text, message, position in (
+        ("negx = x", "unknown word 'negx'", 0),
+        ("x = X", "unexpected character 'X'", 4),
+        ("x - y = x", "unexpected character '-'", 2),
+    ):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_identity(text)
+        assert exc.value.position == position
 
 
 def test_parse_depth_limit():
@@ -219,7 +231,7 @@ def test_check_identity_agrees_with_the_naive_oracle_on_1200_random_identities()
 
 def test_named_identities_agree_with_the_naive_oracle():
     for alg in _oracle_pool():
-        for name in ("sem", "prel", "div", "inv", "stone", "idem", "potent:2"):
+        for name in (*NAMED_IDENTITIES, "potent:2"):
             ident = parse_identity(name)
             try:
                 result = check_identity(alg, ident)
