@@ -10,8 +10,9 @@ exist).  Cells may be pinned in advance, and division pins of the form
 Candidate sets are bitmasks.  Propagation is deliberately limited to four
 rules (monotonicity against fixed cells, associativity instances whose two
 inner products are fixed, residual-pin consistency, unit laws); every
-complete assignment is re-verified before it is reported, so the pruning
-rules only ever need to be sound, not complete.  The class of chains,
+complete assignment is re-verified before it is reported, as one ``bytes``
+of ``m*m`` cells checked with byte-string operations, so the pruning rules
+only ever need to be sound, not complete.  The class of chains,
 ``ChainFlags``, is applied the same way: commutativity propagates, and
 ``ChainFlags.admits`` decides each complete table.
 
@@ -34,6 +35,7 @@ depend on it.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le
 from typing import NamedTuple
 
 from .algebra import BudgetExceededError, FormatError, make_algebra
@@ -75,7 +77,7 @@ class ChainFlags(_ChainFlagFields):
         rng = range(n)
         if integral and unit != n - 1:
             return False
-        if commutative and any(table[x][y] != table[y][x] for x in rng for y in rng):
+        if commutative and list(zip(*table)) != list(map(tuple, table)):
             return False
         # on a chain the powers of x are monotone, so x^n = x^(n+1) and any k >= n holds
         if k is not None and k < n:
@@ -96,6 +98,10 @@ class ChainFlags(_ChainFlagFields):
         return True
 
 
+# a completed table is checked and reported as one byte per cell
+MAX_CHAIN_SIZE = 256
+
+
 class CompletionProblem(NamedTuple):
     """A partially pinned product table over an ``m``-element chain, to be
     completed to a chain of the class ``flags``."""
@@ -111,6 +117,8 @@ class CompletionProblem(NamedTuple):
         m = self.size
         if m < 1:
             raise FormatError("size must be positive")
+        if m > MAX_CHAIN_SIZE:
+            raise FormatError(f"size must be at most {MAX_CHAIN_SIZE}")
         if not 0 <= self.unit < m:
             raise FormatError("unit out of range")
         if self.flags.integral and self.unit != m - 1:
@@ -335,11 +343,10 @@ class _Engine:
 
     def _search(self):
         if self.free == 0:
-            m = self.m
-            table = [self.value[i:i + m] for i in range(0, m * m, m)]
-            if self._verify(table):
+            cells = bytes(self.value)
+            if self._verify(cells):
                 self.stats.solutions += 1
-                yield table
+                yield cells
             return
         cell = self._select_cell()
         cand, value, free = self.cand, self.value, self.free
@@ -366,55 +373,56 @@ class _Engine:
 
     # -- leaf verification --------------------------------------------------------
 
-    def _verify(self, t):
+    def _verify(self, cells):
         m, u = self.m, self.p.unit
-        rng = range(m)
-        for x in rng:
-            if t[u][x] != x or t[x][u] != x:
+        t = [cells[i:i + m] for i in range(0, m * m, m)]
+        ident = bytes(range(m))
+        if t[u] != ident or cells[u::m] != ident:
+            return False
+        if m > 1 and (any(t[0]) or any(cells[::m])):
+            return False
+        # each cell is at most the one below it and the one to its right
+        if not all(map(le, cells, cells[m:])):
+            return False
+        for r in t:
+            if not all(map(le, r, r[1:])):
                 return False
-        if m > 1:
-            for x in rng:
-                if t[x][0] != 0 or t[0][x] != 0:
-                    return False
-        for x in rng:
-            for y in rng:
-                if x and t[x][y] < t[x - 1][y]:
-                    return False
-                if y and t[x][y] < t[x][y - 1]:
-                    return False
-        # (x*y)*z = x*(y*z) for all z, as rows; the unit and 0 associate with
-        # anything once the checks above hold
-        inner = self.inner
-        for x in inner:
-            tx = t[x]
-            for y in inner:
-                if t[tx[y]] != [tx[w] for w in t[y]]:
+        # (x*y)*z = x*(y*z) for all z, as rows: row y mapped through row x;
+        # the unit and 0 associate with anything once the checks above hold
+        pad = bytes(256 - m)
+        for x in self.inner:
+            tx, through_x = t[x], t[x] + pad
+            for y in self.inner:
+                if t[tx[y]] != t[y].translate(through_x):
                     return False
         for (x, y), v in self.p.product_pins.items():
-            if t[x][y] != v:
+            if cells[x * m + y] != v:
                 return False
         for z, at, above in division_cells(self.p.ldiv_pins, self.p.rdiv_pins, m):
-            if self.value[at] > z or above and self.value[above[0]] <= z:
+            if cells[at] > z or above and cells[above[0]] <= z:
                 return False
         return self.p.flags.admits(t, u)
 
 
-def iter_completions(problem: CompletionProblem, budget: Budget = Budget(), stats: SearchStats | None = None):
-    """All completed product tables, in canonical depth-first order."""
+def iter_completions(
+    problem: CompletionProblem, budget: Budget = Budget(), stats: SearchStats | None = None, *, as_bytes: bool = False
+):
+    """All completed product tables, in canonical depth-first order, each
+    as a list of rows, or with ``as_bytes`` as the engine's ``m*m`` bytes
+    in row-major order."""
     stats = stats if stats is not None else SearchStats()
-    yield from _Engine(problem, budget, stats).solutions()
+    m = problem.size
+    for cells in _Engine(problem, budget, stats).solutions():
+        yield cells if as_bytes else [list(cells[i:i + m]) for i in range(0, m * m, m)]
 
 
 # ---------------------------------------------------------------------------
 # chain enumeration
 
 
-# a cell value is stored in one byte of a memoized table
-MAX_CHAIN_SIZE = 256
-
 # (n, unit, commutative) -> every table of the unpinned search for that key,
-# in stream order, each as n*n bytes in row-major order; an entry is stored
-# only once its search has run to the end
+# in stream order, each the engine's n*n bytes in row-major order; an entry
+# is stored only once its search has run to the end
 _CHAINS: dict[tuple[int, int, bool], list[bytes]] = {}
 
 
@@ -427,8 +435,8 @@ def _unit_stream(n: int, unit: int, commutative: bool):
         yield from tables
         return
     tables = []
-    for table in iter_completions(CompletionProblem(n, unit, {}, {}, {}, ChainFlags(commutative=commutative))):
-        cells = bytes([v for row in table for v in row])
+    problem = CompletionProblem(n, unit, {}, {}, {}, ChainFlags(commutative=commutative))
+    for cells in iter_completions(problem, as_bytes=True):
         tables.append(cells)
         yield cells
     _CHAINS[key] = tables
@@ -441,10 +449,7 @@ def _raw_stream(n: int, flags: ChainFlags):
     ``integral`` only picks the unit, and every flag but ``commutative`` is
     decided on complete tables, so one engine run per ``(n, unit,
     commutative)``, kept in ``_CHAINS``, serves every class."""
-    if n < 1:
-        raise FormatError("size must be positive")
-    if n > MAX_CHAIN_SIZE:
-        raise FormatError(f"size must be at most {MAX_CHAIN_SIZE}")
+    CompletionProblem(n, 0, {}, {}, {}).check_well_formed()  # the size, before any unit
     for unit in [n - 1] if flags.integral else range(n):
         for cells in _unit_stream(n, unit, flags.commutative):
             table = [cells[i:i + n] for i in range(0, n * n, n)]

@@ -167,11 +167,11 @@ def _tokenize(text: str):
             i += len(symbol)
             continue
         j = i
-        while j < n and text[j].isalpha() and text[j].islower():
+        while j < n and "a" <= text[j] <= "z":  # ASCII only, as the grammar says
             j += 1
         word = text[i:j]
         if len(word) == 1:  # a variable: one letter, then digits
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("var:" + text[i:j], i))
         elif word == "neg":

@@ -229,6 +229,45 @@ def _divides(t):
     return True
 
 
+def naive_leaf_check(problem, table):
+    """Whether a complete product table (a list of rows) is a chain that
+    solves ``problem``: the unit's and the zero's rows and columns, both
+    monotonicity laws cell by cell, associativity row by row, every product
+    pin, every division pin as the greatest s with x*s <= z (s*y <= z) and
+    the class.  The unit and 0 associate with anything once the checks
+    before associativity hold."""
+    t, m, u = table, problem.size, problem.unit
+    rng = range(m)
+    for x in rng:
+        if t[u][x] != x or t[x][u] != x:
+            return False
+    if m > 1:
+        for x in rng:
+            if t[x][0] != 0 or t[0][x] != 0:
+                return False
+    for x in rng:
+        for y in rng:
+            if x and t[x][y] < t[x - 1][y]:
+                return False
+            if y and t[x][y] < t[x][y - 1]:
+                return False
+    inner = [z for z in range(1, m) if z != u]
+    for x in inner:
+        for y in inner:
+            if t[t[x][y]] != [t[x][w] for w in t[y]]:
+                return False
+    for (x, y), v in problem.product_pins.items():
+        if t[x][y] != v:
+            return False
+    for (x, z), d in problem.ldiv_pins.items():
+        if max(s for s in rng if t[x][s] <= z) != d:
+            return False
+    for (y, z), d in problem.rdiv_pins.items():
+        if max(s for s in rng if t[s][y] <= z) != d:
+            return False
+    return problem.flags.admits(t, u)
+
+
 def naive_placements(vf, m, flags):
     """Every pair (hpos, kpos) of increasing position tuples of B and C in a
     chain of size m that agrees on A, with the units at the top when

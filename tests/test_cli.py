@@ -270,6 +270,8 @@ def test_usage_and_format_errors(tmp_path, capsys, monkeypatch):
 
     assert main(["verify", "no-such-algebra"]) == 2
     assert main(["identity", "VS.B", "--id", "x +* y = x"]) == 2
+    assert main(["identity", "VS.B", "--id", "x² = x*x"]) == 2
+    assert main(["identity", "VS.B", "--id", "é = 1"]) == 2
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["identity", "VS.B", "--id", "inv"]) == 2  # unpointed

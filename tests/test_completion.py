@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import itertools
+import random
 from itertools import islice
 from pathlib import Path
 
@@ -193,6 +195,15 @@ def test_size_validation():
     for k in (0, True, 2.5):  # bool is no count
         with pytest.raises(FormatError):
             ChainFlags(k_potent=k)
+    # the engine keeps one byte per cell: a larger problem is refused before
+    # the search starts, pinned or not
+    too_big = completion.MAX_CHAIN_SIZE + 1
+    for problem in (
+        CompletionProblem(too_big, too_big - 1, {}, {}, {}),
+        CompletionProblem(too_big, 0, {(1, 1): 0}, {}, {}),
+    ):
+        with pytest.raises(FormatError, match=f"at most {completion.MAX_CHAIN_SIZE}"):
+            next(iter_completions(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +328,23 @@ def test_first_chain_costs_one_engine_table(monkeypatch, cold_memo):
     monkeypatch.setattr(completion, "iter_completions", spy)
     first = next(enumerate_chains(8, ChainFlags(integral=True)))
     assert len(produced) == 1
-    assert first.product == tuple(map(tuple, produced[0]))
+    cells = produced[0]  # the memo's stream reads the engine's bytes
+    assert first.product == tuple(tuple(cells[i:i + 8]) for i in range(0, 64, 8))
     assert cold_memo == {}
+
+
+def test_every_unit_stream_is_pinned(cold_memo):
+    """The engine's tables for n = 1..6, every unit, all then the
+    commutative ones, hashed as the memo stores them."""
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 7):
+        for unit in range(n):
+            for commutative in (False, True):
+                for cells in completion._unit_stream(n, unit, commutative):
+                    digest.update(cells)
+                    count += 1
+    assert count == 954
+    assert digest.hexdigest() == "0cf1954fca7282e71fe609c572165f67cdb436106b5e4434d6722f8ad42be212"
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +424,9 @@ def test_vs_search_work_per_size_is_pinned(vs):
 
 
 def _naive_residual(row_or_column, z):
-    # the greatest s with (product at s) <= z; s = 0 always qualifies
-    return max(s for s, p in enumerate(row_or_column) if p <= z)
+    # the greatest s with (product at s) <= z; on a chain s = 0 qualifies,
+    # and a table without x*0 = 0 may have no such s, which reads as 0
+    return max((s for s, p in enumerate(row_or_column) if p <= z), default=0)
 
 
 def _meets_pins(t, product_pins, ldiv_pins, rdiv_pins):
@@ -453,10 +480,53 @@ def test_leaf_check_holds_each_division_pin_exactly():
     from reslat.completion import _Engine
 
     alg = next(a for a in enumerate_chains(4) if a.ldiv != a.rdiv)
-    table = [list(row) for row in alg.product]
+    cells = bytes(v for row in alg.product for v in row)
     for kind, divisions in (("ldiv", alg.ldiv), ("rdiv", alg.rdiv)):
         for x, z, d in itertools.product(range(4), repeat=3):
             pins = {"ldiv": {}, "rdiv": {}, kind: {(x, z): d}}
             engine = _Engine(CompletionProblem(4, alg.unit, {}, pins["ldiv"], pins["rdiv"]), Budget(), SearchStats())
-            engine.value = [v for row in table for v in row]
-            assert engine._verify(table) == (d == divisions[x][z]), (kind, x, z, d)
+            assert engine._verify(cells) == (d == divisions[x][z]), (kind, x, z, d)
+
+
+def test_leaf_check_matches_naive_oracle():
+    """The engine's leaf check on bytes agrees with the list-based oracle on
+    every chain of size <= 4 under each unit, on every change of one cell of
+    those chains (which breaks the unit's or the zero's row or column,
+    monotonicity or associativity, or nothing), and under random product and
+    division pins, read off the table or drawn at random."""
+    from oracles import naive_leaf_check
+    from reslat.completion import _Engine
+
+    rng = random.Random(23)
+
+    def random_pins(t, n, kind):
+        pins = {}
+        for _ in range(rng.randrange(3)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.3:
+                pins[a, b] = rng.randrange(n)
+            elif kind == "product":
+                pins[a, b] = t[a][b]
+            else:
+                pins[a, b] = _naive_residual(t[a] if kind == "ldiv" else [row[a] for row in t], b)
+        return pins
+
+    outcomes = {True: 0, False: 0}
+    for n in range(1, 5):
+        for alg in enumerate_chains(n):
+            chain = [list(row) for row in alg.product]
+            tables = [chain] * 8  # the chain itself under eight draws of pins
+            for x, y, v in itertools.product(range(n), repeat=3):
+                if v != chain[x][y]:
+                    mutant = [row[:] for row in chain]
+                    mutant[x][y] = v
+                    tables.append(mutant)
+            for t, unit in itertools.product(tables, range(n)):
+                pinned = rng.random() < 0.5
+                pins = [random_pins(t, n, kind) if pinned else {} for kind in ("product", "ldiv", "rdiv")]
+                problem = CompletionProblem(n, unit, *pins, flags=ChainFlags(commutative=rng.random() < 0.5))
+                want = naive_leaf_check(problem, t)
+                engine = _Engine(problem, Budget(), SearchStats())
+                assert engine._verify(bytes(v for row in t for v in row)) == want, (t, problem)
+                outcomes[want] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 3000, outcomes

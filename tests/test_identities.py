@@ -80,6 +80,9 @@ def test_parse_errors_carry_positions():
         ("negx = x", "unknown word 'negx'", 0),
         ("x = X", "unexpected character 'X'", 4),
         ("x - y = x", "unexpected character '-'", 2),
+        ("x² = x*x", "unexpected character '²'", 1),  # variables are [a-z][0-9]* in ASCII
+        ("é = 1", "unexpected character 'é'", 0),
+        ("x٣ = x", "unexpected character '٣'", 1),
     ):
         with pytest.raises(ParseError, match=message) as exc:
             parse_identity(text)
