@@ -689,9 +689,13 @@ def validate_morphism(m: Morphism) -> ValidationReport:
     dom, cod, f = m.dom, m.cod, m.map
     checks = []
 
-    ok_format = len(f) == dom.size and all(0 <= v < cod.size for v in f)
-    checks.append(CheckOutcome("format", ok_format))
-    if not ok_format:
+    outside = [v for v in f if not 0 <= v < cod.size]
+    if len(f) != dom.size:
+        fault = f"map of length {len(f)} on {dom.size} elements"
+    else:
+        fault = f"image {outside[0]} out of range 0..{cod.size - 1}" if outside else ""
+    checks.append(CheckOutcome("format", not fault, None, fault))
+    if fault:
         return ValidationReport("morphism", tuple(checks))
 
     checks.append(CheckOutcome("unit", f[dom.unit] == cod.unit, (dom.unit,) if f[dom.unit] != cod.unit else None))
@@ -711,7 +715,7 @@ def validate_morphism(m: Morphism) -> ValidationReport:
 
     if m.kind == EMBEDDING:
         inj = len(set(f)) == len(f)
-        checks.append(CheckOutcome("injective", inj))
+        checks.append(CheckOutcome("injective", inj, None, "" if inj else "two elements share an image"))
     return ValidationReport("morphism", tuple(checks))
 
 

@@ -131,9 +131,8 @@ def check_vformation(vf: VFormation) -> ValidationReport:
     for m, tag in ((vf.i, "i"), (vf.j, "j")):
         rep = validate_morphism(m)
         bad = rep.first_failure()
-        checks.append(
-            CheckOutcome(tag, rep.ok, None if rep.ok else bad.witness, "" if rep.ok else f"{bad.flag} not preserved")
-        )
+        fault = "" if rep.ok else bad.detail or f"{bad.flag} not preserved"  # operations have no detail
+        checks.append(CheckOutcome(tag, rep.ok, None if rep.ok else bad.witness, fault))
     return ValidationReport(vf.name or "v-formation", tuple(checks))
 
 
@@ -448,7 +447,7 @@ def _pins_for(vf: VFormation, htype, ktype):
     return product_pins, ldiv_pins, rdiv_pins
 
 
-def _type_pins(vf: VFormation, htype, ktype, flags: ChainFlags):
+def _type_pins(vf: VFormation, htype, ktype):
     """The type's pins, as ``_pins_for`` builds them, or ``None`` when no
     chain D, of any size, embeds B and C with h(B) | k(C) in the order type
     ``(htype, ktype)``.
@@ -456,21 +455,23 @@ def _type_pins(vf: VFormation, htype, ktype, flags: ChainFlags):
     D is cut into 2t+1 slots around its t image points p_0 < ... < p_{t-1}:
     gap, p_0, gap, p_1, ..., p_{t-1}, gap, so p_r sits in slot 2r+1.  Sending
     each element of D to its slot is monotone and one-to-one on the points.
-    Each product p_x*p_y keeps an interval of slots, tightened to a fixpoint
-    by rules that hold in every D of the type, so an empty interval refutes
-    the type at every size.  Intervals only narrow, so the first empty one
-    returns at once: after the exact and division bounds, in the upper
-    monotonicity sweep, or in the merges of a pass.  Why each rule holds:
+    Each product p_x*p_y keeps an interval of slots, narrowed by four rules
+    that hold in every D of the type, so an empty interval refutes the type
+    at every size:
 
-    - pins: h and k preserve products, so p_x*p_y = p_v, in slot 2v+1;
+    - pins: h and k preserve products, so p_x*p_y = p_v, in slot 2v+1, and
+      a conflict between two pins refutes the type at once;
     - unit: p_u*p_y = p_y*p_u = p_y;
     - division: p_x \\ p_z = p_d gives p_x*p_d <= p_z and p_x*s > p_z for
       every s > p_d; elements above p_z sit in slots above 2z+1 (p_z / p_y
       alike);
-    - monotonicity: D's product is monotone and so is the slot map;
-    - commutativity: in commutative mode p_x*p_y and p_y*p_x are one element;
-    - associativity: p_x*p_y = p_a and p_y*p_z = p_b make p_a*p_z and
-      p_x*p_b one element.
+    - monotonicity: D's product is monotone and so is the slot map.
+
+    One pass is a fixpoint: a forward sweep raises each lower bound from the
+    cells before it in its row and column, which are final by then, a
+    backward sweep lowers each upper bound from the cells after it, and no
+    rule reads one kind of bound to move the other.  The backward sweep
+    checks every cell.
     """
     pins = _pins_for(vf, htype, ktype)
     if pins is None:
@@ -488,39 +489,21 @@ def _type_pins(vf: VFormation, htype, ktype, flags: ChainFlags):
         for c in above:
             lo[c] = max(lo[c], 2 * z + 2)
     cells = range(t * t)
-    if any(lo[c] > hi[c] for c in cells):
-        return None
-    while True:
-        before = lo + hi
-        for c in cells:  # monotonicity, lower bounds upwards
-            x, y = divmod(c, t)
-            if x:
-                lo[c] = max(lo[c], lo[c - t])
-            if y:
-                lo[c] = max(lo[c], lo[c - 1])
-        for c in reversed(cells):  # and upper bounds downwards
-            x, y = divmod(c, t)
-            if x < t - 1:
-                hi[c] = min(hi[c], hi[c + t])
-            if y < t - 1:
-                hi[c] = min(hi[c], hi[c + 1])
-            if lo[c] > hi[c]:
-                return None
-        equal = []
-        if flags.commutative:
-            equal += [(c, (c % t) * t + c // t) for c in cells]
-        point = [lo[c] // 2 if lo[c] == hi[c] and lo[c] % 2 else -1 for c in cells]
-        for c in cells:
-            if point[c] >= 0:
-                x, y = divmod(c, t)
-                equal += [(point[c] * t + z, x * t + point[y * t + z]) for z in range(t) if point[y * t + z] >= 0]
-        for a, b in equal:
-            lo[a] = lo[b] = max(lo[a], lo[b])
-            hi[a] = hi[b] = min(hi[a], hi[b])
-            if lo[a] > hi[a]:
-                return None
-        if lo + hi == before:
-            return pins
+    for c in cells:  # lower bounds upwards
+        x, y = divmod(c, t)
+        if x:
+            lo[c] = max(lo[c], lo[c - t])
+        if y:
+            lo[c] = max(lo[c], lo[c - 1])
+    for c in reversed(cells):  # upper bounds downwards
+        x, y = divmod(c, t)
+        if x < t - 1:
+            hi[c] = min(hi[c], hi[c + t])
+        if y < t - 1:
+            hi[c] = min(hi[c], hi[c + 1])
+        if lo[c] > hi[c]:
+            return None
+    return pins
 
 
 def _revalidate(vf: VFormation, h: Morphism, k: Morphism) -> None:
@@ -601,7 +584,7 @@ def bounded_amalgam_search(
         # each stream is in (hpos, kpos) order, and so is their merge: FOUND is the least completion
         for (hpos, kpos, points), t in heapq.merge(*streams, key=lambda c: c[0][:2]):
             if t not in pins:
-                pins[t] = _type_pins(vf, *t, flags)
+                pins[t] = _type_pins(vf, *t)
             if pins[t] is None:
                 continue
             at = ({(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins[t])

@@ -288,7 +288,10 @@ def _cmd_filters(args):
 def _cmd_quotient(args):
     spec = args.algebra
     alg = _load_total_algebra(spec)
-    members = frozenset(int(x) for x in args.filter.split(","))
+    try:
+        members = frozenset(int(x) for x in args.filter.split(","))
+    except ValueError:
+        raise FormatError("--filter needs a comma list of member indices") from None
     filters = {F.members: F for F in congruence_filters(alg)}
     if members not in filters:
         raise PreconditionError(f"{sorted(members)} is not a congruence filter of {alg.name or spec}")
@@ -423,10 +426,15 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     trace (``_TRACE_STEP``) or, after each VS search's fact, that search's
     report ``{"step", "ok", "search"}``; ``ok`` holds when every step does,
     and the conclusions are stated only then (``[]`` otherwise), the one on
-    2-rotations only if both ``identity:2`` and ``const-1:2`` ran.
+    2-rotations only if both ``identity:2`` and ``const-1:2`` ran.  Raises
+    :class:`PreconditionError`, before any step, when ``max_size`` is below
+    the largest B or C of VS and the rotations, where a search would start.
     """
-    if max_size < 6:
-        raise PreconditionError("the pipeline needs max-size >= 6")
+    vs = vs_formation()
+    rotated = [(delta_name, levels, rotated_vformation(vs, delta_name, levels)) for delta_name, levels in rotations]
+    need = max(max(vf.B.size, vf.C.size) for vf in (vs, *(rvf for _, _, rvf in rotated)))
+    if max_size < need:
+        raise PreconditionError(f"the pipeline needs max-size >= {need}")
     steps: list[dict] = []
 
     def fact(name, ok, detail=""):
@@ -446,7 +454,6 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     def certified(vf, w):
         return w is not None and check_obstruction(vf, w).accepted
 
-    vs = vs_formation()
     A, B, C = vs.A, vs.B, vs.C
     base_flags = ("lattice", "monoid", "residuation", "integral", "commutative", "chain")
     for alg in (A, B, C):
@@ -497,9 +504,8 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     claim = f"pointed variant: no 0-bounded chain amalgam up to size {max_size}"
     unsat(claim, bounded_amalgam_search, vsp, ChainFlags(pointed=True))
 
-    for delta_name, levels in rotations:
-        rvf = rotated_vformation(vs, delta_name, levels)
-        rotated = (rvf.A, rvf.B, rvf.C)
+    for delta_name, levels, rvf in rotated:
+        components = (rvf.A, rvf.B, rvf.C)
         tag = f"rotation {delta_name}:{levels}"
         fact(f"{tag}: components validate (bounded chains)", check_vformation(rvf).ok)
         sizes = (rvf.A.size, rvf.B.size, rvf.C.size)
@@ -508,9 +514,9 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
             for base in (A, B, C)
         )
         fact(f"{tag}: size formula |A| + |delta[A]| + (n-2)", sizes == expected_sizes, str(sizes))
-        holds_on(rotated, f"{tag}: 2-potency", two_potent)
+        holds_on(components, f"{tag}: 2-potency", two_potent)
         called, named = _NUCLEUS_IDENTITIES[delta_name]
-        holds_on(rotated, f"{tag}: {called} {NAMED_IDENTITIES[named]}", parse_identity(named))
+        holds_on(components, f"{tag}: {called} {NAMED_IDENTITIES[named]}", parse_identity(named))
         if delta_name == "const-1" and levels == 2:
             same = tables_equal(with_zero(rvf.A, None), ordinal_sum(two(), A))
             fact(f"{tag}: lifting of A reproduces the ordinal sum 2 + A table-exactly", same)
@@ -565,7 +571,7 @@ def _paper_lines(report: dict) -> list[str]:
 def _cmd_paper(args):
     if args.budget < 0:
         raise FormatError("--budget must be non-negative")
-    rotations = [_parse_rotation(item.strip()) for item in (args.rotations or "identity:2,const-1:2").split(",")]
+    rotations = [_parse_rotation(item.strip()) for item in args.rotations.split(",")]
     report = paper_report(args.max_size, rotations, Budget(max_nodes=args.budget))
     report = {"command": "paper", "max_size": args.max_size, **report}
     return (0 if report["ok"] else 1), report, _paper_lines(report)
@@ -656,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper", help="one-shot reproduction of the headline results")
     p.add_argument("--max-size", type=int, default=10)
-    p.add_argument("--rotations", help="comma list like identity:2,const-1:2")
+    p.add_argument("--rotations", default="identity:2,const-1:2", help="comma list like identity:2,const-1:2")
     p.add_argument("--budget", type=int, default=10**8)
     common(p)
     p.set_defaults(run=_cmd_paper)

@@ -726,7 +726,7 @@ def test_order_types_of_the_paper_formations(monkeypatch, vs, name, m, types, co
     assert len(found) == types
     assert found == set(_order_types(vf, ChainFlags(), m))
     assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
-    assert all(_type_pins(vf, *t, ChainFlags()) is None for t in found)
+    assert all(_type_pins(vf, *t) is None for t in found)
     placed = Counter()
     positions = amalgamation._type_positions
 
@@ -784,31 +784,39 @@ def _small_formations():
 
 
 def test_type_refutation_matches_the_full_pass_oracle(vs):
-    """Returning at the first empty interval decides every order type as
-    the full passes do, on the VS family and on the commutative integral
-    formations with 2 <= |A| < |B|, |C| <= 4, unbounded, under no flags and
-    under integral and commutative; each way a type ends occurs."""
+    """Pins, the exact and division bounds and one monotonicity sweep decide
+    every order type as the oracle's full passes of every rule do, with its
+    commutativity and associativity merges.  Unbounded, on the VS family
+    under no flags and under integral and commutative, on the pointed VS
+    search of ``paper``, on the commutative integral formations with
+    2 <= |A| < |B|, |C| <= 4 under the same two, and on their pointed
+    copies, 0 at the bottom, under pointed and pointed, integral and
+    commutative; each way a type ends occurs."""
     from collections import Counter
 
-    from reslat import enumerate_chains
+    from reslat import enumerate_chains, with_zero
     from reslat.amalgamation import _order_types, _type_pins
     from oracles import naive_type_refuted
 
     ci = ChainFlags(integral=True, commutative=True)
+    pointed, pointed_ci = ChainFlags(pointed=True), ChainFlags(pointed=True, integral=True, commutative=True)
     chains = {n: list(enumerate_chains(n, ci)) for n in (2, 3, 4)}
-    pool = _vs_family(vs)
-    for na in (2, 3):
-        for nb, nc in itertools.product(range(na + 1, 5), repeat=2):
-            for A, B, C in itertools.product(chains[na], chains[nb], chains[nc]):
-                for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
-                    pool.append(VFormation(A, B, C, i, j))
+    pointed_chains = {n: [with_zero(ch, 0) for ch in chains[n]] for n in chains}
+    cases = [(vf, flags) for vf in _vs_family(vs) for flags in (ChainFlags(), ci)]
+    cases.append((pointed_vformation(vs, 0), pointed))
+    for family, flag_sets in ((chains, (ChainFlags(), ci)), (pointed_chains, (pointed, pointed_ci))):
+        for na in (2, 3):
+            for nb, nc in itertools.product(range(na + 1, 5), repeat=2):
+                for A, B, C in itertools.product(family[na], family[nb], family[nc]):
+                    for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
+                        cases += [(VFormation(A, B, C, i, j), flags) for flags in flag_sets]
     outcomes = Counter()
-    for vf, flags in itertools.product(pool, (ChainFlags(), ci)):
+    for vf, flags in cases:
         for htype, ktype in _order_types(vf, flags, vf.B.size + vf.C.size):
             outcome = naive_type_refuted(vf, htype, ktype, flags)
-            assert (_type_pins(vf, htype, ktype, flags) is None) == (outcome is not None), (vf, flags, htype, ktype)
+            assert (_type_pins(vf, htype, ktype) is None) == (outcome is not None), (vf, flags, htype, ktype)
             outcomes[outcome] += 1
-    assert sum(outcomes.values()) == 2398
+    assert sum(outcomes.values()) == 3683
     assert {"pin conflict", "init", "sweep", None} <= set(outcomes)
 
 
@@ -846,7 +854,7 @@ def test_refuted_order_types_have_no_completion():
             for hpos, kpos in naive_placements(vf, m, flags):
                 key = _rank_type(hpos, kpos)
                 if key not in refuted:
-                    refuted[key] = _type_pins(vf, *key, flags) is None and _pins_for(vf, *key) is not None
+                    refuted[key] = _type_pins(vf, *key) is None and _pins_for(vf, *key) is not None
                 if not refuted[key]:  # survives, or a pin conflict
                     continue
                 pins = _pins_for(vf, hpos, kpos)  # the same pins, labelled by positions in D
@@ -935,7 +943,7 @@ def test_type_filter_changes_no_search_result(monkeypatch):
 
     cases = _small_formations()
     filtered = [bounded_amalgam_search(vf, max(vf.B.size, vf.C.size) + 2, flags) for vf, flags in cases]
-    monkeypatch.setattr(amalgamation, "_type_pins", lambda vf, h, k, f: amalgamation._pins_for(vf, h, k))
+    monkeypatch.setattr(amalgamation, "_type_pins", lambda vf, h, k: amalgamation._pins_for(vf, h, k))
     unfiltered = [bounded_amalgam_search(vf, max(vf.B.size, vf.C.size) + 2, flags) for vf, flags in cases]
     assert {r.verdict for r in filtered} == {"FOUND", "UNSAT"}
     for got, want in zip(filtered, unfiltered):

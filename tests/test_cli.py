@@ -103,6 +103,9 @@ def test_quotient_command(capsys):
     assert document_to_algebra(report["algebra"]).product == lukasiewicz(3).product
     code, _ = run(capsys, "quotient", "VS.B", "--filter", "1,3")
     assert code == 2  # not a filter
+    for members in ("1,x", ",,"):
+        assert main(["quotient", "VS.B", "--filter", members]) == 2
+        assert capsys.readouterr().err == "error: --filter needs a comma list of member indices\n"
 
 
 def test_enumerate_command(capsys):
@@ -179,6 +182,18 @@ def test_vformation_from_file(tmp_path, capsys):
         assert main(["amalgam", "--vf", str(bad_path), "--max-size", "7"]) == 2
         assert main(["one-amalgam", "--vf", str(bad_path), "--max-size", "6"]) == 2
         assert main(["obstruct", "--vf", str(bad_path)]) == 2
+    capsys.readouterr()
+
+    # each fault of a map is named as what it is
+    for bad, fault in (
+        (dict(doc, i=[0]), "map of length 1 on 3 elements"),
+        (dict(doc, i=[0, 1, 9]), "image 9 out of range 0..3"),
+        ({"A": "two", "B": "two", "C": "two", "i": [1, 1], "j": [0, 1]}, "two elements share an image"),
+    ):
+        bad_path = tmp_path / "bad_map.json"
+        bad_path.write_text(dumps_canonical(bad))
+        assert main(["obstruct", "--vf", str(bad_path)]) == 2
+        assert capsys.readouterr().err == f"error: invalid V-formation: i: FAIL ({fault})\n"
 
     # a pointed search needs the 0 of B and C at the bottom
     from reslat import VFormation, find_embeddings, godel, trivial
@@ -359,7 +374,7 @@ def test_output_file_is_atomic(tmp_path, capsys):
     assert os.stat(target).st_mode == os.stat(tmp_path / "plain.json").st_mode
 
 
-def test_paper_command_small_bound(capsys):
+def test_paper_command_small_bound(capsys, monkeypatch):
     small = ("paper", "--max-size", "6", "--rotations", "const-1:2", "--format", "json")
     code, out = run(capsys, *small)
     report = json.loads(out)
@@ -370,9 +385,16 @@ def test_paper_command_small_bound(capsys):
     # the identity rotation never ran, so no conclusion speaks of it
     assert len(report["conclusions"]) == 4
     assert not [c for c in report["conclusions"] if "identity nucleus" in c]
-    code = main(["paper", "--max-size", "5"])
-    assert code == 2  # pipeline needs max-size >= 6
-    assert main(["paper", "--max-size", "6"]) == 2  # the identity:2 rotation's C has 10 elements
+    # the least bound is the largest B or C, refused before any step: the
+    # identity:2 rotation's C has 10 elements, the const-1:2 rotation's 6
+    from reslat import cli
+
+    monkeypatch.setattr(cli, "validate", lambda *args: pytest.fail("a step ran"))
+    for argv, need in ((["--max-size", "9"], 10), (["--max-size", "5", "--rotations", "const-1:2"], 6)):
+        assert main(["paper", *argv]) == 2
+        assert capsys.readouterr().err == f"error: the pipeline needs max-size >= {need}\n"
+    assert main(["paper", "--rotations", ""]) == 2
+    assert capsys.readouterr().err == "error: rotation spec '' must look like identity:2\n"
 
 
 def test_paper_text_output_is_pinned(capsys):
