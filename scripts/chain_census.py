@@ -3,16 +3,20 @@
 
 Counts are exact and isomorph-free (on a chain the only order automorphism
 is the identity).  The columns of a row share their engine runs, one per
-unit for the first two and one for the four commutative ones; a row takes
-about 0.22 s at n = 7 and 2.8 s at n = 8 on a 2-core VM with Python 3.11.  The
-commutative integral column reproduces 1, 1, 2, 6, 22, 94, 451, 2386, ...
+unit for the first two and one for the four commutative ones, kept in the
+engine's memo; the 2-potent, idempotent and divisible columns then test
+each memoized table of the commutative run for their one flag.  A row takes
+about 0.17 s at n = 7 and 2.3 s at n = 8 on a 2-core VM with Python 3.11.
+The commutative integral column reproduces 1, 1, 2, 6, 22, 94, 451, 2386, ...
+``--max-size`` must lie between 1 and the engine's ``MAX_CHAIN_SIZE``;
+any other bound exits 2 before the header is printed.
 """
 
 import argparse
 import sys
 import time
 
-from reslat.completion import ChainFlags, count_chains
+from reslat.completion import MAX_CHAIN_SIZE, ChainFlags, count_chains
 
 COLUMNS = [
     ("all", ChainFlags()),
@@ -24,10 +28,12 @@ COLUMNS = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-size", type=int, default=6)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if not 1 <= args.max_size <= MAX_CHAIN_SIZE:
+        ap.error(f"--max-size must be between 1 and {MAX_CHAIN_SIZE}")
 
     header = ["n"] + [name for name, _ in COLUMNS] + ["seconds"]
     print("\t".join(header))

@@ -11,8 +11,9 @@ Candidate sets are bitmasks.  Propagation is deliberately limited to four
 rules (monotonicity against fixed cells, associativity instances whose two
 inner products are fixed, residual-pin consistency, unit laws); every
 complete assignment is re-verified before it is reported, as one ``bytes``
-of ``m*m`` cells checked with byte-string operations, so the pruning rules
-only ever need to be sound, not complete.  The class of chains,
+of ``m*m`` cells checked with byte-string operations (monotonicity as two
+subtractions on the cells widened to 16-bit lanes of one integer), so the
+pruning rules only ever need to be sound, not complete.  The class of chains,
 ``ChainFlags``, is applied the same way: commutativity propagates, and
 ``ChainFlags.admits`` decides each complete table.
 
@@ -24,18 +25,18 @@ in its monotonicity cones (``a*b >= v`` for ``a >= x, b >= y`` and
 ``a*b <= v`` for ``a <= x, b <= y``; a fixed cell applied its own cones,
 which contain ``(x, y)``, so it is inside the bound already), and a
 division pin bounds only the cells on its ray; cells already inside a
-bound are skipped.  Each branch of the search starts from a copy of its
-node's candidate sets and values.  The associativity rule is
-applied once per fixed cell against the cells fixed before it, so its
-outcome depends on the order in which cells are fixed, and that order is
-part of the engine's contract: node counts and the order of solutions
-depend on it.
+bound are skipped.  The search is one loop over an explicit stack of open
+nodes; each node keeps a copy of its candidate sets and values, and every
+branch after its first starts from that copy, restored in place.  The
+associativity rule is applied once per fixed cell against the cells fixed
+before it, so its outcome depends on the order in which cells are fixed,
+and that order is part of the engine's contract: node counts and the order
+of solutions depend on it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import le
 from typing import NamedTuple
 
 from .algebra import BudgetExceededError, FormatError, make_algebra
@@ -188,6 +189,19 @@ def _cone_masks(m):
     )
 
 
+@lru_cache(maxsize=None)
+def _lane_masks(m):
+    """The leaf check's monotonicity masks for an ``m x m`` table whose cells
+    are 16-bit lanes of one integer (lane ``x*m + y`` is cell ``(x, y)``):
+    bit 15 of every lane, of the lanes with a right neighbour and of the
+    lanes with a cell below.  A guard bit exceeds any byte difference, so a
+    lane's subtraction never borrows from the next lane."""
+    guards = int.from_bytes(b"\x00\x80" * (m * m), "little")
+    row_ends = int.from_bytes((b"\x00\x00" * (m - 1) + b"\x00\x80") * m, "little")
+    last_row = int.from_bytes(b"\x00\x80" * m, "little") << (16 * m * (m - 1))
+    return guards, guards ^ row_ends, guards ^ last_row
+
+
 class _Engine:
     def __init__(self, problem: CompletionProblem, budget: Budget, stats: SearchStats):
         problem.check_well_formed()
@@ -206,6 +220,7 @@ class _Engine:
         # both of its monotonicity cones, so no later cone needs to visit it
         self.free = (1 << (m * m)) - 1
         self.cones = _cone_masks(m)
+        self.lanes = _lane_masks(m)
         # the rows and columns other than the unit's and the zero's
         self.inner = [z for z in range(1, m) if z != problem.unit]
         # cells that became singletons and were not processed yet; on a
@@ -285,26 +300,37 @@ class _Engine:
                 c = low.bit_length() - 1
                 if cand[c] > le_mask:
                     set_mask(c, le_mask)
-        # associativity instances whose two inner products are fixed; equal
-        # masks (the same cell included) leave nothing to link.  The unit's
-        # and the zero's rows and columns hold their singletons from
-        # init_constraints, so z or w among them links only equal cells:
+        # associativity instances whose two inner products are fixed: both
+        # cells narrow to their common candidates, and a cell already inside
+        # them is left alone (equal masks, the same cell included, leave
+        # nothing to narrow).  The unit's and the zero's rows and columns
+        # hold their singletons from init_constraints, so z or w among them
+        # links only equal cells:
         # (v,u) and (x,y) hold v, as do (u,v) and (x,y); (v,0) and (x,0)
         # hold 0, as do (0,y) and (0,v)
-        link, vm, xm, ym = self._link, v * m, x * m, y * m
+        vm, xm, ym = v * m, x * m, y * m
         for z in self.inner:
             w = value[ym + z]
-            if w != -1 and cand[vm + z] != cand[xm + w]:  # (x*y)*z = x*(y*z)
-                link(vm + z, xm + w)
+            if w != -1:  # (x*y)*z = x*(y*z)
+                a, b = vm + z, xm + w
+                ca, cb = cand[a], cand[b]
+                if ca != cb:
+                    common = ca & cb
+                    if ca != common:
+                        set_mask(a, common)
+                    if cand[b] != common:
+                        set_mask(b, common)
         for w in self.inner:
             t = value[w * m + x]
-            if t != -1 and cand[t * m + y] != cand[w * m + v]:  # (w*x)*y = w*(x*y)
-                link(t * m + y, w * m + v)
-
-    def _link(self, cell_a, cell_b):
-        common = self.cand[cell_a] & self.cand[cell_b]
-        self._set_mask(cell_a, common)
-        self._set_mask(cell_b, common)
+            if t != -1:  # (w*x)*y = w*(x*y)
+                a, b = t * m + y, w * m + v
+                ca, cb = cand[a], cand[b]
+                if ca != cb:
+                    common = ca & cb
+                    if ca != common:
+                        set_mask(a, common)
+                    if cand[b] != common:
+                        set_mask(b, common)
 
     def propagate(self):
         """Fix every pending singleton, in passes of ascending cell order;
@@ -342,34 +368,49 @@ class _Engine:
         yield from self._search()
 
     def _search(self):
-        if self.free == 0:
-            cells = bytes(self.value)
-            if self._verify(cells):
-                self.stats.solutions += 1
-                yield cells
-            return
-        cell = self._select_cell()
-        cand, value, free = self.cand, self.value, self.free
-        # each branch starts from this node's state, restored in place
-        saved_cand, saved_value = cand[:], value[:]
-        mask = cand[cell]
-        v = 0
-        while mask:
-            if mask & 1:
-                self.stats.nodes += 1
-                if self.stats.nodes > self.budget.max_nodes:
-                    raise BudgetExceededError(self.stats.nodes)
+        """The solutions below the current state, depth first over one
+        explicit stack.  A frame is an open node: its cell, its candidate
+        sets, values and free cells as they were before its first branch,
+        its candidates not tried yet (bit 0 is value ``v``) and ``v``, the
+        value after the last one tried, 0 before the first.  Each later
+        branch starts from the node's state, restored in place."""
+        stats, max_nodes = self.stats, self.budget.max_nodes
+        cand, value = self.cand, self.value
+        stack = []
+        while True:
+            if self.free:
+                cell = self._select_cell()
+                stack.append([cell, cand[:], value[:], self.free, cand[cell], 0])
+            else:
+                cells = bytes(value)
+                if self._verify(cells):
+                    stats.solutions += 1
+                    yield cells
+            # the next branch of the deepest node that has one left
+            while stack:
+                frame = stack[-1]
+                cell, saved_cand, saved_value, free, untried, v = frame
+                if not untried:
+                    stack.pop()
+                    continue
+                if v:  # a branch of this node ran before
+                    cand[:] = saved_cand
+                    value[:] = saved_value
+                    self.free = free
+                step = (untried & -untried).bit_length()
+                v += step - 1
+                frame[4], frame[5] = untried >> step, v + 1
+                stats.nodes += 1
+                if stats.nodes > max_nodes:
+                    raise BudgetExceededError(stats.nodes)
                 try:
                     self._fix(cell, v)
                     self.propagate()
-                    yield from self._search()
+                    break
                 except _Conflict:
                     self.queue = []
-                cand[:] = saved_cand
-                value[:] = saved_value
-                self.free = free
-            mask >>= 1
-            v += 1
+            else:
+                return
 
     # -- leaf verification --------------------------------------------------------
 
@@ -381,12 +422,14 @@ class _Engine:
             return False
         if m > 1 and (any(t[0]) or any(cells[::m])):
             return False
-        # each cell is at most the one below it and the one to its right
-        if not all(map(le, cells, cells[m:])):
+        # each cell is at most the one to its right and the one below it: a
+        # lane of (neighbour | guard) - cell keeps its guard bit iff cell <= neighbour
+        wide = bytearray(2 * m * m)
+        wide[::2] = cells
+        a = int.from_bytes(wide, "little")
+        guards, right, down = self.lanes
+        if ((a >> 16 | guards) - a) & right != right or ((a >> 16 * m | guards) - a) & down != down:
             return False
-        for r in t:
-            if not all(map(le, r, r[1:])):
-                return False
         # (x*y)*z = x*(y*z) for all z, as rows: row y mapped through row x;
         # the unit and 0 associate with anything once the checks above hold
         pad = bytes(256 - m)
@@ -444,17 +487,20 @@ def _unit_stream(n: int, unit: int, commutative: bool):
 
 def _raw_stream(n: int, flags: ChainFlags):
     """The (unit, product table) pairs of the chains that ``flags`` select,
-    in canonical order; each row of a table is ``bytes``.
+    in canonical order, each table the engine's row-major bytes.
 
     ``integral`` only picks the unit, and every flag but ``commutative`` is
     decided on complete tables, so one engine run per ``(n, unit,
-    commutative)``, kept in ``_CHAINS``, serves every class."""
+    commutative)``, kept in ``_CHAINS``, serves every class.  That run fixed
+    the unit, and its leaf check decided commutativity with ``admits``, so
+    only ``k_potent`` and ``divisible`` are left to ask."""
     CompletionProblem(n, 0, {}, {}, {}).check_well_formed()  # the size, before any unit
+    asked = flags.k_potent is not None or flags.divisible
+    rest = ChainFlags(k_potent=flags.k_potent, divisible=flags.divisible)
     for unit in [n - 1] if flags.integral else range(n):
         for cells in _unit_stream(n, unit, flags.commutative):
-            table = [cells[i:i + n] for i in range(0, n * n, n)]
-            if flags.admits(table, unit):
-                yield unit, table
+            if not asked or rest.admits([cells[i:i + n] for i in range(0, n * n, n)], unit):
+                yield unit, cells
 
 
 def enumerate_chains(n: int, flags: ChainFlags = ChainFlags()):
@@ -465,8 +511,9 @@ def enumerate_chains(n: int, flags: ChainFlags = ChainFlags()):
     isomorphism classes.  The order is canonical and deterministic.
     """
     zero = 0 if flags.pointed else None
-    for count, (unit, table) in enumerate(_raw_stream(n, flags)):
-        yield make_algebra(product=list(map(tuple, table)), unit=unit, zero=zero, name=f"chain{n}_{count}")
+    for count, (unit, cells) in enumerate(_raw_stream(n, flags)):
+        product = [tuple(cells[i:i + n]) for i in range(0, n * n, n)]
+        yield make_algebra(product=product, unit=unit, zero=zero, name=f"chain{n}_{count}")
 
 
 def count_chains(n: int, flags: ChainFlags = ChainFlags()) -> int:

@@ -21,7 +21,9 @@ from reslat import (
     completion,
     count_chains,
     enumerate_chains,
+    godel,
     iter_completions,
+    lukasiewicz,
     make_algebra,
     parse_identity,
     validate,
@@ -58,9 +60,25 @@ def test_unit_product_pins_below_unit_are_unsat():
 
 
 def test_budget_exceeded():
-    problem = CompletionProblem(6, 5, {}, {}, {}, flags=ChainFlags(integral=True))
-    with pytest.raises(BudgetExceededError):
-        list(iter_completions(problem, Budget(max_nodes=3)))
+    """Under Budget(k) the search yields exactly the tables that the
+    unlimited stream yields within its first k nodes, then raises at node
+    k + 1; a stream read one table at a time has searched only as far as
+    that table."""
+    problem = CompletionProblem(7, 6, {}, {}, {}, flags=ChainFlags(integral=True))
+    stats = SearchStats()
+    full, nodes_at = [], []  # each table and the node count when it came
+    for cells in iter_completions(problem, Budget(22_437), stats, as_bytes=True):
+        full.append(cells)
+        nodes_at.append(stats.nodes)
+    assert (stats.nodes, stats.solutions, len(full)) == (22_437, 2_641, 2_641)
+    assert nodes_at == sorted(nodes_at) and nodes_at[0] < nodes_at[-1] <= 22_437
+    for k in (0, 1, 7, nodes_at[100], 10_000, 22_436):
+        stats, got = SearchStats(), []
+        with pytest.raises(BudgetExceededError):
+            for cells in iter_completions(problem, Budget(k), stats, as_bytes=True):
+                got.append(cells)
+        assert stats.nodes == k + 1, k
+        assert got == full[:sum(n <= k for n in nodes_at)] and stats.solutions == len(got), k
 
 
 def test_enumeration_counts():
@@ -210,12 +228,16 @@ def test_size_validation():
 # the census of scripts/chain_census.py
 
 
-def _census_columns():
+def _census_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "chain_census.py"
     spec = importlib.util.spec_from_file_location("chain_census", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.COLUMNS
+    return module
+
+
+def _census_columns():
+    return _census_script().COLUMNS
 
 
 # rows n = 1..6; columns in the order of the script's COLUMNS
@@ -236,6 +258,21 @@ def test_census_columns_are_pinned():
     ]
     got = tuple(tuple(count_chains(n, flags) for _, flags in columns) for n in range(1, 7))
     assert got == CENSUS_COUNTS
+
+
+def test_census_script_refuses_sizes_the_engine_cannot_take(capsys):
+    """A bound below 1 or above MAX_CHAIN_SIZE exits 2 before the header."""
+    script = _census_script()
+    for bound in (0, -3, completion.MAX_CHAIN_SIZE + 1):
+        with pytest.raises(SystemExit) as exit_info:
+            script.main(["--max-size", str(bound)])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2 and out == ""
+        assert f"--max-size must be between 1 and {completion.MAX_CHAIN_SIZE}" in err
+    assert script.main(["--max-size", "3"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split("\t") == ["n", *(name for name, _ in script.COLUMNS), "seconds"]
+    assert [row.split("\t")[:-1] for row in rows] == [[str(n), *map(str, CENSUS_COUNTS[n - 1])] for n in (1, 2, 3)]
 
 
 def test_census_columns_match_naive_oracle_n_le_4(naive_tables):
@@ -530,3 +567,56 @@ def test_leaf_check_matches_naive_oracle():
                 assert engine._verify(bytes(v for row in t for v in row)) == want, (t, problem)
                 outcomes[want] += 1
     assert outcomes[True] > 100 and outcomes[False] > 3000, outcomes
+
+
+def test_leaf_check_matches_naive_oracle_past_one_byte_half():
+    """The leaf check reads monotonicity off 16-bit lanes, so it must read
+    cells of 128-255 as the oracle does: on the 256-element Goedel chain and
+    the 200-element Lukasiewicz chain, both accepted (a row's last cell,
+    up to 255, is not compared with the 0 that starts the next row), and on
+    single-cell mutants that break a row law, a column law or both at a
+    value >= 128, by one or by far, at a row's last pair included, each
+    rejected by both.  Such a mutant breaks associativity as well, so an engine with no inner
+    rows, which checks no associativity, must reject it by the lanes alone."""
+    from oracles import naive_leaf_check
+    from reslat.completion import _Engine
+
+    rng = random.Random(25)
+    kinds = {"row": 0, "column": 0, "both": 0}
+    for alg in (godel(256), lukasiewicz(200)):
+        m = alg.size
+        t = [list(row) for row in alg.product]
+        problem = CompletionProblem(m, alg.unit, {}, {}, {})
+        engine = _Engine(problem, Budget(), SearchStats())
+        lanes_only = _Engine(problem, Budget(), SearchStats())
+        lanes_only.inner = []
+        cells = bytes(v for row in t for v in row)
+        assert engine._verify(cells) and lanes_only._verify(cells) and naive_leaf_check(problem, t)
+
+        def breaks(x, y, v):  # cells 1..m-2 leave the unit's and the zero's rows and columns alone
+            row = v < t[x][y - 1] or v > t[x][y + 1]
+            column = v < t[x - 1][y] or v > t[x + 1][y]
+            return {(True, False): "row", (False, True): "column", (True, True): "both"}.get((row, column))
+
+        # the last pair of rows 128..m-3, then random cells moved past a
+        # neighbour or to an end; both chains are commutative, so each
+        # change's mirror breaks the other law
+        changes = [(x, m - 2, t[x][m - 1] + 1) for x in range(128, m - 2, 6)]
+        while len(changes) < 400:
+            x, y = rng.randrange(1, m - 1), rng.randrange(1, m - 1)
+            changes += [
+                (x, y, v) for v in (t[x][y + 1] + 1, t[x][y - 1] - 1, t[x + 1][y] + 1, t[x - 1][y] - 1, 0, m - 1)
+            ]
+        mutants = []
+        for x, y, v in changes:
+            for a, b in ((x, y), (y, x)):
+                if 0 <= v < m and 128 <= max(v, t[a][b]) and breaks(a, b, v) and (a, b, v) not in mutants:
+                    mutants.append((a, b, v))
+        for x, y, v in mutants[:90]:
+            kinds[breaks(x, y, v)] += 1
+            kept, t[x][y] = t[x][y], v
+            cells = bytes(c for row in t for c in row)
+            assert not naive_leaf_check(problem, t)
+            assert not engine._verify(cells) and not lanes_only._verify(cells), (alg.name, x, y, v)
+            t[x][y] = kept
+    assert sum(kinds.values()) == 180 and min(kinds.values()) > 10, kinds
