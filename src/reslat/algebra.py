@@ -467,12 +467,33 @@ def _check_lattice(alg):
     return CheckOutcome("lattice", True)
 
 
+def _byte_rows(table):
+    """The rows of a table of at most 256 elements as ``bytes``, and each
+    padded to the 256-byte table of ``bytes.translate``."""
+    rows = [bytes(row) for row in table]
+    pad = bytes(256 - len(rows))
+    return rows, [row + pad for row in rows]
+
+
+def _first_difference(*rows):
+    """The least index at which the rows disagree."""
+    return next(z for z, cells in enumerate(zip(*rows)) if len(set(cells)) > 1)
+
+
 def _check_monoid(alg):
     n, p, e = alg.size, alg.product, alg.unit
     pm = definedness(alg)[0]
     for x in range(n):
         if not (pm[e][x] and pm[x][e]) or p[e][x] != x or p[x][e] != x:
             return CheckOutcome("monoid", False, (x,), "unit law fails")
+    if alg.masks is None and n <= 256:  # (x*y)*z against x*(y*z), one row of z at a time
+        rows, through = _byte_rows(p)
+        for x in range(n):
+            for y, xy in enumerate(p[x]):
+                left, right = rows[xy], rows[y].translate(through[x])
+                if left != right:
+                    return CheckOutcome("monoid", False, (x, y, _first_difference(left, right)), "associativity fails")
+        return CheckOutcome("monoid", True)
     for x in range(n):
         px, pmx = p[x], pm[x]
         for y in range(n):
@@ -489,6 +510,17 @@ def _check_monoid(alg):
 def _check_residuation(alg):
     n, p, ld, rd = alg.size, alg.product, alg.ldiv, alg.rdiv
     le = alg.le
+    if alg.masks is None and n <= 256:  # row z of x*y <= z, of y <= x\\z and of x <= z/y
+        order = [bytes(v) + b"\1" * (n - v) for v in range(n)] if alg.leq is None else alg.leq
+        above, through = _byte_rows(order)  # above[v][z] = (v <= z)
+        ld, rd = list(map(bytes, ld)), list(map(bytes, rd))
+        for x, ldx in enumerate(ld):
+            for y, xy in enumerate(p[x]):
+                a, b, c = above[xy], ldx.translate(through[y]), rd[y].translate(through[x])
+                if a != b or b != c:
+                    z = _first_difference(a, b, c)
+                    return CheckOutcome("residuation", False, (x, y, z), "x*y <= z <=> y <= x\\z <=> x <= z/y fails")
+        return CheckOutcome("residuation", True)
     pm, lm, rm = definedness(alg)
     for x in range(n):
         for y in range(n):
@@ -598,26 +630,26 @@ def validate(alg: FiniteRL, required=RL_FLAGS) -> ValidationReport:
 
 
 def _filter_closure(alg: FiniteRL, seed) -> frozenset[int]:
-    """Least congruence filter containing ``seed``."""
-    members = set(seed) | {alg.unit}
-    changed = True
-    while changed:
-        changed = False
-        new = set()
-        for x in members:
-            for y in range(alg.size):
-                if alg.le(x, y):
-                    new.add(y)
-        for x in members:
+    """Least congruence filter containing ``seed``: the members' up-set,
+    their products and each y\\(x*y) and (y*x)/y.  A round expands only
+    the elements the round before added."""
+    n, p, ld, rd, leq = alg.size, alg.product, alg.ldiv, alg.rdiv, alg.leq
+    members, todo = set(), set(seed) | {alg.unit}
+    while todo:
+        members |= todo
+        if leq is None:
+            new = set(range(min(members), n))
+        else:
+            new = {y for x in todo for y in itertools.compress(range(n), leq[x])}
+        for x in todo:
+            px = p[x]
             for y in members:
-                new.add(alg.product[x][y])
-        for x in members:
-            for y in range(alg.size):
-                new.add(alg.ldiv[y][alg.product[x][y]])
-                new.add(alg.rdiv[y][alg.product[y][x]])
-        if not new <= members:
-            members |= new
-            changed = True
+                new.add(px[y])
+                new.add(p[y][x])
+            for y in range(n):
+                new.add(ld[y][px[y]])
+                new.add(rd[y][p[y][x]])
+        todo = new - members
     return frozenset(members)
 
 

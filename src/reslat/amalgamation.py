@@ -15,6 +15,7 @@ import heapq
 import itertools
 import json
 import math
+from operator import gt
 from typing import NamedTuple
 
 from .algebra import (
@@ -462,16 +463,18 @@ def _type_pins(vf: VFormation, htype, ktype):
     - pins: h and k preserve products, so p_x*p_y = p_v, in slot 2v+1, and
       a conflict between two pins refutes the type at once;
     - unit: p_u*p_y = p_y*p_u = p_y;
-    - division: p_x \\ p_z = p_d gives p_x*p_d <= p_z and p_x*s > p_z for
-      every s > p_d; elements above p_z sit in slots above 2z+1 (p_z / p_y
-      alike);
+    - division: p_x \\ p_z = p_d gives p_x*s > p_z for every s > p_d, and
+      elements above p_z sit in slots above 2z+1; the rule raises only the
+      first cell of that row ray, since monotonicity carries the bound
+      along the rest (p_z / p_y alike, down a column).  Its other half,
+      p_x*p_d <= p_z, is B's or C's product pin on the same cell;
     - monotonicity: D's product is monotone and so is the slot map.
 
-    One pass is a fixpoint: a forward sweep raises each lower bound from the
-    cells before it in its row and column, which are final by then, a
-    backward sweep lowers each upper bound from the cells after it, and no
-    rule reads one kind of bound to move the other.  The backward sweep
-    checks every cell.
+    One pass is a fixpoint: a forward sweep raises each lower bound row by
+    row, from the finished row before it and the cell before it, a
+    backward sweep lowers each upper bound from the row and the cell after
+    it, and no rule reads one kind of bound to move the other.  The
+    backward sweep checks every cell.
     """
     pins = _pins_for(vf, htype, ktype)
     if pins is None:
@@ -479,29 +482,23 @@ def _type_pins(vf: VFormation, htype, ktype):
     product_pins, ldiv_pins, rdiv_pins = pins
     t = max(htype + ktype) + 1
     lo, hi = [0] * (t * t), [2 * t] * (t * t)
-    exact = [(x * t + y, v) for (x, y), v in product_pins.items()]
+    for (x, y), v in product_pins.items():
+        lo[x * t + y] = hi[x * t + y] = 2 * v + 1
     u = htype[vf.B.unit]
-    exact += [(c, y) for y in range(t) for c in (u * t + y, y * t + u)]
-    for c, v in exact:
-        lo[c], hi[c] = max(lo[c], 2 * v + 1), min(hi[c], 2 * v + 1)
-    for z, at, above in division_cells(ldiv_pins, rdiv_pins, t):
-        hi[at] = min(hi[at], 2 * z + 1)
-        for c in above:
-            lo[c] = max(lo[c], 2 * z + 2)
-    cells = range(t * t)
-    for c in cells:  # lower bounds upwards
-        x, y = divmod(c, t)
-        if x:
-            lo[c] = max(lo[c], lo[c - t])
-        if y:
-            lo[c] = max(lo[c], lo[c - 1])
-    for c in reversed(cells):  # upper bounds downwards
-        x, y = divmod(c, t)
-        if x < t - 1:
-            hi[c] = min(hi[c], hi[c + t])
-        if y < t - 1:
-            hi[c] = min(hi[c], hi[c + 1])
-        if lo[c] > hi[c]:
+    for y in range(t):
+        for c in (u * t + y, y * t + u):
+            lo[c], hi[c] = max(lo[c], 2 * y + 1), min(hi[c], 2 * y + 1)
+    for z, _, above in division_cells(ldiv_pins, rdiv_pins, t):
+        if above and lo[above[0]] < 2 * z + 2:
+            lo[above[0]] = 2 * z + 2
+    lo_rows, row = [], [0] * t
+    for x in range(0, t * t, t):  # lower bounds upwards, from the row and the cell before
+        row = list(itertools.accumulate(map(max, lo[x : x + t], row), max))
+        lo_rows.append(row)
+    row = [2 * t] * t
+    for x in reversed(range(0, t * t, t)):  # upper bounds downwards, each row read from its end
+        row = list(itertools.accumulate(map(min, reversed(hi[x : x + t]), row), min))
+        if any(map(gt, reversed(lo_rows.pop()), row)):
             return None
     return pins
 

@@ -222,11 +222,27 @@ def test_filters_of_trivial_and_l3():
     assert [F.sorted_members() for F in congruence_filters(lukasiewicz(3))] == [(2,), (0, 1, 2)]
 
 
+def grid():
+    # L3 x G3 ordered componentwise: a 3x3 square, element 3a + b is (a, b)
+    l3, g3 = lukasiewicz(3), godel(3)
+    pairs = list(itertools.product(range(3), repeat=2))
+    return make_algebra(
+        product=[[3 * l3.product[a][c] + g3.product[b][d] for c, d in pairs] for a, b in pairs],
+        unit=8,
+        order=[[int(a <= c and b <= d) for c, d in pairs] for a, b in pairs],
+    )
+
+
 def test_filters_match_subset_scan_oracle(small_chain_pool):
     for alg in small_chain_pool:
         if alg.size > 6:
             continue
         assert [F.members for F in congruence_filters(alg)] == brute_force_filters(alg)
+    # a chain's up-closure is a range; these two read their order tables
+    for alg in (diamond(), grid()):
+        assert alg.leq is not None
+        assert [F.members for F in congruence_filters(alg)] == brute_force_filters(alg)
+    assert len(congruence_filters(grid())) == 6
 
 
 def test_congruences_by_direct_search_match_filters(small_chain_pool):
@@ -285,12 +301,42 @@ def test_k_is_a_partial_irl():
     assert validate(vs_k_triple().K, PARTIAL_IRL_FLAGS).ok
 
 
+def _single_cell_mutants(alg):
+    """``alg`` with one cell of its product, ldiv or rdiv changed, each way."""
+    for field in ("product", "ldiv", "rdiv"):
+        table = getattr(alg, field)
+        for x, y in itertools.product(range(alg.size), repeat=2):
+            for v in range(alg.size):
+                if v != table[x][y]:
+                    row = table[x][:y] + (v,) + table[x][y + 1 :]
+                    yield alg._replace(**{field: table[:x] + (row,) + table[x + 1 :]})
+
+
+def _assert_rows_match_cell_scan(alg):
+    # all-true masks send validate through the cell scan, which also checks
+    # the clauses that residuation already implies on total operations
+    masked = alg._replace(masks=definedness(alg))
+    assert validate(alg, PARTIAL_IRL_FLAGS).checks == validate(masked, PARTIAL_IRL_FLAGS).checks
+
+
 def test_total_algebra_as_partial_reduces_to_validate(small_chain_pool):
-    # all-true masks add only the clauses that residuation already implies
-    for alg in small_chain_pool[:8]:
-        assert validate(alg._replace(masks=definedness(alg)), PARTIAL_IRL_FLAGS).ok == validate(
-            alg, ("lattice", "monoid", "residuation", "integral")
-        ).ok
+    algebras = [alg for alg in small_chain_pool if alg.size <= 4] + [diamond()]
+    failures = set()
+    for alg in algebras:
+        _assert_rows_match_cell_scan(alg)
+        for mutant in _single_cell_mutants(alg):
+            _assert_rows_match_cell_scan(mutant)
+            failures.update((c.flag, c.detail) for c in validate(mutant, PARTIAL_IRL_FLAGS).checks if not c.ok)
+    assert failures == {
+        ("monoid", "unit law fails"),
+        ("monoid", "associativity fails"),
+        ("residuation", "x*y <= z <=> y <= x\\z <=> x <= z/y fails"),
+    }
+    # above 256 elements both run the cell scan; 0 * top = 1 fails at x = 0
+    big = godel(300)
+    mutant = big._replace(product=(big.product[0][:-1] + (1,),) + big.product[1:])
+    _assert_rows_match_cell_scan(mutant)
+    assert [c.witness for c in validate(mutant).checks] == [None, (0,), (0, 299, 0)]
 
 
 def test_asymmetric_product_mask_fails_partial_monoid():
