@@ -11,7 +11,6 @@ completes any table.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
@@ -39,7 +38,15 @@ from .algebra import (
     validate_morphism,
     with_zero,
 )
-from .completion import Budget, ChainFlags, CompletionProblem, SearchStats, division_cells, iter_completions
+from .completion import (
+    MAX_CHAIN_SIZE,
+    Budget,
+    ChainFlags,
+    CompletionProblem,
+    SearchStats,
+    division_cells,
+    iter_completions,
+)
 from .documents import algebra_to_document, document_to_algebra
 from .constructions import (
     builtin,
@@ -402,27 +409,20 @@ def _order_types(vf: VFormation, flags: ChainFlags, max_ranks: int):
     yield from merge(0, 0, 0)
 
 
-def _type_positions(htype, ktype, m: int, flags: ChainFlags):
-    """Each placement ``(hpos, kpos, points)`` of the order type ``(htype,
-    ktype)`` in a chain of size m, ``points[r]`` the position of rank r, in
-    lexicographic order of (hpos, kpos): B's positions first, then C's own
-    ranks fill the gaps between them in order."""
-    t, b = max(htype + ktype) + 1, len(htype)
-    order = htype + tuple(r for r in range(t) if r not in htype)  # B's ranks, then C's own
-    ends = (-1,) + htype + (t,)
-    counts = [y - x - 1 for x, y in zip(ends, ends[1:])]  # C's own ranks in each gap between B's
-    # q[j] = hpos[j] - htype[j] + j is increasing and leaves each gap room for its ranks
-    for q in itertools.combinations(range(m - t + b), b):
-        hpos = tuple([x + r - j for j, (x, r) in enumerate(zip(q, htype))])
-        if flags.pointed and hpos[0] or flags.integral and hpos[-1] != m - 1:
-            continue
-        cuts = (-1,) + hpos + (m,)
-        gaps = [itertools.combinations(range(x + 1, y), n) for x, y, n in zip(cuts, cuts[1:], counts)]
-        for fill in itertools.product(*gaps):
-            points = [0] * t
-            for r, p in zip(order, hpos + tuple(itertools.chain(*fill))):
-                points[r] = p
-            yield hpos, tuple([points[r] for r in ktype]), tuple(points)
+def _placements(types, m: int, flags: ChainFlags) -> list:
+    """Each placement ``(hpos, kpos, points, type)`` of the order types
+    ``types`` in a chain of size m, sorted by (hpos, kpos).  ``points`` are
+    t increasing positions, ``points[r]`` the position of rank r, with rank
+    0 at D's bottom when ``pointed`` and rank t-1 at its top when
+    ``integral``; hpos and kpos read them through htype and ktype."""
+    out = []
+    for htype, ktype in types:
+        for points in itertools.combinations(range(m), max(htype + ktype) + 1):
+            if flags.pointed and points[0] or flags.integral and points[-1] != m - 1:
+                continue
+            out.append((tuple([points[r] for r in htype]), tuple([points[r] for r in ktype]), points, (htype, ktype)))
+    out.sort()  # no two placements share (hpos, kpos), so the sort never compares further
+    return out
 
 
 def _pins_for(vf: VFormation, htype, ktype):
@@ -465,16 +465,17 @@ def _type_pins(vf: VFormation, htype, ktype):
     - unit: p_u*p_y = p_y*p_u = p_y;
     - division: p_x \\ p_z = p_d gives p_x*s > p_z for every s > p_d, and
       elements above p_z sit in slots above 2z+1; the rule raises only the
-      first cell of that row ray, since monotonicity carries the bound
-      along the rest (p_z / p_y alike, down a column).  Its other half,
-      p_x*p_d <= p_z, is B's or C's product pin on the same cell;
+      first cell of that row ray, and the rest of the ray lies above-right
+      of it, where monotonicity reaches (p_z / p_y alike, down a column).
+      Its other half, p_x*p_d <= p_z, is B's or C's product pin on the
+      same cell;
     - monotonicity: D's product is monotone and so is the slot map.
 
-    One pass is a fixpoint: a forward sweep raises each lower bound row by
-    row, from the finished row before it and the cell before it, a
-    backward sweep lowers each upper bound from the row and the cell after
-    it, and no rule reads one kind of bound to move the other.  The
-    backward sweep checks every cell.
+    No rule reads one kind of bound to move the other, so some interval is
+    empty exactly when some cell's own lower bound exceeds the least upper
+    bound at or above-right of it.  One backward sweep takes that running
+    minimum, row by row from the last, each row read from its end, and
+    checks every cell.
     """
     pins = _pins_for(vf, htype, ktype)
     if pins is None:
@@ -491,14 +492,10 @@ def _type_pins(vf: VFormation, htype, ktype):
     for z, _, above in division_cells(ldiv_pins, rdiv_pins, t):
         if above and lo[above[0]] < 2 * z + 2:
             lo[above[0]] = 2 * z + 2
-    lo_rows, row = [], [0] * t
-    for x in range(0, t * t, t):  # lower bounds upwards, from the row and the cell before
-        row = list(itertools.accumulate(map(max, lo[x : x + t], row), max))
-        lo_rows.append(row)
     row = [2 * t] * t
     for x in reversed(range(0, t * t, t)):  # upper bounds downwards, each row read from its end
         row = list(itertools.accumulate(map(min, reversed(hi[x : x + t]), row), min))
-        if any(map(gt, reversed(lo_rows.pop()), row)):
+        if any(map(gt, reversed(lo[x : x + t]), row)):
             return None
     return pins
 
@@ -536,18 +533,20 @@ def bounded_amalgam_search(
     counted in closed form, the sum over all types of comb(m - e, t - e)
     with e the ranks held at D's bottom (pointed) or top (integral); on
     FOUND or BUDGET the last size counts all of its placements too.  Each
-    type's placements are generated one at a time, by ``_type_positions``,
-    and merged in lexicographic order of (h, k).  A type is decided once,
+    size lists, by ``_placements``, every placement of the types that fit
+    it and are not refuted yet, sorted by (h, k).  A type is decided once,
     when its first placement comes up: a type that ``_type_pins`` refutes,
     by a pin conflict or an empty slot interval, has no amalgam in any
-    chain, of any size, and is placed no further.  The completion engine runs on the placements
-    of the other types, so per-size ``nodes`` counts its branching nodes on
-    those placements alone.  D contains B and C, so when ``flags`` does not
+    chain, of any size, so its later placements are skipped and no later
+    size lists it.  The completion engine runs on the placements of the
+    other types, so per-size ``nodes`` counts its branching nodes on those
+    placements alone.  D contains B and C, so when ``flags`` does not
     admit B or C every type is refuted at once and ``detail`` names them.
     ``budget`` bounds the engine nodes of all sizes together.
     Raises :class:`PreconditionError` when the sizes to search, from
-    ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none, and in
-    a pointed search when the 0 of B or C is not its bottom.
+    ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none, when
+    the bound is above ``MAX_CHAIN_SIZE``, the largest chain the engine
+    builds, and in a pointed search when the 0 of B or C is not its bottom.
     """
     for alg, tag in ((vf.A, "A"), (vf.B, "B"), (vf.C, "C")):
         if not alg.is_chain_order:
@@ -557,6 +556,8 @@ def bounded_amalgam_search(
     lo = max(vf.B.size, vf.C.size) if min_size is None else min_size
     if lo > max_size:
         raise PreconditionError(f"nothing to search: sizes start at {lo}, above the bound {max_size}")
+    if max_size > MAX_CHAIN_SIZE:
+        raise PreconditionError(f"the bound {max_size} is above {MAX_CHAIN_SIZE}, the largest chain the engine builds")
     per_size = []
     stats = SearchStats()  # one count for the whole search, which the budget bounds
     zero = 0 if flags.pointed else None
@@ -566,20 +567,14 @@ def bounded_amalgam_search(
     # each decided type: its pins in ranks, or None when it is refuted
     pins = dict.fromkeys([t for _, t in types]) if outside else {}
 
-    def placed(t, m):  # the placements of type t in size m, until t is refuted
-        for placement in _type_positions(*t, m, flags):
-            yield placement, t
-            if pins[t] is None:
-                return
-
     for m in range(lo, max_size + 1):
         before = stats.nodes
         # a type places its free ranks in D's free elements; a lone rank that
         # is both zero and unit (trivial B and C) fits only the trivial D
         placements = sum(math.comb(m - fixed, r - fixed) if r >= fixed else int(m == 1) for r, _ in types)
-        streams = [placed(t, m) for r, t in types if r <= m and pins.get(t, ()) is not None]
-        # each stream is in (hpos, kpos) order, and so is their merge: FOUND is the least completion
-        for (hpos, kpos, points), t in heapq.merge(*streams, key=lambda c: c[0][:2]):
+        live = [t for r, t in types if r <= m and pins.get(t, ()) is not None]
+        # in (hpos, kpos) order: FOUND is the least completion
+        for hpos, kpos, points, t in _placements(live, m, flags):
             if t not in pins:
                 pins[t] = _type_pins(vf, *t)
             if pins[t] is None:

@@ -428,7 +428,8 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     and the conclusions are stated only then (``[]`` otherwise), the one on
     2-rotations only if both ``identity:2`` and ``const-1:2`` ran.  Raises
     :class:`PreconditionError`, before any step, when ``max_size`` is below
-    the largest B or C of VS and the rotations, where a search would start.
+    the largest B or C of VS and the rotations, where a search would start,
+    and from the first search when it is above ``MAX_CHAIN_SIZE``.
     """
     vs = vs_formation()
     rotated = [(delta_name, levels, rotated_vformation(vs, delta_name, levels)) for delta_name, levels in rotations]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -227,6 +228,19 @@ def test_pointed_search_requires_pointed_components(vs):
     zero_inside = with_zero(godel(3), 1)
     with pytest.raises(PreconditionError):
         bounded_amalgam_search(_vf(trivial(), zero_inside, zero_inside), 6, ChainFlags(pointed=True))
+
+
+def test_bounds_beyond_the_engine_are_refused_before_any_type(monkeypatch, vs):
+    """A bound above MAX_CHAIN_SIZE raises before a type is listed, in both
+    searches, even where every type would be refuted without the engine."""
+    from reslat import amalgamation
+    from reslat.completion import MAX_CHAIN_SIZE
+
+    monkeypatch.setattr(amalgamation, "_order_types", lambda *args: pytest.fail("types were listed"))
+    for search in (bounded_amalgam_search, bounded_one_amalgam_search):
+        for bound in (MAX_CHAIN_SIZE + 1, 10**9):
+            with pytest.raises(PreconditionError, match=f"above {MAX_CHAIN_SIZE}"):
+                search(vs, bound)
 
 
 def test_a_class_without_b_or_c_refutes_every_type_at_once(monkeypatch):
@@ -714,7 +728,7 @@ def _rank_type(hpos, kpos):
 @pytest.mark.parametrize("name, m, types, conflicts", [("VS", 12, 5, 2), ("VS^identity:2", 14, 25, 16)])
 def test_order_types_of_the_paper_formations(monkeypatch, vs, name, m, types, conflicts):
     """Every type is refuted, so the search to bound m never calls the
-    engine and places each type once, to decide it."""
+    engine and decides each type once, at its first placement."""
     from collections import Counter
 
     from oracles import naive_placements
@@ -727,18 +741,11 @@ def test_order_types_of_the_paper_formations(monkeypatch, vs, name, m, types, co
     assert found == set(_order_types(vf, ChainFlags(), m))
     assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
     assert all(_type_pins(vf, *t) is None for t in found)
-    placed = Counter()
-    positions = amalgamation._type_positions
-
-    def counted(htype, ktype, *args):
-        for placement in positions(htype, ktype, *args):
-            placed[htype, ktype] += 1
-            yield placement
-
-    monkeypatch.setattr(amalgamation, "_type_positions", counted)
+    decided = Counter()
+    monkeypatch.setattr(amalgamation, "_type_pins", lambda vf, *t: decided.update([t]) or _type_pins(vf, *t))
     monkeypatch.setattr(amalgamation, "iter_completions", lambda *args: pytest.fail("the engine ran"))
     assert bounded_amalgam_search(vf, m).verdict == "UNSAT"
-    assert set(placed) == found and set(placed.values()) == {1}
+    assert set(decided) == found and set(decided.values()) == {1}
 
 
 def test_paper_report_never_calls_the_engine(monkeypatch):
@@ -866,31 +873,37 @@ def test_refuted_order_types_have_no_completion():
 
 def test_order_types_and_placement_counts_match_the_naive_placements(vs):
     """Every type of the naive placements at sizes lo..lo+3 is listed once,
-    no other type is, each type's placements are generated in the naive
-    order, and each size's closed-form count is the naive one."""
+    no other type is, the placements of all the types, sorted by (h, k), are
+    the naive ones in the naive order, and each type's count and each
+    size's count are the closed-form ones."""
+    from collections import Counter
+
     from oracles import naive_placements
     from reslat import with_zero
-    from reslat.amalgamation import _order_types, _type_positions
+    from reslat.amalgamation import _order_types, _placements
 
     cases = _small_formations() + [(_paper_formation(vs, name), SEARCH_WORK[name][1]) for name in sorted(SEARCH_WORK)]
     for vf, flags in cases:
         lo = max(vf.B.size, vf.C.size)
+        fixed = flags.pointed + flags.integral
         types = list(_order_types(vf, flags, lo + 3))
         assert len(set(types)) == len(types), (vf, flags)
         naive = {m: naive_placements(vf, m, flags) for m in range(lo, lo + 4)}
         assert {_rank_type(*placement) for m in naive for placement in naive[m]} == set(types), (vf, flags)
         for m in naive:
-            of_type = {t: [] for t in types}
-            for placement in naive[m]:
-                of_type[_rank_type(*placement)].append(placement)
-            for t in types:
-                assert [(h, k) for h, k, _ in _type_positions(*t, m, flags)] == of_type[t], (vf, flags, m, t)
+            placed = _placements(types, m, flags)
+            assert [(h, k) for h, k, _, _ in placed] == naive[m], (vf, flags, m)
+            of_type = Counter(t for _, _, _, t in placed)
+            for h, k in types:
+                r = max(h + k) + 1
+                assert of_type[h, k] == math.comb(m - fixed, r - fixed), (vf, flags, m, h, k)
         report = bounded_amalgam_search(vf, lo + 3, flags)
         assert [s.placements for s in report.sizes] == [len(naive[s.size]) for s in report.sizes], (vf, flags)
     # one rank that is both zero and unit fits only the trivial D
     A = with_zero(trivial(), 0)
     vf = VFormation(A, A, A, find_embeddings(A, A)[0], find_embeddings(A, A)[0])
     flags = ChainFlags(integral=True, pointed=True)
+    assert [len(_placements(_order_types(vf, flags, 3), m, flags)) for m in (1, 2, 3)] == [1, 0, 0]
     assert [(s.size, s.placements) for s in bounded_amalgam_search(vf, 3, flags).sizes] == [(1, 1)]
     report = bounded_amalgam_search(vf, 3, flags, min_size=2)
     assert [s.placements for s in report.sizes] == [len(naive_placements(vf, m, flags)) for m in (2, 3)] == [0, 0]
@@ -953,3 +966,45 @@ def test_type_filter_changes_no_search_result(monkeypatch):
         if want.found:
             assert got.d.product == want.d.product and got.d.unit == want.d.unit
             assert (got.h.map, got.k.map) == (want.h.map, want.k.map)
+
+
+# ---------------------------------------------------------------------------
+# the V-formation census of 2-potent commutative integral chains of size <= 4
+
+
+@pytest.mark.parametrize(
+    "pointed, counts, digest",
+    [
+        (False, {"FOUND": 201, "UNSAT": 2}, "017e50bdd28f257e90d159faed570f8eab40e4d2aaa61ea139372d757f644cfd"),
+        (True, {"FOUND": 69}, "ec207725d10beb4e3b309aaab63df8a23663c50df4cce3336b03a121b8b66113"),
+    ],
+    ids=("unpointed", "pointed"),
+)
+def test_small_vformation_census_is_pinned(pointed, counts, digest):
+    """A, B and C range over the 2-potent CI chains with 2 <= |A| < |B|,
+    |C| <= 4, with every pair of embeddings, pointed with 0 at the bottom
+    or not; each formation is searched to |B| + |C| - |A| + 1.  The digest
+    covers each report's verdict, sizes with placements and nodes, h, k and
+    D's product, in the order the formations are listed."""
+    import hashlib
+    import json
+    from collections import Counter
+
+    from reslat import enumerate_chains, with_zero
+
+    ci2 = ChainFlags(integral=True, commutative=True, k_potent=2)
+    chains = {n: list(enumerate_chains(n, ci2)) for n in (2, 3, 4)}
+    if pointed:
+        chains = {n: [with_zero(ch, 0) for ch in chains[n]] for n in chains}
+    flags = ChainFlags(pointed=pointed)
+    verdicts, sha = Counter(), hashlib.sha256()
+    for na in (2, 3):
+        for nb, nc in itertools.product(range(na + 1, 5), repeat=2):
+            for A, B, C in itertools.product(chains[na], chains[nb], chains[nc]):
+                for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
+                    r = bounded_amalgam_search(VFormation(A, B, C, i, j), nb + nc - na + 1, flags)
+                    verdicts[r.verdict] += 1
+                    maps = [list(r.h.map), list(r.k.map), [list(row) for row in r.d.product]] if r.found else [None] * 3
+                    sha.update(json.dumps([r.verdict, [list(s) for s in r.sizes], *maps]).encode() + b"\n")
+    assert verdicts == counts
+    assert sha.hexdigest() == digest

@@ -337,6 +337,13 @@ def test_enumerate_rejects_sizes_beyond_one_byte_per_cell(capsys):
         assert "size must be at most 256" in err and "Traceback" not in err
 
 
+def test_searches_reject_bounds_beyond_one_byte_per_cell(capsys):
+    for argv in (["amalgam", "--vf", "VS"], ["one-amalgam", "--vf", "VS"], ["paper"]):
+        assert main(argv + ["--max-size", "257"]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "above 256" in err and "Traceback" not in err, argv
+
+
 def test_budget_exit_code(capsys):
     vf = "VS"
     code = main(["enumerate", "--size", "6", "--flags", "integral", "--count"])  # big but fine
