@@ -5,9 +5,9 @@ Counts are exact and isomorph-free (on a chain the only order automorphism
 is the identity).  The columns of a row share their engine runs, one per
 unit for the first two and one for the four commutative ones, kept in the
 engine's memo; the 2-potent, idempotent and divisible columns then test
-each memoized table of the commutative run for their one flag.  A row takes
-about 0.17 s at n = 7 and 2.3 s at n = 8 on a 2-core VM with Python 3.11.
-The commutative integral column reproduces 1, 1, 2, 6, 22, 94, 451, 2386, ...
+each memoized table of the commutative run for their one flag.  Each row
+prints its own ``seconds``.  The commutative integral column reproduces
+1, 1, 2, 6, 22, 94, 451, 2386, ...
 ``--max-size`` must lie between 1 and the engine's ``MAX_CHAIN_SIZE``;
 any other bound exits 2 before the header is printed.
 """

@@ -10,7 +10,6 @@ module is a pure function.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
 from typing import NamedTuple
 
 CHAIN = "chain"
@@ -58,7 +57,7 @@ class BudgetExceededError(ReslatError):
         self.nodes = nodes
 
 
-class FiniteRL:
+class FiniteRL(NamedTuple):
     """A finite residuated lattice (or candidate: validity is checked lazily).
 
     ``leq`` is ``None`` exactly for chains in index order, otherwise an
@@ -66,9 +65,6 @@ class FiniteRL:
     ``zero`` is the optional pointed constant.  ``masks`` is ``None`` for a
     total algebra; a partial one carries the (product, ldiv, rdiv)
     definedness tables, read through :func:`definedness`.
-
-    Immutable, and equal and hashed by its fields.  Unlike the other
-    records it is no tuple: an algebra can be weakly referenced.
     """
 
     size: int
@@ -78,35 +74,9 @@ class FiniteRL:
     product: tuple[tuple[int, ...], ...]
     ldiv: tuple[tuple[int, ...], ...]
     rdiv: tuple[tuple[int, ...], ...]
-    zero: int | None
-    name: str
-    masks: tuple[tuple[tuple[bool, ...], ...], ...] | None
-    __slots__ = (*__annotations__, "__weakref__")
-
-    def __init__(self, size, labels, leq, unit, product, ldiv, rdiv, zero=None, name="", masks=None):
-        for field, value in zip(_RL_FIELDS, (size, labels, leq, unit, product, ldiv, rdiv, zero, name, masks)):
-            object.__setattr__(self, field, value)
-
-    def __setattr__(self, field, value):
-        raise AttributeError(f"FiniteRL is immutable: cannot assign to {field!r}")
-
-    def __delattr__(self, field):
-        raise AttributeError(f"FiniteRL is immutable: cannot delete {field!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _rl_values(self) == _rl_values(other)
-
-    def __hash__(self):
-        return hash(_rl_values(self))
-
-    def __reduce__(self):
-        return FiniteRL, _rl_values(self)
-
-    def _replace(self, **changes) -> FiniteRL:
-        """A copy with the given fields changed."""
-        return FiniteRL(**dict(zip(_RL_FIELDS, _rl_values(self)), **changes))
+    zero: int | None = None
+    name: str = ""
+    masks: tuple[tuple[tuple[bool, ...], ...], ...] | None = None
 
     @property
     def is_chain_order(self) -> bool:
@@ -119,10 +89,6 @@ class FiniteRL:
 
     def __repr__(self):  # keep pytest output short
         return f"FiniteRL({self.name or 'unnamed'}, size={self.size})"
-
-
-_RL_FIELDS = FiniteRL.__slots__[:-1]
-_rl_values = attrgetter(*_RL_FIELDS)
 
 
 class CheckOutcome(NamedTuple):

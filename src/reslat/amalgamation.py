@@ -80,9 +80,6 @@ class ObstructionWitness(NamedTuple):
     u2: int  # element of A bounding b*b
     side: str = LEFT
 
-    def as_tuple(self):
-        return tuple(self)
-
 
 class ObstructionCheck(NamedTuple):
     clause: str | None  # the first W1-W3 clause that fails, None if none does
@@ -616,22 +613,24 @@ def bounded_one_amalgam_search(
     all_sizes: list[SizeStats] = []
     details = []
     searched = 0
+    ldiv = vf.B.ldiv
     for F in congruence_filters(vf.B):
-        Bq, q = quotient(vf.B, F)
-        quotient_map = Morphism(vf.B, Bq, q, HOM)
-        iq = compose(quotient_map, vf.i)
-        if len(set(iq)) != vf.A.size:
-            details.append(f"filter {sorted(F.members)}: identifies elements of A, skipped")
+        # F identifies x and y exactly when x\y and y\x are both in F, as in filter_to_congruence
+        members = F.members
+        if any(ldiv[x][y] in members and ldiv[y][x] in members for x, y in itertools.combinations(vf.i.map, 2)):
+            details.append(f"filter {sorted(members)}: identifies elements of A, skipped")
             continue
+        Bq, q = quotient(vf.B, F)
         if max(Bq.size, vf.C.size) > max_size:
-            details.append(f"filter {sorted(F.members)}: needs more than {max_size} elements, skipped")
+            details.append(f"filter {sorted(members)}: needs more than {max_size} elements, skipped")
             continue
         searched += 1
-        sub_vf = make_vformation(vf.A, Bq, vf.C, iq, vf.j.map, name=f"{vf.name}/F")
+        quotient_map = Morphism(vf.B, Bq, q, HOM)
+        sub_vf = make_vformation(vf.A, Bq, vf.C, compose(quotient_map, vf.i), vf.j.map, name=f"{vf.name}/F")
         spent = sum(s.nodes for s in all_sizes)
         report = bounded_amalgam_search(sub_vf, max_size, flags, budget._replace(max_nodes=budget.max_nodes - spent))
         all_sizes.extend(report.sizes)
-        details.append(f"filter {sorted(F.members)}: {report.verdict}")
+        details.append(f"filter {sorted(members)}: {report.verdict}")
         if report.found:
             h = Morphism(vf.B, report.d, compose(report.h, quotient_map), HOM)
             _revalidate(vf, h, report.k)

@@ -101,7 +101,7 @@ def _load_vf(spec: str, rotate: str | None):
         vf = load_vformation(spec)
     else:
         vf = builtin_vformation(spec)
-    if rotate:
+    if rotate is not None:
         name, levels = _parse_rotation(rotate)
         vf = rotated_vformation(vf, name, levels)
     return vf
@@ -382,7 +382,7 @@ def _cmd_obstruct(args):
         report["witness"] = None
         return 1, report, ["no obstruction witness found (this proves nothing by itself)"]
     result = check_obstruction(vf, w)
-    report.update(witness=list(w.as_tuple()), accepted=result.accepted, clause=result.clause, trace=list(result.lines))
+    report.update(witness=list(w), accepted=result.accepted, clause=result.clause, trace=list(result.lines))
     return (0 if result.accepted else 1), report, list(result.lines)
 
 
@@ -486,7 +486,7 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     witness = find_obstruction(vs)
     a_u = A.labels.index("u")
     expected = (A.labels.index("v"), B.labels.index("b"), C.labels.index("c"), a_u, a_u, "LEFT")
-    fact("obstruction witness (a=v, b=b, c=c, u1=u, u2=u)", witness is not None and witness.as_tuple() == expected)
+    fact("obstruction witness (a=v, b=b, c=c, u1=u, u2=u)", witness == expected)
     trace = check_obstruction(vs, witness) if witness else None
     rejected = f"REJECT({trace.clause})" if trace and not trace.accepted else ""
     fact("witness certified (both orderings refuted by residuation)", trace and trace.accepted, rejected)
@@ -501,7 +501,7 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
 
     vsp = pointed_vformation(vs, 0)
     wp = find_obstruction(vsp)
-    fact("pointed variant (u designated 0): same witness", certified(vsp, wp) and wp.as_tuple() == expected)
+    fact("pointed variant (u designated 0): same witness", certified(vsp, wp) and wp == expected)
     claim = f"pointed variant: no 0-bounded chain amalgam up to size {max_size}"
     unsat(claim, bounded_amalgam_search, vsp, ChainFlags(pointed=True))
 
@@ -522,7 +522,7 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
             same = tables_equal(with_zero(rvf.A, None), ordinal_sum(two(), A))
             fact(f"{tag}: lifting of A reproduces the ordinal sum 2 + A table-exactly", same)
         rw = find_obstruction(rvf)
-        fact(f"{tag}: obstruction witness exists", certified(rvf, rw), str(rw.as_tuple()) if rw else "")
+        fact(f"{tag}: obstruction witness exists", certified(rvf, rw), str(tuple(rw)) if rw else "")
         unsat(f"{tag}: no chain amalgam up to size {max_size}", bounded_amalgam_search, rvf)
         unsat(f"{tag}: no one-amalgam up to size {max_size}", bounded_one_amalgam_search, rvf)
 

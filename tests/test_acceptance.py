@@ -104,7 +104,7 @@ def test_criterion_04_no_amalgam():
     start = time.monotonic()
     vs = vs_formation()
     w = find_obstruction(vs)
-    assert w is not None and w.as_tuple() == (1, 1, 2, 0, 0, "LEFT")
+    assert w == (1, 1, 2, 0, 0, "LEFT")
     assert (vs.A.labels[w.a], vs.B.labels[w.b], vs.C.labels[w.c]) == ("v", "b", "c")
     assert (vs.A.labels[w.u1], vs.A.labels[w.u2]) == ("u", "u")
     trace = check_obstruction(vs, w)
@@ -141,7 +141,7 @@ def test_criterion_06_pointed_variant():
     start = time.monotonic()
     vs = pointed_vformation(vs_formation(), 0)
     w = find_obstruction(vs)
-    assert w is not None and w.as_tuple() == (1, 1, 2, 0, 0, "LEFT")
+    assert w == (1, 1, 2, 0, 0, "LEFT")
     assert bounded_amalgam_search(vs, 9, ChainFlags(pointed=True)).verdict == "UNSAT"
     assert bounded_one_amalgam_search(vs, 9, ChainFlags(pointed=True)).verdict == "UNSAT"
     elapsed = time.monotonic() - start

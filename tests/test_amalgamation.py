@@ -200,6 +200,22 @@ def test_one_amalgam_of_vs_fails(vs):
     assert "identifies elements of A, skipped" in rep.detail
 
 
+def test_one_amalgam_builds_quotients_only_for_filters_it_searches(vs, monkeypatch):
+    # VS's filters [2, 3] and [0, 1, 2, 3] identify elements of i(A) and are
+    # skipped before their quotients are built
+    from reslat import amalgamation
+
+    built = []
+    build = amalgamation.quotient
+    monkeypatch.setattr(amalgamation, "quotient", lambda B, F: built.append(sorted(F.members)) or build(B, F))
+    rep = bounded_one_amalgam_search(vs, 10)
+    assert built == [[3]]
+    assert rep.detail == (
+        "filter [3]: UNSAT; filter [2, 3]: identifies elements of A, skipped; "
+        "filter [0, 1, 2, 3]: identifies elements of A, skipped"
+    )
+
+
 def test_one_amalgam_found_for_identity_formation(vs):
     vf = VFormation(vs.A, vs.B, vs.B, vs.i, vs.i)
     rep = bounded_one_amalgam_search(vf, 4)

@@ -344,6 +344,13 @@ def test_searches_reject_bounds_beyond_one_byte_per_cell(capsys):
         assert out == "" and "above 256" in err and "Traceback" not in err, argv
 
 
+def test_an_empty_rotation_spec_is_a_usage_error(capsys):
+    for argv in (["amalgam", "--vf", "VS"], ["one-amalgam", "--vf", "VS"], ["obstruct", "--vf", "VS"]):
+        assert main(argv + ["--rotate", ""]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: rotation spec '' must look like identity:2\n", argv
+
+
 def test_budget_exit_code(capsys):
     vf = "VS"
     code = main(["enumerate", "--size", "6", "--flags", "integral", "--count"])  # big but fine

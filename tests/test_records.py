@@ -152,6 +152,7 @@ def test_record_reprs_are_pinned():
     assert repr(ChainFlags(integral=True)) == (
         "ChainFlags(integral=True, commutative=False, k_potent=None, divisible=False, pointed=False)"
     )
+    assert repr(lukasiewicz(3)) == "FiniteRL(L3, size=3)"
 
 
 def test_chain_flags_take_keywords_only():
