@@ -49,7 +49,6 @@ from .amalgamation import (
     find_obstruction,
     injectivity_reduction,
     load_vformation,
-    make_vformation,
     pointed_vformation,
     rotated_vformation,
     vformation_to_document,

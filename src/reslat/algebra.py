@@ -192,6 +192,16 @@ def _default_labels(n):
     return tuple(f"e{i}" for i in range(n))
 
 
+def _as_labels(labels, n):
+    if not isinstance(labels, (list, tuple)) or not all(isinstance(lab, str) for lab in labels):
+        raise FormatError("labels must be a list of strings")
+    if len(labels) != n:
+        raise FormatError("labels length must equal size")
+    if len(set(labels)) != n:
+        raise FormatError("labels must be distinct")
+    return tuple(labels)
+
+
 def make_algebra(
     *,
     product,
@@ -221,15 +231,7 @@ def make_algebra(
     leq = None if order == CHAIN else _as_bool_table(order, n, "order")
     if leq is not None and all(leq[x][y] == (x <= y) for x in range(n) for y in range(n)):
         leq = None
-    if labels is None:
-        labels = _default_labels(n)
-    elif not isinstance(labels, (list, tuple)) or not all(isinstance(lab, str) for lab in labels):
-        raise FormatError("labels must be a list of strings")
-    labels = tuple(labels)
-    if len(labels) != n:
-        raise FormatError("labels length must equal size")
-    if len(set(labels)) != n:
-        raise FormatError("labels must be distinct")
+    labels = _default_labels(n) if labels is None else _as_labels(labels, n)
     if not isinstance(name, str):
         raise FormatError("name must be a string")
     unit = _as_index(unit, n, "unit index")
@@ -277,10 +279,8 @@ def with_zero(alg: FiniteRL, zero: int | None) -> FiniteRL:
 
 
 def relabel(alg: FiniteRL, labels, name=None) -> FiniteRL:
-    labels = tuple(labels)
-    if len(labels) != alg.size or len(set(labels)) != alg.size:
-        raise FormatError("labels must be distinct and match size")
-    return alg._replace(labels=labels, name=alg.name if name is None else name)
+    """The algebra with new labels, checked as ``make_algebra`` checks them."""
+    return alg._replace(labels=_as_labels(labels, alg.size), name=alg.name if name is None else name)
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +653,10 @@ def filter_to_congruence(F: CongruenceFilter) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, blocks.values()))
 
 
-def quotient(alg: FiniteRL, F: CongruenceFilter) -> tuple[FiniteRL, tuple[int, ...]]:
-    """Quotient algebra on the blocks of the induced congruence, with the
-    quotient map: each element goes to the block that holds it."""
-    blocks = filter_to_congruence(F)
+def quotient(F: CongruenceFilter) -> tuple[FiniteRL, tuple[int, ...]]:
+    """Quotient of ``F.parent`` on the blocks of the induced congruence, with
+    the quotient map: each element goes to the block that holds it."""
+    alg, blocks = F.parent, filter_to_congruence(F)
     block_of = [0] * alg.size
     for i, b in enumerate(blocks):
         for x in b:
@@ -717,9 +717,9 @@ def validate_morphism(m: Morphism) -> ValidationReport:
     return ValidationReport("morphism", tuple(checks))
 
 
-def compose(outer: Morphism, inner: Morphism) -> tuple[int, ...]:
+def compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
     """Index map of ``outer . inner``."""
-    return tuple(outer.map[v] for v in inner.map)
+    return tuple(outer[v] for v in inner)
 
 
 def tables_equal(a: FiniteRL, b: FiniteRL) -> bool:

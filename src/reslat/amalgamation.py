@@ -63,8 +63,8 @@ class VFormation(NamedTuple):
     A: FiniteRL
     B: FiniteRL
     C: FiniteRL
-    i: Morphism  # A -> B
-    j: Morphism  # A -> C
+    i: tuple[int, ...]  # index map A -> B, an embedding
+    j: tuple[int, ...]  # index map A -> C, an embedding
     name: str = ""
 
 
@@ -113,19 +113,9 @@ class SearchReport(NamedTuple):
         return self.verdict == "FOUND"
 
 
-def make_vformation(A, B, C, i_map, j_map, name="") -> VFormation:
-    return VFormation(
-        A,
-        B,
-        C,
-        Morphism(A, B, tuple(i_map), EMBEDDING),
-        Morphism(A, C, tuple(j_map), EMBEDDING),
-        name=name,
-    )
-
-
 def check_vformation(vf: VFormation) -> ValidationReport:
-    """Validate the three algebras as RLs and both maps as embeddings."""
+    """Validate the three algebras as RLs and both maps as embeddings of A,
+    into B and into C."""
     checks = []
     for alg, tag in ((vf.A, "A"), (vf.B, "B"), (vf.C, "C")):
         rep = validate(alg, ("lattice", "monoid", "residuation"))
@@ -133,8 +123,8 @@ def check_vformation(vf: VFormation) -> ValidationReport:
         checks.append(
             CheckOutcome(tag, rep.ok, None if rep.ok else bad.witness, "" if rep.ok else f"{bad.flag}: {bad.detail}")
         )
-    for m, tag in ((vf.i, "i"), (vf.j, "j")):
-        rep = validate_morphism(m)
+    for cod, f, tag in ((vf.B, vf.i, "i"), (vf.C, vf.j, "j")):
+        rep = validate_morphism(Morphism(vf.A, cod, f, EMBEDDING))
         bad = rep.first_failure()
         fault = "" if rep.ok else bad.detail or f"{bad.flag} not preserved"  # operations have no detail
         checks.append(CheckOutcome(tag, rep.ok, None if rep.ok else bad.witness, fault))
@@ -155,8 +145,8 @@ def vformation_to_document(vf: VFormation) -> dict:
         "A": algebra_to_document(vf.A),
         "B": algebra_to_document(vf.B),
         "C": algebra_to_document(vf.C),
-        "i": list(vf.i.map),
-        "j": list(vf.j.map),
+        "i": list(vf.i),
+        "j": list(vf.j),
     }
 
 
@@ -181,8 +171,11 @@ def document_to_vformation(doc: dict) -> VFormation:
     for key in ("i", "j"):
         if not isinstance(doc[key], list) or not all(type(v) is int for v in doc[key]):
             raise FormatError(f"V-formation map {key!r} must be a list of integers")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise FormatError("V-formation name must be a string")
     A, B, C = _component(doc["A"]), _component(doc["B"]), _component(doc["C"])
-    vf = make_vformation(A, B, C, doc["i"], doc["j"], name=doc.get("name", ""))
+    vf = VFormation(A, B, C, tuple(doc["i"]), tuple(doc["j"]), name)
     report = check_vformation(vf)
     if not report.ok:
         raise FormatError(f"invalid V-formation: {report.first_failure()}")
@@ -256,7 +249,7 @@ def find_embeddings(x: FiniteRL, y: FiniteRL, pin=None) -> list[Morphism]:
 
 def _w1(vf: VFormation, a, b, c, side):
     """W1: a*b = b in B and a*c != c in C (b*a, c*a on the RIGHT); whether it holds, and both products."""
-    ia, ja = vf.i.map[a], vf.j.map[a]
+    ia, ja = vf.i[a], vf.j[a]
     B, C = vf.B.product, vf.C.product
     pb, pc = (B[ia][b], C[ja][c]) if side == LEFT else (B[b][ia], C[c][ja])
     return pb == b and pc != c, pb, pc
@@ -264,14 +257,14 @@ def _w1(vf: VFormation, a, b, c, side):
 
 def _w2(vf: VFormation, b, c, u1):
     """W2: c*c <= u1 in C and b\\u1 <= b in B; whether it holds, c*c and b\\u1."""
-    cc, bdiv = vf.C.product[c][c], vf.B.ldiv[b][vf.i.map[u1]]
-    return vf.C.le(cc, vf.j.map[u1]) and vf.B.le(bdiv, b), cc, bdiv
+    cc, bdiv = vf.C.product[c][c], vf.B.ldiv[b][vf.i[u1]]
+    return vf.C.le(cc, vf.j[u1]) and vf.B.le(bdiv, b), cc, bdiv
 
 
 def _w3(vf: VFormation, b, c, u2):
     """W3: b*b <= u2 in B and c\\u2 <= c in C; whether it holds, b*b and c\\u2."""
-    bb, cdiv = vf.B.product[b][b], vf.C.ldiv[c][vf.j.map[u2]]
-    return vf.B.le(bb, vf.i.map[u2]) and vf.C.le(cdiv, c), bb, cdiv
+    bb, cdiv = vf.B.product[b][b], vf.C.ldiv[c][vf.j[u2]]
+    return vf.B.le(bb, vf.i[u2]) and vf.C.le(cdiv, c), bb, cdiv
 
 
 def _side_product(side, s, t):
@@ -289,8 +282,8 @@ def find_obstruction(vf: VFormation) -> ObstructionWitness | None:
         if not validate(alg, ("chain",)).ok:
             raise UnsupportedError(f"{tag} must be a chain")
     us = range(vf.A.size)
-    b_outside = [b for b in range(vf.B.size) if b not in vf.i.map]
-    c_outside = [c for c in range(vf.C.size) if c not in vf.j.map]
+    b_outside = [b for b in range(vf.B.size) if b not in vf.i]
+    c_outside = [c for c in range(vf.C.size) if c not in vf.j]
     least = {}  # (b, c) -> the least (u1, u2), for the pairs that have both
     for b, c in itertools.product(b_outside, c_outside):
         u1 = next((u for u in us if _w2(vf, b, c, u)[0]), None)
@@ -307,7 +300,7 @@ def find_obstruction(vf: VFormation) -> ObstructionWitness | None:
 def check_obstruction(vf: VFormation, w: ObstructionWitness) -> ObstructionCheck:
     """Re-evaluate the witness clauses and emit the refutation trace, or
     REJECT with the facts up to the first clause that fails."""
-    A, B, C, i, j = vf.A, vf.B, vf.C, vf.i.map, vf.j.map
+    A, B, C, i, j = vf.A, vf.B, vf.C, vf.i, vf.j
     for e, alg, what in ((w.a, A, "a"), (w.u1, A, "u1"), (w.u2, A, "u2")):
         if not 0 <= e < alg.size:
             raise FormatError(f"witness field {what} out of range")
@@ -358,7 +351,7 @@ def injectivity_reduction(vf: VFormation) -> list[int]:
     return [
         a
         for a in range(vf.A.size)
-        if a != vf.A.unit and all(vf.i.map[a] in F for F in nontrivial)
+        if a != vf.A.unit and all(vf.i[a] in F for F in nontrivial)
     ]
 
 
@@ -377,8 +370,8 @@ def _order_types(vf: VFormation, flags: ChainFlags, max_ranks: int):
     the elements left on one side need more ranks than the bound leaves,
     so a type that fits no chain of ``max_ranks`` elements is never built."""
     B, C = vf.B, vf.C
-    partner = dict(zip(vf.i.map, vf.j.map))
-    anchored_c = set(vf.j.map)
+    partner = dict(zip(vf.i, vf.j))
+    anchored_c = set(vf.j)
     htype, ktype = [0] * B.size, [0] * C.size
 
     def merge(b, c, r):  # b, c: the least elements not ranked yet; r: the next rank
@@ -503,7 +496,7 @@ def _revalidate(vf: VFormation, h: Morphism, k: Morphism) -> None:
     for m in (h, k):
         if not validate_morphism(m).ok:
             raise AssertionError(f"search produced an invalid {m.kind.lower()}: {list(m.map)}")
-    hi, kj = compose(h, vf.i), compose(k, vf.j)
+    hi, kj = compose(h.map, vf.i), compose(k.map, vf.j)
     if hi != kj:
         raise AssertionError(f"search produced maps that disagree on A: h.i = {hi}, k.j = {kj}")
 
@@ -617,22 +610,21 @@ def bounded_one_amalgam_search(
     for F in congruence_filters(vf.B):
         # F identifies x and y exactly when x\y and y\x are both in F, as in filter_to_congruence
         members = F.members
-        if any(ldiv[x][y] in members and ldiv[y][x] in members for x, y in itertools.combinations(vf.i.map, 2)):
+        if any(ldiv[x][y] in members and ldiv[y][x] in members for x, y in itertools.combinations(vf.i, 2)):
             details.append(f"filter {sorted(members)}: identifies elements of A, skipped")
             continue
-        Bq, q = quotient(vf.B, F)
+        Bq, q = quotient(F)
         if max(Bq.size, vf.C.size) > max_size:
             details.append(f"filter {sorted(members)}: needs more than {max_size} elements, skipped")
             continue
         searched += 1
-        quotient_map = Morphism(vf.B, Bq, q, HOM)
-        sub_vf = make_vformation(vf.A, Bq, vf.C, compose(quotient_map, vf.i), vf.j.map, name=f"{vf.name}/F")
+        sub_vf = VFormation(vf.A, Bq, vf.C, compose(q, vf.i), vf.j, f"{vf.name}/F")
         spent = sum(s.nodes for s in all_sizes)
         report = bounded_amalgam_search(sub_vf, max_size, flags, budget._replace(max_nodes=budget.max_nodes - spent))
         all_sizes.extend(report.sizes)
         details.append(f"filter {sorted(members)}: {report.verdict}")
         if report.found:
-            h = Morphism(vf.B, report.d, compose(report.h, quotient_map), HOM)
+            h = Morphism(vf.B, report.d, compose(report.h.map, q), HOM)
             _revalidate(vf, h, report.k)
             report = report._replace(h=h)
         if report.verdict != "UNSAT":
@@ -650,34 +642,23 @@ def vs_formation() -> VFormation:
     """The V-formation of 2-potent commutative integral chains with no chain
     amalgam: A the 3-element Goedel chain, B an ordinal sum, C a gluing."""
     A, B, C = vs_a(), vs_b(), vs_c()
-    i = find_embeddings(A, B)
-    j = find_embeddings(A, C)
-    return VFormation(A, B, C, i[0], j[0], name="VS")
+    return VFormation(A, B, C, find_embeddings(A, B)[0].map, find_embeddings(A, C)[0].map, "VS")
 
 
 def pointed_vformation(vf: VFormation, a_zero: int) -> VFormation:
     """Designate an element of A (and its images) as the constant 0."""
     A = with_zero(vf.A, a_zero)
-    B = with_zero(vf.B, vf.i.map[a_zero])
-    C = with_zero(vf.C, vf.j.map[a_zero])
-    return make_vformation(A, B, C, vf.i.map, vf.j.map, name=f"{vf.name}.pointed" if vf.name else "")
+    B = with_zero(vf.B, vf.i[a_zero])
+    C = with_zero(vf.C, vf.j[a_zero])
+    return VFormation(A, B, C, vf.i, vf.j, f"{vf.name}.pointed" if vf.name else "")
 
 
 def rotated_vformation(vf: VFormation, delta_name: str, n: int) -> VFormation:
     """Apply the generalized n-rotation to every component of a V-formation."""
-    A, B, C = vf.A, vf.B, vf.C
-    dA, dB, dC = (nucleus_by_name(x, delta_name) for x in (A, B, C))
-    RA = generalized_rotation(A, dA, n, name=f"{A.name}^{delta_name}:{n}")
-    RB = generalized_rotation(B, dB, n, name=f"{B.name}^{delta_name}:{n}")
-    RC = generalized_rotation(C, dC, n, name=f"{C.name}^{delta_name}:{n}")
-    out = make_vformation(
-        RA,
-        RB,
-        RC,
-        rotation_map(dA, dB, n, vf.i.map),
-        rotation_map(dA, dC, n, vf.j.map),
-        name=f"{vf.name}^{delta_name}:{n}" if vf.name else "",
-    )
+    dA, dB, dC = (nucleus_by_name(x, delta_name) for x in (vf.A, vf.B, vf.C))
+    RA, RB, RC = (generalized_rotation(d, n, name=f"{d.parent.name}^{delta_name}:{n}") for d in (dA, dB, dC))
+    name = f"{vf.name}^{delta_name}:{n}" if vf.name else ""
+    out = VFormation(RA, RB, RC, rotation_map(dA, dB, n, vf.i), rotation_map(dA, dC, n, vf.j), name)
     rep = check_vformation(out)
     if not rep.ok:
         raise PreconditionError(f"rotation did not yield a V-formation: {rep.first_failure()}")

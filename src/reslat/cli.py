@@ -203,12 +203,9 @@ def _cmd_identity(args):
     return (0 if result.holds else 1), report, lines
 
 
-def _algebra_payload(args, alg, extra=None):
+def _algebra_payload(command, alg):
     doc = algebra_to_document(alg)
-    report = dict(extra or {})
-    report["algebra"] = doc
-    lines = [dumps_canonical(doc)]
-    return report, lines
+    return {"command": command, "algebra": doc}, [dumps_canonical(doc)]
 
 
 # the options each kind of construction reads and has no default for
@@ -244,7 +241,7 @@ def _cmd_construct(args):
         alg = partial_gluing(vs_k_triple(), _load_total_algebra(args.upper))
     elif kind == "rotation":
         base = _load_total_algebra(args.base)
-        alg = generalized_rotation(base, nucleus_by_name(base, args.nucleus), args.levels)
+        alg = generalized_rotation(nucleus_by_name(base, args.nucleus), args.levels)
     elif kind == "nucleus-image":
         base = _load_total_algebra(args.base)
         alg, _ = nucleus_image(nucleus_by_name(base, args.nucleus))
@@ -252,8 +249,7 @@ def _cmd_construct(args):
         raise FormatError(f"unknown construction {kind!r}")
     if args.zero is not None:
         alg = with_zero(alg, args.zero)
-    report, lines = _algebra_payload(args, alg, {"command": "construct"})
-    return 0, report, lines
+    return 0, *_algebra_payload("construct", alg)
 
 
 def _cmd_embed(args):
@@ -295,9 +291,8 @@ def _cmd_quotient(args):
     filters = {F.members: F for F in congruence_filters(alg)}
     if members not in filters:
         raise PreconditionError(f"{sorted(members)} is not a congruence filter of {alg.name or spec}")
-    q, _ = quotient(alg, filters[members])
-    report, lines = _algebra_payload(args, q, {"command": "quotient"})
-    return 0, report, lines
+    q, _ = quotient(filters[members])
+    return 0, *_algebra_payload("quotient", q)
 
 
 def _cmd_enumerate(args):

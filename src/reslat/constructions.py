@@ -355,21 +355,20 @@ def rotation_map(src: Nucleus, tgt: Nucleus, n: int, base_map) -> tuple[int, ...
     return tuple(out)
 
 
-def generalized_rotation(a: FiniteRL, d: Nucleus, n: int, name: str = "") -> FiniteRL:
-    """Bounded algebra from ``a``, a rotated copy of the nucleus image, and an
-    n-element Lukasiewicz block in between.
+def generalized_rotation(d: Nucleus, n: int, name: str = "") -> FiniteRL:
+    """Bounded algebra from ``a = d.parent``, a rotated copy of the nucleus
+    image, and an n-element Lukasiewicz block in between.
 
     Carrier, bottom to top: primed closed elements in dual order, then the
     n-2 interior Lukasiewicz levels, then ``a`` itself.  The result is
     pointed with zero the primed unit.
     """
+    a = d.parent
     if n < 2:
         raise PreconditionError("rotations need n >= 2")
     rep = validate(a, ("lattice", "monoid", "residuation", "integral"))
     if not rep.ok:
         raise UnsupportedError(f"rotation input must be an IRL: {rep.first_failure()}")
-    if d.parent is not a and d.parent != a:
-        raise PreconditionError("the nucleus must live on the rotated algebra")
     if a.zero is not None:
         raise PreconditionError("rotation takes an unpointed input")
     nrep = validate_nucleus(d)

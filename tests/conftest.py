@@ -31,7 +31,7 @@ def small_chain_pool():
     for n in (1, 2, 3, 4):
         pool.extend(enumerate_chains(n, ChainFlags(integral=True)))
     pool += [vs_a(), vs_b(), vs_c()]
-    pool += [generalized_rotation(a, identity_nucleus(a), 2) for a in (two(), godel(3), lukasiewicz(3))]
+    pool += [generalized_rotation(identity_nucleus(a), 2) for a in (two(), godel(3), lukasiewicz(3))]
     return pool
 
 

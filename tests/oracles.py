@@ -197,7 +197,7 @@ def brute_amalgam_exists(vf, m, flags=None) -> bool:
         if flags.divisible and not _divides(d.product):
             continue
         for h in find_embeddings(vf.B, d):
-            pin = {vf.j.map[a]: h.map[vf.i.map[a]] for a in range(vf.A.size)}
+            pin = {vf.j[a]: h.map[vf.i[a]] for a in range(vf.A.size)}
             if len(set(pin.values())) != len(pin):
                 continue
             if find_embeddings(vf.C, d, pin=pin):
@@ -274,7 +274,7 @@ def naive_placements(vf, m, flags):
     ``flags.integral`` and the zeros at 0 when ``flags.pointed``, in
     lexicographic order.  It filters the product of all position tuples,
     joining the two sides on the positions they give A."""
-    B, C, i, j = vf.B, vf.C, vf.i.map, vf.j.map
+    B, C, i, j = vf.B, vf.C, vf.i, vf.j
 
     def admitted(pos, alg):
         if flags.integral and pos[alg.unit] != m - 1:
@@ -367,7 +367,7 @@ def naive_find_obstruction(vf):
     from the tables."""
     from reslat import ObstructionWitness
 
-    A, B, C, i, j = vf.A, vf.B, vf.C, vf.i.map, vf.j.map
+    A, B, C, i, j = vf.A, vf.B, vf.C, vf.i, vf.j
     sides = ("LEFT", "RIGHT")
     for a, b, c, u1, u2, side in itertools.product(
         range(A.size), range(B.size), range(C.size), range(A.size), range(A.size), sides

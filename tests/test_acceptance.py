@@ -165,7 +165,7 @@ def test_criterion_07_rotation_corollaries():
     assert bounded_amalgam_search(rc1, 8).verdict == "UNSAT"
     assert bounded_one_amalgam_search(rc1, 8).verdict == "UNSAT"
 
-    lift = generalized_rotation(vs.A, constant_one_nucleus(vs.A), 2)
+    lift = generalized_rotation(constant_one_nucleus(vs.A), 2)
     assert tables_equal(with_zero(lift, None), ordinal_sum(two(), vs.A))
     elapsed = time.monotonic() - start
     assert elapsed < 900.0
@@ -220,7 +220,7 @@ def test_criterion_10_property_suites(small_chain_pool, naive_ci4, naive_i4):
         for name in ("identity", "const-1"):
             for n in (2, 3, 4):
                 d = nucleus_by_name(alg, name)
-                r = generalized_rotation(alg, d, n)
+                r = generalized_rotation(d, n)
                 assert r.size == alg.size + len(set(d.map)) + (n - 2)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0

@@ -19,6 +19,7 @@ from reslat import (
     make_algebra,
     parse_identity,
     quotient,
+    relabel,
     residuals_from_product,
     tables_equal,
     trivial,
@@ -118,6 +119,25 @@ def test_validate_rejects_malformed_tables():
         make_algebra(product=[[0, 2], [0, 1]], unit=1)
     with pytest.raises(FormatError):
         make_algebra(product=[[0, 0], [0, 1]], unit=1, labels=("x", "x"))
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ((0, 1), "labels must be a list of strings"),
+        (("a",), "labels length must equal size"),
+        (("a", "a"), "labels must be distinct"),
+    ],
+)
+def test_relabel_checks_labels_as_make_algebra_does(labels, message):
+    g2 = godel(2)
+    for build in (lambda: relabel(g2, labels), lambda: make_algebra(product=g2.product, unit=1, labels=labels)):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            build()
+    from reslat import algebra_to_document, document_to_algebra
+
+    # what relabel accepts, a document carries back
+    assert document_to_algebra(algebra_to_document(relabel(g2, ["a", "b"]))).labels == ("a", "b")
 
 
 def test_index_order_table_is_stored_as_chain():
@@ -263,11 +283,11 @@ def test_filter_to_congruence_example():
 def test_quotients_of_b():
     b = vs_b()
     filters = {F.sorted_members(): F for F in congruence_filters(b)}
-    q, qmap = quotient(b, filters[(2, 3)])
+    q, qmap = quotient(filters[(2, 3)])
     assert tables_equal(q, lukasiewicz(3)) and qmap == (0, 1, 2, 2)
-    q, qmap = quotient(b, filters[(3,)])
+    q, qmap = quotient(filters[(3,)])
     assert tables_equal(q, b) and qmap == (0, 1, 2, 3)
-    q, qmap = quotient(b, filters[(0, 1, 2, 3)])
+    q, qmap = quotient(filters[(0, 1, 2, 3)])
     assert q.size == 1 and qmap == (0, 0, 0, 0)
 
 
@@ -275,10 +295,10 @@ def test_quotients_of_the_square():
     square = diamond()
     filters = {F.sorted_members(): F for F in congruence_filters(square)}
     for members in ((1, 3), (2, 3)):  # {a, 1} and {b, 1}
-        assert tables_equal(quotient(square, filters[members])[0], godel(2))
-    assert tables_equal(quotient(square, filters[(0, 1, 2, 3)])[0], trivial())
-    assert quotient(square, filters[(3,)])[1] == (0, 1, 2, 3)
-    assert tables_equal(quotient(square, filters[(3,)])[0], square)
+        assert tables_equal(quotient(filters[members])[0], godel(2))
+    assert tables_equal(quotient(filters[(0, 1, 2, 3)])[0], trivial())
+    assert quotient(filters[(3,)])[1] == (0, 1, 2, 3)
+    assert tables_equal(quotient(filters[(3,)])[0], square)
 
 
 def test_quotient_of_chain_is_chain(small_chain_pool):
@@ -286,7 +306,7 @@ def test_quotient_of_chain_is_chain(small_chain_pool):
         if alg.leq is not None:
             continue
         for F in congruence_filters(alg):
-            q, qmap = quotient(alg, F)
+            q, qmap = quotient(F)
             assert q.leq is None and validate(q, ("chain",)).ok
             assert q.size == len(filter_to_congruence(F)) == len(set(qmap))
             assert validate(q, ("lattice", "monoid", "residuation")).ok

@@ -22,7 +22,6 @@ from reslat import (
     godel,
     injectivity_reduction,
     lukasiewicz,
-    make_vformation,
     ordinal_sum,
     pointed_vformation,
     rotated_vformation,
@@ -38,8 +37,8 @@ from reslat.amalgamation import ObstructionCheck
 
 
 def _vf(A, B, C, name=""):
-    i = find_embeddings(A, B)[0]
-    j = find_embeddings(A, C)[0]
+    i = find_embeddings(A, B)[0].map
+    j = find_embeddings(A, C)[0].map
     return VFormation(A, B, C, i, j, name=name)
 
 
@@ -100,9 +99,18 @@ def test_vs_formation_is_valid(vs):
 
 
 def test_bad_embedding_is_reported(vs):
-    bad = VFormation(vs.A, vs.B, vs.C, Morphism(vs.A, vs.B, (0, 1, 3), EMBEDDING), vs.j)
+    bad = VFormation(vs.A, vs.B, vs.C, (0, 1, 3), vs.j)
     rep = check_vformation(bad)
     assert not rep.ok  # v is idempotent but its image b is not
+
+
+def test_each_map_is_validated_against_the_formations_own_algebras(vs):
+    """j sends A into the 5-element C; as i it would send A out of the
+    4-element B."""
+    rep = check_vformation(vs._replace(i=vs.j))
+    bad = rep.first_failure()
+    assert (bad.flag, bad.detail) == ("i", "image 4 out of range 0..3")
+    assert [c.flag for c in rep.checks if not c.ok] == ["i"]
 
 
 def test_trivial_base_formation_is_valid():
@@ -148,14 +156,12 @@ def test_found_reports_revalidate():
     assert rep.found
     assert validate(rep.d, ("lattice", "monoid", "residuation", "chain")).ok
     assert validate_morphism(rep.h).ok and validate_morphism(rep.k).ok
-    assert compose(rep.h, vf.i) == compose(rep.k, vf.j)
+    assert compose(rep.h.map, vf.i) == compose(rep.k.map, vf.j)
 
 
 def _two_into_g3():
     """A = B = 2 and C = G3, with A's bottom sent to C's middle element."""
-    return VFormation(
-        two(), two(), godel(3), Morphism(two(), two(), (0, 1), EMBEDDING), Morphism(two(), godel(3), (1, 2), EMBEDDING)
-    )
+    return VFormation(two(), two(), godel(3), (0, 1), (1, 2))
 
 
 @pytest.mark.parametrize("search", [bounded_amalgam_search, bounded_one_amalgam_search])
@@ -167,7 +173,7 @@ def test_found_maps_that_disagree_on_a_raise(monkeypatch, search):
     order_types = amalgamation._order_types
 
     def unanchored(vf, flags, max_ranks):
-        return order_types(vf._replace(i=vf.i._replace(map=()), j=vf.j._replace(map=())), flags, max_ranks)
+        return order_types(vf._replace(i=(), j=()), flags, max_ranks)
 
     monkeypatch.setattr(amalgamation, "_order_types", unanchored)
     with pytest.raises(AssertionError, match="disagree on A"):
@@ -207,7 +213,7 @@ def test_one_amalgam_builds_quotients_only_for_filters_it_searches(vs, monkeypat
 
     built = []
     build = amalgamation.quotient
-    monkeypatch.setattr(amalgamation, "quotient", lambda B, F: built.append(sorted(F.members)) or build(B, F))
+    monkeypatch.setattr(amalgamation, "quotient", lambda F: built.append(sorted(F.members)) or build(F))
     rep = bounded_one_amalgam_search(vs, 10)
     assert built == [[3]]
     assert rep.detail == (
@@ -221,7 +227,7 @@ def test_one_amalgam_found_for_identity_formation(vs):
     rep = bounded_one_amalgam_search(vf, 4)
     assert rep.found
     assert rep.h.kind == "HOM" and rep.k.kind == "EMBEDDING"
-    assert compose(rep.h, vf.i) == compose(rep.k, vf.i)
+    assert compose(rep.h.map, vf.i) == compose(rep.k.map, vf.i)
 
 
 def test_amalgam_found_implies_one_amalgam_found():
@@ -302,10 +308,10 @@ def test_budget_verdict():
 def _budget_formation():
     """A = 2 in B = L3 at (0, 2) and in the 2-potent CI chain chain5_1 at
     (3, 4): at bound 9 the engine spends 6 nodes at size 8 and 56 at size 9."""
-    from reslat import enumerate_chains, make_vformation
+    from reslat import enumerate_chains
 
     C = list(enumerate_chains(5, ChainFlags(commutative=True, integral=True, k_potent=2)))[1]
-    return make_vformation(two(), lukasiewicz(3), C, (0, 2), (3, 4))
+    return VFormation(two(), lukasiewicz(3), C, (0, 2), (3, 4))
 
 
 @pytest.mark.parametrize("search", [bounded_amalgam_search, bounded_one_amalgam_search])
@@ -325,12 +331,12 @@ def test_budget_bounds_the_whole_search(search):
 def test_one_amalgam_budget_is_shared_by_its_filters():
     """Over B = chain5_2 the trivial filter {4} spends 12 nodes and finds
     nothing, and the filter {3, 4} finds a one-amalgam after 4 more."""
-    from reslat import Budget, enumerate_chains, make_vformation
+    from reslat import Budget, enumerate_chains
 
     flags = ChainFlags(commutative=True, integral=True, k_potent=2)
     B = list(enumerate_chains(5, flags))[2]
     C = list(enumerate_chains(4, flags))[1]
-    vf = make_vformation(two(), B, C, (0, 4), (2, 3))
+    vf = VFormation(two(), B, C, (0, 4), (2, 3))
     found = bounded_one_amalgam_search(vf, 8, budget=Budget(max_nodes=16))
     assert found.found and sum(s.nodes for s in found.sizes) == 16
     assert found.detail == "filter [4]: UNSAT; filter [3, 4]: FOUND"
@@ -382,7 +388,7 @@ def test_restricted_searches_agree_with_brute_force():
         changed[flags.k_potent or "divisible"] = 0
         for A, B, C in itertools.product((trivial(), two()), chains, chains):
             for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
-                vf = VFormation(A, B, C, i, j)
+                vf = VFormation(A, B, C, i.map, j.map)
                 lo = max(B.size, C.size)
                 for m in (lo, lo + 1):
                     found = bounded_amalgam_search(vf, m, flags, min_size=m).found
@@ -426,7 +432,7 @@ def test_goedel_chains_amalgamate_at_their_order_amalgam():
         for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
             formations += 1
             want = a + sum(map(max, _gaps(i), _gaps(j)))
-            report = bounded_amalgam_search(VFormation(A, B, C, i, j), b + c - a, flags)
+            report = bounded_amalgam_search(VFormation(A, B, C, i.map, j.map), b + c - a, flags)
             assert report.found and report.d.size == want, (i.map, j.map, report.verdict)
             assert tables_equal(report.d, godel(want))
     assert formations == 178
@@ -437,7 +443,7 @@ def test_lukasiewicz_chains_amalgamate_at_the_lcm(n, size):
     """Ł3 and Łn over 2, bottoms fixed, amalgamate in divisible CI chains
     first in Ł_(lcm(2, n - 1) + 1): the least MV-chain containing both."""
     flags = ChainFlags(integral=True, commutative=True, divisible=True)
-    vf = make_vformation(two(), lukasiewicz(3), lukasiewicz(n), (0, 2), (0, n - 1))
+    vf = VFormation(two(), lukasiewicz(3), lukasiewicz(n), (0, 2), (0, n - 1))
     if size > n:
         assert bounded_amalgam_search(vf, size - 1, flags).verdict == "UNSAT"
     report = bounded_amalgam_search(vf, size, flags)
@@ -503,7 +509,7 @@ def test_obstruction_check_lines(vs):
     C = make_algebra(
         product=[[0, 0, 0, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 4]], unit=4
     )
-    vf = make_vformation(vs_a(), B, C, (0, 2, 3), (0, 3, 4))
+    vf = VFormation(vs_a(), B, C, (0, 2, 3), (0, 3, 4))
     right = find_obstruction(vf)
     assert right == ObstructionWitness(a=1, b=1, c=2, u1=0, u2=0, side="RIGHT")
     assert check_obstruction(vf, right) == ObstructionCheck(
@@ -535,7 +541,7 @@ def test_witness_requires_chains(vs):
     square = make_algebra(product=meet, unit=3, order=leq)
     i = find_embeddings(trivial(), square)[0]
     j = find_embeddings(trivial(), vs.C)[0]
-    vf = VFormation(trivial(), square, vs.C, i, j)
+    vf = VFormation(trivial(), square, vs.C, i.map, j.map)
     with pytest.raises(UnsupportedError):
         find_obstruction(vf)
 
@@ -587,7 +593,7 @@ def test_no_witness_over_the_two_element_base():
     chains4 = list(enumerate_chains(4, ChainFlags(integral=True)))
     for B in chains4:
         for C in chains4:
-            vf = VFormation(A, B, C, find_embeddings(A, B)[0], find_embeddings(A, C)[0])
+            vf = VFormation(A, B, C, find_embeddings(A, B)[0].map, find_embeddings(A, C)[0].map)
             assert find_obstruction(vf) is None
 
 
@@ -608,7 +614,7 @@ def test_certificate_soundness_over_random_formations():
     witnessed = checked = 0
     for B, i in hosts:
         for C, j in hosts:
-            vf = VFormation(A, B, C, i, j)
+            vf = VFormation(A, B, C, i.map, j.map)
             w = find_obstruction(vf)
             if w is None:
                 continue
@@ -645,7 +651,7 @@ def test_obstruction_scan_matches_the_naive_scan(vs):
     hosts = [(B, i) for n in (4, 5) for B in enumerate_chains(n, ChainFlags(integral=True)) for i in find_embeddings(A, B)]
     sides = Counter()
     for (B, i), (C, j) in itertools.product(hosts, repeat=2):
-        vf = VFormation(A, B, C, i, j)
+        vf = VFormation(A, B, C, i.map, j.map)
         w = find_obstruction(vf)
         assert w == naive_find_obstruction(vf), (B, C, i, j)
         sides[w and w.side] += 1
@@ -674,7 +680,7 @@ def test_obstruction_scan_takes_the_least_bounds():
         ],
         unit=5,
     )
-    vf = make_vformation(A, B, C, (0, 1, 3, 4), (0, 1, 4, 5))
+    vf = VFormation(A, B, C, (0, 1, 3, 4), (0, 1, 4, 5))
     assert check_vformation(vf).ok
     w = ObstructionWitness(2, 2, 3, 0, 0, "LEFT")
     assert find_obstruction(vf) == naive_find_obstruction(vf) == w
@@ -802,7 +808,7 @@ def _small_formations():
     for bases, b_hosts, c_hosts, flag_sets in groups:
         for A, B, C in itertools.product(bases, b_hosts, c_hosts):
             for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
-                out += [(VFormation(A, B, C, i, j), flags) for flags in flag_sets]
+                out += [(VFormation(A, B, C, i.map, j.map), flags) for flags in flag_sets]
     return out
 
 
@@ -832,7 +838,7 @@ def test_type_refutation_matches_the_full_pass_oracle(vs):
             for nb, nc in itertools.product(range(na + 1, 5), repeat=2):
                 for A, B, C in itertools.product(family[na], family[nb], family[nc]):
                     for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
-                        cases += [(VFormation(A, B, C, i, j), flags) for flags in flag_sets]
+                        cases += [(VFormation(A, B, C, i.map, j.map), flags) for flags in flag_sets]
     outcomes = Counter()
     for vf, flags in cases:
         for htype, ktype in _order_types(vf, flags, vf.B.size + vf.C.size):
@@ -853,7 +859,7 @@ def test_types_fit_the_bound_and_are_decided_at_the_first_size_they_fit(monkeypa
     from reslat.amalgamation import _order_types
 
     A, B, C = trivial(), godel(5), lukasiewicz(6)
-    vf = VFormation(A, B, C, find_embeddings(A, B)[0], find_embeddings(A, C)[0])
+    vf = VFormation(A, B, C, find_embeddings(A, B)[0].map, find_embeddings(A, C)[0].map)
     assert [len(list(_order_types(vf, ChainFlags(), bound))) for bound in (6, 7, 10)] == [5, 65, 681]
     calls = []
     decide = amalgamation._type_pins
@@ -917,7 +923,7 @@ def test_order_types_and_placement_counts_match_the_naive_placements(vs):
         assert [s.placements for s in report.sizes] == [len(naive[s.size]) for s in report.sizes], (vf, flags)
     # one rank that is both zero and unit fits only the trivial D
     A = with_zero(trivial(), 0)
-    vf = VFormation(A, A, A, find_embeddings(A, A)[0], find_embeddings(A, A)[0])
+    vf = VFormation(A, A, A, find_embeddings(A, A)[0].map, find_embeddings(A, A)[0].map)
     flags = ChainFlags(integral=True, pointed=True)
     assert [len(_placements(_order_types(vf, flags, 3), m, flags)) for m in (1, 2, 3)] == [1, 0, 0]
     assert [(s.size, s.placements) for s in bounded_amalgam_search(vf, 3, flags).sizes] == [(1, 1)]
@@ -958,7 +964,7 @@ def test_found_witness_is_the_least_placement(b, c, i, j, flags, h, k, product):
 
     chains = {ch.name: ch for n in (2, 3, 4) for ch in enumerate_chains(n)}
     A, B, C = trivial(), chains[b], chains[c]
-    vf = VFormation(A, B, C, Morphism(A, B, (i,), EMBEDDING), Morphism(A, C, (j,), EMBEDDING))
+    vf = VFormation(A, B, C, (i,), (j,))
     report = bounded_amalgam_search(vf, max(B.size, C.size) + 2, flags)
     assert report.found
     assert (list(report.h.map), list(report.k.map)) == (h, k)
@@ -1018,7 +1024,7 @@ def test_small_vformation_census_is_pinned(pointed, counts, digest):
         for nb, nc in itertools.product(range(na + 1, 5), repeat=2):
             for A, B, C in itertools.product(chains[na], chains[nb], chains[nc]):
                 for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
-                    r = bounded_amalgam_search(VFormation(A, B, C, i, j), nb + nc - na + 1, flags)
+                    r = bounded_amalgam_search(VFormation(A, B, C, i.map, j.map), nb + nc - na + 1, flags)
                     verdicts[r.verdict] += 1
                     maps = [list(r.h.map), list(r.k.map), [list(row) for row in r.d.product]] if r.found else [None] * 3
                     sha.update(json.dumps([r.verdict, [list(s) for s in r.sizes], *maps]).encode() + b"\n")

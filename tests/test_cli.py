@@ -150,10 +150,10 @@ def test_obstruct_command(capsys):
 
 
 def test_obstruct_without_a_witness_exits_1(tmp_path, capsys):
-    from reslat import make_vformation, trivial, vformation_to_document
+    from reslat import VFormation, trivial, vformation_to_document
 
     path = tmp_path / "trivial.json"
-    vf = make_vformation(trivial(), trivial(), trivial(), (0,), (0,))
+    vf = VFormation(trivial(), trivial(), trivial(), (0,), (0,))
     path.write_text(dumps_canonical(vformation_to_document(vf)))
     code, report = run_json(capsys, "obstruct", "--vf", str(path))
     assert code == 1 and report["witness"] is None
@@ -176,13 +176,16 @@ def test_vformation_from_file(tmp_path, capsys):
     # the masked K of the triple is a partial algebra, not a chain to amalgamate
     masked_c = dict(doc, C=algebra_to_document(vs_k_triple().K), j=[0, 2, 3])
     not_a_map = dict(doc, j=[0, 3, "1"])
-    for name, bad in (("not_embedding", not_embedding), ("masked_c", masked_c), ("not_a_map", not_a_map)):
+    # a name that is no string is refused, not echoed into the report
+    names = [(f"name_{type(v).__name__}", dict(doc, name=v)) for v in (5, ["x"], None)]
+    for name, bad in (("not_embedding", not_embedding), ("masked_c", masked_c), ("not_a_map", not_a_map), *names):
         bad_path = tmp_path / f"{name}.json"
         bad_path.write_text(dumps_canonical(bad))
         assert main(["amalgam", "--vf", str(bad_path), "--max-size", "7"]) == 2
         assert main(["one-amalgam", "--vf", str(bad_path), "--max-size", "6"]) == 2
         assert main(["obstruct", "--vf", str(bad_path)]) == 2
-    capsys.readouterr()
+        out, err = capsys.readouterr()
+        assert out == "" and (not name.startswith("name_") or err == "error: V-formation name must be a string\n" * 3)
 
     # each fault of a map is named as what it is
     for bad, fault in (
@@ -199,7 +202,7 @@ def test_vformation_from_file(tmp_path, capsys):
     from reslat import VFormation, find_embeddings, godel, trivial
 
     zero_inside = with_zero(godel(3), 1)
-    i = find_embeddings(trivial(), zero_inside)[0]
+    i = find_embeddings(trivial(), zero_inside)[0].map
     path = tmp_path / "zero_inside.json"
     path.write_text(dumps_canonical(vformation_to_document(VFormation(trivial(), zero_inside, zero_inside, i, i))))
     assert main(["amalgam", "--vf", str(path), "--max-size", "6"]) == 0  # FOUND
@@ -224,10 +227,10 @@ def test_index_order_arrays_in_a_vformation_document(tmp_path, capsys):
 def test_a_chain_out_of_index_order_is_refused(tmp_path, capsys):
     from reslat import (
         UnsupportedError,
+        VFormation,
         bounded_amalgam_search,
         godel,
         make_algebra,
-        make_vformation,
         trivial,
         vformation_to_document,
     )
@@ -240,7 +243,7 @@ def test_a_chain_out_of_index_order_is_refused(tmp_path, capsys):
         order=[[perm[x] <= perm[y] for y in range(3)] for x in range(3)],
     )
     assert shuffled.leq is not None  # a total order, but not the index order
-    vf = make_vformation(trivial(), shuffled, g3, (back[g3.unit],), (g3.unit,))
+    vf = VFormation(trivial(), shuffled, g3, (back[g3.unit],), (g3.unit,))
     with pytest.raises(UnsupportedError):
         bounded_amalgam_search(vf, 5)
     path = tmp_path / "shuffled.json"
@@ -328,6 +331,41 @@ def test_usage_and_format_errors(tmp_path, capsys, monkeypatch):
     assert main(["identity", str(v), "--id", "x /\\ y = y /\\ x"]) == 2
     assert main(["filters", str(v)]) == 2
     assert main(["verify", str(v)]) == 1  # verify reports the failure itself
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identity", "VS.B", "--id", "x ="], "unexpected end of input at position 3"),
+        (["identity", "VS.B", "--id", "(x = x"], "expected ')' at position 3"),
+        (["identity", "VS.B", "--id", "x"], "expected '=' or '>=' at position 1"),
+        (["identity", "VS.B", "--id", "potent:x"], "potent:n needs an integer at position 0"),
+        (["construct", "rotation", "--base", "VS.A", "--nucleus", "foo"], "unknown nucleus name 'foo'"),
+        (["construct", "builtin", "--name", "godel(0)"], "need n >= 1"),
+        (["amalgam", "--vf", "{vf_with_triple}"], "builtin 'VS.K_triple' is not an algebra"),
+        (["obstruct", "--vf", "VS", "--check", "0,9,2,0,0"], "witness field b or c out of range"),
+        (["filters", "{k}"], "'{k}' is a partial algebra where a total one is needed"),
+        (["verify", "{k}", "--zero", "0"], "--zero applies to total algebras"),
+    ],
+)
+def test_usage_errors_name_their_fault(tmp_path, capsys, argv, message):
+    from reslat import vformation_to_document, vs_formation
+
+    paths = {"k": tmp_path / "k.json", "vf_with_triple": tmp_path / "vf.json"}
+    paths["k"].write_text(dumps_canonical(algebra_to_document(vs_k_triple().K)))
+    paths["vf_with_triple"].write_text(dumps_canonical(dict(vformation_to_document(vs_formation()), C="VS.K_triple")))
+    assert main([arg.format_map(paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message.format_map(paths)}\n"
+
+
+def test_construct_designates_a_zero(capsys):
+    from reslat import ordinal_sum, two
+
+    argv = ("construct", "ordinal-sum", "--lower", "lukasiewicz(3)", "--upper", "two", "--zero", "0")
+    code, out = run(capsys, *argv)
+    assert code == 0 and '"zero":0' in out
+    assert out == dumps_canonical(algebra_to_document(with_zero(ordinal_sum(lukasiewicz(3), two()), 0))) + "\n"
 
 
 def test_enumerate_rejects_sizes_beyond_one_byte_per_cell(capsys):

@@ -336,7 +336,7 @@ def test_induced_algebras_keep_the_parent_operations(small_chain_pool):
     elements as the parent does."""
     for alg in small_chain_pool + [_square()]:
         for F in congruence_filters(alg):
-            q, qmap = quotient(alg, F)
+            q, qmap = quotient(F)
             assert validate_morphism(Morphism(alg, q, qmap, HOM)).ok, (alg, F)
             assert {x for x in range(alg.size) if qmap[x] == q.unit} == F.members, (alg, F)
         for dmap in _closure_operators(alg):
@@ -363,7 +363,7 @@ def test_invalid_nucleus_is_rejected():
 
 
 def test_disconnected_rotation_of_two():
-    r = generalized_rotation(two(), identity_nucleus(two()), 2)
+    r = generalized_rotation(identity_nucleus(two()), 2)
     assert r.size == 4 and r.zero == 0
     assert validate(r, ("lattice", "monoid", "residuation", "integral", "commutative", "chain", "zero-bounded")).ok
     assert check_identity(r, parse_identity("inv")).holds
@@ -372,13 +372,13 @@ def test_disconnected_rotation_of_two():
 
 
 def test_rotation_of_trivial_is_two_pointed():
-    r = generalized_rotation(trivial(), identity_nucleus(trivial()), 2)
+    r = generalized_rotation(identity_nucleus(trivial()), 2)
     assert r.size == 2 and r.zero == 0
     assert tables_equal(with_zero(r, None), two())
 
 
 def test_rotation_of_l3_is_involutive_six_chain():
-    r = generalized_rotation(lukasiewicz(3), identity_nucleus(lukasiewicz(3)), 2)
+    r = generalized_rotation(identity_nucleus(lukasiewicz(3)), 2)
     assert r.size == 6
     assert validate(r, ("lattice", "monoid", "residuation", "chain", "zero-bounded")).ok
     assert check_identity(r, parse_identity("inv")).holds
@@ -389,7 +389,7 @@ def test_rotation_of_l3_is_involutive_six_chain():
 
 def test_lifting_is_ordinal_sum_with_two():
     for alg in (vs_a(), vs_b(), vs_c(), lukasiewicz(3)):
-        lift = generalized_rotation(alg, constant_one_nucleus(alg), 2)
+        lift = generalized_rotation(constant_one_nucleus(alg), 2)
         assert tables_equal(with_zero(lift, None), ordinal_sum(two(), alg))
         assert check_identity(lift, parse_identity("stone")).holds
 
@@ -401,7 +401,7 @@ def test_rotation_size_formula_and_validity(builtin_chains):
         for name in ("identity", "const-1"):
             for n in (2, 3, 4):
                 d = nucleus_by_name(alg, name)
-                r = generalized_rotation(alg, d, n)
+                r = generalized_rotation(d, n)
                 image = len(set(d.map))
                 assert r.size == alg.size + image + (n - 2)
                 assert validate(r, ("lattice", "monoid", "residuation", "integral", "chain", "zero-bounded")).ok
@@ -422,7 +422,7 @@ def test_rotations_of_square():
     for square in (_square(), _square_unit_first()):
         for name in ("identity", "const-1"):
             for n in (2, 3):
-                r = generalized_rotation(square, nucleus_by_name(square, name), n)
+                r = generalized_rotation(nucleus_by_name(square, name), n)
                 assert not r.is_chain_order
                 assert validate(r, ("lattice", "monoid", "residuation", "integral", "zero-bounded")).ok
                 if name == "identity":
@@ -431,31 +431,30 @@ def test_rotations_of_square():
 
 def test_rotation_on_trivial_gives_lukasiewicz_chains():
     for n in (2, 3, 4, 5):
-        r = generalized_rotation(trivial(), identity_nucleus(trivial()), n)
+        r = generalized_rotation(identity_nucleus(trivial()), n)
         assert tables_equal(with_zero(r, None), lukasiewicz(n))
 
 
 def test_rotation_rejects_bad_arity():
     with pytest.raises(PreconditionError):
-        generalized_rotation(vs_a(), identity_nucleus(vs_a()), 1)
+        generalized_rotation(identity_nucleus(vs_a()), 1)
 
 
 def test_rotation_rejects_bad_inputs():
     a, pointed = vs_a(), with_zero(vs_a(), 0)
     notint = make_algebra(product=[[0, 0, 0], [0, 1, 2], [0, 2, 2]], unit=1)
-    for base, nucleus, error, message in (
-        (pointed, identity_nucleus(pointed), PreconditionError, "unpointed"),
-        (a, identity_nucleus(vs_b()), PreconditionError, "must live on the rotated algebra"),
-        (a, Nucleus(a, (1, 0, 2)), PreconditionError, "not a nucleus"),
-        (notint, identity_nucleus(notint), UnsupportedError, "must be an IRL"),
+    for nucleus, error, message in (
+        (identity_nucleus(pointed), PreconditionError, "unpointed"),
+        (Nucleus(a, (1, 0, 2)), PreconditionError, "not a nucleus"),
+        (identity_nucleus(notint), UnsupportedError, "must be an IRL"),
     ):
         with pytest.raises(error, match=message):
-            generalized_rotation(base, nucleus, 2)
+            generalized_rotation(nucleus, 2)
 
 
 def test_rotation_involution_only_with_identity_nucleus():
     a = vs_a()
-    r = generalized_rotation(a, constant_one_nucleus(a), 2)
+    r = generalized_rotation(constant_one_nucleus(a), 2)
     assert not check_identity(r, parse_identity("inv")).holds
 
 

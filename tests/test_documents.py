@@ -87,7 +87,7 @@ def test_vformation_document_round_trip():
     vs = vs_formation()
     doc = vformation_to_document(vs)
     back = document_to_vformation(json.loads(dumps_canonical(doc)))
-    assert back.i.map == vs.i.map and back.j.map == vs.j.map
+    assert back.i == vs.i and back.j == vs.j
     assert tables_equal(back.B, vs.B)
 
 

@@ -21,8 +21,8 @@ from reslat import (
     ObstructionWitness,
     SearchReport,
     ValidationReport,
+    VFormation,
     lukasiewicz,
-    make_vformation,
     two,
 )
 from reslat.algebra import CheckOutcome
@@ -41,7 +41,7 @@ def _records():
         "ValidationReport": lambda: ValidationReport("L3", (CheckOutcome("lattice", True),)),
         "Morphism": lambda: Morphism(two(), l3, (0, 2), EMBEDDING),
         "CongruenceFilter": lambda: CongruenceFilter(l3, frozenset({1, 2})),
-        "VFormation": lambda: make_vformation(two(), l3, l3, (0, 2), (0, 2), "V"),
+        "VFormation": lambda: VFormation(two(), l3, l3, (0, 2), (0, 2), "V"),
         "ObstructionWitness": lambda: ObstructionWitness(0, 1, 1, 0, 0),
         "ObstructionCheck": lambda: ObstructionCheck("W1", ("REJECT(W1)",)),
         "SizeStats": lambda: SizeStats(5, 12, 3),
@@ -129,6 +129,20 @@ def test_replace_changes_one_field(name):
     changed = record._replace(**{field: value})
     assert type(changed) is type(record) and getattr(changed, field) == value and changed != record
     assert changed._replace(**{field: getattr(record, field)}) == record
+
+
+def test_library_formations_hold_their_maps_as_index_tuples():
+    from reslat import document_to_vformation, pointed_vformation, rotated_vformation, vformation_to_document
+    from reslat import vs_formation
+
+    vs = vs_formation()
+    loaded = document_to_vformation(vformation_to_document(vs))
+    for vf in (vs, pointed_vformation(vs, 0), rotated_vformation(vs, "identity", 2), loaded):
+        assert type(vf.i) is type(vf.j) is tuple
+        twin = pickle.loads(pickle.dumps(vf))
+        assert twin == vf and hash(twin) == hash(vf)
+    assert (loaded.i, loaded.j) == (vs.i, vs.j) == ((0, 2, 3), (0, 3, 4))
+    assert vs._replace(j=(0, 2, 4)) != vs
 
 
 def test_search_stats_is_a_mutable_counter():
