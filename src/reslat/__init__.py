@@ -9,8 +9,6 @@ obstruction certificates and bounded exhaustive search.
 
 from .algebra import (
     CHAIN,
-    EMBEDDING,
-    HOM,
     PARTIAL_IRL_FLAGS,
     RL_FLAGS,
     VALIDATE_FLAGS,
@@ -18,7 +16,6 @@ from .algebra import (
     CongruenceFilter,
     FiniteRL,
     FormatError,
-    Morphism,
     NotResiduatedError,
     PreconditionError,
     ReslatError,

@@ -130,20 +130,6 @@ class ValidationReport(NamedTuple):
         return "\n".join([head] + [f"  {c}" for c in self.checks])
 
 
-HOM = "HOM"
-EMBEDDING = "EMBEDDING"
-
-
-class Morphism(NamedTuple):
-    dom: FiniteRL
-    cod: FiniteRL
-    map: tuple[int, ...]
-    kind: str = HOM
-
-    def __repr__(self):
-        return f"Morphism({self.kind}, {list(self.map)})"
-
-
 class CongruenceFilter(NamedTuple):
     parent: FiniteRL
     members: frozenset[int]
@@ -186,6 +172,12 @@ def _as_int_table(table, n, what):
             if type(v) is not int or not 0 <= v < n:
                 raise FormatError(f"{what} entry {v!r} out of range 0..{n - 1}")
     return tuple(map(tuple, table))
+
+
+def _as_name(name):
+    if not isinstance(name, str):
+        raise FormatError("name must be a string")
+    return name
 
 
 def _default_labels(n):
@@ -232,8 +224,7 @@ def make_algebra(
     if leq is not None and all(leq[x][y] == (x <= y) for x in range(n) for y in range(n)):
         leq = None
     labels = _default_labels(n) if labels is None else _as_labels(labels, n)
-    if not isinstance(name, str):
-        raise FormatError("name must be a string")
+    name = _as_name(name)
     unit = _as_index(unit, n, "unit index")
     if zero is not None:
         zero = _as_index(zero, n, "zero index")
@@ -279,8 +270,8 @@ def with_zero(alg: FiniteRL, zero: int | None) -> FiniteRL:
 
 
 def relabel(alg: FiniteRL, labels, name=None) -> FiniteRL:
-    """The algebra with new labels, checked as ``make_algebra`` checks them."""
-    return alg._replace(labels=_as_labels(labels, alg.size), name=alg.name if name is None else name)
+    """The algebra with new labels and name, checked as ``make_algebra`` checks them."""
+    return alg._replace(labels=_as_labels(labels, alg.size), name=alg.name if name is None else _as_name(name))
 
 
 # ---------------------------------------------------------------------------
@@ -679,20 +670,22 @@ def quotient(F: CongruenceFilter) -> tuple[FiniteRL, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# morphisms
+# morphisms: a map from dom to cod is the tuple of its images, f[x] for x in dom
 
 
-def validate_morphism(m: Morphism) -> ValidationReport:
-    """Preservation of all operations and constants; injectivity for embeddings."""
-    dom, cod, f = m.dom, m.cod, m.map
-    checks = []
-
-    outside = [v for v in f if not 0 <= v < cod.size]
+def map_fault(dom: FiniteRL, cod: FiniteRL, f: tuple[int, ...]) -> str:
+    """Why ``f`` is no index map from ``dom`` into ``cod``, or ``""``."""
     if len(f) != dom.size:
-        fault = f"map of length {len(f)} on {dom.size} elements"
-    else:
-        fault = f"image {outside[0]} out of range 0..{cod.size - 1}" if outside else ""
-    checks.append(CheckOutcome("format", not fault, None, fault))
+        return f"map of length {len(f)} on {dom.size} elements"
+    outside = [v for v in f if type(v) is not int or not 0 <= v < cod.size]  # bool is no index
+    return f"image {outside[0]!r} out of range 0..{cod.size - 1}" if outside else ""
+
+
+def validate_morphism(dom: FiniteRL, cod: FiniteRL, f: tuple[int, ...], injective: bool = False) -> ValidationReport:
+    """Preservation of all operations and constants by the index map ``f``;
+    injectivity too when ``injective``, for an embedding."""
+    fault = map_fault(dom, cod, f)
+    checks = [CheckOutcome("format", not fault, None, fault)]
     if fault:
         return ValidationReport("morphism", tuple(checks))
 
@@ -711,7 +704,7 @@ def validate_morphism(m: Morphism) -> ValidationReport:
                 break
         checks.append(CheckOutcome(opname, witness is None, witness))
 
-    if m.kind == EMBEDDING:
+    if injective:
         inj = len(set(f)) == len(f)
         checks.append(CheckOutcome("injective", inj, None, "" if inj else "two elements share an image"))
     return ValidationReport("morphism", tuple(checks))

@@ -19,19 +19,17 @@ from typing import NamedTuple
 
 from .algebra import (
     CHAIN,
-    EMBEDDING,
-    HOM,
     BudgetExceededError,
     CheckOutcome,
     FiniteRL,
     FormatError,
-    Morphism,
     PreconditionError,
     UnsupportedError,
     ValidationReport,
     compose,
     congruence_filters,
     make_algebra,
+    map_fault,
     operation_tables,
     quotient,
     validate,
@@ -103,8 +101,8 @@ class SearchReport(NamedTuple):
     verdict: str  # FOUND | UNSAT | BUDGET
     bound: int
     d: FiniteRL | None = None
-    h: Morphism | None = None
-    k: Morphism | None = None
+    h: tuple[int, ...] | None = None  # index map B -> d
+    k: tuple[int, ...] | None = None  # index map C -> d, an embedding
     sizes: tuple[SizeStats, ...] = ()
     detail: str = ""
 
@@ -124,7 +122,7 @@ def check_vformation(vf: VFormation) -> ValidationReport:
             CheckOutcome(tag, rep.ok, None if rep.ok else bad.witness, "" if rep.ok else f"{bad.flag}: {bad.detail}")
         )
     for cod, f, tag in ((vf.B, vf.i, "i"), (vf.C, vf.j, "j")):
-        rep = validate_morphism(Morphism(vf.A, cod, f, EMBEDDING))
+        rep = validate_morphism(vf.A, cod, f, injective=True)
         bad = rep.first_failure()
         fault = "" if rep.ok else bad.detail or f"{bad.flag} not preserved"  # operations have no detail
         checks.append(CheckOutcome(tag, rep.ok, None if rep.ok else bad.witness, fault))
@@ -191,10 +189,13 @@ def load_vformation(path: str) -> VFormation:
 # embedding search
 
 
-def find_embeddings(x: FiniteRL, y: FiniteRL, pin=None) -> list[Morphism]:
-    """All injective operation-preserving maps from x into y extending
-    ``pin``, in lexicographic order of the map list."""
+def find_embeddings(x: FiniteRL, y: FiniteRL, pin=None) -> list[tuple[int, ...]]:
+    """All injective operation-preserving index maps from x into y extending
+    ``pin``, in lexicographic order."""
     pin = dict(pin or {})
+    for e, v in pin.items():
+        if not (type(e) is type(v) is int and 0 <= e < x.size and 0 <= v < y.size):
+            raise FormatError(f"pin {e!r} -> {v!r} is outside 0..{x.size - 1} -> 0..{y.size - 1}")
     if len(set(pin.values())) != len(pin):
         raise FormatError("pin must map distinct elements to distinct elements")
     n = x.size
@@ -228,9 +229,8 @@ def find_embeddings(x: FiniteRL, y: FiniteRL, pin=None) -> list[Morphism]:
 
     def extend(e):
         if e == n:
-            m = Morphism(x, y, tuple(image), EMBEDDING)
-            if validate_morphism(m).ok:
-                out.append(m)
+            if validate_morphism(x, y, image, injective=True).ok:
+                out.append(tuple(image))
             return
         candidates = [pin[e]] if e in pin else range(y.size)
         for v in candidates:
@@ -267,6 +267,14 @@ def _w3(vf: VFormation, b, c, u2):
     return vf.B.le(bb, vf.i[u2]) and vf.C.le(cdiv, c), bb, cdiv
 
 
+def _check_maps(vf: VFormation) -> None:
+    """Refuse a formation whose i or j is no index map of A into B or C."""
+    for cod, f, tag in ((vf.B, vf.i, "i"), (vf.C, vf.j, "j")):
+        fault = map_fault(vf.A, cod, f)
+        if fault:
+            raise FormatError(f"V-formation map {tag!r}: {fault}")
+
+
 def _side_product(side, s, t):
     return f"{s}*{t}" if side == LEFT else f"{t}*{s}"
 
@@ -278,6 +286,7 @@ def find_obstruction(vf: VFormation) -> ObstructionWitness | None:
     the least u1 and u2 are found once per (b, c), and the scan walks
     (a, b, c) and takes the least side.  Only the given roles are scanned,
     b in B and c in C: VS with B and C swapped has no witness."""
+    _check_maps(vf)
     for alg, tag in ((vf.B, "B"), (vf.C, "C")):
         if not validate(alg, ("chain",)).ok:
             raise UnsupportedError(f"{tag} must be a chain")
@@ -300,6 +309,7 @@ def find_obstruction(vf: VFormation) -> ObstructionWitness | None:
 def check_obstruction(vf: VFormation, w: ObstructionWitness) -> ObstructionCheck:
     """Re-evaluate the witness clauses and emit the refutation trace, or
     REJECT with the facts up to the first clause that fails."""
+    _check_maps(vf)
     A, B, C, i, j = vf.A, vf.B, vf.C, vf.i, vf.j
     for e, alg, what in ((w.a, A, "a"), (w.u1, A, "u1"), (w.u2, A, "u2")):
         if not 0 <= e < alg.size:
@@ -490,13 +500,14 @@ def _type_pins(vf: VFormation, htype, ktype):
     return pins
 
 
-def _revalidate(vf: VFormation, h: Morphism, k: Morphism) -> None:
-    """Re-check a found amalgam: h and k are morphisms of their kinds and
-    agree on A, h.i = k.j; anything else is a fault of the search."""
-    for m in (h, k):
-        if not validate_morphism(m).ok:
-            raise AssertionError(f"search produced an invalid {m.kind.lower()}: {list(m.map)}")
-    hi, kj = compose(h.map, vf.i), compose(k.map, vf.j)
+def _revalidate(vf: VFormation, d: FiniteRL, h, k, h_injective: bool = True) -> None:
+    """Re-check a found amalgam: k embeds C into d, h embeds B into d (or
+    is a homomorphism, when not ``h_injective``), and they agree on A,
+    h.i = k.j; anything else is a fault of the search."""
+    for dom, f, injective in ((vf.B, h, h_injective), (vf.C, k, True)):
+        if not validate_morphism(dom, d, f, injective).ok:
+            raise AssertionError(f"search produced an invalid {'embedding' if injective else 'hom'}: {list(f)}")
+    hi, kj = compose(h, vf.i), compose(k, vf.j)
     if hi != kj:
         raise AssertionError(f"search produced maps that disagree on A: h.i = {hi}, k.j = {kj}")
 
@@ -537,7 +548,9 @@ def bounded_amalgam_search(
     ``max(|B|, |C|)`` (or ``min_size``) up to the bound, are none, when
     the bound is above ``MAX_CHAIN_SIZE``, the largest chain the engine
     builds, and in a pointed search when the 0 of B or C is not its bottom.
+    Raises :class:`FormatError` when i or j is no index map of A.
     """
+    _check_maps(vf)
     for alg, tag in ((vf.A, "A"), (vf.B, "B"), (vf.C, "C")):
         if not alg.is_chain_order:
             raise UnsupportedError(f"{tag} must use the index-order chain convention")
@@ -572,13 +585,12 @@ def bounded_amalgam_search(
             at = ({(points[x], points[y]): points[v] for (x, y), v in table.items()} for table in pins[t])
             problem = CompletionProblem(m, hpos[vf.B.unit], *at, flags)
             try:
-                for table in iter_completions(problem, budget, stats):
+                for cells in iter_completions(problem, budget, stats):
+                    table = [tuple(cells[i:i + m]) for i in range(0, m * m, m)]
                     d = make_algebra(product=table, unit=problem.unit, order=CHAIN, zero=zero, name=f"amalgam{m}")
-                    h = Morphism(vf.B, d, hpos, EMBEDDING)
-                    k = Morphism(vf.C, d, kpos, EMBEDDING)
-                    _revalidate(vf, h, k)
+                    _revalidate(vf, d, hpos, kpos)
                     per_size.append(SizeStats(m, placements, stats.nodes - before))
-                    return SearchReport("FOUND", max_size, d, h, k, tuple(per_size))
+                    return SearchReport("FOUND", max_size, d, hpos, kpos, tuple(per_size))
             except BudgetExceededError:
                 per_size.append(SizeStats(m, placements, stats.nodes - before))
                 return SearchReport("BUDGET", max_size, sizes=tuple(per_size), detail=f"budget exhausted at size {m}")
@@ -602,7 +614,9 @@ def bounded_one_amalgam_search(
     skipped; :class:`PreconditionError` is raised when no filter is left.
     The budget bounds the nodes of all the sub-searches together.  On FOUND,
     h is the map of ``quotient`` followed by the sub-search's embedding,
-    re-validated with k against the formation."""
+    re-validated with k against the formation.  Raises
+    :class:`FormatError` when i or j is no index map of A."""
+    _check_maps(vf)
     all_sizes: list[SizeStats] = []
     details = []
     searched = 0
@@ -624,8 +638,8 @@ def bounded_one_amalgam_search(
         all_sizes.extend(report.sizes)
         details.append(f"filter {sorted(members)}: {report.verdict}")
         if report.found:
-            h = Morphism(vf.B, report.d, compose(report.h.map, q), HOM)
-            _revalidate(vf, h, report.k)
+            h = compose(report.h, q)
+            _revalidate(vf, report.d, h, report.k, h_injective=False)
             report = report._replace(h=h)
         if report.verdict != "UNSAT":
             break
@@ -642,7 +656,7 @@ def vs_formation() -> VFormation:
     """The V-formation of 2-potent commutative integral chains with no chain
     amalgam: A the 3-element Goedel chain, B an ordinal sum, C a gluing."""
     A, B, C = vs_a(), vs_b(), vs_c()
-    return VFormation(A, B, C, find_embeddings(A, B)[0].map, find_embeddings(A, C)[0].map, "VS")
+    return VFormation(A, B, C, find_embeddings(A, B)[0], find_embeddings(A, C)[0], "VS")
 
 
 def pointed_vformation(vf: VFormation, a_zero: int) -> VFormation:

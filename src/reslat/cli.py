@@ -260,10 +260,10 @@ def _cmd_embed(args):
         "command": "embed",
         "from": dom.name or args.source,
         "to": cod.name or args.target,
-        "embeddings": [list(m.map) for m in maps],
+        "embeddings": [list(m) for m in maps],
     }
     lines = [f"{len(maps)} embedding(s) of {dom.name or args.source} into {cod.name or args.target}"]
-    lines += [f"  {list(m.map)}" for m in maps]
+    lines += [f"  {list(m)}" for m in maps]
     return (0 if maps else 1), report, lines
 
 
@@ -322,8 +322,8 @@ def _search_report_json(rep: SearchReport) -> dict:
         out["detail"] = rep.detail
     if rep.found:
         out["D"] = algebra_to_document(rep.d)
-        out["h"] = list(rep.h.map)
-        out["k"] = list(rep.k.map)
+        out["h"] = list(rep.h)
+        out["k"] = list(rep.k)
     return out
 
 
@@ -333,7 +333,7 @@ def _search_lines(tag, rep: SearchReport, seconds: float):
         lines.append(f"  size {s.size}: {s.placements} placements, {s.nodes} nodes")
     if rep.found:
         lines.append(f"  D = {canonical_tables_json(rep.d)}")
-        lines.append(f"  h = {list(rep.h.map)}  k = {list(rep.k.map)}")
+        lines.append(f"  h = {list(rep.h)}  k = {list(rep.k)}")
     if rep.detail:
         lines.append(f"  {rep.detail}")
     return lines

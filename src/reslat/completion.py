@@ -447,16 +447,11 @@ class _Engine:
         return self.p.flags.admits(t, u)
 
 
-def iter_completions(
-    problem: CompletionProblem, budget: Budget = Budget(), stats: SearchStats | None = None, *, as_bytes: bool = False
-):
+def iter_completions(problem: CompletionProblem, budget: Budget = Budget(), stats: SearchStats | None = None):
     """All completed product tables, in canonical depth-first order, each
-    as a list of rows, or with ``as_bytes`` as the engine's ``m*m`` bytes
-    in row-major order."""
+    as the engine's ``m*m`` bytes in row-major order."""
     stats = stats if stats is not None else SearchStats()
-    m = problem.size
-    for cells in _Engine(problem, budget, stats).solutions():
-        yield cells if as_bytes else [list(cells[i:i + m]) for i in range(0, m * m, m)]
+    yield from _Engine(problem, budget, stats).solutions()
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +474,7 @@ def _unit_stream(n: int, unit: int, commutative: bool):
         return
     tables = []
     problem = CompletionProblem(n, unit, {}, {}, {}, ChainFlags(commutative=commutative))
-    for cells in iter_completions(problem, as_bytes=True):
+    for cells in iter_completions(problem):
         tables.append(cells)
         yield cells
     _CHAINS[key] = tables

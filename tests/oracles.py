@@ -197,7 +197,7 @@ def brute_amalgam_exists(vf, m, flags=None) -> bool:
         if flags.divisible and not _divides(d.product):
             continue
         for h in find_embeddings(vf.B, d):
-            pin = {vf.j[a]: h.map[vf.i[a]] for a in range(vf.A.size)}
+            pin = {vf.j[a]: h[vf.i[a]] for a in range(vf.A.size)}
             if len(set(pin.values())) != len(pin):
                 continue
             if find_embeddings(vf.C, d, pin=pin):

@@ -9,7 +9,6 @@ from reslat import (
     CHAIN,
     PARTIAL_IRL_FLAGS,
     FormatError,
-    Morphism,
     NotResiduatedError,
     check_identity,
     congruence_filters,
@@ -138,6 +137,14 @@ def test_relabel_checks_labels_as_make_algebra_does(labels, message):
 
     # what relabel accepts, a document carries back
     assert document_to_algebra(algebra_to_document(relabel(g2, ["a", "b"]))).labels == ("a", "b")
+
+
+def test_relabel_checks_its_name_as_make_algebra_does():
+    g2 = godel(2)
+    for build in (lambda: relabel(g2, ("a", "b"), name=5), lambda: make_algebra(product=g2.product, unit=1, name=5)):
+        with pytest.raises(FormatError, match="^name must be a string$"):
+            build()
+    assert relabel(g2, ("a", "b"), name="G").name == "G" and relabel(g2, ("a", "b")).name == g2.name
 
 
 def test_index_order_table_is_stored_as_chain():
@@ -434,5 +441,5 @@ def test_lattice_operations_keep_no_algebra_alive():
     alg = diamond()
     refs = sys.getrefcount(alg)
     assert check_identity(alg, parse_identity("x /\\ y \\/ x = x")).holds
-    assert validate_morphism(Morphism(alg, alg, tuple(range(alg.size)))).ok
+    assert validate_morphism(alg, alg, tuple(range(alg.size))).ok
     assert sys.getrefcount(alg) == refs

@@ -4,10 +4,9 @@ import math
 import pytest
 
 from reslat import (
-    EMBEDDING,
-    HOM,
     ChainFlags,
-    Morphism,
+    FiniteRL,
+    FormatError,
     ObstructionWitness,
     PreconditionError,
     UnsupportedError,
@@ -37,8 +36,8 @@ from reslat.amalgamation import ObstructionCheck
 
 
 def _vf(A, B, C, name=""):
-    i = find_embeddings(A, B)[0].map
-    j = find_embeddings(A, C)[0].map
+    i = find_embeddings(A, B)[0]
+    j = find_embeddings(A, C)[0]
     return VFormation(A, B, C, i, j, name=name)
 
 
@@ -47,20 +46,26 @@ def _vf(A, B, C, name=""):
 
 
 def test_embedding_examples(vs):
-    assert [m.map for m in find_embeddings(vs.A, vs.B)] == [(0, 2, 3)]
-    assert [m.map for m in find_embeddings(vs.A, vs.A)] == [(0, 1, 2)]
+    assert find_embeddings(vs.A, vs.B) == [(0, 2, 3)]
+    assert find_embeddings(vs.A, vs.A) == [(0, 1, 2)]
     assert find_embeddings(vs.B, vs.A) == []
-    assert [m.map for m in find_embeddings(vs.A, vs.C)] == [(0, 3, 4)]
+    assert find_embeddings(vs.A, vs.C) == [(0, 3, 4)]
+
+
+@pytest.mark.parametrize("pin", [{5: 1}, {0: 9}, {0: -1}, {-1: 0}, {True: 1}, {0: "1"}])
+def test_pins_outside_the_two_algebras_are_refused(pin):
+    with pytest.raises(FormatError, match=r"^pin .* is outside 0\.\.1 -> 0\.\.3$"):
+        find_embeddings(two(), godel(4), pin=pin)
 
 
 def test_embeddings_are_lexicographically_ordered():
-    maps = [m.map for m in find_embeddings(two(), godel(4))]
+    maps = find_embeddings(two(), godel(4))
     assert maps == sorted(maps)
     assert maps == [(0, 3), (1, 3), (2, 3)]
 
 
 def test_embeddings_respect_pins():
-    maps = [m.map for m in find_embeddings(two(), godel(4), pin={0: 1})]
+    maps = find_embeddings(two(), godel(4), pin={0: 1})
     assert maps == [(1, 3)]
     with pytest.raises(Exception):
         find_embeddings(godel(3), godel(4), pin={0: 1, 1: 1})
@@ -71,7 +76,7 @@ def test_chain_embeddings_are_strictly_monotone(builtin_chains):
         if x.size > 4 or y.size > 5:
             continue
         for m in find_embeddings(x, y):
-            assert all(m.map[a] < m.map[b] for a in range(x.size) for b in range(x.size) if a < b)
+            assert all(m[a] < m[b] for a in range(x.size) for b in range(x.size) if a < b)
 
 
 def test_embeddings_are_injective_homomorphisms(builtin_chains):
@@ -79,15 +84,15 @@ def test_embeddings_are_injective_homomorphisms(builtin_chains):
     for x, y in itertools.product(smalls, repeat=2):
         brute_force = [
             f for f in itertools.permutations(range(y.size), x.size)
-            if validate_morphism(Morphism(x, y, f, EMBEDDING)).ok
+            if validate_morphism(x, y, f, injective=True).ok
         ]
-        assert [m.map for m in find_embeddings(x, y)] == brute_force
+        assert find_embeddings(x, y) == brute_force
 
 
 def test_quotient_map_is_a_homomorphism(vs):
     l3 = lukasiewicz(3)
-    assert not validate_morphism(Morphism(vs.B, l3, (0, 0, 1, 2), HOM)).ok  # collapsing u with b is not compatible
-    assert validate_morphism(Morphism(vs.B, l3, (0, 1, 2, 2), HOM)).ok  # collapsing v with 1 is the filter {1, v}
+    assert not validate_morphism(vs.B, l3, (0, 0, 1, 2)).ok  # collapsing u with b is not compatible
+    assert validate_morphism(vs.B, l3, (0, 1, 2, 2)).ok  # collapsing v with 1 is the filter {1, v}
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +116,30 @@ def test_each_map_is_validated_against_the_formations_own_algebras(vs):
     bad = rep.first_failure()
     assert (bad.flag, bad.detail) == ("i", "image 4 out of range 0..3")
     assert [c.flag for c in rep.checks if not c.ok] == ["i"]
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda vf: bounded_amalgam_search(vf, 9),
+        lambda vf: bounded_one_amalgam_search(vf, 9),
+        find_obstruction,
+        lambda vf: check_obstruction(vf, ObstructionWitness(0, 1, 1, 0, 0)),
+    ],
+    ids=["amalgam", "one-amalgam", "find_obstruction", "check_obstruction"],
+)
+def test_searches_refuse_maps_of_the_wrong_shape(vs, search):
+    """The searches check the shape of i and j, not the whole formation,
+    and name the map with the fault ``validate_morphism`` reports."""
+    for vf, fault in (
+        (vs._replace(i=vs.j), "'i': image 4 out of range 0..3"),
+        (vs._replace(j=vs.j[:2]), "'j': map of length 2 on 3 elements"),
+        (vs._replace(j=(0, 3, -1)), "'j': image -1 out of range 0..4"),
+        (vs._replace(i=(0, "2", 3)), "'i': image '2' out of range 0..3"),
+        (vs._replace(i=(0, True, 3)), "'i': image True out of range 0..3"),
+    ):
+        with pytest.raises(FormatError, match=f"^V-formation map {fault}$"):
+            search(vf)
 
 
 def test_trivial_base_formation_is_valid():
@@ -147,7 +176,7 @@ def test_identity_formation_amalgamates_trivially(vs):
     vf = VFormation(vs.A, vs.B, vs.B, vs.i, vs.i)
     rep = bounded_amalgam_search(vf, 4)
     assert rep.found and tables_equal(rep.d, vs.B)
-    assert rep.h.map == rep.k.map == (0, 1, 2, 3)
+    assert rep.h == rep.k == (0, 1, 2, 3)
 
 
 def test_found_reports_revalidate():
@@ -155,8 +184,9 @@ def test_found_reports_revalidate():
     rep = bounded_amalgam_search(vf, 5)
     assert rep.found
     assert validate(rep.d, ("lattice", "monoid", "residuation", "chain")).ok
-    assert validate_morphism(rep.h).ok and validate_morphism(rep.k).ok
-    assert compose(rep.h.map, vf.i) == compose(rep.k.map, vf.j)
+    assert validate_morphism(vf.B, rep.d, rep.h, injective=True).ok
+    assert validate_morphism(vf.C, rep.d, rep.k, injective=True).ok
+    assert compose(rep.h, vf.i) == compose(rep.k, vf.j)
 
 
 def _two_into_g3():
@@ -188,12 +218,12 @@ def test_one_amalgam_revalidates_its_composed_h(monkeypatch, bad_h, match):
     from reslat import amalgamation
 
     vf = _two_into_g3()
-    assert bounded_one_amalgam_search(vf, 4).h.map == (1, 2)
+    assert bounded_one_amalgam_search(vf, 4).h == (1, 2)
     amalgam_search = amalgamation.bounded_amalgam_search
 
     def wrong_h(sub_vf, *args):
         rep = amalgam_search(sub_vf, *args)
-        return rep._replace(h=rep.h._replace(map=bad_h))
+        return rep._replace(h=bad_h)
 
     monkeypatch.setattr(amalgamation, "bounded_amalgam_search", wrong_h)
     with pytest.raises(AssertionError, match=match):
@@ -222,12 +252,21 @@ def test_one_amalgam_builds_quotients_only_for_filters_it_searches(vs, monkeypat
     )
 
 
+@pytest.mark.parametrize("search", [bounded_amalgam_search, bounded_one_amalgam_search])
+def test_found_reports_hold_one_algebra_and_index_maps(search):
+    rep = search(_vf(trivial(), lukasiewicz(3), godel(3)), 5)
+    assert rep.found
+    assert [v for v in rep if isinstance(v, FiniteRL)] == [rep.d]
+    assert type(rep.h) is type(rep.k) is tuple
+
+
 def test_one_amalgam_found_for_identity_formation(vs):
     vf = VFormation(vs.A, vs.B, vs.B, vs.i, vs.i)
     rep = bounded_one_amalgam_search(vf, 4)
     assert rep.found
-    assert rep.h.kind == "HOM" and rep.k.kind == "EMBEDDING"
-    assert compose(rep.h.map, vf.i) == compose(rep.k.map, vf.i)
+    assert validate_morphism(vf.B, rep.d, rep.h).ok
+    assert validate_morphism(vf.B, rep.d, rep.k, injective=True).ok
+    assert compose(rep.h, vf.i) == compose(rep.k, vf.i)
 
 
 def test_amalgam_found_implies_one_amalgam_found():
@@ -287,7 +326,7 @@ def test_a_class_without_b_or_c_refutes_every_type_at_once(monkeypatch):
             (m, p, 0) for m, p in zip(range(3, 8), unrestricted[tag])
         ]
     one = bounded_one_amalgam_search(_vf(A, L3, G3), 7, idempotent)
-    assert one.found and one.h.map == (2, 2, 2)
+    assert one.found and one.h == (2, 2, 2)
 
 
 def test_pointed_variant_unsat(vs):
@@ -388,7 +427,7 @@ def test_restricted_searches_agree_with_brute_force():
         changed[flags.k_potent or "divisible"] = 0
         for A, B, C in itertools.product((trivial(), two()), chains, chains):
             for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
-                vf = VFormation(A, B, C, i.map, j.map)
+                vf = VFormation(A, B, C, i, j)
                 lo = max(B.size, C.size)
                 for m in (lo, lo + 1):
                     found = bounded_amalgam_search(vf, m, flags, min_size=m).found
@@ -408,10 +447,10 @@ def test_equal_searches_return_equal_reports(vs):
 # oracles: classes known to amalgamate, found at the size theory predicts
 
 
-def _gaps(embedding: Morphism) -> list[int]:
+def _gaps(embedding: tuple[int, ...]) -> list[int]:
     """The elements of the target strictly below the image of each element
     of the source and above the image of the one before it."""
-    bounds = (-1, *embedding.map)
+    bounds = (-1, *embedding)
     return [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -432,8 +471,8 @@ def test_goedel_chains_amalgamate_at_their_order_amalgam():
         for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
             formations += 1
             want = a + sum(map(max, _gaps(i), _gaps(j)))
-            report = bounded_amalgam_search(VFormation(A, B, C, i.map, j.map), b + c - a, flags)
-            assert report.found and report.d.size == want, (i.map, j.map, report.verdict)
+            report = bounded_amalgam_search(VFormation(A, B, C, i, j), b + c - a, flags)
+            assert report.found and report.d.size == want, (i, j, report.verdict)
             assert tables_equal(report.d, godel(want))
     assert formations == 178
 
@@ -541,7 +580,7 @@ def test_witness_requires_chains(vs):
     square = make_algebra(product=meet, unit=3, order=leq)
     i = find_embeddings(trivial(), square)[0]
     j = find_embeddings(trivial(), vs.C)[0]
-    vf = VFormation(trivial(), square, vs.C, i.map, j.map)
+    vf = VFormation(trivial(), square, vs.C, i, j)
     with pytest.raises(UnsupportedError):
         find_obstruction(vf)
 
@@ -593,7 +632,7 @@ def test_no_witness_over_the_two_element_base():
     chains4 = list(enumerate_chains(4, ChainFlags(integral=True)))
     for B in chains4:
         for C in chains4:
-            vf = VFormation(A, B, C, find_embeddings(A, B)[0].map, find_embeddings(A, C)[0].map)
+            vf = VFormation(A, B, C, find_embeddings(A, B)[0], find_embeddings(A, C)[0])
             assert find_obstruction(vf) is None
 
 
@@ -614,7 +653,7 @@ def test_certificate_soundness_over_random_formations():
     witnessed = checked = 0
     for B, i in hosts:
         for C, j in hosts:
-            vf = VFormation(A, B, C, i.map, j.map)
+            vf = VFormation(A, B, C, i, j)
             w = find_obstruction(vf)
             if w is None:
                 continue
@@ -651,7 +690,7 @@ def test_obstruction_scan_matches_the_naive_scan(vs):
     hosts = [(B, i) for n in (4, 5) for B in enumerate_chains(n, ChainFlags(integral=True)) for i in find_embeddings(A, B)]
     sides = Counter()
     for (B, i), (C, j) in itertools.product(hosts, repeat=2):
-        vf = VFormation(A, B, C, i.map, j.map)
+        vf = VFormation(A, B, C, i, j)
         w = find_obstruction(vf)
         assert w == naive_find_obstruction(vf), (B, C, i, j)
         sides[w and w.side] += 1
@@ -808,7 +847,7 @@ def _small_formations():
     for bases, b_hosts, c_hosts, flag_sets in groups:
         for A, B, C in itertools.product(bases, b_hosts, c_hosts):
             for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
-                out += [(VFormation(A, B, C, i.map, j.map), flags) for flags in flag_sets]
+                out += [(VFormation(A, B, C, i, j), flags) for flags in flag_sets]
     return out
 
 
@@ -838,7 +877,7 @@ def test_type_refutation_matches_the_full_pass_oracle(vs):
             for nb, nc in itertools.product(range(na + 1, 5), repeat=2):
                 for A, B, C in itertools.product(family[na], family[nb], family[nc]):
                     for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
-                        cases += [(VFormation(A, B, C, i.map, j.map), flags) for flags in flag_sets]
+                        cases += [(VFormation(A, B, C, i, j), flags) for flags in flag_sets]
     outcomes = Counter()
     for vf, flags in cases:
         for htype, ktype in _order_types(vf, flags, vf.B.size + vf.C.size):
@@ -859,7 +898,7 @@ def test_types_fit_the_bound_and_are_decided_at_the_first_size_they_fit(monkeypa
     from reslat.amalgamation import _order_types
 
     A, B, C = trivial(), godel(5), lukasiewicz(6)
-    vf = VFormation(A, B, C, find_embeddings(A, B)[0].map, find_embeddings(A, C)[0].map)
+    vf = VFormation(A, B, C, find_embeddings(A, B)[0], find_embeddings(A, C)[0])
     assert [len(list(_order_types(vf, ChainFlags(), bound))) for bound in (6, 7, 10)] == [5, 65, 681]
     calls = []
     decide = amalgamation._type_pins
@@ -923,7 +962,7 @@ def test_order_types_and_placement_counts_match_the_naive_placements(vs):
         assert [s.placements for s in report.sizes] == [len(naive[s.size]) for s in report.sizes], (vf, flags)
     # one rank that is both zero and unit fits only the trivial D
     A = with_zero(trivial(), 0)
-    vf = VFormation(A, A, A, find_embeddings(A, A)[0].map, find_embeddings(A, A)[0].map)
+    vf = VFormation(A, A, A, find_embeddings(A, A)[0], find_embeddings(A, A)[0])
     flags = ChainFlags(integral=True, pointed=True)
     assert [len(_placements(_order_types(vf, flags, 3), m, flags)) for m in (1, 2, 3)] == [1, 0, 0]
     assert [(s.size, s.placements) for s in bounded_amalgam_search(vf, 3, flags).sizes] == [(1, 1)]
@@ -967,7 +1006,7 @@ def test_found_witness_is_the_least_placement(b, c, i, j, flags, h, k, product):
     vf = VFormation(A, B, C, (i,), (j,))
     report = bounded_amalgam_search(vf, max(B.size, C.size) + 2, flags)
     assert report.found
-    assert (list(report.h.map), list(report.k.map)) == (h, k)
+    assert (list(report.h), list(report.k)) == (h, k)
     assert report.d.product == product
     last = report.sizes[-1]
     assert last.placements == len(naive_placements(vf, last.size, flags))
@@ -987,7 +1026,7 @@ def test_type_filter_changes_no_search_result(monkeypatch):
         assert sum(s.nodes for s in got.sizes) <= sum(s.nodes for s in want.sizes)
         if want.found:
             assert got.d.product == want.d.product and got.d.unit == want.d.unit
-            assert (got.h.map, got.k.map) == (want.h.map, want.k.map)
+            assert (got.h, got.k) == (want.h, want.k)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,9 +1063,9 @@ def test_small_vformation_census_is_pinned(pointed, counts, digest):
         for nb, nc in itertools.product(range(na + 1, 5), repeat=2):
             for A, B, C in itertools.product(chains[na], chains[nb], chains[nc]):
                 for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
-                    r = bounded_amalgam_search(VFormation(A, B, C, i.map, j.map), nb + nc - na + 1, flags)
+                    r = bounded_amalgam_search(VFormation(A, B, C, i, j), nb + nc - na + 1, flags)
                     verdicts[r.verdict] += 1
-                    maps = [list(r.h.map), list(r.k.map), [list(row) for row in r.d.product]] if r.found else [None] * 3
+                    maps = [list(r.h), list(r.k), [list(row) for row in r.d.product]] if r.found else [None] * 3
                     sha.update(json.dumps([r.verdict, [list(s) for s in r.sizes], *maps]).encode() + b"\n")
     assert verdicts == counts
     assert sha.hexdigest() == digest

@@ -202,7 +202,7 @@ def test_vformation_from_file(tmp_path, capsys):
     from reslat import VFormation, find_embeddings, godel, trivial
 
     zero_inside = with_zero(godel(3), 1)
-    i = find_embeddings(trivial(), zero_inside)[0].map
+    i = find_embeddings(trivial(), zero_inside)[0]
     path = tmp_path / "zero_inside.json"
     path.write_text(dumps_canonical(vformation_to_document(VFormation(trivial(), zero_inside, zero_inside, i, i))))
     assert main(["amalgam", "--vf", str(path), "--max-size", "6"]) == 0  # FOUND

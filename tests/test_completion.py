@@ -32,9 +32,14 @@ from reslat import (
 from reslat.completion import SearchStats
 
 
+def _rows(cells, m):
+    """The engine's m*m row-major bytes as a table of row tuples."""
+    return tuple(tuple(cells[i:i + m]) for i in range(0, m * m, m))
+
+
 def test_trivial_completion():
     table = next(iter_completions(CompletionProblem(1, 0, {}, {}, {})), None)
-    assert table is not None and len(table) == 1
+    assert table == bytes([0])
 
 
 def test_blanked_cell_of_b_is_forced_back():
@@ -50,7 +55,7 @@ def test_blanked_cell_of_b_is_forced_back():
     problem = CompletionProblem(4, 3, pins, ldiv_pins, rdiv_pins, flags=ChainFlags(commutative=True, integral=True))
     solutions = list(iter_completions(problem))
     assert len(solutions) == 1
-    assert tuple(map(tuple, solutions[0])) == b.product  # b*b = u restored
+    assert _rows(solutions[0], 4) == b.product  # b*b = u restored
 
 
 def test_unit_product_pins_below_unit_are_unsat():
@@ -67,7 +72,7 @@ def test_budget_exceeded():
     problem = CompletionProblem(7, 6, {}, {}, {}, flags=ChainFlags(integral=True))
     stats = SearchStats()
     full, nodes_at = [], []  # each table and the node count when it came
-    for cells in iter_completions(problem, Budget(22_437), stats, as_bytes=True):
+    for cells in iter_completions(problem, Budget(22_437), stats):
         full.append(cells)
         nodes_at.append(stats.nodes)
     assert (stats.nodes, stats.solutions, len(full)) == (22_437, 2_641, 2_641)
@@ -75,7 +80,7 @@ def test_budget_exceeded():
     for k in (0, 1, 7, nodes_at[100], 10_000, 22_436):
         stats, got = SearchStats(), []
         with pytest.raises(BudgetExceededError):
-            for cells in iter_completions(problem, Budget(k), stats, as_bytes=True):
+            for cells in iter_completions(problem, Budget(k), stats):
                 got.append(cells)
         assert stats.nodes == k + 1, k
         assert got == full[:sum(n <= k for n in nodes_at)] and stats.solutions == len(got), k
@@ -163,7 +168,7 @@ def test_all_solutions_mode_equals_enumeration():
     flags = ChainFlags(integral=True, commutative=True)
     streamed = [a.product for a in enumerate_chains(4, flags)]
     problem = CompletionProblem(4, 3, {}, {}, {}, flags=ChainFlags(commutative=True, integral=True))
-    direct = [tuple(map(tuple, t)) for t in iter_completions(problem)]
+    direct = [_rows(t, 4) for t in iter_completions(problem)]
     assert streamed == direct
 
 
@@ -185,7 +190,7 @@ def test_partial_pins_of_valid_chains_always_complete(small_chain_pool, data):
     )
     table = next(iter_completions(problem), None)
     assert table is not None  # the original table is one completion
-    first = make_algebra(product=table, unit=problem.unit, order=CHAIN)
+    first = make_algebra(product=_rows(table, n), unit=problem.unit, order=CHAIN)
     assert validate(first, ("lattice", "monoid", "residuation", "chain")).ok
     for (x, y), v in problem.product_pins.items():
         assert first.product[x][y] == v
@@ -331,7 +336,7 @@ def test_memo_is_invisible(column, cold_memo):
         cold = _stream(n, flags)
         warm = _stream(n, flags)
         direct = [
-            (unit, tuple(map(tuple, table)))
+            (unit, _rows(table, n))
             for unit in ([n - 1] if flags.integral else range(n))
             for table in iter_completions(CompletionProblem(n, unit, {}, {}, {}, flags=flags))
         ]
@@ -504,7 +509,7 @@ def test_pinned_completions_match_naive_oracle(naive_tables, data):
                 table[x, y] = data.draw(st.integers(0, m - 1), label="value")
         pins.append(table)
     problem = CompletionProblem(m, unit, *pins, flags=ChainFlags(commutative=commutative, integral=integral))
-    got = [tuple(map(tuple, t)) for t in iter_completions(problem)]
+    got = [_rows(t, m) for t in iter_completions(problem)]
     event("satisfiable" if got else "unsatisfiable")
     assert len(got) == len(set(got))
     assert set(got) == {t for t in chains if _meets_pins(t, *pins)}

@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from reslat import (
-    EMBEDDING,
     Budget,
     ChainFlags,
     CompletionProblem,
@@ -16,7 +15,6 @@ from reslat import (
     Identity,
     IdentityResult,
     LowerCompatibleTriple,
-    Morphism,
     Nucleus,
     ObstructionWitness,
     SearchReport,
@@ -39,7 +37,6 @@ def _records():
         "FiniteRL": lambda: lukasiewicz(3),
         "CheckOutcome": lambda: CheckOutcome("monoid", False, (1, 2), "not associative"),
         "ValidationReport": lambda: ValidationReport("L3", (CheckOutcome("lattice", True),)),
-        "Morphism": lambda: Morphism(two(), l3, (0, 2), EMBEDDING),
         "CongruenceFilter": lambda: CongruenceFilter(l3, frozenset({1, 2})),
         "VFormation": lambda: VFormation(two(), l3, l3, (0, 2), (0, 2), "V"),
         "ObstructionWitness": lambda: ObstructionWitness(0, 1, 1, 0, 0),
@@ -66,7 +63,6 @@ FIELDS = {
     "FiniteRL": ("name", "other"),
     "CheckOutcome": ("ok", True),
     "ValidationReport": ("subject", "other"),
-    "Morphism": ("map", (0, 1)),
     "CongruenceFilter": ("members", frozenset()),
     "VFormation": ("name", "other"),
     "ObstructionWitness": ("side", "RIGHT"),
