@@ -52,7 +52,6 @@ from .amalgamation import (
     vs_formation,
 )
 from .completion import (
-    Budget,
     ChainFlags,
     CompletionProblem,
     count_chains,

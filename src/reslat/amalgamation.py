@@ -37,8 +37,8 @@ from .algebra import (
     with_zero,
 )
 from .completion import (
+    DEFAULT_BUDGET,
     MAX_CHAIN_SIZE,
-    Budget,
     ChainFlags,
     CompletionProblem,
     SearchStats,
@@ -189,15 +189,9 @@ def load_vformation(path: str) -> VFormation:
 # embedding search
 
 
-def find_embeddings(x: FiniteRL, y: FiniteRL, pin=None) -> list[tuple[int, ...]]:
-    """All injective operation-preserving index maps from x into y extending
-    ``pin``, in lexicographic order."""
-    pin = dict(pin or {})
-    for e, v in pin.items():
-        if not (type(e) is type(v) is int and 0 <= e < x.size and 0 <= v < y.size):
-            raise FormatError(f"pin {e!r} -> {v!r} is outside 0..{x.size - 1} -> 0..{y.size - 1}")
-    if len(set(pin.values())) != len(pin):
-        raise FormatError("pin must map distinct elements to distinct elements")
+def find_embeddings(x: FiniteRL, y: FiniteRL) -> list[tuple[int, ...]]:
+    """All injective operation-preserving index maps from x into y, in
+    lexicographic order."""
     n = x.size
     ops_x, ops_y = operation_tables(x), operation_tables(y)
     both_zero = x.zero is not None and y.zero is not None
@@ -232,8 +226,7 @@ def find_embeddings(x: FiniteRL, y: FiniteRL, pin=None) -> list[tuple[int, ...]]
             if validate_morphism(x, y, image, injective=True).ok:
                 out.append(tuple(image))
             return
-        candidates = [pin[e]] if e in pin else range(y.size)
-        for v in candidates:
+        for v in range(y.size):
             if consistent(e, v):
                 image[e] = v
                 extend(e + 1)
@@ -516,7 +509,7 @@ def bounded_amalgam_search(
     vf: VFormation,
     max_size: int,
     flags: ChainFlags = ChainFlags(),
-    budget: Budget = Budget(),
+    budget: int = DEFAULT_BUDGET,
     min_size: int | None = None,
 ) -> SearchReport:
     """Search for a chain amalgam of every size up to ``max_size``, in the
@@ -603,7 +596,7 @@ def bounded_one_amalgam_search(
     vf: VFormation,
     max_size: int,
     flags: ChainFlags = ChainFlags(),
-    budget: Budget = Budget(),
+    budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
     """Search for a one-amalgam: k embeds C, h is any homomorphism on B.
 
@@ -634,7 +627,7 @@ def bounded_one_amalgam_search(
         searched += 1
         sub_vf = VFormation(vf.A, Bq, vf.C, compose(q, vf.i), vf.j, f"{vf.name}/F")
         spent = sum(s.nodes for s in all_sizes)
-        report = bounded_amalgam_search(sub_vf, max_size, flags, budget._replace(max_nodes=budget.max_nodes - spent))
+        report = bounded_amalgam_search(sub_vf, max_size, flags, budget - spent)
         all_sizes.extend(report.sizes)
         details.append(f"filter {sorted(members)}: {report.verdict}")
         if report.found:
@@ -668,15 +661,12 @@ def pointed_vformation(vf: VFormation, a_zero: int) -> VFormation:
 
 
 def rotated_vformation(vf: VFormation, delta_name: str, n: int) -> VFormation:
-    """Apply the generalized n-rotation to every component of a V-formation."""
+    """Apply the generalized n-rotation to every component of a V-formation.
+    The result is not checked here: ``check_vformation`` does that."""
     dA, dB, dC = (nucleus_by_name(x, delta_name) for x in (vf.A, vf.B, vf.C))
     RA, RB, RC = (generalized_rotation(d, n, name=f"{d.parent.name}^{delta_name}:{n}") for d in (dA, dB, dC))
     name = f"{vf.name}^{delta_name}:{n}" if vf.name else ""
-    out = VFormation(RA, RB, RC, rotation_map(dA, dB, n, vf.i), rotation_map(dA, dC, n, vf.j), name)
-    rep = check_vformation(out)
-    if not rep.ok:
-        raise PreconditionError(f"rotation did not yield a V-formation: {rep.first_failure()}")
-    return out
+    return VFormation(RA, RB, RC, rotation_map(dA, dB, n, vf.i), rotation_map(dA, dC, n, vf.j), name)
 
 
 def builtin_vformation(name: str) -> VFormation:

@@ -28,6 +28,7 @@ from .algebra import (
     PreconditionError,
     RL_FLAGS,
     ReslatError,
+    UnsupportedSymbolError,
     VALIDATE_FLAGS,
     congruence_filters,
     quotient,
@@ -51,7 +52,7 @@ from .amalgamation import (
     rotated_vformation,
     vs_formation,
 )
-from .completion import Budget, ChainFlags, count_chains, enumerate_chains
+from .completion import DEFAULT_BUDGET, ChainFlags, count_chains, enumerate_chains
 from .constructions import (
     LowerCompatibleTriple,
     builtin,
@@ -350,10 +351,9 @@ def _cmd_amalgam(args, one_sided: bool):
         raise FormatError("--budget must be non-negative")
     flags = _chain_flags(args.flags)
     vf = _load_vf(args.vf, args.rotate)
-    budget = Budget(max_nodes=args.budget)
     search = bounded_one_amalgam_search if one_sided else bounded_amalgam_search
     start = time.monotonic()
-    rep = search(vf, args.max_size, flags, budget)
+    rep = search(vf, args.max_size, flags, args.budget)
     seconds = time.monotonic() - start
     name = "one-amalgam" if one_sided else "amalgam"
     report = {"command": name, "vformation": vf.name or args.vf, "search": _search_report_json(rep)}
@@ -410,7 +410,7 @@ def _table_facts_hold(alg, facts: str) -> bool:
     )
 
 
-def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2)), budget: Budget = Budget()) -> dict:
+def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2)), budget: int = DEFAULT_BUDGET) -> dict:
     """Run the full reproduction pipeline and return its one record.
 
     Builds the VS chains, re-validates every finite fact (tables, triple,
@@ -422,10 +422,14 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     report ``{"step", "ok", "search"}``; ``ok`` holds when every step does,
     and the conclusions are stated only then (``[]`` otherwise), the one on
     2-rotations only if both ``identity:2`` and ``const-1:2`` ran.  Raises
-    :class:`PreconditionError`, before any step, when ``max_size`` is below
-    the largest B or C of VS and the rotations, where a search would start,
-    and from the first search when it is above ``MAX_CHAIN_SIZE``.
+    :class:`PreconditionError`, before any step, when a rotation is given
+    twice or ``max_size`` is below the largest B or C of VS and the
+    rotations, where a search would start, and from the first search when
+    it is above ``MAX_CHAIN_SIZE``.
     """
+    for k, (delta_name, levels) in enumerate(rotations):
+        if (delta_name, levels) in rotations[:k]:
+            raise PreconditionError(f"rotation {delta_name}:{levels} is given twice")
     vs = vs_formation()
     rotated = [(delta_name, levels, rotated_vformation(vs, delta_name, levels)) for delta_name, levels in rotations]
     need = max(max(vf.B.size, vf.C.size) for vf in (vs, *(rvf for _, _, rvf in rotated)))
@@ -438,7 +442,11 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
 
     def holds_on(algs, name, identity):
         for alg in algs:
-            fact(f"{name} on {alg.name}", check_identity(alg, identity).holds)
+            try:
+                holds, detail = check_identity(alg, identity).holds, ""
+            except UnsupportedSymbolError as exc:  # negation where no 0 is designated
+                holds, detail = False, str(exc)
+            fact(f"{name} on {alg.name}", holds, detail)
 
     def unsat(claim, search, vf, flags=ChainFlags(), report=""):
         rep = search(vf, max_size, flags, budget)
@@ -503,7 +511,8 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     for delta_name, levels, rvf in rotated:
         components = (rvf.A, rvf.B, rvf.C)
         tag = f"rotation {delta_name}:{levels}"
-        fact(f"{tag}: components validate (bounded chains)", check_vformation(rvf).ok)
+        bounded_chains = all(validate(alg, ("chain", "zero-bounded")).ok for alg in components)
+        fact(f"{tag}: components validate (bounded chains)", check_vformation(rvf).ok and bounded_chains)
         sizes = (rvf.A.size, rvf.B.size, rvf.C.size)
         expected_sizes = tuple(
             base.size + len({nucleus_by_name(base, delta_name).map[x] for x in range(base.size)}) + (levels - 2)
@@ -568,7 +577,7 @@ def _cmd_paper(args):
     if args.budget < 0:
         raise FormatError("--budget must be non-negative")
     rotations = [_parse_rotation(item.strip()) for item in args.rotations.split(",")]
-    report = paper_report(args.max_size, rotations, Budget(max_nodes=args.budget))
+    report = paper_report(args.max_size, rotations, args.budget)
     report = {"command": "paper", "max_size": args.max_size, **report}
     return (0 if report["ok"] else 1), report, _paper_lines(report)
 
@@ -645,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-size", type=int, default=9)
         p.add_argument("--flags", help="the class of chains D ranges over: " + _CHAIN_FLAGS_HELP)
         p.add_argument("--rotate", help="apply a rotation first, e.g. identity:2")
-        p.add_argument("--budget", type=int, default=10**8)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         common(p)
         p.set_defaults(run=lambda a, one=one_sided: _cmd_amalgam(a, one))
 
@@ -659,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper", help="one-shot reproduction of the headline results")
     p.add_argument("--max-size", type=int, default=10)
     p.add_argument("--rotations", default="identity:2,const-1:2", help="comma list like identity:2,const-1:2")
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common(p)
     p.set_defaults(run=_cmd_paper)
 

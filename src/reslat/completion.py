@@ -102,6 +102,9 @@ class ChainFlags(_ChainFlagFields):
 # a completed table is checked and reported as one byte per cell
 MAX_CHAIN_SIZE = 256
 
+# the default bound on the branching nodes of one search
+DEFAULT_BUDGET = 10**8
+
 
 class CompletionProblem(NamedTuple):
     """A partially pinned product table over an ``m``-element chain, to be
@@ -144,10 +147,6 @@ class SearchStats:
 
     def __repr__(self):
         return f"SearchStats(nodes={self.nodes}, solutions={self.solutions})"
-
-
-class Budget(NamedTuple):
-    max_nodes: int = 10**8
 
 
 def division_cells(ldiv_pins, rdiv_pins, n):
@@ -203,7 +202,7 @@ def _lane_masks(m):
 
 
 class _Engine:
-    def __init__(self, problem: CompletionProblem, budget: Budget, stats: SearchStats):
+    def __init__(self, problem: CompletionProblem, budget: int, stats: SearchStats):
         problem.check_well_formed()
         self.m = problem.size
         self.p = problem
@@ -374,7 +373,7 @@ class _Engine:
         its candidates not tried yet (bit 0 is value ``v``) and ``v``, the
         value after the last one tried, 0 before the first.  Each later
         branch starts from the node's state, restored in place."""
-        stats, max_nodes = self.stats, self.budget.max_nodes
+        stats, budget = self.stats, self.budget
         cand, value = self.cand, self.value
         stack = []
         while True:
@@ -401,7 +400,7 @@ class _Engine:
                 v += step - 1
                 frame[4], frame[5] = untried >> step, v + 1
                 stats.nodes += 1
-                if stats.nodes > max_nodes:
+                if stats.nodes > budget:
                     raise BudgetExceededError(stats.nodes)
                 try:
                     self._fix(cell, v)
@@ -447,9 +446,10 @@ class _Engine:
         return self.p.flags.admits(t, u)
 
 
-def iter_completions(problem: CompletionProblem, budget: Budget = Budget(), stats: SearchStats | None = None):
+def iter_completions(problem: CompletionProblem, budget: int = DEFAULT_BUDGET, stats: SearchStats | None = None):
     """All completed product tables, in canonical depth-first order, each
-    as the engine's ``m*m`` bytes in row-major order."""
+    as the engine's ``m*m`` bytes in row-major order.  Raises
+    :class:`BudgetExceededError` once ``stats.nodes`` passes ``budget``."""
     stats = stats if stats is not None else SearchStats()
     yield from _Engine(problem, budget, stats).solutions()
 

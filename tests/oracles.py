@@ -182,10 +182,10 @@ def _is_filter(alg, members):
 
 def brute_amalgam_exists(vf, m, flags=None) -> bool:
     """Amalgam existence at exactly size m, the slow way: every residuated
-    chain of that size, every embedding of B, every compatible embedding of
-    C.  Shares no search code with the bounded engine.  ``flags`` may ask
-    for k-potent or divisible chains only; they are filtered here, with
-    their definitions read off the product table."""
+    chain of that size, every embedding of B and every embedding of C,
+    matched on A.  Shares no search code with the bounded engine.
+    ``flags`` may ask for k-potent or divisible chains only; they are
+    filtered here, with their definitions read off the product table."""
     from reslat import ChainFlags, enumerate_chains
     from reslat.amalgamation import find_embeddings
 
@@ -196,12 +196,9 @@ def brute_amalgam_exists(vf, m, flags=None) -> bool:
             continue
         if flags.divisible and not _divides(d.product):
             continue
-        for h in find_embeddings(vf.B, d):
-            pin = {vf.j[a]: h[vf.i[a]] for a in range(vf.A.size)}
-            if len(set(pin.values())) != len(pin):
-                continue
-            if find_embeddings(vf.C, d, pin=pin):
-                return True
+        on_a = {tuple(h[b] for b in vf.i) for h in find_embeddings(vf.B, d)}
+        if on_a and any(tuple(k[c] for c in vf.j) in on_a for k in find_embeddings(vf.C, d)):
+            return True
     return False
 
 

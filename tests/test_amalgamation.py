@@ -52,23 +52,10 @@ def test_embedding_examples(vs):
     assert find_embeddings(vs.A, vs.C) == [(0, 3, 4)]
 
 
-@pytest.mark.parametrize("pin", [{5: 1}, {0: 9}, {0: -1}, {-1: 0}, {True: 1}, {0: "1"}])
-def test_pins_outside_the_two_algebras_are_refused(pin):
-    with pytest.raises(FormatError, match=r"^pin .* is outside 0\.\.1 -> 0\.\.3$"):
-        find_embeddings(two(), godel(4), pin=pin)
-
-
 def test_embeddings_are_lexicographically_ordered():
     maps = find_embeddings(two(), godel(4))
     assert maps == sorted(maps)
     assert maps == [(0, 3), (1, 3), (2, 3)]
-
-
-def test_embeddings_respect_pins():
-    maps = find_embeddings(two(), godel(4), pin={0: 1})
-    assert maps == [(1, 3)]
-    with pytest.raises(Exception):
-        find_embeddings(godel(3), godel(4), pin={0: 1, 1: 1})
 
 
 def test_chain_embeddings_are_strictly_monotone(builtin_chains):
@@ -335,10 +322,8 @@ def test_pointed_variant_unsat(vs):
 
 
 def test_budget_verdict():
-    from reslat import Budget
-
     vf = _vf(trivial(), lukasiewicz(3), lukasiewicz(3))
-    rep = bounded_amalgam_search(vf, 5, budget=Budget(max_nodes=0), min_size=5)
+    rep = bounded_amalgam_search(vf, 5, budget=0, min_size=5)
     assert rep.verdict == "BUDGET"
     # plenty of budget: the same search succeeds
     assert bounded_amalgam_search(vf, 5, min_size=5).found
@@ -355,13 +340,11 @@ def _budget_formation():
 
 @pytest.mark.parametrize("search", [bounded_amalgam_search, bounded_one_amalgam_search])
 def test_budget_bounds_the_whole_search(search):
-    from reslat import Budget
-
     vf = _budget_formation()
-    enough = search(vf, 9, budget=Budget(max_nodes=62))
+    enough = search(vf, 9, budget=62)
     assert enough.verdict == "UNSAT"
     assert [(s.size, s.nodes) for s in enough.sizes] == [(5, 0), (6, 0), (7, 0), (8, 6), (9, 56)]
-    short = search(vf, 9, budget=Budget(max_nodes=56))
+    short = search(vf, 9, budget=56)
     assert short.verdict == "BUDGET"
     # the 57th node overruns the budget; size 9 reports the nodes it spent
     assert [(s.size, s.nodes) for s in short.sizes][-2:] == [(8, 6), (9, 51)]
@@ -370,16 +353,16 @@ def test_budget_bounds_the_whole_search(search):
 def test_one_amalgam_budget_is_shared_by_its_filters():
     """Over B = chain5_2 the trivial filter {4} spends 12 nodes and finds
     nothing, and the filter {3, 4} finds a one-amalgam after 4 more."""
-    from reslat import Budget, enumerate_chains
+    from reslat import enumerate_chains
 
     flags = ChainFlags(commutative=True, integral=True, k_potent=2)
     B = list(enumerate_chains(5, flags))[2]
     C = list(enumerate_chains(4, flags))[1]
     vf = VFormation(two(), B, C, (0, 4), (2, 3))
-    found = bounded_one_amalgam_search(vf, 8, budget=Budget(max_nodes=16))
+    found = bounded_one_amalgam_search(vf, 8, budget=16)
     assert found.found and sum(s.nodes for s in found.sizes) == 16
     assert found.detail == "filter [4]: UNSAT; filter [3, 4]: FOUND"
-    short = bounded_one_amalgam_search(vf, 8, budget=Budget(max_nodes=15))
+    short = bounded_one_amalgam_search(vf, 8, budget=15)
     assert short.verdict == "BUDGET"
     assert short.detail == "filter [4]: UNSAT; filter [3, 4]: BUDGET"
 
@@ -1033,6 +1016,23 @@ def test_type_filter_changes_no_search_result(monkeypatch):
 # the V-formation census of 2-potent commutative integral chains of size <= 4
 
 
+def _census_formations(pointed):
+    """A, B and C range over the 2-potent CI chains with 2 <= |A| < |B|,
+    |C| <= 4, with every pair of embeddings, pointed with 0 at the bottom
+    or not."""
+    from reslat import enumerate_chains, with_zero
+
+    ci2 = ChainFlags(integral=True, commutative=True, k_potent=2)
+    chains = {n: list(enumerate_chains(n, ci2)) for n in (2, 3, 4)}
+    if pointed:
+        chains = {n: [with_zero(ch, 0) for ch in chains[n]] for n in chains}
+    for na in (2, 3):
+        for nb, nc in itertools.product(range(na + 1, 5), repeat=2):
+            for A, B, C in itertools.product(chains[na], chains[nb], chains[nc]):
+                for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
+                    yield VFormation(A, B, C, i, j)
+
+
 @pytest.mark.parametrize(
     "pointed, counts, digest",
     [
@@ -1042,30 +1042,33 @@ def test_type_filter_changes_no_search_result(monkeypatch):
     ids=("unpointed", "pointed"),
 )
 def test_small_vformation_census_is_pinned(pointed, counts, digest):
-    """A, B and C range over the 2-potent CI chains with 2 <= |A| < |B|,
-    |C| <= 4, with every pair of embeddings, pointed with 0 at the bottom
-    or not; each formation is searched to |B| + |C| - |A| + 1.  The digest
-    covers each report's verdict, sizes with placements and nodes, h, k and
-    D's product, in the order the formations are listed."""
+    """Each formation of the census is searched to |B| + |C| - |A| + 1.
+    The digest covers each report's verdict, sizes with placements and
+    nodes, h, k and D's product, in the order the formations are listed."""
     import hashlib
     import json
     from collections import Counter
 
-    from reslat import enumerate_chains, with_zero
-
-    ci2 = ChainFlags(integral=True, commutative=True, k_potent=2)
-    chains = {n: list(enumerate_chains(n, ci2)) for n in (2, 3, 4)}
-    if pointed:
-        chains = {n: [with_zero(ch, 0) for ch in chains[n]] for n in chains}
     flags = ChainFlags(pointed=pointed)
     verdicts, sha = Counter(), hashlib.sha256()
-    for na in (2, 3):
-        for nb, nc in itertools.product(range(na + 1, 5), repeat=2):
-            for A, B, C in itertools.product(chains[na], chains[nb], chains[nc]):
-                for i, j in itertools.product(find_embeddings(A, B), find_embeddings(A, C)):
-                    r = bounded_amalgam_search(VFormation(A, B, C, i, j), nb + nc - na + 1, flags)
-                    verdicts[r.verdict] += 1
-                    maps = [list(r.h), list(r.k), [list(row) for row in r.d.product]] if r.found else [None] * 3
-                    sha.update(json.dumps([r.verdict, [list(s) for s in r.sizes], *maps]).encode() + b"\n")
+    for vf in _census_formations(pointed):
+        r = bounded_amalgam_search(vf, vf.B.size + vf.C.size - vf.A.size + 1, flags)
+        verdicts[r.verdict] += 1
+        maps = [list(r.h), list(r.k), [list(row) for row in r.d.product]] if r.found else [None] * 3
+        sha.update(json.dumps([r.verdict, [list(s) for s in r.sizes], *maps]).encode() + b"\n")
     assert verdicts == counts
     assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_rotating_the_census_yields_v_formations_of_bounded_chains(levels):
+    """``rotated_vformation`` does not check what it builds; this pins that
+    every rotation of the unpointed census, by either nucleus, is a
+    V-formation of index-ordered chains with 0 at the bottom."""
+    formations = list(_census_formations(pointed=False))
+    assert len(formations) == 203
+    for vf in formations:
+        for delta_name in ("identity", "const-1"):
+            rvf = rotated_vformation(vf, delta_name, levels)
+            assert check_vformation(rvf).ok, (vf, delta_name, levels)
+            assert all(alg.is_chain_order and alg.zero == 0 for alg in (rvf.A, rvf.B, rvf.C)), (vf, delta_name, levels)

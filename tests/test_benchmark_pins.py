@@ -27,3 +27,22 @@ def test_workload_passes_its_pinned_checks(name, monkeypatch):
     checks = workload.check(inputs, workload.run(modules, inputs))
     assert checks
     assert [op for op, ok in checks if not ok] == []
+
+
+def test_names_the_benchmark_binds_exist():
+    """The benchmark traces the entry points in ``spans.ENTRY_POINTS``, binds
+    ``iter_completions``' ``stats`` parameter to count engine nodes, and
+    wraps both searches on ``reslat.cli``; a rename of any of them breaks it
+    without failing a workload's checks."""
+    import importlib
+    import inspect
+
+    import spans
+
+    for module, name in spans.ENTRY_POINTS:
+        assert callable(getattr(importlib.import_module(f"reslat.{module}"), name, None)), (module, name)
+    iter_completions = workloads.import_reslat()["completion"].iter_completions
+    assert "stats" in inspect.signature(iter_completions).parameters
+    cli = importlib.import_module("reslat.cli")
+    for attr in ("bounded_amalgam_search", "bounded_one_amalgam_search"):
+        assert callable(getattr(cli, attr, None)), attr

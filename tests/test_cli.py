@@ -501,6 +501,66 @@ def test_paper_shows_no_trace_of_a_rejected_certificate(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "delta_name, called, named", [("const-1", "Stone identity", "stone"), ("identity", "involution", "inv")]
+)
+def test_paper_rotation_step_checks_for_bounded_chains(capsys, monkeypatch, delta_name, called, named):
+    """A rotated C without its 0 is no bounded chain, though it is still a
+    V-formation: the components step fails, and so does the negation
+    identity on C, which has no 0 to negate to."""
+    from reslat import check_vformation, cli
+
+    rotate = cli.rotated_vformation
+
+    def without_zero_in_c(vf, name, levels):
+        rvf = rotate(vf, name, levels)
+        return rvf._replace(C=with_zero(rvf.C, None))
+
+    assert check_vformation(without_zero_in_c(cli.vs_formation(), delta_name, 2)).ok
+    monkeypatch.setattr(cli, "rotated_vformation", without_zero_in_c)
+    tag = f"rotation {delta_name}:2"
+    code, report = run_json(capsys, "paper", "--max-size", "10", "--rotations", f"{delta_name}:2")
+    assert code == 1 and report["ok"] is False and report["conclusions"] == []
+    assert [(s["step"], s["detail"]) for s in report["steps"] if not s["ok"]] == [
+        (f"{tag}: components validate (bounded chains)", ""),
+        (f"{tag}: {called} {NAMED_IDENTITIES[named]} on VS.C^{delta_name}:2", "negation on an unpointed algebra"),
+    ]
+
+
+def test_paper_refuses_a_repeated_rotation(capsys, monkeypatch):
+    from reslat import PreconditionError, cli
+
+    monkeypatch.setattr(cli, "validate", lambda *args: pytest.fail("a step ran"))
+    repeats = (("identity:2,identity:2", "identity:2"), ("const-1:2,identity:3,const-1:02", "const-1:2"))
+    for rotations, repeated in repeats:
+        assert main(["paper", "--rotations", rotations]) == 2
+        assert capsys.readouterr() == ("", f"error: rotation {repeated} is given twice\n")
+    with pytest.raises(PreconditionError, match="^rotation identity:2 is given twice$"):
+        cli.paper_report(10, [("identity", 2), ("const-1", 2), ("identity", 2)])
+
+
+def test_paper_checks_each_rotated_component_once(monkeypatch):
+    """A paper round runs the residuation check of each rotated component
+    once, in its rotation's step; building the rotation checks nothing."""
+    from reslat import amalgamation, cli, constructions, identities
+
+    rotated, checked = [], []
+    rotate, validate = cli.rotated_vformation, cli.validate
+    monkeypatch.setattr(cli, "rotated_vformation", lambda *args: rotated.append(rotate(*args)) or rotated[-1])
+
+    def spy(alg, *args, **kwargs):
+        report = validate(alg, *args, **kwargs)
+        checked.extend(alg for check in report.checks if check.flag == "residuation")
+        return report
+
+    for module in (amalgamation, cli, constructions, identities):
+        monkeypatch.setattr(module, "validate", spy)
+    assert cli.paper_report(10)["ok"]
+    components = [alg for rvf in rotated for alg in (rvf.A, rvf.B, rvf.C)]
+    assert len(components) == 6
+    assert [sum(alg is seen for seen in checked) for alg in components] == [1] * 6
+
+
+@pytest.mark.parametrize(
     "alg, facts, cells",
     [
         # B = u, b, v, 1: v*b, b*b, b\u, v\b, v\u

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from reslat import (
     CHAIN,
-    Budget,
     BudgetExceededError,
     ChainFlags,
     CompletionProblem,
@@ -29,7 +28,7 @@ from reslat import (
     validate,
     vs_b,
 )
-from reslat.completion import SearchStats
+from reslat.completion import DEFAULT_BUDGET, SearchStats
 
 
 def _rows(cells, m):
@@ -65,14 +64,14 @@ def test_unit_product_pins_below_unit_are_unsat():
 
 
 def test_budget_exceeded():
-    """Under Budget(k) the search yields exactly the tables that the
+    """Under a budget of k nodes the search yields exactly the tables that the
     unlimited stream yields within its first k nodes, then raises at node
     k + 1; a stream read one table at a time has searched only as far as
     that table."""
     problem = CompletionProblem(7, 6, {}, {}, {}, flags=ChainFlags(integral=True))
     stats = SearchStats()
     full, nodes_at = [], []  # each table and the node count when it came
-    for cells in iter_completions(problem, Budget(22_437), stats):
+    for cells in iter_completions(problem, 22_437, stats):
         full.append(cells)
         nodes_at.append(stats.nodes)
     assert (stats.nodes, stats.solutions, len(full)) == (22_437, 2_641, 2_641)
@@ -80,7 +79,7 @@ def test_budget_exceeded():
     for k in (0, 1, 7, nodes_at[100], 10_000, 22_436):
         stats, got = SearchStats(), []
         with pytest.raises(BudgetExceededError):
-            for cells in iter_completions(problem, Budget(k), stats):
+            for cells in iter_completions(problem, k, stats):
                 got.append(cells)
         assert stats.nodes == k + 1, k
         assert got == full[:sum(n <= k for n in nodes_at)] and stats.solutions == len(got), k
@@ -526,7 +525,8 @@ def test_leaf_check_holds_each_division_pin_exactly():
     for kind, divisions in (("ldiv", alg.ldiv), ("rdiv", alg.rdiv)):
         for x, z, d in itertools.product(range(4), repeat=3):
             pins = {"ldiv": {}, "rdiv": {}, kind: {(x, z): d}}
-            engine = _Engine(CompletionProblem(4, alg.unit, {}, pins["ldiv"], pins["rdiv"]), Budget(), SearchStats())
+            problem = CompletionProblem(4, alg.unit, {}, pins["ldiv"], pins["rdiv"])
+            engine = _Engine(problem, DEFAULT_BUDGET, SearchStats())
             assert engine._verify(cells) == (d == divisions[x][z]), (kind, x, z, d)
 
 
@@ -568,7 +568,7 @@ def test_leaf_check_matches_naive_oracle():
                 pins = [random_pins(t, n, kind) if pinned else {} for kind in ("product", "ldiv", "rdiv")]
                 problem = CompletionProblem(n, unit, *pins, flags=ChainFlags(commutative=rng.random() < 0.5))
                 want = naive_leaf_check(problem, t)
-                engine = _Engine(problem, Budget(), SearchStats())
+                engine = _Engine(problem, DEFAULT_BUDGET, SearchStats())
                 assert engine._verify(bytes(v for row in t for v in row)) == want, (t, problem)
                 outcomes[want] += 1
     assert outcomes[True] > 100 and outcomes[False] > 3000, outcomes
@@ -592,8 +592,8 @@ def test_leaf_check_matches_naive_oracle_past_one_byte_half():
         m = alg.size
         t = [list(row) for row in alg.product]
         problem = CompletionProblem(m, alg.unit, {}, {}, {})
-        engine = _Engine(problem, Budget(), SearchStats())
-        lanes_only = _Engine(problem, Budget(), SearchStats())
+        engine = _Engine(problem, DEFAULT_BUDGET, SearchStats())
+        lanes_only = _Engine(problem, DEFAULT_BUDGET, SearchStats())
         lanes_only.inner = []
         cells = bytes(v for row in t for v in row)
         assert engine._verify(cells) and lanes_only._verify(cells) and naive_leaf_check(problem, t)

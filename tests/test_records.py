@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from reslat import (
-    Budget,
     ChainFlags,
     CompletionProblem,
     CongruenceFilter,
@@ -45,7 +44,6 @@ def _records():
         "SearchReport": lambda: SearchReport("UNSAT", 5, sizes=(SizeStats(5, 12, 3),)),
         "ChainFlags": lambda: ChainFlags(integral=True, k_potent=2),
         "CompletionProblem": lambda: CompletionProblem(3, 2, {(0, 0): 0}, {}, {}),
-        "Budget": lambda: Budget(7),
         "LowerCompatibleTriple": lambda: LowerCompatibleTriple(l3, (0, 0, 2), (0, 2, 2)),
         "Nucleus": lambda: Nucleus(l3, (0, 1, 2)),
         "Var": lambda: Var("x"),
@@ -71,7 +69,6 @@ FIELDS = {
     "SearchReport": ("verdict", "FOUND"),
     "ChainFlags": ("k_potent", 3),
     "CompletionProblem": ("size", 4),
-    "Budget": ("max_nodes", 8),
     "LowerCompatibleTriple": ("sigma", (0, 1, 2)),
     "Nucleus": ("map", (2, 2, 2)),
     "Var": ("name", "y"),
