@@ -42,7 +42,6 @@ from .completion import (
     ChainFlags,
     CompletionProblem,
     SearchStats,
-    division_cells,
     iter_completions,
 )
 from .documents import algebra_to_document, document_to_algebra
@@ -422,23 +421,14 @@ def _pins_for(vf: VFormation, htype, ktype):
     """Product and division pins, in ranks of the order type ``(htype,
     ktype)``, induced by requiring h and k to preserve operations; ``None``
     when the two sets of pins conflict."""
-    product_pins = {}
-    ldiv_pins = {}
-    rdiv_pins = {}
+    pins = ({}, {}, {})
     for alg, pos in ((vf.B, htype), (vf.C, ktype)):
-        for px, prod_row, ldiv_row, rdiv_row in zip(pos, alg.product, alg.ldiv, alg.rdiv):
-            for y, py in enumerate(pos):
-                key = (px, py)
-                v = pos[prod_row[y]]
-                if product_pins.setdefault(key, v) != v:
-                    return None
-                v = pos[ldiv_row[y]]
-                if ldiv_pins.setdefault(key, v) != v:
-                    return None
-                v = pos[rdiv_row[y]]
-                if rdiv_pins.setdefault(key, v) != v:
-                    return None
-    return product_pins, ldiv_pins, rdiv_pins
+        for cell_pins, table in zip(pins, (alg.product, alg.ldiv, alg.rdiv)):
+            for px, row in zip(pos, table):
+                for py, v in zip(pos, row):
+                    if cell_pins.setdefault((px, py), pos[v]) != pos[v]:
+                        return None
+    return pins
 
 
 def _type_pins(vf: VFormation, htype, ktype):
@@ -455,7 +445,8 @@ def _type_pins(vf: VFormation, htype, ktype):
 
     - pins: h and k preserve products, so p_x*p_y = p_v, in slot 2v+1, and
       a conflict between two pins refutes the type at once;
-    - unit: p_u*p_y = p_y*p_u = p_y;
+    - unit: p_u*p_y = p_y*p_u = p_y, which the pins on the units' rows and
+      columns already say, since every rank is B's or C's;
     - division: p_x \\ p_z = p_d gives p_x*s > p_z for every s > p_d, and
       elements above p_z sit in slots above 2z+1; the rule raises only the
       first cell of that row ray, and the rest of the ray lies above-right
@@ -464,33 +455,42 @@ def _type_pins(vf: VFormation, htype, ktype):
       same cell;
     - monotonicity: D's product is monotone and so is the slot map.
 
-    No rule reads one kind of bound to move the other, so some interval is
+    h and k are one-to-one, so only the cells whose two ranks both B and C
+    hold can get conflicting pins, and those are compared first.  Then the
+    pins and division bounds are read from B's and C's rows, each bound
+    only ever tightening its cell, so their order does not matter.  No
+    rule reads one kind of bound to move the other, so some interval is
     empty exactly when some cell's own lower bound exceeds the least upper
     bound at or above-right of it.  One backward sweep takes that running
     minimum, row by row from the last, each row read from its end, and
-    checks every cell.
+    checks every cell.  Only a type that survives gets its pins built.
     """
-    pins = _pins_for(vf, htype, ktype)
-    if pins is None:
-        return None
-    product_pins, ldiv_pins, rdiv_pins = pins
+    B, C = vf.B, vf.C
+    shared = [(b, ktype.index(r)) for b, r in enumerate(htype) if r in ktype]
+    for tb, tc in ((B.product, C.product), (B.ldiv, C.ldiv), (B.rdiv, C.rdiv)):
+        if any(htype[tb[b][b2]] != ktype[tc[c][c2]] for b, c in shared for b2, c2 in shared):
+            return None
     t = max(htype + ktype) + 1
     lo, hi = [0] * (t * t), [2 * t] * (t * t)
-    for (x, y), v in product_pins.items():
-        lo[x * t + y] = hi[x * t + y] = 2 * v + 1
-    u = htype[vf.B.unit]
-    for y in range(t):
-        for c in (u * t + y, y * t + u):
-            lo[c], hi[c] = max(lo[c], 2 * y + 1), min(hi[c], 2 * y + 1)
-    for z, _, above in division_cells(ldiv_pins, rdiv_pins, t):
-        if above and lo[above[0]] < 2 * z + 2:
-            lo[above[0]] = 2 * z + 2
+    for alg, pos in ((B, htype), (C, ktype)):
+        for x, prod_row, ldiv_row, rdiv_row in zip(pos, alg.product, alg.ldiv, alg.rdiv):
+            for y, p, ld, rd in zip(pos, prod_row, ldiv_row, rdiv_row):
+                c, v = x * t + y, 2 * pos[p] + 1  # the pin x*y = pos[p]
+                if lo[c] < v:
+                    lo[c] = v
+                if hi[c] > v:
+                    hi[c] = v
+                v = 2 * y + 2  # x \ y = d puts (x, d+1) above y, and y / x = d puts (d+1, x)
+                if pos[ld] < t - 1 and lo[x * t + pos[ld] + 1] < v:
+                    lo[x * t + pos[ld] + 1] = v
+                if pos[rd] < t - 1 and lo[pos[rd] * t + t + x] < v:
+                    lo[pos[rd] * t + t + x] = v
     row = [2 * t] * t
     for x in reversed(range(0, t * t, t)):  # upper bounds downwards, each row read from its end
         row = list(itertools.accumulate(map(min, reversed(hi[x : x + t]), row), min))
         if any(map(gt, reversed(lo[x : x + t]), row)):
             return None
-    return pins
+    return _pins_for(vf, htype, ktype)
 
 
 def _revalidate(vf: VFormation, d: FiniteRL, h, k, h_injective: bool = True) -> None:

@@ -98,10 +98,7 @@ def _load_total_algebra(spec: str) -> FiniteRL:
 
 
 def _load_vf(spec: str, rotate: str | None):
-    if os.path.exists(spec):
-        vf = load_vformation(spec)
-    else:
-        vf = builtin_vformation(spec)
+    vf = load_vformation(spec) if os.path.exists(spec) else builtin_vformation(spec)
     if rotate is not None:
         name, levels = _parse_rotation(rotate)
         vf = rotated_vformation(vf, name, levels)
@@ -146,10 +143,7 @@ def _chain_flags(text: str | None) -> ChainFlags:
 
 
 def _emit(args, report: dict, text_lines: list[str]):
-    if args.format == "json":
-        payload = dumps_canonical(report)
-    else:
-        payload = "\n".join(text_lines)
+    payload = dumps_canonical(report) if args.format == "json" else "\n".join(text_lines)
     if args.output:
         write_atomic(args.output, payload + "\n")
     else:
@@ -306,18 +300,14 @@ def _cmd_enumerate(args):
         return 0, report, [str(n)]
     docs = [algebra_to_document(alg) for alg in islice(enumerate_chains(args.size, flags), args.limit)]
     report = {"command": "enumerate", "size": args.size, "algebras": docs}
-    lines = [dumps_canonical(d) for d in docs]
-    return 0, report, lines
+    return 0, report, [dumps_canonical(d) for d in docs]
 
 
 def _search_report_json(rep: SearchReport) -> dict:
     out = {
         "verdict": rep.verdict,
         "bound": rep.bound,
-        "sizes": [
-            {"size": s.size, "placements": s.placements, "nodes": s.nodes}
-            for s in rep.sizes
-        ],
+        "sizes": [{"size": s.size, "placements": s.placements, "nodes": s.nodes} for s in rep.sizes],
     }
     if rep.detail:
         out["detail"] = rep.detail
@@ -511,8 +501,10 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     for delta_name, levels, rvf in rotated:
         components = (rvf.A, rvf.B, rvf.C)
         tag = f"rotation {delta_name}:{levels}"
-        bounded_chains = all(validate(alg, ("chain", "zero-bounded")).ok for alg in components)
-        fact(f"{tag}: components validate (bounded chains)", check_vformation(rvf).ok and bounded_chains)
+        faults = [f"{c.flag}: {c.detail}" for c in check_vformation(rvf).checks if not c.ok]
+        for part, alg in zip("ABC", components):
+            faults += [f"{part}: {c.flag}: {c.detail}" for c in validate(alg, ("chain", "zero-bounded")).checks if not c.ok]
+        fact(f"{tag}: components validate (bounded chains)", not faults, faults[0] if faults else "")
         sizes = (rvf.A.size, rvf.B.size, rvf.C.size)
         expected_sizes = tuple(
             base.size + len({nucleus_by_name(base, delta_name).map[x] for x in range(base.size)}) + (levels - 2)
@@ -586,91 +578,106 @@ def _cmd_paper(args):
 # parser
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser.  ``setup`` adds its own arguments and returns
+    its ``run`` when it first parses, not before, and ``--format`` and
+    ``--output`` follow them."""
+
+    def __init__(self, setup, **kwargs):
+        super().__init__(**kwargs)
+        self.setup = setup
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.setup:
+            self.set_defaults(run=self.setup(self))
+            self.add_argument("--format", choices=("text", "json"), default="text")
+            self.add_argument("--output", help="write the report to a file (atomically)")
+            self.setup = None
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reslat",
-        description="Workbench for finite residuated lattices and amalgamation over chains.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    description = "Workbench for finite residuated lattices and amalgamation over chains."
+    parser = argparse.ArgumentParser(prog="reslat", description=description)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", help="write the report to a file (atomically)")
+    def command(name, help):  # lists the subcommand whose setup it decorates
+        return lambda setup: sub.add_parser(name, help=help, setup=setup)
 
-    p = sub.add_parser("verify", help="validate an algebra against axiom flags")
-    p.add_argument("algebra", help="builtin name or document path")
-    p.add_argument("--flags", help="comma list of " + ",".join(VALIDATE_FLAGS))
-    p.add_argument("--zero", type=int, help="designate an element as the constant 0")
-    common(p)
-    p.set_defaults(run=_cmd_verify)
+    @command("verify", "validate an algebra against axiom flags")
+    def verify(p):
+        p.add_argument("algebra", help="builtin name or document path")
+        p.add_argument("--flags", help="comma list of " + ",".join(VALIDATE_FLAGS))
+        p.add_argument("--zero", type=int, help="designate an element as the constant 0")
+        return _cmd_verify
 
-    p = sub.add_parser("identity", help="check an identity on an algebra")
-    p.add_argument("algebra", help="builtin name or document path")
-    p.add_argument("--id", required=True, help=f"identity text or a named one ({', '.join(NAMED_IDENTITIES)}, potent:n)")
-    p.add_argument("--zero", type=int)
-    common(p)
-    p.set_defaults(run=_cmd_identity)
+    @command("identity", "check an identity on an algebra")
+    def identity(p):
+        p.add_argument("algebra", help="builtin name or document path")
+        p.add_argument("--id", required=True, help=f"identity text or a named one ({', '.join(NAMED_IDENTITIES)}, potent:n)")
+        p.add_argument("--zero", type=int)
+        return _cmd_identity
 
-    p = sub.add_parser("construct", help="run a constructor and print the algebra document")
-    p.add_argument("kind", choices=("builtin", "ordinal-sum", "gluing", "rotation", "nucleus-image"))
-    p.add_argument("--name", help="builtin name (for kind=builtin)")
-    p.add_argument("--lower")
-    p.add_argument("--upper")
-    p.add_argument("--base")
-    p.add_argument("--nucleus", default="identity", help="identity or const-1")
-    p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--zero", type=int)
-    common(p)
-    p.set_defaults(run=_cmd_construct)
+    @command("construct", "run a constructor and print the algebra document")
+    def construct(p):
+        p.add_argument("kind", choices=("builtin", "ordinal-sum", "gluing", "rotation", "nucleus-image"))
+        p.add_argument("--name", help="builtin name (for kind=builtin)")
+        p.add_argument("--lower")
+        p.add_argument("--upper")
+        p.add_argument("--base")
+        p.add_argument("--nucleus", default="identity", help="identity or const-1")
+        p.add_argument("--levels", type=int, default=2)
+        p.add_argument("--zero", type=int)
+        return _cmd_construct
 
-    p = sub.add_parser("embed", help="list all embeddings between two algebras")
-    p.add_argument("source")
-    p.add_argument("target")
-    common(p)
-    p.set_defaults(run=_cmd_embed)
+    @command("embed", "list all embeddings between two algebras")
+    def embed(p):
+        p.add_argument("source")
+        p.add_argument("target")
+        return _cmd_embed
 
-    p = sub.add_parser("filters", help="list the congruence filters of an algebra")
-    p.add_argument("algebra", help="builtin name or document path")
-    common(p)
-    p.set_defaults(run=_cmd_filters)
+    @command("filters", "list the congruence filters of an algebra")
+    def filters(p):
+        p.add_argument("algebra", help="builtin name or document path")
+        return _cmd_filters
 
-    p = sub.add_parser("quotient", help="quotient an algebra by a congruence filter")
-    p.add_argument("algebra", help="builtin name or document path")
-    p.add_argument("--filter", required=True, help="comma list of member indices")
-    common(p)
-    p.set_defaults(run=_cmd_quotient)
+    @command("quotient", "quotient an algebra by a congruence filter")
+    def quotient(p):
+        p.add_argument("algebra", help="builtin name or document path")
+        p.add_argument("--filter", required=True, help="comma list of member indices")
+        return _cmd_quotient
 
-    p = sub.add_parser("enumerate", help="enumerate residuated chains of a given size")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--flags", help=_CHAIN_FLAGS_HELP)
-    p.add_argument("--count", action="store_true")
-    p.add_argument("--limit", type=int)
-    common(p)
-    p.set_defaults(run=_cmd_enumerate)
+    @command("enumerate", "enumerate residuated chains of a given size")
+    def enumerate_(p):
+        p.add_argument("--size", type=int, required=True)
+        p.add_argument("--flags", help=_CHAIN_FLAGS_HELP)
+        p.add_argument("--count", action="store_true")
+        p.add_argument("--limit", type=int)
+        return _cmd_enumerate
 
     for name, one_sided in (("amalgam", False), ("one-amalgam", True)):
-        p = sub.add_parser(name, help=f"bounded {name} search over chains")
-        p.add_argument("--vf", required=True, help="VS, VS.pointed, or a V-formation document path")
-        p.add_argument("--max-size", type=int, default=9)
-        p.add_argument("--flags", help="the class of chains D ranges over: " + _CHAIN_FLAGS_HELP)
-        p.add_argument("--rotate", help="apply a rotation first, e.g. identity:2")
+        @command(name, f"bounded {name} search over chains")
+        def amalgam(p, one=one_sided):
+            p.add_argument("--vf", required=True, help="VS, VS.pointed, or a V-formation document path")
+            p.add_argument("--max-size", type=int, default=9)
+            p.add_argument("--flags", help="the class of chains D ranges over: " + _CHAIN_FLAGS_HELP)
+            p.add_argument("--rotate", help="apply a rotation first, e.g. identity:2")
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+            return lambda a: _cmd_amalgam(a, one)
+
+    @command("obstruct", "find or check an obstruction certificate")
+    def obstruct(p):
+        p.add_argument("--vf", required=True)
+        p.add_argument("--rotate")
+        p.add_argument("--check", help="a,b,c,u1,u2[,side] to verify a given witness")
+        return _cmd_obstruct
+
+    @command("paper", "one-shot reproduction of the headline results")
+    def paper(p):
+        p.add_argument("--max-size", type=int, default=10)
+        p.add_argument("--rotations", default="identity:2,const-1:2", help="comma list like identity:2,const-1:2")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        common(p)
-        p.set_defaults(run=lambda a, one=one_sided: _cmd_amalgam(a, one))
-
-    p = sub.add_parser("obstruct", help="find or check an obstruction certificate")
-    p.add_argument("--vf", required=True)
-    p.add_argument("--rotate")
-    p.add_argument("--check", help="a,b,c,u1,u2[,side] to verify a given witness")
-    common(p)
-    p.set_defaults(run=_cmd_obstruct)
-
-    p = sub.add_parser("paper", help="one-shot reproduction of the headline results")
-    p.add_argument("--max-size", type=int, default=10)
-    p.add_argument("--rotations", default="identity:2,const-1:2", help="comma list like identity:2,const-1:2")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common(p)
-    p.set_defaults(run=_cmd_paper)
+        return _cmd_paper
 
     return parser
 

@@ -837,7 +837,8 @@ def _small_formations():
 def test_type_refutation_matches_the_full_pass_oracle(vs):
     """Pins, the exact and division bounds and one monotonicity sweep decide
     every order type as the oracle's full passes of every rule do, with its
-    commutativity and associativity merges.  Unbounded, on the VS family
+    commutativity and associativity merges, and a type that survives gets
+    ``_pins_for``'s pins.  Unbounded, on the VS family
     under no flags and under integral and commutative, on the pointed VS
     search of ``paper``, on the commutative integral formations with
     2 <= |A| < |B|, |C| <= 4 under the same two, and on their pointed
@@ -846,7 +847,7 @@ def test_type_refutation_matches_the_full_pass_oracle(vs):
     from collections import Counter
 
     from reslat import enumerate_chains, with_zero
-    from reslat.amalgamation import _order_types, _type_pins
+    from reslat.amalgamation import _order_types, _pins_for, _type_pins
     from oracles import naive_type_refuted
 
     ci = ChainFlags(integral=True, commutative=True)
@@ -866,9 +867,29 @@ def test_type_refutation_matches_the_full_pass_oracle(vs):
         for htype, ktype in _order_types(vf, flags, vf.B.size + vf.C.size):
             outcome = naive_type_refuted(vf, htype, ktype, flags)
             assert (_type_pins(vf, htype, ktype) is None) == (outcome is not None), (vf, flags, htype, ktype)
+            assert outcome or _type_pins(vf, htype, ktype) == _pins_for(vf, htype, ktype), (vf, flags, htype, ktype)
             outcomes[outcome] += 1
     assert sum(outcomes.values()) == 3683
     assert {"pin conflict", "init", "sweep", None} <= set(outcomes)
+
+
+def test_a_division_bound_holds_against_a_later_pin_on_its_cell():
+    """Over the trivial algebra, with B = chain4_7 at ranks (0, 2, 3, 5) and
+    C = chain5_47 at (0, 1, 3, 4, 5): in B, e2 \\ e1 = e2, so p_3*p_4 lies
+    above p_2, and C, whose rows are read after B's, pins p_3*p_4 = p_1.
+    The pins agree on every shared cell, and the cell's interval is empty,
+    as the oracle finds it; a pin that overwrote the raised lower bound
+    would let the type survive."""
+    from oracles import naive_type_refuted
+    from reslat import enumerate_chains
+    from reslat.amalgamation import _pins_for, _type_pins
+
+    chains = {ch.name: ch for n in (4, 5) for ch in enumerate_chains(n)}
+    vf = VFormation(trivial(), chains["chain4_7"], chains["chain5_47"], (3,), (4,))
+    htype, ktype = (0, 2, 3, 5), (0, 1, 3, 4, 5)
+    assert _pins_for(vf, htype, ktype) is not None
+    assert naive_type_refuted(vf, htype, ktype, ChainFlags()) == "init"
+    assert _type_pins(vf, htype, ktype) is None
 
 
 def test_types_fit_the_bound_and_are_decided_at_the_first_size_they_fit(monkeypatch):

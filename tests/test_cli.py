@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -40,6 +41,70 @@ def test_verify_partial_algebra_document(tmp_path, capsys):
     path.write_text(dumps_canonical(algebra_to_document(vs_k_triple().K)))
     code, report = run_json(capsys, "verify", str(path))
     assert code == 0 and report["ok"]
+
+
+# sha256 of json.dumps([stdout, stderr]) and the exit code of ``reslat <argv>``
+# at 80 columns, as Python 3.11's argparse formats them: the top-level help and
+# errors, each subcommand's help and one usage error per subcommand
+_PARSER_OUTPUT = [
+    ("", 2, "67ab82ff0c0cc46767d61f3a5990e8e8ed793262250ad190c74da5de496aee22"),
+    ("--help", 0, "9e7dde1e01b8a33a56688daf4272a89f8233807d757396b66ba723d59c0ccb9f"),
+    ("bogus", 2, "5aefe05919388d8541d331b46d8f2aab4d1cc1cc963439394ddca26ee5f10ea4"),
+    ("verify --help", 0, "31d0aaaef417625445230fdf3d769c09a20c1c7e60103aa13c7812e91723cb09"),
+    ("identity --help", 0, "dbc2dd08ccf2e9a68755027b4e0027bae1a25a307d4d658810e7c35754cff128"),
+    ("construct --help", 0, "a99db3255f1774b8ae26d9905f12bb71dca6fc3ccca1829a5b0cfce8b18f0334"),
+    ("embed --help", 0, "56b795dc8294bc72aa0f44d94ee092a99093ce18c2b600ee9e82cbe42c53682b"),
+    ("filters --help", 0, "41a0eb2a86f5577854b8d35a233a1f022265e53323dfa2ffe13fdfad5f0d9acb"),
+    ("quotient --help", 0, "ef8e3f6d5cc307673b87a4348d3af6c36c5967a6c2cb532e22629859b40d2a1a"),
+    ("enumerate --help", 0, "f80821c89f1dd7ae4f05449fb2f4a4875e0927bd11456de826255dd00690fd8c"),
+    ("amalgam --help", 0, "fd918ab9a9f2b7d768e5275845eb75ef521f3e2f5df18eb34f3c5be22d89395a"),
+    ("one-amalgam --help", 0, "64f89cfca2e30e366e6e0c1e8adfc01b060887a8b6db76176f161ec95a469dd0"),
+    ("obstruct --help", 0, "6c72f800258ed464ae44617b9d873301edd678129aa2f2563d4e63ce1ba54edf"),
+    ("paper --help", 0, "cb9fdfd5d6e5c9fe91eda2e60a6554a1281afa40b3012b14b240cdc9e0879ceb"),
+    ("verify", 2, "22e382344ceeb11fd21a5c1b523138d65c3ac1f42fab77e3518d434ac2b787e6"),
+    ("identity VS.C", 2, "0a95425722e17c69c420b5c77cef50bd3af2a4224bb7be37db4a9649316995d8"),
+    ("construct", 2, "6308ac6650855dc86ed5e0c2f70bd241b523d9c7d68f89ce5c3ce111cd8ee214"),
+    ("embed VS.A", 2, "18cc72f93e224873b39bcb16463eee413c1668be8da32f35db98e9eca9b1bf0c"),
+    ("filters", 2, "39b10e68bc5201902200febbf17c0a793b6593a13cc86365bfa738b6305da534"),
+    ("quotient VS.B", 2, "cdd010ccc57fc6510016c0ad5489fefe476be5e7d006cfbaf61cd5125b190f33"),
+    ("enumerate --count", 2, "e8301e1719914e3186b05a09af7e16d18597b3eb73505ee738bbd709604477c3"),
+    ("amalgam --max-size 9", 2, "8613827481bafee3cfe0b7e10d91d12a44f7a426e28cb36847992f78acb66700"),
+    ("one-amalgam --vf VS --bogus", 2, "fc9b398391c0757493e73a0ee43f493ec89dd006555739263f71592f5e557c79"),
+    ("obstruct --vf", 2, "8d536448bdd6af64a7b09e74022a164bdc75a36b58c7458d6e3048d8f52fc886"),
+    ("paper --max-size x", 2, "44572477fbd8a3bcc0e4230dd19b50b65ad13ce179bf8abebc9b538ec9a3c5bc"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests of Python 3.11's argparse output")
+@pytest.mark.parametrize("argv, code, digest", _PARSER_OUTPUT, ids=[argv or "(none)" for argv, _, _ in _PARSER_OUTPUT])
+def test_parser_output_is_pinned(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv.split()) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(json.dumps([out, err]).encode()).hexdigest() == digest, out + err
+
+
+def test_a_subcommand_gets_its_arguments_only_when_it_runs(capsys, monkeypatch):
+    """``reslat paper`` adds arguments to the paper parser alone (each
+    parser's own ``-h`` aside), and a parser set up once parses again."""
+    import argparse
+
+    from reslat.cli import build_parser
+
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(parser, *args, **kwargs):
+        if args != ("-h", "--help"):
+            added.append(parser.prog)
+        return add_argument(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert main(["paper", "--max-size", "10", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert set(added) == {"reslat paper"}
+    parser = build_parser()
+    assert [parser.parse_args(["paper", "--max-size", n]).max_size for n in ("9", "11")] == [9, 11]
 
 
 def test_identity_exit_codes(capsys):
@@ -521,7 +586,7 @@ def test_paper_rotation_step_checks_for_bounded_chains(capsys, monkeypatch, delt
     code, report = run_json(capsys, "paper", "--max-size", "10", "--rotations", f"{delta_name}:2")
     assert code == 1 and report["ok"] is False and report["conclusions"] == []
     assert [(s["step"], s["detail"]) for s in report["steps"] if not s["ok"]] == [
-        (f"{tag}: components validate (bounded chains)", ""),
+        (f"{tag}: components validate (bounded chains)", "C: zero-bounded: no zero constant"),
         (f"{tag}: {called} {NAMED_IDENTITIES[named]} on VS.C^{delta_name}:2", "negation on an unpointed algebra"),
     ]
 
