@@ -578,22 +578,22 @@ def _cmd_paper(args):
 # parser
 
 
-class _Command(argparse.ArgumentParser):
-    """A subcommand's parser.  ``setup`` adds its own arguments and returns
-    its ``run`` when it first parses, not before, and ``--format`` and
-    ``--output`` follow them."""
+class _Command:
+    """A subcommand as ``add_subparsers`` stores it: its ``prog`` and
+    ``setup``.  Its parser is built only when the subcommand runs, from
+    ``setup``, which adds its own arguments and returns its ``run``, with
+    ``--format`` and ``--output`` after them."""
 
     def __init__(self, setup, **kwargs):
-        super().__init__(**kwargs)
         self.setup = setup
+        self.kwargs = kwargs
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self.setup:
-            self.set_defaults(run=self.setup(self))
-            self.add_argument("--format", choices=("text", "json"), default="text")
-            self.add_argument("--output", help="write the report to a file (atomically)")
-            self.setup = None
-        return super().parse_known_args(args, namespace)
+    def parse_known_args(self, args, namespace):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        parser.set_defaults(run=self.setup(parser))
+        parser.add_argument("--format", choices=("text", "json"), default="text")
+        parser.add_argument("--output", help="write the report to a file (atomically)")
+        return parser.parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,18 +20,20 @@ pruning rules only ever need to be sound, not complete.  The class of chains,
 Propagation is incremental.  A cell whose candidate set shrinks to a
 singleton is queued as it shrinks; ``propagate`` fixes the queued cells in
 passes, each pass in ascending cell order, and the singletons a pass creates
-wait for the next pass.  Fixing ``x*y = v`` bounds only the unfixed cells
-in its monotonicity cones (``a*b >= v`` for ``a >= x, b >= y`` and
-``a*b <= v`` for ``a <= x, b <= y``; a fixed cell applied its own cones,
-which contain ``(x, y)``, so it is inside the bound already), and a
-division pin bounds only the cells on its ray; cells already inside a
-bound are skipped.  The search is one loop over an explicit stack of open
-nodes; each node keeps a copy of its candidate sets and values, and every
-branch after its first starts from that copy, restored in place.  The
-associativity rule is applied once per fixed cell against the cells fixed
-before it, so its outcome depends on the order in which cells are fixed,
-and that order is part of the engine's contract: node counts and the order
-of solutions depend on it.
+wait for the next pass.  A branch fixes its own cell at once, without
+queueing it (in a commutative class its mirror is queued as it narrows), and
+propagation runs after a branch only when something was queued.  Fixing
+``x*y = v`` bounds only the unfixed cells in its monotonicity cones
+(``a*b >= v`` for ``a >= x, b >= y`` and ``a*b <= v`` for ``a <= x,
+b <= y``; a fixed cell applied its own cones, which contain ``(x, y)``, so
+it is inside the bound already), and a division pin bounds only the cells
+on its ray; cells already inside a bound are skipped.  The search is one
+loop over an explicit stack of open nodes; each node keeps a copy of its
+candidate sets and values, and every branch after its first starts from
+that copy, restored in place.  The associativity rule is applied once per
+fixed cell against the cells fixed before it, so its outcome depends on the
+order in which cells are fixed, and that order is part of the engine's
+contract: node counts and the order of solutions depend on it.
 """
 
 from __future__ import annotations
@@ -271,11 +273,14 @@ class _Engine:
     # -- propagation ------------------------------------------------------------
 
     def _fix(self, cell, v):
-        self._set_mask(cell, 1 << v)
-        self.value[cell] = v
-        self.free ^= 1 << cell
         m, cand, value, set_mask = self.m, self.cand, self.value, self._set_mask
         x, y = divmod(cell, m)
+        # fixed here, so never queued; a commutative mirror narrows and is
+        cand[cell] = 1 << v
+        if self.commutative and x != y:
+            set_mask(y * m + x, 1 << v)
+        value[cell] = v
+        self.free ^= 1 << cell
         rows_from, rows_upto, cols_from, cols_upto = self.cones
         # monotonicity against the newly fixed cell: only the unfixed cells
         # of the cones, in ascending order, and only those that still hold a
@@ -404,7 +409,8 @@ class _Engine:
                     raise BudgetExceededError(stats.nodes)
                 try:
                     self._fix(cell, v)
-                    self.propagate()
+                    if self.queue:
+                        self.propagate()
                     break
                 except _Conflict:
                     self.queue = []

@@ -107,6 +107,34 @@ def test_a_subcommand_gets_its_arguments_only_when_it_runs(capsys, monkeypatch):
     assert [parser.parse_args(["paper", "--max-size", n]).max_size for n in ("9", "11")] == [9, 11]
 
 
+def test_only_the_subcommand_that_runs_gets_a_parser(capsys, monkeypatch):
+    """``reslat paper`` builds the top-level parser and the paper parser,
+    ``reslat --help`` the top-level one alone, and one top-level parser
+    parses a subcommand more than once."""
+    import argparse
+
+    from reslat.cli import build_parser
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        built.append(parser.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["paper", "--max-size", "10", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert built == ["reslat", "reslat paper"]
+    built.clear()
+    assert main(["--help"]) == 0
+    assert "paper" in capsys.readouterr().out
+    assert built == ["reslat"]
+    parser = build_parser()
+    argv = ["paper", "--max-size", "10", "--format", "json"]
+    assert [parser.parse_args(argv).max_size for _ in range(2)] == [10, 10]
+
+
 def test_identity_exit_codes(capsys):
     code, report = run_json(capsys, "identity", "VS.C", "--id", "div")
     assert code == 1
@@ -491,6 +519,16 @@ def test_output_file_is_atomic(tmp_path, capsys):
     assert os.stat(target).st_mode == os.stat(tmp_path / "plain.json").st_mode
 
 
+def test_an_unwritable_output_names_the_target_not_the_temp_file(tmp_path, capsys):
+    """A missing directory and an existing directory as ``--output``."""
+    (tmp_path / "dir").mkdir()
+    for target in (tmp_path / "missing" / "x.json", tmp_path / "dir"):
+        assert main(["filters", "VS.B", "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(target)) in err and ".tmp" not in err, err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_paper_command_small_bound(capsys, monkeypatch):
     small = ("paper", "--max-size", "6", "--rotations", "const-1:2", "--format", "json")
     code, out = run(capsys, *small)
@@ -519,6 +557,22 @@ def test_paper_text_output_is_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == "15d10faf612efd38029e15423a05655de1c9d85ed31ee172696c8a5263202832"
+
+
+def test_the_module_entry_point_reproduces_the_paper():
+    """``python -m reslat.cli paper`` in a fresh interpreter, as a user runs it."""
+    import subprocess
+
+    import reslat
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reslat.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "reslat.cli", "paper", "--max-size", "10", "--format", "json"]
+    done = subprocess.run(argv, capture_output=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    digest = hashlib.sha256(done.stdout).hexdigest()
+    assert digest == "2cb6868b4530d081a245746fabfd73689d1af9503dbd74479e25d43e13cf2da0"
 
 
 def test_paper_without_a_witness_fails_in_both_outputs(capsys, monkeypatch):

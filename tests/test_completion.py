@@ -453,6 +453,28 @@ def test_census_size_search_is_pinned(commutative, nodes, solutions):
     assert (stats.nodes, stats.solutions) == (nodes, solutions)
 
 
+# (nodes, solutions) of the unpinned search on 7 elements, for unit = 0..6;
+# with the n <= 6 totals of the "all" and "comm. integral" columns above,
+# the non-commutative units and the commutative unit 6 make up the census's
+# 48,874 engine nodes
+SIZE_7_SEARCHES = {
+    False: ((0, 0), (1272, 308), (2265, 226), (2918, 253), (4372, 395), (9091, 864), (22437, 2641)),
+    True: ((0, 0), (233, 94), (431, 90), (519, 97), (681, 127), (1046, 214), (1939, 451)),
+}
+
+
+@pytest.mark.parametrize("commutative", (False, True))
+def test_every_unit_of_the_size_7_search_is_pinned(commutative):
+    got = []
+    for unit in range(7):
+        stats = SearchStats()
+        problem = CompletionProblem(7, unit, {}, {}, {}, flags=ChainFlags(commutative=commutative))
+        for _ in iter_completions(problem, stats=stats):
+            pass
+        got.append((stats.nodes, stats.solutions))
+    assert tuple(got) == SIZE_7_SEARCHES[commutative]
+
+
 def test_vs_search_work_per_size_is_pinned(vs):
     report = bounded_amalgam_search(vs, 10)
     assert report.verdict == "UNSAT"
