@@ -34,6 +34,14 @@ that copy, restored in place.  The associativity rule is applied once per
 fixed cell against the cells fixed before it, so its outcome depends on the
 order in which cells are fixed, and that order is part of the engine's
 contract: node counts and the order of solutions depend on it.
+
+Every rule narrows a cell the same way, written out in place: the cell keeps
+its candidates inside a mask, a cell that narrows to one candidate is queued,
+and in a commutative class the cell's mirror, read from a per-size table,
+gets the same set, so the candidate sets stay symmetric.  An empty set is a
+conflict: ``init_constraints``, ``_fix`` and ``propagate`` return ``False``,
+and no exception is raised.  The order of fixes, the ``>=`` cone before the
+``<=`` cone and the order of the associativity links are the contract above.
 """
 
 from __future__ import annotations
@@ -121,6 +129,10 @@ class CompletionProblem(NamedTuple):
 
     def check_well_formed(self):
         m = self.size
+        if type(m) is not int or type(self.unit) is not int:  # bool is no index
+            raise FormatError("size and unit must be integers")
+        if not isinstance(self.flags, ChainFlags):
+            raise FormatError(f"flags must be ChainFlags, not {self.flags!r}")
         if m < 1:
             raise FormatError("size must be positive")
         if m > MAX_CHAIN_SIZE:
@@ -129,13 +141,13 @@ class CompletionProblem(NamedTuple):
             raise FormatError("unit out of range")
         if self.flags.integral and self.unit != m - 1:
             raise FormatError("integral problems need the unit on top")
-        for (x, y), v in self.product_pins.items():
-            if not (0 <= x < m and 0 <= y < m and 0 <= v < m):
-                raise FormatError("product pin out of range")
-        for pins in (self.ldiv_pins, self.rdiv_pins):
-            for (x, z), d in pins.items():
-                if not (0 <= x < m and 0 <= z < m and 0 <= d < m):
-                    raise FormatError("division pin out of range")
+        for kind, pins in (("product", self.product_pins), ("division", self.ldiv_pins), ("division", self.rdiv_pins)):
+            for key, v in pins.items():
+                if not (type(key) is tuple and len(key) == 2 and all(type(i) is int for i in (*key, v))):
+                    raise FormatError(f"{kind} pin {key!r}: {v!r} is not three integers")
+                x, y = key
+                if not (0 <= x < m and 0 <= y < m and 0 <= v < m):
+                    raise FormatError(f"{kind} pin out of range")
 
 
 class SearchStats:
@@ -163,13 +175,13 @@ def division_cells(ldiv_pins, rdiv_pins, n):
         yield z, d * n + y, range((d + 1) * n + y, n * n, n)
 
 
-class _Conflict(Exception):
-    pass
-
-
-def _low_mask(v):
-    # candidates <= v
-    return (1 << (v + 1)) - 1
+@lru_cache(maxsize=None)
+def _cells(m):
+    """Per-size tables of an ``m x m`` row-major table: each cell's ``(x,
+    y)``, each cell's mirror ``y*m + x``, the slices of the rows and the
+    identity row ``bytes(range(m))``."""
+    coords = [divmod(c, m) for c in range(m * m)]
+    return coords, [y * m + x for x, y in coords], [slice(i, i + m) for i in range(0, m * m, m)], bytes(range(m))
 
 
 @lru_cache(maxsize=None)
@@ -206,110 +218,115 @@ def _lane_masks(m):
 class _Engine:
     def __init__(self, problem: CompletionProblem, budget: int, stats: SearchStats):
         problem.check_well_formed()
-        self.m = problem.size
+        self.m = m = problem.size
         self.p = problem
         self.budget = budget
         self.stats = stats
-        # read on every candidate update, where a NamedTuple field is a
-        # slower load than an attribute of the engine
-        self.commutative = problem.flags.commutative
-        m = self.m
-        full = (1 << m) - 1
-        self.cand = [full] * (m * m)
+        self.cand = [(1 << m) - 1] * (m * m)
         self.value = [-1] * (m * m)
         # bit c is set while cell c is unfixed; a fixed cell has applied
         # both of its monotonicity cones, so no later cone needs to visit it
         self.free = (1 << (m * m)) - 1
+        self.coords, mirrors, self.rows, self.ident = _cells(m)
+        # in a commutative class the candidates stay symmetric: a cell's
+        # mirror is given the cell's set whenever the cell narrows
+        self.mirrors = mirrors if problem.flags.commutative else None
         self.cones = _cone_masks(m)
         self.lanes = _lane_masks(m)
+        self.divisions = list(division_cells(problem.ldiv_pins, problem.rdiv_pins, m))
         # the rows and columns other than the unit's and the zero's
         self.inner = [z for z in range(1, m) if z != problem.unit]
         # cells that became singletons and were not processed yet; on a
         # one-element chain every cell starts out as one
         self.queue: list[int] = [0] if m == 1 else []
 
-    # -- basic cell operations ------------------------------------------------
-
-    def _set_mask(self, cell, mask):
-        old = self.cand[cell]
-        new = old & mask
-        if new == old:
-            return
-        if new == 0:
-            raise _Conflict
-        self.cand[cell] = new
-        if new & (new - 1) == 0:
-            self.queue.append(cell)
-        if self.commutative:
-            x, y = divmod(cell, self.m)
-            mirror = y * self.m + x
-            if mirror != cell:
-                self._set_mask(mirror, new)
-
-    # -- initial constraints ---------------------------------------------------
+    # -- the narrowing rule, written out wherever a cell narrows, so the hot
+    # path calls no method per cell; a cell on the diagonal, its own mirror,
+    # is queued twice and fixed once ------------------------------------------
 
     def init_constraints(self):
-        m, u = self.m, self.p.unit
-        cand, set_mask = self.cand, self._set_mask
-        for y in range(m):
-            set_mask(u * m + y, 1 << y)
-            set_mask(y * m + u, 1 << y)
+        """Narrow by the unit laws, ``x*0 = 0*x = 0`` and the pins; False
+        on a conflict."""
+        m, u, cand, queue, mirrors = self.m, self.p.unit, self.cand, self.queue, self.mirrors
+        bounds = [(c, 1 << y) for y in range(m) for c in (u * m + y, y * m + u)]
         if m > 1:
-            for x in range(m):
-                set_mask(x * m + 0, 1)
-                set_mask(0 * m + x, 1)
-        # each bound is applied only where it would narrow the candidates
-        for (x, y), v in self.p.product_pins.items():
-            if cand[x * m + y] != 1 << v:
-                set_mask(x * m + y, 1 << v)
-        for z, at, above in division_cells(self.p.ldiv_pins, self.p.rdiv_pins, m):
-            low = _low_mask(z)
-            if cand[at] > low:
-                set_mask(at, low)
-            for c in above:
-                if cand[c] & low:
-                    set_mask(c, ~low)
+            bounds += [(c, 1) for x in range(m) for c in (x * m, x)]
+        bounds += [(x * m + y, 1 << v) for (x, y), v in self.p.product_pins.items()]
+        for z, at, above in self.divisions:
+            low = (2 << z) - 1  # candidates <= z
+            bounds += [(at, low)] + [(c, ~low) for c in above]
+        for c, mask in bounds:
+            new = cand[c] & mask
+            if new != cand[c]:
+                if not new:
+                    return False
+                cand[c] = new
+                if mirrors:
+                    cand[mirrors[c]] = new
+                if not new & (new - 1):
+                    queue.append(c)
+                    if mirrors:
+                        queue.append(mirrors[c])
+        return True
 
     # -- propagation ------------------------------------------------------------
 
     def _fix(self, cell, v):
-        m, cand, value, set_mask = self.m, self.cand, self.value, self._set_mask
-        x, y = divmod(cell, m)
-        # fixed here, so never queued; a commutative mirror narrows and is
+        """Fix ``cell`` to ``v`` and narrow the cells it bounds; False on a
+        conflict."""
+        m, cand, value, queue, mirrors = self.m, self.cand, self.value, self.queue, self.mirrors
+        x, y = self.coords[cell]
+        # fixed here, so never queued; a commutative mirror narrows and is queued
         cand[cell] = 1 << v
-        if self.commutative and x != y:
-            set_mask(y * m + x, 1 << v)
+        if mirrors and cand[mirrors[cell]] != 1 << v:
+            cand[mirrors[cell]] = 1 << v
+            queue.append(mirrors[cell])
         value[cell] = v
-        self.free ^= 1 << cell
+        free = self.free = self.free ^ (1 << cell)
         rows_from, rows_upto, cols_from, cols_upto = self.cones
         # monotonicity against the newly fixed cell: only the unfixed cells
-        # of the cones, in ascending order, and only those that still hold a
-        # candidate on the wrong side of v
-        below = (1 << v) - 1
-        if v > 0:
-            ge_mask = ((1 << m) - 1) & ~below
-            bits = self.free & rows_from[x] & cols_from[y]
+        # of the cones, the >= cone first, each in ascending order
+        if v:
+            mask = -1 << v  # candidates >= v
+            bits = free & rows_from[x] & cols_from[y]
             while bits:
                 low = bits & -bits
                 bits ^= low
                 c = low.bit_length() - 1
-                if cand[c] & below:
-                    set_mask(c, ge_mask)
+                new = cand[c] & mask
+                if new != cand[c]:
+                    if not new:
+                        return False
+                    cand[c] = new
+                    if mirrors:
+                        cand[mirrors[c]] = new
+                    if not new & (new - 1):
+                        queue.append(c)
+                        if mirrors:
+                            queue.append(mirrors[c])
         if v < m - 1:
-            le_mask = _low_mask(v)
-            bits = self.free & rows_upto[x] & cols_upto[y]
+            mask = (2 << v) - 1  # candidates <= v
+            bits = free & rows_upto[x] & cols_upto[y]
             while bits:
                 low = bits & -bits
                 bits ^= low
                 c = low.bit_length() - 1
-                if cand[c] > le_mask:
-                    set_mask(c, le_mask)
+                new = cand[c] & mask
+                if new != cand[c]:
+                    if not new:
+                        return False
+                    cand[c] = new
+                    if mirrors:
+                        cand[mirrors[c]] = new
+                    if not new & (new - 1):
+                        queue.append(c)
+                        if mirrors:
+                            queue.append(mirrors[c])
         # associativity instances whose two inner products are fixed: both
-        # cells narrow to their common candidates, and a cell already inside
-        # them is left alone (equal masks, the same cell included, leave
-        # nothing to narrow).  The unit's and the zero's rows and columns
-        # hold their singletons from init_constraints, so z or w among them
-        # links only equal cells:
+        # cells narrow to their common candidates, a before b, and b is read
+        # again after a narrows (it may be a's mirror).  The unit's and the
+        # zero's rows and columns hold their singletons from
+        # init_constraints, so z or w among them links only equal cells:
         # (v,u) and (x,y) hold v, as do (u,v) and (x,y); (v,0) and (x,0)
         # hold 0, as do (0,y) and (0,v)
         vm, xm, ym = v * m, x * m, y * m
@@ -317,35 +334,50 @@ class _Engine:
             w = value[ym + z]
             if w != -1:  # (x*y)*z = x*(y*z)
                 a, b = vm + z, xm + w
-                ca, cb = cand[a], cand[b]
-                if ca != cb:
-                    common = ca & cb
-                    if ca != common:
-                        set_mask(a, common)
-                    if cand[b] != common:
-                        set_mask(b, common)
+                if cand[a] != cand[b]:
+                    common = cand[a] & cand[b]
+                    if not common:
+                        return False
+                    for c in (a, b):
+                        if cand[c] != common:
+                            cand[c] = common
+                            if mirrors:
+                                cand[mirrors[c]] = common
+                            if not common & (common - 1):
+                                queue.append(c)
+                                if mirrors:
+                                    queue.append(mirrors[c])
         for w in self.inner:
             t = value[w * m + x]
             if t != -1:  # (w*x)*y = w*(x*y)
                 a, b = t * m + y, w * m + v
-                ca, cb = cand[a], cand[b]
-                if ca != cb:
-                    common = ca & cb
-                    if ca != common:
-                        set_mask(a, common)
-                    if cand[b] != common:
-                        set_mask(b, common)
+                if cand[a] != cand[b]:
+                    common = cand[a] & cand[b]
+                    if not common:
+                        return False
+                    for c in (a, b):
+                        if cand[c] != common:
+                            cand[c] = common
+                            if mirrors:
+                                cand[mirrors[c]] = common
+                            if not common & (common - 1):
+                                queue.append(c)
+                                if mirrors:
+                                    queue.append(mirrors[c])
+        return True
 
     def propagate(self):
         """Fix every pending singleton, in passes of ascending cell order;
-        singletons a pass creates wait for the next pass."""
-        value, cand = self.value, self.cand
-        while self.queue:
-            pending = sorted(self.queue)
-            self.queue = []
+        singletons a pass creates wait for the next pass.  False on a
+        conflict, with cells left in the queue."""
+        value, cand, queue, fix = self.value, self.cand, self.queue, self._fix
+        while queue:
+            pending = sorted(queue)
+            queue.clear()
             for cell in pending:
-                if value[cell] == -1:
-                    self._fix(cell, cand[cell].bit_length() - 1)
+                if value[cell] == -1 and not fix(cell, cand[cell].bit_length() - 1):
+                    return False
+        return True
 
     # -- backtracking -----------------------------------------------------------
 
@@ -364,12 +396,8 @@ class _Engine:
         return best
 
     def solutions(self):
-        try:
-            self.init_constraints()
-            self.propagate()
-        except _Conflict:
-            return
-        yield from self._search()
+        if self.init_constraints() and self.propagate():
+            yield from self._search()
 
     def _search(self):
         """The solutions below the current state, depth first over one
@@ -379,7 +407,7 @@ class _Engine:
         value after the last one tried, 0 before the first.  Each later
         branch starts from the node's state, restored in place."""
         stats, budget = self.stats, self.budget
-        cand, value = self.cand, self.value
+        cand, value, queue = self.cand, self.value, self.queue
         stack = []
         while True:
             if self.free:
@@ -407,22 +435,17 @@ class _Engine:
                 stats.nodes += 1
                 if stats.nodes > budget:
                     raise BudgetExceededError(stats.nodes)
-                try:
-                    self._fix(cell, v)
-                    if self.queue:
-                        self.propagate()
+                if self._fix(cell, v) and (not queue or self.propagate()):
                     break
-                except _Conflict:
-                    self.queue = []
+                queue.clear()
             else:
                 return
 
     # -- leaf verification --------------------------------------------------------
 
     def _verify(self, cells):
-        m, u = self.m, self.p.unit
-        t = [cells[i:i + m] for i in range(0, m * m, m)]
-        ident = bytes(range(m))
+        m, u, ident = self.m, self.p.unit, self.ident
+        t = [cells[s] for s in self.rows]
         if t[u] != ident or cells[u::m] != ident:
             return False
         if m > 1 and (any(t[0]) or any(cells[::m])):
@@ -446,7 +469,7 @@ class _Engine:
         for (x, y), v in self.p.product_pins.items():
             if cells[x * m + y] != v:
                 return False
-        for z, at, above in division_cells(self.p.ldiv_pins, self.p.rdiv_pins, m):
+        for z, at, above in self.divisions:
             if cells[at] > z or above and cells[above[0]] <= z:
                 return False
         return self.p.flags.admits(t, u)

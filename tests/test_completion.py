@@ -211,6 +211,16 @@ def test_size_validation():
         (CompletionProblem(2, 1, {(0, 2): 0}, {}, {}), "product pin out of range"),
         (CompletionProblem(2, 1, {}, {(0, 0): 2}, {}), "division pin out of range"),
         (CompletionProblem(2, 1, {}, {}, {(0, 0): 2}), "division pin out of range"),
+        # a float or a bool is no index, and flags must be a class of chains
+        (CompletionProblem(2, 1, {(0, 1.0): 0}, {}, {}), "product pin .* not three integers"),
+        (CompletionProblem(2, 1, {(0, 1): 0.0}, {}, {}), "product pin .* not three integers"),
+        (CompletionProblem(2, 1, {(0, 1): False}, {}, {}), "product pin .* not three integers"),
+        (CompletionProblem(2, 1, {}, {(1, 1): 1.0}, {}), "division pin .* not three integers"),
+        (CompletionProblem(2, 1, {}, {}, {(True, 1): 1}), "division pin .* not three integers"),
+        (CompletionProblem(2, 1, {0: 1}, {}, {}), "product pin .* not three integers"),
+        (CompletionProblem(2, 1, {(0, 1, 1): 1}, {}, {}), "product pin .* not three integers"),
+        (CompletionProblem(2, 1, {}, {}, {}, flags=None), "flags must be ChainFlags"),
+        (CompletionProblem(2, True, {}, {}, {}), "size and unit must be integers"),
     ):
         with pytest.raises(FormatError, match=message):
             problem.check_well_formed()
@@ -388,6 +398,28 @@ def test_every_unit_stream_is_pinned(cold_memo):
     assert digest.hexdigest() == "0cf1954fca7282e71fe609c572165f67cdb436106b5e4434d6722f8ad42be212"
 
 
+def test_every_size_7_unit_stream_is_pinned(cold_memo):
+    """The same for n = 7: 4,687 tables in all and 1,073 commutative ones."""
+    digest, counts = hashlib.sha256(), {False: 0, True: 0}
+    for unit in range(7):
+        for commutative in (False, True):
+            for cells in completion._unit_stream(7, unit, commutative):
+                digest.update(cells)
+                counts[commutative] += 1
+    assert counts == {False: 4687, True: 1073}
+    assert digest.hexdigest() == "bf190e4a00857f5a12407442a1047b8244222236a3f089e202136f3ecfab0167"
+
+
+def test_commutative_stream_is_the_full_streams_commutative_tables(cold_memo):
+    """The commutative run lists the full run's commutative tables, in the
+    full run's order."""
+    for n in range(1, 7):
+        for unit in range(n):
+            full = completion._unit_stream(n, unit, False)
+            wanted = [cells for cells in full if cells == bytes(cells[y * n + x] for x in range(n) for y in range(n))]
+            assert list(completion._unit_stream(n, unit, True)) == wanted, (n, unit)
+
+
 # ---------------------------------------------------------------------------
 # exactness pins: the engine's search order and work counts, which depend on
 # the order of propagation; a faster engine must reproduce them exactly
@@ -473,6 +505,26 @@ def test_every_unit_of_the_size_7_search_is_pinned(commutative):
             pass
         got.append((stats.nodes, stats.solutions))
     assert tuple(got) == SIZE_7_SEARCHES[commutative]
+
+
+def test_pinned_commutative_search_is_pinned():
+    """Product and division pins read off one commutative 6-chain leave a
+    commutative search that branches.  Its work, its solutions and their
+    order depend on a narrowed cell's mirror narrowing with it: at the pins,
+    at a fix and at an associativity link."""
+    alg = next(islice(enumerate_chains(6, ChainFlags(commutative=True)), 75, None))
+    assert alg.unit == 4
+    t = alg.product
+    problem = CompletionProblem(
+        6, 4, {(5, 2): t[5][2], (3, 3): t[3][3]}, {(1, 2): alg.ldiv[1][2]}, {(2, 1): alg.rdiv[2][1]},
+        flags=ChainFlags(commutative=True),
+    )
+    stats, digest = SearchStats(), hashlib.sha256()
+    for cells in iter_completions(problem, stats=stats):
+        digest.update(cells)
+    assert stats.nodes > 0
+    assert (stats.nodes, stats.solutions) == (22, 4)
+    assert digest.hexdigest() == "b87dafe233ad3652bb16501a725de4d8228e61a7e987073fde523202dd6e1f8d"
 
 
 def test_vs_search_work_per_size_is_pinned(vs):
