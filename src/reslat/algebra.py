@@ -44,8 +44,8 @@ class UnsupportedSymbolError(ReslatError):
 class NotResiduatedError(ReslatError):
     """A product table has no residuals; ``pair`` is the offending (x, z)."""
 
-    def __init__(self, pair, message=None):
-        super().__init__(message or f"no residual exists for pair {pair}")
+    def __init__(self, pair):
+        super().__init__(f"no residual exists for pair {pair}")
         self.pair = pair
 
 

@@ -28,6 +28,7 @@ from .algebra import (
     ValidationReport,
     compose,
     congruence_filters,
+    filter_to_congruence,
     make_algebra,
     map_fault,
     operation_tables,
@@ -419,15 +420,15 @@ def _placements(types, m: int, flags: ChainFlags) -> list:
 
 def _pins_for(vf: VFormation, htype, ktype):
     """Product and division pins, in ranks of the order type ``(htype,
-    ktype)``, induced by requiring h and k to preserve operations; ``None``
-    when the two sets of pins conflict."""
+    ktype)``, induced by requiring h and k to preserve operations.  h and k
+    are one-to-one, so only a cell whose two ranks B and C both hold gets
+    two pins, and the caller has checked that those agree."""
     pins = ({}, {}, {})
     for alg, pos in ((vf.B, htype), (vf.C, ktype)):
         for cell_pins, table in zip(pins, (alg.product, alg.ldiv, alg.rdiv)):
             for px, row in zip(pos, table):
                 for py, v in zip(pos, row):
-                    if cell_pins.setdefault((px, py), pos[v]) != pos[v]:
-                        return None
+                    cell_pins[px, py] = pos[v]
     return pins
 
 
@@ -613,11 +614,10 @@ def bounded_one_amalgam_search(
     all_sizes: list[SizeStats] = []
     details = []
     searched = 0
-    ldiv = vf.B.ldiv
+    image = set(vf.i)
     for F in congruence_filters(vf.B):
-        # F identifies x and y exactly when x\y and y\x are both in F, as in filter_to_congruence
         members = F.members
-        if any(ldiv[x][y] in members and ldiv[y][x] in members for x, y in itertools.combinations(vf.i, 2)):
+        if any(len(image.intersection(block)) > 1 for block in filter_to_congruence(F)):
             details.append(f"filter {sorted(members)}: identifies elements of A, skipped")
             continue
         Bq, q = quotient(F)

@@ -237,11 +237,9 @@ def _cmd_construct(args):
     elif kind == "rotation":
         base = _load_total_algebra(args.base)
         alg = generalized_rotation(nucleus_by_name(base, args.nucleus), args.levels)
-    elif kind == "nucleus-image":
+    else:  # nucleus-image: argparse's choices admit no other kind
         base = _load_total_algebra(args.base)
         alg, _ = nucleus_image(nucleus_by_name(base, args.nucleus))
-    else:  # pragma: no cover - argparse restricts choices
-        raise FormatError(f"unknown construction {kind!r}")
     if args.zero is not None:
         alg = with_zero(alg, args.zero)
     return 0, *_algebra_payload("construct", alg)
@@ -340,6 +338,9 @@ def _cmd_amalgam(args, one_sided: bool):
     if args.budget < 0:
         raise FormatError("--budget must be non-negative")
     flags = _chain_flags(args.flags)
+    levels = _parse_rotation(args.rotate)[1] if args.rotate else 0
+    if levels > args.max_size:  # an n-rotation has at least n elements: refuse it before it is built
+        raise PreconditionError(f"nothing to search: a {levels}-rotation has more than {args.max_size} elements")
     vf = _load_vf(args.vf, args.rotate)
     search = bounded_one_amalgam_search if one_sided else bounded_amalgam_search
     start = time.monotonic()
@@ -400,7 +401,7 @@ def _table_facts_hold(alg, facts: str) -> bool:
     )
 
 
-def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2)), budget: int = DEFAULT_BUDGET) -> dict:
+def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))) -> dict:
     """Run the full reproduction pipeline and return its one record.
 
     Builds the VS chains, re-validates every finite fact (tables, triple,
@@ -412,19 +413,22 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     report ``{"step", "ok", "search"}``; ``ok`` holds when every step does,
     and the conclusions are stated only then (``[]`` otherwise), the one on
     2-rotations only if both ``identity:2`` and ``const-1:2`` ran.  Raises
-    :class:`PreconditionError`, before any step, when a rotation is given
-    twice or ``max_size`` is below the largest B or C of VS and the
-    rotations, where a search would start, and from the first search when
-    it is above ``MAX_CHAIN_SIZE``.
+    :class:`PreconditionError`, before any step or rotation is built, when a
+    rotation is given twice or ``max_size`` is below the largest B or C of
+    VS and the rotations (by the size formula), where a search would start,
+    and from the first search when it is above ``MAX_CHAIN_SIZE``.
     """
     for k, (delta_name, levels) in enumerate(rotations):
         if (delta_name, levels) in rotations[:k]:
             raise PreconditionError(f"rotation {delta_name}:{levels} is given twice")
     vs = vs_formation()
-    rotated = [(delta_name, levels, rotated_vformation(vs, delta_name, levels)) for delta_name, levels in rotations]
-    need = max(max(vf.B.size, vf.C.size) for vf in (vs, *(rvf for _, _, rvf in rotated)))
+    A, B, C = vs.A, vs.B, vs.C
+    # each rotation's |A|, |B| and |C| by the formula its size step checks, |X| + |delta[X]| + (n-2)
+    formula = [tuple(X.size + len(set(nucleus_by_name(X, d).map)) + n - 2 for X in (A, B, C)) for d, n in rotations]
+    need = max(B.size, C.size, *(size for sizes in formula for size in sizes[1:]))
     if max_size < need:
         raise PreconditionError(f"the pipeline needs max-size >= {need}")
+    rotated = [rotated_vformation(vs, delta_name, levels) for delta_name, levels in rotations]
     steps: list[dict] = []
 
     def fact(name, ok, detail=""):
@@ -439,7 +443,7 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
             fact(f"{name} on {alg.name}", holds, detail)
 
     def unsat(claim, search, vf, flags=ChainFlags(), report=""):
-        rep = search(vf, max_size, flags, budget)
+        rep = search(vf, max_size, flags)
         ok = rep.verdict == "UNSAT"
         fact(claim, ok)
         if report:
@@ -448,7 +452,6 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     def certified(vf, w):
         return w is not None and check_obstruction(vf, w).accepted
 
-    A, B, C = vs.A, vs.B, vs.C
     base_flags = ("lattice", "monoid", "residuation", "integral", "commutative", "chain")
     for alg in (A, B, C):
         fact(f"validate {alg.name} (commutative integral chain)", validate(alg, base_flags).ok)
@@ -498,7 +501,7 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
     claim = f"pointed variant: no 0-bounded chain amalgam up to size {max_size}"
     unsat(claim, bounded_amalgam_search, vsp, ChainFlags(pointed=True))
 
-    for delta_name, levels, rvf in rotated:
+    for (delta_name, levels), rvf, expected_sizes in zip(rotations, rotated, formula):
         components = (rvf.A, rvf.B, rvf.C)
         tag = f"rotation {delta_name}:{levels}"
         faults = [f"{c.flag}: {c.detail}" for c in check_vformation(rvf).checks if not c.ok]
@@ -506,10 +509,6 @@ def paper_report(max_size: int = 10, rotations=(("identity", 2), ("const-1", 2))
             faults += [f"{part}: {c.flag}: {c.detail}" for c in validate(alg, ("chain", "zero-bounded")).checks if not c.ok]
         fact(f"{tag}: components validate (bounded chains)", not faults, faults[0] if faults else "")
         sizes = (rvf.A.size, rvf.B.size, rvf.C.size)
-        expected_sizes = tuple(
-            base.size + len({nucleus_by_name(base, delta_name).map[x] for x in range(base.size)}) + (levels - 2)
-            for base in (A, B, C)
-        )
         fact(f"{tag}: size formula |A| + |delta[A]| + (n-2)", sizes == expected_sizes, str(sizes))
         holds_on(components, f"{tag}: 2-potency", two_potent)
         called, named = _NUCLEUS_IDENTITIES[delta_name]
@@ -566,10 +565,8 @@ def _paper_lines(report: dict) -> list[str]:
 
 
 def _cmd_paper(args):
-    if args.budget < 0:
-        raise FormatError("--budget must be non-negative")
     rotations = [_parse_rotation(item.strip()) for item in args.rotations.split(",")]
-    report = paper_report(args.max_size, rotations, args.budget)
+    report = paper_report(args.max_size, rotations)
     report = {"command": "paper", "max_size": args.max_size, **report}
     return (0 if report["ok"] else 1), report, _paper_lines(report)
 
@@ -676,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     def paper(p):
         p.add_argument("--max-size", type=int, default=10)
         p.add_argument("--rotations", default="identity:2,const-1:2", help="comma list like identity:2,const-1:2")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         return _cmd_paper
 
     return parser

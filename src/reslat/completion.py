@@ -155,9 +155,9 @@ class SearchStats:
 
     __slots__ = ("nodes", "solutions")
 
-    def __init__(self, nodes: int = 0, solutions: int = 0):
-        self.nodes = nodes
-        self.solutions = solutions
+    def __init__(self):
+        self.nodes = 0
+        self.solutions = 0
 
     def __repr__(self):
         return f"SearchStats(nodes={self.nodes}, solutions={self.solutions})"

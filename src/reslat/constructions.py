@@ -69,7 +69,7 @@ def _uniquify(labels):
 # ordinal sum
 
 
-def ordinal_sum(lower: FiniteRL, upper: FiniteRL, name: str = "") -> FiniteRL:
+def ordinal_sum(lower: FiniteRL, upper: FiniteRL) -> FiniteRL:
     """Stack two integral chains, identifying their units.
 
     Elements of ``lower`` minus its unit sit below all of ``upper``; cross
@@ -85,7 +85,7 @@ def ordinal_sum(lower: FiniteRL, upper: FiniteRL, name: str = "") -> FiniteRL:
             raise UnsupportedError(f"{side} summand is not an integral residuated chain: {rep.first_failure()}")
         if alg.zero is not None:
             raise PreconditionError("ordinal sum takes unpointed summands")
-    return partial_gluing(identity_triple(lower), upper, name=name or f"({lower.name}+{upper.name})")
+    return partial_gluing(identity_triple(lower), upper)._replace(name=f"({lower.name}+{upper.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def _stacked_order(blocks) -> list[list[bool]]:
     return leq
 
 
-def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> FiniteRL:
+def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL) -> FiniteRL:
     """Glue a lower-compatible triple below an integral algebra at the unit.
 
     Products across the two parts go through sigma, and the divisions follow
@@ -247,7 +247,7 @@ def partial_gluing(t: LowerCompatibleTriple, L: FiniteRL, name: str = "") -> Fin
         unit=unit,
         order=_stacked_order([(in_K, K.le), ({nk + x: x for x in range(L.size)}, L.le)]),
         labels=labels,
-        name=name or f"({K.name}&{L.name})",
+        name=f"({K.name}&{L.name})",
     )
 
 
@@ -449,8 +449,7 @@ def vs_a() -> FiniteRL:
 
 def vs_b() -> FiniteRL:
     """Ordinal sum of the 3-element MV-chain and 2: the chain u < b < v < 1."""
-    alg = ordinal_sum(lukasiewicz(3), two(), name="VS.B")
-    return relabel(alg, ("u", "b", "v", "1"), name="VS.B")
+    return relabel(ordinal_sum(lukasiewicz(3), two()), ("u", "b", "v", "1"), name="VS.B")
 
 
 def vs_k_triple() -> LowerCompatibleTriple:
@@ -487,8 +486,7 @@ def vs_k_triple() -> LowerCompatibleTriple:
 
 def vs_c() -> FiniteRL:
     """Partial gluing of the K triple with 2: the chain u < d < c < v < 1."""
-    alg = partial_gluing(vs_k_triple(), two(), name="VS.C")
-    return relabel(alg, ("u", "d", "c", "v", "1"), name="VS.C")
+    return relabel(partial_gluing(vs_k_triple(), two()), ("u", "d", "c", "v", "1"), name="VS.C")
 
 
 def builtin(name: str):

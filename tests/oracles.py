@@ -383,6 +383,22 @@ def naive_find_obstruction(vf):
     return None
 
 
+def naive_pins(vf, hpos, kpos):
+    """The product, ldiv and rdiv pins that h and k force, one dict each,
+    keyed by pairs of positions (or ranks) of D: every cell of B's and
+    C's tables, B's first, read through ``hpos`` and ``kpos``.  ``None``
+    when two cells pin one pair to different values."""
+    pins = ({}, {}, {})
+    for alg, pos in ((vf.B, hpos), (vf.C, kpos)):
+        for x, y in itertools.product(range(alg.size), repeat=2):
+            for found, table in zip(pins, (alg.product, alg.ldiv, alg.rdiv)):
+                key, value = (pos[x], pos[y]), pos[table[x][y]]
+                if found.get(key, value) != value:
+                    return None
+                found[key] = value
+    return pins
+
+
 def naive_type_refuted(vf, htype, ktype, flags):
     """Whether the slot intervals refute the order type ``(htype, ktype)``,
     by full passes of every rule until nothing moves, as
@@ -391,9 +407,7 @@ def naive_type_refuted(vf, htype, ktype, flags):
     ``"init"`` (the exact and division bounds), ``"sweep"`` (monotonicity)
     or ``"rules"`` (commutativity and associativity); ``None`` when the
     type survives."""
-    from reslat.amalgamation import _pins_for
-
-    pins = _pins_for(vf, htype, ktype)
+    pins = naive_pins(vf, htype, ktype)
     if pins is None:
         return "pin conflict"
     product_pins, ldiv_pins, rdiv_pins = pins

@@ -443,3 +443,63 @@ def test_lattice_operations_keep_no_algebra_alive():
     assert check_identity(alg, parse_identity("x /\\ y \\/ x = x")).holds
     assert validate_morphism(alg, alg, tuple(range(alg.size))).ok
     assert sys.getrefcount(alg) == refs
+
+
+def _two_atoms():
+    """Two incomparable elements: no meet, no join.  ``make_algebra`` checks
+    only shapes when the divisions are given, so it accepts the tables."""
+    return make_algebra(product=[[0, 0], [0, 1]], unit=1, order=[[1, 0], [0, 1]], ldiv=[[1, 1], [0, 1]], rdiv=[[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: validate(godel(2), ("chain",)).outcome("lattice"), KeyError, "lattice"),
+        (lambda: validate(godel(2), ("chain", "bogus")), FormatError, "^unknown validation flag 'bogus'$"),
+        (lambda: make_algebra(product=[[0]], unit=0, masks=([[1]],) * 3), FormatError, "^partial algebras must carry explicit divisions$"),
+        (lambda: make_algebra(product=[[0]], unit=0, ldiv=[[0]]), FormatError, "^supply both divisions or neither$"),
+        (
+            lambda: make_algebra(product=[[0]], unit=0, ldiv=[[0]], rdiv=[[0]], masks=([[1]],) * 2),
+            FormatError,
+            "^masks must be the product, ldiv and rdiv tables$",
+        ),
+        (lambda: meet_table(_two_atoms()), FormatError, r"^order has no meet for pair \(0, 1\)$"),
+    ],
+    ids=["outcome-of-an-unchecked-flag", "unknown-flag", "masks-without-divisions", "one-division", "two-masks", "no-meet"],
+)
+def test_algebra_rejections(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def _partial_not_monotone():
+    """The 2-chain with 0*0 = 1, its divisions masked off: associative and
+    vacuously residuated, but 0 <= 1 and 0*0 > 1*0."""
+    off = [[0, 0], [0, 0]]
+    return make_algebra(product=[[1, 0], [0, 1]], unit=1, ldiv=off, rdiv=off, masks=([[1, 1], [1, 1]], off, off))
+
+
+def _reversed_two():
+    """The 2-element Goedel chain indexed top first: a chain with an
+    explicit order table."""
+    return make_algebra(product=[[0, 1], [1, 1]], unit=0, order=[[1, 0], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "alg, flag, outcome",
+    [
+        (_partial_not_monotone(), "residuation", (False, (0, 1, 0), "product not monotone")),
+        (_reversed_two(), "chain", (True, None, "")),
+    ],
+    ids=["partial-product-not-monotone", "chain-with-an-order-table"],
+)
+def test_algebra_outcomes_off_the_common_paths(alg, flag, outcome):
+    assert tuple(validate(alg, PARTIAL_IRL_FLAGS + ("chain",)).outcome(flag))[1:] == outcome
+
+
+def test_congruence_filter_repr_lists_its_members():
+    assert [repr(F) for F in congruence_filters(vs_b())] == [
+        "CongruenceFilter([3])",
+        "CongruenceFilter([2, 3])",
+        "CongruenceFilter([0, 1, 2, 3])",
+    ]

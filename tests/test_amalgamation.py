@@ -775,15 +775,15 @@ def test_order_types_of_the_paper_formations(monkeypatch, vs, name, m, types, co
     engine and decides each type once, at its first placement."""
     from collections import Counter
 
-    from oracles import naive_placements
+    from oracles import naive_pins, naive_placements
     from reslat import amalgamation
-    from reslat.amalgamation import _order_types, _pins_for, _type_pins
+    from reslat.amalgamation import _order_types, _type_pins
 
     vf = _paper_formation(vs, name)
     found = {_rank_type(*placement) for placement in naive_placements(vf, m, ChainFlags())}
     assert len(found) == types
     assert found == set(_order_types(vf, ChainFlags(), m))
-    assert sum(_pins_for(vf, *t) is None for t in found) == conflicts
+    assert sum(naive_pins(vf, *t) is None for t in found) == conflicts
     assert all(_type_pins(vf, *t) is None for t in found)
     decided = Counter()
     monkeypatch.setattr(amalgamation, "_type_pins", lambda vf, *t: decided.update([t]) or _type_pins(vf, *t))
@@ -792,7 +792,14 @@ def test_order_types_of_the_paper_formations(monkeypatch, vs, name, m, types, co
     assert set(decided) == found and set(decided.values()) == {1}
 
 
-def test_paper_report_never_calls_the_engine(monkeypatch):
+def test_paper_report_never_calls_the_engine(monkeypatch, vs):
+    """``paper`` takes no node budget because no search it runs reaches the
+    engine: not at its default bound, and not over the identity:n and
+    const-1:n rotations for n = 2..6 at bound 14, the least that fits
+    identity:6 (most of these rotations fail their identity steps, but no
+    search step fails).  Under a budget of 0, the searches of
+    VS, VS.pointed, identity:2 and const-1:2 are UNSAT with 0 nodes at bound
+    |B| + |C|."""
     from reslat import amalgamation, completion
     from reslat.cli import paper_report
 
@@ -804,7 +811,17 @@ def test_paper_report_never_calls_the_engine(monkeypatch):
 
     monkeypatch.setattr(amalgamation, "iter_completions", spy)
     paper_report(10)
+    report = paper_report(14, [(delta, n) for delta in ("identity", "const-1") for n in range(2, 7)])
+    search_steps = [step for step in report["steps"] if "amalgam up to size 14" in step["step"]]
+    assert len(search_steps) == 23 and all(step["ok"] for step in search_steps)
     assert calls == []
+    both = (bounded_amalgam_search, bounded_one_amalgam_search)
+    for name, searches in (("VS", both), ("VS.pointed", both[:1]), ("VS^identity:2", both), ("VS^const-1:2", both)):
+        vf = _paper_formation(vs, name)
+        flags = ChainFlags(pointed=name == "VS.pointed")
+        for search in searches:
+            report = search(vf, vf.B.size + vf.C.size, flags, 0)
+            assert report.verdict == "UNSAT" and {s.nodes for s in report.sizes} == {0}, (name, search)
 
 
 def _small_formations():
@@ -838,7 +855,7 @@ def test_type_refutation_matches_the_full_pass_oracle(vs):
     """Pins, the exact and division bounds and one monotonicity sweep decide
     every order type as the oracle's full passes of every rule do, with its
     commutativity and associativity merges, and a type that survives gets
-    ``_pins_for``'s pins.  Unbounded, on the VS family
+    the oracle's pins.  Unbounded, on the VS family
     under no flags and under integral and commutative, on the pointed VS
     search of ``paper``, on the commutative integral formations with
     2 <= |A| < |B|, |C| <= 4 under the same two, and on their pointed
@@ -847,8 +864,8 @@ def test_type_refutation_matches_the_full_pass_oracle(vs):
     from collections import Counter
 
     from reslat import enumerate_chains, with_zero
-    from reslat.amalgamation import _order_types, _pins_for, _type_pins
-    from oracles import naive_type_refuted
+    from reslat.amalgamation import _order_types, _type_pins
+    from oracles import naive_pins, naive_type_refuted
 
     ci = ChainFlags(integral=True, commutative=True)
     pointed, pointed_ci = ChainFlags(pointed=True), ChainFlags(pointed=True, integral=True, commutative=True)
@@ -867,7 +884,7 @@ def test_type_refutation_matches_the_full_pass_oracle(vs):
         for htype, ktype in _order_types(vf, flags, vf.B.size + vf.C.size):
             outcome = naive_type_refuted(vf, htype, ktype, flags)
             assert (_type_pins(vf, htype, ktype) is None) == (outcome is not None), (vf, flags, htype, ktype)
-            assert outcome or _type_pins(vf, htype, ktype) == _pins_for(vf, htype, ktype), (vf, flags, htype, ktype)
+            assert outcome or _type_pins(vf, htype, ktype) == naive_pins(vf, htype, ktype), (vf, flags, htype, ktype)
             outcomes[outcome] += 1
     assert sum(outcomes.values()) == 3683
     assert {"pin conflict", "init", "sweep", None} <= set(outcomes)
@@ -880,14 +897,14 @@ def test_a_division_bound_holds_against_a_later_pin_on_its_cell():
     The pins agree on every shared cell, and the cell's interval is empty,
     as the oracle finds it; a pin that overwrote the raised lower bound
     would let the type survive."""
-    from oracles import naive_type_refuted
+    from oracles import naive_pins, naive_type_refuted
     from reslat import enumerate_chains
-    from reslat.amalgamation import _pins_for, _type_pins
+    from reslat.amalgamation import _type_pins
 
     chains = {ch.name: ch for n in (4, 5) for ch in enumerate_chains(n)}
     vf = VFormation(trivial(), chains["chain4_7"], chains["chain5_47"], (3,), (4,))
     htype, ktype = (0, 2, 3, 5), (0, 1, 3, 4, 5)
-    assert _pins_for(vf, htype, ktype) is not None
+    assert naive_pins(vf, htype, ktype) is not None
     assert naive_type_refuted(vf, htype, ktype, ChainFlags()) == "init"
     assert _type_pins(vf, htype, ktype) is None
 
@@ -913,7 +930,7 @@ def test_types_fit_the_bound_and_are_decided_at_the_first_size_they_fit(monkeypa
 
 
 def test_refuted_order_types_have_no_completion():
-    from oracles import naive_placements
+    from oracles import naive_pins, naive_placements
     from reslat import CompletionProblem
     from reslat.amalgamation import _pins_for, _type_pins
     from reslat.completion import iter_completions
@@ -926,7 +943,7 @@ def test_refuted_order_types_have_no_completion():
             for hpos, kpos in naive_placements(vf, m, flags):
                 key = _rank_type(hpos, kpos)
                 if key not in refuted:
-                    refuted[key] = _type_pins(vf, *key) is None and _pins_for(vf, *key) is not None
+                    refuted[key] = _type_pins(vf, *key) is None and naive_pins(vf, *key) is not None
                 if not refuted[key]:  # survives, or a pin conflict
                     continue
                 pins = _pins_for(vf, hpos, kpos)  # the same pins, labelled by positions in D
@@ -1017,11 +1034,12 @@ def test_found_witness_is_the_least_placement(b, c, i, j, flags, h, k, product):
 
 
 def test_type_filter_changes_no_search_result(monkeypatch):
+    from oracles import naive_pins
     from reslat import amalgamation
 
     cases = _small_formations()
     filtered = [bounded_amalgam_search(vf, max(vf.B.size, vf.C.size) + 2, flags) for vf, flags in cases]
-    monkeypatch.setattr(amalgamation, "_type_pins", lambda vf, h, k: amalgamation._pins_for(vf, h, k))
+    monkeypatch.setattr(amalgamation, "_type_pins", naive_pins)
     unfiltered = [bounded_amalgam_search(vf, max(vf.B.size, vf.C.size) + 2, flags) for vf, flags in cases]
     assert {r.verdict for r in filtered} == {"FOUND", "UNSAT"}
     for got, want in zip(filtered, unfiltered):

@@ -60,7 +60,7 @@ _PARSER_OUTPUT = [
     ("amalgam --help", 0, "fd918ab9a9f2b7d768e5275845eb75ef521f3e2f5df18eb34f3c5be22d89395a"),
     ("one-amalgam --help", 0, "64f89cfca2e30e366e6e0c1e8adfc01b060887a8b6db76176f161ec95a469dd0"),
     ("obstruct --help", 0, "6c72f800258ed464ae44617b9d873301edd678129aa2f2563d4e63ce1ba54edf"),
-    ("paper --help", 0, "cb9fdfd5d6e5c9fe91eda2e60a6554a1281afa40b3012b14b240cdc9e0879ceb"),
+    ("paper --help", 0, "c773ea28f50464e0b02a635421f56b1c90cdeb80aaef7b2ca0669b71b0b8582c"),
     ("verify", 2, "22e382344ceeb11fd21a5c1b523138d65c3ac1f42fab77e3518d434ac2b787e6"),
     ("identity VS.C", 2, "0a95425722e17c69c420b5c77cef50bd3af2a4224bb7be37db4a9649316995d8"),
     ("construct", 2, "6308ac6650855dc86ed5e0c2f70bd241b523d9c7d68f89ce5c3ce111cd8ee214"),
@@ -71,7 +71,7 @@ _PARSER_OUTPUT = [
     ("amalgam --max-size 9", 2, "8613827481bafee3cfe0b7e10d91d12a44f7a426e28cb36847992f78acb66700"),
     ("one-amalgam --vf VS --bogus", 2, "fc9b398391c0757493e73a0ee43f493ec89dd006555739263f71592f5e557c79"),
     ("obstruct --vf", 2, "8d536448bdd6af64a7b09e74022a164bdc75a36b58c7458d6e3048d8f52fc886"),
-    ("paper --max-size x", 2, "44572477fbd8a3bcc0e4230dd19b50b65ad13ce179bf8abebc9b538ec9a3c5bc"),
+    ("paper --max-size x", 2, "cc969207d779dafb4b1d5f1783c4a4fd63745212de3da9f1a2ac84f87af9b30b"),
 ]
 
 
@@ -498,7 +498,6 @@ def test_budget_exit_code(capsys):
     [
         (["amalgam", "--vf", "VS", "--max-size", "10"], 1),
         (["one-amalgam", "--vf", "VS", "--max-size", "10"], 1),
-        (["paper", "--max-size", "10"], 0),
     ],
 )
 def test_tiny_and_negative_budgets_exit_cleanly(capsys, argv, code, budget):
@@ -550,6 +549,31 @@ def test_paper_command_small_bound(capsys, monkeypatch):
         assert capsys.readouterr().err == f"error: the pipeline needs max-size >= {need}\n"
     assert main(["paper", "--rotations", ""]) == 2
     assert capsys.readouterr().err == "error: rotation spec '' must look like identity:2\n"
+
+
+def test_a_rotation_too_large_for_the_bound_is_never_built(capsys, monkeypatch):
+    """``paper`` reads each rotation's sizes off the size formula, and
+    ``amalgam`` and ``one-amalgam`` refuse an n-rotation, which has at least
+    n elements, above the bound, so neither builds the rotation first."""
+    from reslat import PreconditionError, cli
+
+    monkeypatch.setattr(cli, "rotated_vformation", lambda *args: pytest.fail("a rotation was built"))
+    with pytest.raises(PreconditionError, match=r"^the pipeline needs max-size >= 58$"):
+        cli.paper_report(10, [("identity", 50)])
+    for command in ("amalgam", "one-amalgam"):
+        assert main([command, "--vf", "VS", "--rotate", "identity:50", "--max-size", "10"]) == 2
+        assert capsys.readouterr().err == "error: nothing to search: a 50-rotation has more than 10 elements\n"
+
+
+def test_a_budget_error_that_reaches_main_exits_3(capsys, monkeypatch):
+    from reslat import BudgetExceededError, cli
+
+    def exhausted(*args):
+        raise BudgetExceededError(7)
+
+    monkeypatch.setattr(cli, "count_chains", exhausted)
+    assert main(["enumerate", "--size", "3", "--count"]) == 3
+    assert capsys.readouterr().err == "error: search budget exceeded after 7 nodes\n"
 
 
 def test_paper_text_output_is_pinned(capsys):

@@ -481,3 +481,64 @@ def test_vs_builtin_annotations():
     assert a.ldiv[1][0] == 0  # v \ u = u
     assert b.labels == ("u", "b", "v", "1") and c.labels == ("u", "d", "c", "v", "1")
     assert c.ldiv[2][0] == 2  # c \ u = c
+
+
+def _not_integral():
+    """The 3-chain 0 < 1 < 2 with its unit in the middle and 2*2 = 2: a
+    residuated chain that is not integral."""
+    return make_algebra(product=[[0, 0, 0], [0, 1, 2], [0, 2, 2]], unit=1)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: ordinal_sum(_square(), two()), UnsupportedError, "^lower summand must use the index-order chain convention$"),
+        (lambda: validate_triple(LowerCompatibleTriple(two(), (1,), (1, 1))), FormatError, "^sigma and gamma must have one entry per element$"),
+        (lambda: validate_triple(LowerCompatibleTriple(two(), (0, 2), (1, 1))), FormatError, "^sigma/gamma entry out of range$"),
+        (
+            lambda: partial_gluing(LowerCompatibleTriple(godel(2), (0, 0), (1, 1)), two()),
+            PreconditionError,
+            "^invalid lower-compatible triple: undefinedness-pattern: FAIL at ",
+        ),
+        (lambda: partial_gluing(vs_k_triple(), _not_integral()), UnsupportedError, "^upper algebra must be an IRL: integral: FAIL"),
+        (lambda: validate_nucleus(Nucleus(two(), (1, 2))), FormatError, "^nucleus map must send elements to elements$"),
+        (lambda: lukasiewicz(0), FormatError, "^need n >= 1$"),
+    ],
+    ids=["ordinal-sum-of-a-lattice-order", "short-sigma", "sigma-out-of-range", "gluing-an-invalid-triple", "gluing-below-a-non-irl", "nucleus-out-of-range", "lukasiewicz-0"],
+)
+def test_construction_rejections(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def _triple(K, sigma, gamma, rdiv_undefined=()):
+    """(K, sigma, gamma) with K's divisions masked where sigma's
+    undefinedness pattern asks, and its y/x also at ``rdiv_undefined``."""
+    n = K.size
+    ldiv_mask = [[not (K.le(sigma[x], y) and not K.le(x, y)) for y in range(n)] for x in range(n)]
+    rdiv_mask = [[ldiv_mask[x][y] and (x, y) not in rdiv_undefined for y in range(n)] for x in range(n)]
+    masks = ([[1] * n] * n, ldiv_mask, rdiv_mask)
+    masked = make_algebra(product=K.product, unit=K.unit, ldiv=K.ldiv, rdiv=K.rdiv, masks=masks, name=K.name)
+    return LowerCompatibleTriple(masked, tuple(sigma), tuple(gamma))
+
+
+@pytest.mark.parametrize(
+    "triple, failure",
+    [
+        (
+            _triple(godel(3), (0, 1, 2), (0, 1, 2), rdiv_undefined={(0, 1)}),
+            ("undefinedness-pattern", (0, 1), "y/x defined iff not (sigma(x) <= y and x !<= y)"),
+        ),
+        (_triple(godel(3), (0, 0, 1), (1, 2, 2)), ("strong-conucleus", (2,), "sigma not idempotent")),
+        (_triple(godel(2), (0, 0), (1, 1)), ("strong-conucleus", (1,), "sigma(1) != 1")),
+    ],
+    ids=["rdiv-pattern-alone", "sigma-not-idempotent", "sigma-moves-the-unit"],
+)
+def test_triple_failures_past_the_residuated_pair(triple, failure):
+    """Each triple passes every clause before the one that fails, so the
+    failure is not implied by them: residuated-pair holds, and sigma is
+    decreasing in the last two."""
+    report = validate_triple(triple)
+    assert [c.ok for c in report.checks] == [True] * (len(report.checks) - 1) + [False]
+    bad = report.checks[-1]
+    assert (bad.flag, bad.witness, bad.detail) == failure

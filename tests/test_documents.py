@@ -134,3 +134,16 @@ def test_canonical_tables_json_is_label_independent():
     b = vs_b()
     assert canonical_tables_json(b) == canonical_tables_json(relabel(b, ("p", "q", "r", "s")))
     assert canonical_tables_json(b) != canonical_tables_json(with_zero(b, 0))
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ([], "^algebra document must be a JSON object$"),
+        ({**algebra_to_document(godel(2)), "order": 5}, '^order must be "chain" or a 0/1 array$'),
+    ],
+    ids=["a-list", "order-neither-chain-nor-array"],
+)
+def test_document_rejections(doc, match):
+    with pytest.raises(FormatError, match=match):
+        document_to_algebra(doc)

@@ -438,3 +438,13 @@ def test_geq_is_evaluated_as_stated():
     assert check_identity(alg, parse_identity("x \\/ y >= x*y")).holds
     res = check_identity(alg, parse_identity("x*y >= 1"))
     assert not res.holds and res.assignment == (0, 0)
+
+
+@pytest.mark.parametrize("op", ["%", "", "<"])
+def test_an_operator_outside_the_grammar_is_a_format_error(op):
+    """The parser never builds such a term; one built by hand is refused
+    when its table is looked up."""
+    from reslat import FormatError
+
+    with pytest.raises(FormatError, match=f"^unknown operator {op!r}$"):
+        check_identity(two(), Identity((BinOp(op, Var("x"), Var("y")), Var("x")), "EQ"))

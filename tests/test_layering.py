@@ -82,3 +82,19 @@ def test_sources_parse_at_the_python_floor():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_oracles_import_no_private_name_of_the_package():
+    """``tests/oracles.py`` is a reference coded apart from the package, so
+    it imports none of its ``_``-prefixed names or modules."""
+    path = Path(__file__).resolve().parent / "oracles.py"
+    private = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "reslat":
+            names = node.module.split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names if alias.name.split(".")[0] == "reslat" for part in alias.name.split(".")]
+        else:
+            continue
+        private += [f"line {node.lineno}: {name}" for name in names if name.startswith("_")]
+    assert private == []
