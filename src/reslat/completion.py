@@ -15,7 +15,8 @@ of ``m*m`` cells checked with byte-string operations (monotonicity as two
 subtractions on the cells widened to 16-bit lanes of one integer), so the
 pruning rules only ever need to be sound, not complete.  The class of chains,
 ``ChainFlags``, is applied the same way: commutativity propagates, and
-``ChainFlags.admits`` decides each complete table.
+``ChainFlags.admits`` decides each complete table when the class asks
+commutativity, k-potency or divisibility of one.
 
 Propagation is incremental.  A cell whose candidate set shrinks to a
 singleton is queued as it shrinks; ``propagate`` fixes the queued cells in
@@ -88,7 +89,9 @@ class ChainFlags(_ChainFlagFields):
         rng = range(n)
         if integral and unit != n - 1:
             return False
-        if commutative and list(zip(*table)) != list(map(tuple, table)):
+        if commutative or divisible:
+            columns = list(zip(*table))
+        if commutative and columns != list(map(tuple, table)):
             return False
         # on a chain the powers of x are monotone, so x^n = x^(n+1) and any k >= n holds
         if k is not None and k < n:
@@ -104,7 +107,7 @@ class ChainFlags(_ChainFlagFields):
             # values 0..x; likewise (y/x)*x and column x
             for x in rng:
                 want = set(range(x + 1))
-                if set(table[x]) != want or {table[y][x] for y in rng} != want:
+                if set(table[x]) != want or set(columns[x]) != want:
                     return False
         return True
 
@@ -231,6 +234,12 @@ class _Engine:
         # in a commutative class the candidates stay symmetric: a cell's
         # mirror is given the cell's set whenever the cell narrows
         self.mirrors = mirrors if problem.flags.commutative else None
+        # the leaf asks the class about a complete table only when the class
+        # asks something of one: check_well_formed already put an integral
+        # class's unit on top, and pointed asks nothing of a table
+        flags = problem.flags
+        asked = flags.commutative or flags.k_potent is not None or flags.divisible
+        self.admits = flags.admits if asked else None
         self.cones = _cone_masks(m)
         self.lanes = _lane_masks(m)
         self.divisions = list(division_cells(problem.ldiv_pins, problem.rdiv_pins, m))
@@ -472,7 +481,7 @@ class _Engine:
         for z, at, above in self.divisions:
             if cells[at] > z or above and cells[above[0]] <= z:
                 return False
-        return self.p.flags.admits(t, u)
+        return self.admits is None or self.admits(t, u)
 
 
 def iter_completions(problem: CompletionProblem, budget: int = DEFAULT_BUDGET, stats: SearchStats | None = None):
@@ -489,15 +498,37 @@ def iter_completions(problem: CompletionProblem, budget: int = DEFAULT_BUDGET, s
 
 # (n, unit, commutative) -> every table of the unpinned search for that key,
 # in stream order, each the engine's n*n bytes in row-major order; an entry
-# is stored only once its search has run to the end
+# is stored once its search has run to the end, or, for a commutative key,
+# once it is filtered from the stored full entry of the same (n, unit)
 _CHAINS: dict[tuple[int, int, bool], list[bytes]] = {}
+
+
+def _commutative_tables(tables, n: int, unit: int) -> list[bytes]:
+    """The symmetric tables among ``tables``, the full unpinned run of
+    ``(n, unit)``, in its order: the commutative run's stream.  The leaf
+    check fixed the rows and columns of 0 and of the unit, so each other
+    row is compared with its column, one byte slice against another."""
+    _, _, rows, _ = _cells(n)
+    inner = [(rows[i], slice(i, None, n)) for i in range(1, n) if i != unit]
+    kept = []
+    for cells in tables:
+        for row, column in inner:
+            if cells[row] != cells[column]:
+                break
+        else:
+            kept.append(cells)
+    return kept
 
 
 def _unit_stream(n: int, unit: int, commutative: bool):
     """The chains of size ``n`` with this unit, commutative or all of them,
-    each as row-major bytes: from the memo, or else from the engine, lazily."""
+    each as row-major bytes: from the memo, or else from the engine, lazily.
+    A commutative stream is filtered from the full stream when the memo
+    holds that, and otherwise runs its own, much smaller, search."""
     key = (n, unit, commutative)
     tables = _CHAINS.get(key)
+    if tables is None and commutative and (n, unit, False) in _CHAINS:
+        tables = _CHAINS[key] = _commutative_tables(_CHAINS[n, unit, False], n, unit)
     if tables is not None:
         yield from tables
         return
@@ -514,10 +545,12 @@ def _raw_stream(n: int, flags: ChainFlags):
     in canonical order, each table the engine's row-major bytes.
 
     ``integral`` only picks the unit, and every flag but ``commutative`` is
-    decided on complete tables, so one engine run per ``(n, unit,
-    commutative)``, kept in ``_CHAINS``, serves every class.  That run fixed
-    the unit, and its leaf check decided commutativity with ``admits``, so
-    only ``k_potent`` and ``divisible`` are left to ask."""
+    decided on complete tables, so the streams of ``_unit_stream``, kept in
+    ``_CHAINS``, serve every class: one engine run per ``(n, unit)`` when
+    the full stream is read first, as the census does, and a commutative
+    run of its own when a commutative stream is read first.  Either way the
+    stream fixed the unit and decided commutativity, so only ``k_potent``
+    and ``divisible`` are left to ask."""
     CompletionProblem(n, 0, {}, {}, {}).check_well_formed()  # the size, before any unit
     asked = flags.k_potent is not None or flags.divisible
     rest = ChainFlags(k_potent=flags.k_potent, divisible=flags.divisible)
@@ -542,7 +575,11 @@ def enumerate_chains(n: int, flags: ChainFlags = ChainFlags()):
 
 def count_chains(n: int, flags: ChainFlags = ChainFlags()) -> int:
     """Number of chains :func:`enumerate_chains` would yield, without
-    materializing algebra objects.  It reads the same memoized engine runs,
-    so counting a class and then listing it, or counting several classes of
-    one size, runs the engine once per ``(n, unit, commutative)``."""
+    materializing algebra objects.  It reads the same memoized streams, so
+    counting a class and then listing it, or counting several classes of
+    one size, runs the engine at most once per ``(n, unit, commutative)``:
+    a commutative class counted after a class of all chains of the same
+    units filters the full runs, and one counted first runs the engine's
+    commutative search, which visits far fewer nodes (13,446 against
+    349,908 at n = 8 with the unit on top)."""
     return sum(1 for _ in _raw_stream(n, flags))

@@ -397,7 +397,6 @@ def test_usage_and_format_errors(tmp_path, capsys, monkeypatch):
         ["enumerate", "--size", "3", "--limit", "-1"],
         ["enumerate", "--size", "3", "--flags", "potent:0"],  # k-potency needs k >= 1
         ["enumerate", "--size", "3", "--flags", "potent:-3", "--count"],
-        ["paper", "--budget", "-1"],
         # terms too deep to walk: 400 parentheses, 3,000 factors, 3,000 negations, x^3001
         ["identity", "VS.B", "--id", "(" * 400 + "x" + ")" * 400 + " = x"],
         ["identity", "VS.B", "--id", " * ".join(["x"] * 3000) + " = x"],

@@ -410,14 +410,83 @@ def test_every_size_7_unit_stream_is_pinned(cold_memo):
     assert digest.hexdigest() == "bf190e4a00857f5a12407442a1047b8244222236a3f089e202136f3ecfab0167"
 
 
-def test_commutative_stream_is_the_full_streams_commutative_tables(cold_memo):
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Every engine run the memo starts, as (problem, stats), the stats
+    counting that run's nodes and solutions."""
+    runs = []
+    engine = completion.iter_completions
+
+    def spy(problem, budget=DEFAULT_BUDGET, stats=None):
+        stats = stats if stats is not None else SearchStats()
+        runs.append((problem, stats))
+        yield from engine(problem, budget, stats)
+
+    monkeypatch.setattr(completion, "iter_completions", spy)
+    return runs
+
+
+def test_commutative_stream_is_the_full_streams_commutative_tables(cold_memo, engine_runs):
     """The commutative run lists the full run's commutative tables, in the
-    full run's order."""
-    for n in range(1, 7):
+    full run's order.  Read from a cold memo, the commutative stream is the
+    engine's own commutative run; once the full stream is memoized, it is
+    filtered from that, without an engine run."""
+    for n in range(1, 8):
         for unit in range(n):
-            full = completion._unit_stream(n, unit, False)
+            cold_memo.clear()
+            engine_runs.clear()
+            searched = list(completion._unit_stream(n, unit, True))
+            assert [problem.flags.commutative for problem, _ in engine_runs] == [True]
+            full = list(completion._unit_stream(n, unit, False))
+            del cold_memo[n, unit, True]
+            engine_runs.clear()
+            filtered = list(completion._unit_stream(n, unit, True))
+            assert engine_runs == []
             wanted = [cells for cells in full if cells == bytes(cells[y * n + x] for x in range(n) for y in range(n))]
-            assert list(completion._unit_stream(n, unit, True)) == wanted, (n, unit)
+            assert searched == filtered == wanted, (n, unit)
+
+
+def test_census_reads_each_unit_stream_once(cold_memo, engine_runs):
+    """The census's six columns, counted in order from a cold memo, make one
+    engine run per (n, unit), each of the full class: the four commutative
+    columns read the full streams' commutative tables."""
+    columns = _census_columns()
+    for n in range(1, 7):
+        engine_runs.clear()
+        assert tuple(count_chains(n, flags) for _, flags in columns) == CENSUS_COUNTS[n - 1]
+        assert [(problem.size, problem.flags) for problem, _ in engine_runs] == [(n, ChainFlags())] * n
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [ChainFlags(k_potent=1), ChainFlags(k_potent=2), ChainFlags(divisible=True), ChainFlags(pointed=True)],
+)
+def test_leaf_decides_each_flag_asked_of_a_table(flags):
+    """A search in a class without commutativity, which the engine does not
+    propagate, lists the full search's tables that the class admits, in
+    order; ``pointed`` admits them all."""
+    for n in range(1, 6):
+        for unit in range(n):
+            full = iter_completions(CompletionProblem(n, unit, {}, {}, {}))
+            wanted = [cells for cells in full if flags.admits(_rows(cells, n), unit)]
+            assert list(iter_completions(CompletionProblem(n, unit, {}, {}, {}, flags=flags))) == wanted, (n, unit)
+
+
+# the four CI columns of scripts/chain_census.py at n = 8, and a sha256 of
+# the commutative engine run behind them, _unit_stream(8, 7, True)
+CI_8_COUNTS = (2386, 64, 951, 1)
+CI_8_STREAM_DIGEST = "0143f26b48718e3bbc9f765d912a382ee7fe42ae34e10ab0f8fc0a998487caf5"
+
+
+def test_size_8_commutative_integral_columns_are_pinned(cold_memo, engine_runs):
+    """With a cold memo the CI columns at n = 8 make one commutative engine
+    run of 13,446 nodes, not the full run of the top unit."""
+    assert tuple(count_chains(8, flags) for _, flags in _census_columns()[2:]) == CI_8_COUNTS
+    [(problem, stats)] = engine_runs
+    assert (problem.size, problem.unit, problem.flags) == (8, 7, ChainFlags(commutative=True))
+    assert (stats.nodes, stats.solutions) == (13446, 2386)
+    digest = hashlib.sha256(b"".join(completion._unit_stream(8, 7, True)))
+    assert digest.hexdigest() == CI_8_STREAM_DIGEST
 
 
 # ---------------------------------------------------------------------------
